@@ -30,12 +30,11 @@ model = init_model(seed=0)
 
 prev = load_admitted_frame(src, 0)
 cur = load_admitted_frame(src, 1)
-capacity = src.config.max_objects
 
 # One fixed-size local point set per detection, then one 512-wide
-# feature per object.  Padding slots stay zero.
-prev_fs = featurize_frame(crop_frame(prev, seed=0), model.pointnet, capacity, frame_index=0)
-cur_fs = featurize_frame(crop_frame(cur, seed=0), model.pointnet, capacity, frame_index=1)
+# feature row per object.
+prev_fs = featurize_frame(crop_frame(prev, seed=0), model.pointnet, frame_index=0)
+cur_fs = featurize_frame(crop_frame(cur, seed=0), model.pointnet, frame_index=1)
 print(f"features: {prev_fs.count} objects x {prev_fs.dim} dims")
 
 # The feature of an object never depends on the order of its points.
@@ -49,19 +48,17 @@ b = pointnet_forward(ObjectPoints(shuffled, 100), model.pointnet)
 print(f"permutation changes feature bytes: {a.tobytes() != b.tobytes()}")
 
 aff = affinity_from_features(prev_fs, cur_fs, model.compression, model.dummy_score)
-cp, cc = aff.counts
-print(f"\nraw scores M ({cp}x{cc} valid block):")
-print(np.array2string(aff.m[:cp, :cc], precision=3))
+cp, cc = aff.m.shape
+print(f"\nraw scores M ({cp} previous x {cc} current):")
+print(np.array2string(aff.m, precision=3))
 
 # A1 appends a leave column and normalizes each row; A2 appends an
-# enter row and normalizes each column.  Valid rows and columns are
-# probability distributions.
+# enter row and normalizes each column.  Every row of A1 and every
+# column of A2 is a probability distribution.
 print("\nrow-normalized A1 (last column = leave):")
-a1 = np.concatenate([aff.a1_trim[:cp, :cc], aff.a1[:cp, capacity:]], axis=1)
-print(np.array2string(a1, precision=3))
-print("row sums:", np.array2string(aff.a1[:cp].sum(axis=1), precision=6))
+print(np.array2string(aff.a1, precision=3))
+print("row sums:", np.array2string(aff.a1.sum(axis=1), precision=6))
 
 print("\ncolumn-normalized A2 (last row = enter):")
-a2 = np.concatenate([aff.a2_trim[:cp, :cc], aff.a2[capacity:, :cc]], axis=0)
-print(np.array2string(a2, precision=3))
-print("column sums:", np.array2string(aff.a2[:, :cc].sum(axis=0), precision=6))
+print(np.array2string(aff.a2, precision=3))
+print("column sums:", np.array2string(aff.a2.sum(axis=0), precision=6))

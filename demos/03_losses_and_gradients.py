@@ -18,8 +18,8 @@ rng = np.random.default_rng(42)
 
 # A random frame pair: raw augmented score matrices plus a consistent
 # ground-truth assignment with persisting, leaving, and entering ids.
-m1, m2, gt, dummy = random_instance(rng, capacity=6)
-cp, cc = gt.counts
+m1, m2, gt, dummy = random_instance(rng, max_count=6)
+cp, cc = gt.g3.shape
 print(f"instance: {cp} previous objects, {cc} current objects")
 
 losses = loss_from_raw(m1, m2, gt)
@@ -32,7 +32,7 @@ print(
 # shared dummy score.  The analytic gradients should agree to well
 # under 1e-4 relative error.
 worst = max(
-    fd_gradient_check(*random_instance(rng, capacity=6)[:3]) for _ in range(10)
+    fd_gradient_check(*random_instance(rng, max_count=6)[:3]) for _ in range(10)
 )
 print(f"\nworst relative gradient error over 10 random instances: {worst:.2e}")
 

@@ -49,7 +49,7 @@ print(
 timing = {}
 tracks = track_sequence(eval_src, model, TrackerConfig(seed=0), timing=timing)
 pred_path = root / "pred.csv"
-write_tracks_csv(pred_path, eval_src, tracks)
+write_tracks_csv(pred_path, tracks)
 print(f"linked {len(tracks.tracks)} tracks on the held-out scene")
 
 report = evaluate(

@@ -10,15 +10,14 @@ with standard multi-object tracking metrics.
 from .affinity import (
     AffinityMatrices,
     CompressionNet,
-    PairTensor,
     affinity_from_features,
     augment_and_softmax,
-    build_pair_tensor,
     compression_forward,
 )
 from .association import (
     AssignmentResult,
     TrackerConfig,
+    TrackEntry,
     TrackSet,
     score_matrix,
     solve_assignment,
@@ -57,9 +56,7 @@ from .model import (
     AffinityModel,
     init_model,
     load_model,
-    load_weights,
     save_model,
-    save_weights,
 )
 from .pointnet import (
     FeatureSet,
@@ -99,11 +96,11 @@ __all__ = [
     "MotReport",
     "ObjectPoints",
     "OrientedBox3",
-    "PairTensor",
     "PointCloud",
     "PointNetWeights",
     "SequenceSource",
     "SynthConfig",
+    "TrackEntry",
     "TrackSet",
     "TrackerConfig",
     "TrainConfig",
@@ -112,7 +109,6 @@ __all__ = [
     "augment_and_softmax",
     "box_contains",
     "build_gt",
-    "build_pair_tensor",
     "compression_forward",
     "crop_frame",
     "crop_object",
@@ -125,7 +121,6 @@ __all__ = [
     "load_admitted_frame",
     "load_frame",
     "load_model",
-    "load_weights",
     "loss_breakdown",
     "loss_from_raw",
     "loss_gradients",
@@ -137,7 +132,6 @@ __all__ = [
     "report_table",
     "run_losscheck",
     "save_model",
-    "save_weights",
     "score_matrix",
     "solve_assignment",
     "to_box_frame",

@@ -1,17 +1,14 @@
-"""Pairwise affinity head: pair tensor, compression net, softmax matrices.
+"""Pairwise affinity head: pair cells, compression net, softmax matrices.
 
-Feature rows from a previous and a current frame are paired exhaustively
-(concatenation, so two D-wide features make a 2D-wide cell) and every
-cell runs through a shared pointwise compression stack that ends in one
-scalar, giving the raw score matrix M.  M is augmented with a learned
-dummy score (an extra column for objects that leave, an extra row for
-objects that enter) and normalized: row softmax for forward association
-A1, column softmax for backward association A2.
-
-Slots beyond the real object counts are masked to -LARGE before the
-softmax so padding can never absorb probability, and their rows/columns
-are zeroed afterwards.  The dummy entry is never masked inside a valid
-row or column.
+Feature rows from a previous frame (cp objects) and a current frame (cc
+objects) are paired exhaustively (concatenation, so two D-wide features
+make a 2D-wide cell) and every cell runs through a shared pointwise
+compression stack that ends in one scalar, giving the cp x cc raw score
+matrix M.  M is augmented with a learned dummy score (an extra column
+for objects that leave, an extra row for objects that enter) and
+normalized: row softmax of the cp x (cc+1) matrix M1 gives the forward
+association A1, column softmax of the (cp+1) x cc matrix M2 gives the
+backward association A2.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ import numpy as np
 from .nets import Layers, layer_widths, mlp_forward, validate_layers
 from .pointnet import FeatureSet
 
-LARGE = 1e9
 DEFAULT_COMPRESSION_WIDTHS = (1024, 512, 256, 128, 64, 1)
 COMPRESSION_LAYER_COUNT = 5
 
@@ -56,34 +52,13 @@ class CompressionNet:
 
 
 @dataclass(frozen=True)
-class PairTensor:
-    """Exhaustive feature pairings; cells outside counts are zero."""
-
-    values: np.ndarray
-    counts: tuple[int, int]
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 3 or vals.shape[0] != vals.shape[1]:
-            raise ValueError(f"values must be (N, N, C), got {vals.shape}")
-        cp, cc = self.counts
-        if not (0 <= cp <= vals.shape[0] and 0 <= cc <= vals.shape[0]):
-            raise ValueError("counts outside 0..capacity")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "counts", (int(cp), int(cc)))
-
-    @property
-    def capacity(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class AffinityMatrices:
     """Raw and normalized association matrices for one frame pair.
 
-    a1 rows below count_prev sum to one; a2 columns below count_cur sum
-    to one; rows/columns past the counts are zero.  a1_trim drops the
-    dummy column, a2_trim drops the dummy row.
+    m is cp x cc; m1 and a1 are cp x (cc+1) with the dummy column last,
+    every a1 row sums to one; m2 and a2 are (cp+1) x cc with the dummy
+    row last, every a2 column sums to one.  a1_trim drops the dummy
+    column, a2_trim drops the dummy row.
     """
 
     m: np.ndarray
@@ -93,37 +68,6 @@ class AffinityMatrices:
     a2: np.ndarray
     a1_trim: np.ndarray
     a2_trim: np.ndarray
-    counts: tuple[int, int]
-
-    @property
-    def capacity(self) -> int:
-        return self.m.shape[0]
-
-
-def build_pair_tensor(prev: FeatureSet, cur: FeatureSet) -> PairTensor:
-    """Concatenate every previous feature with every current feature."""
-    if prev.dim != cur.dim:
-        raise ValueError(f"feature widths differ: {prev.dim} vs {cur.dim}")
-    if prev.capacity != cur.capacity:
-        raise ValueError(
-            f"capacities differ: {prev.capacity} vs {cur.capacity}"
-        )
-    cap, d = prev.capacity, prev.dim
-    vals = np.zeros((cap, cap, 2 * d))
-    cp, cc = prev.count, cur.count
-    if cp and cc:
-        vals[:cp, :cc, :d] = prev.features[:cp, None, :]
-        vals[:cp, :cc, d:] = cur.features[None, :cc, :]
-    return PairTensor(vals, (cp, cc))
-
-
-def pair_cell_matrix(prev: FeatureSet, cur: FeatureSet, row: int) -> np.ndarray:
-    """The (count_cur, 2D) cell block for one previous-object row."""
-    cc, d = cur.count, cur.dim
-    out = np.empty((cc, 2 * d))
-    out[:, :d] = prev.features[row]
-    out[:, d:] = cur.features[:cc]
-    return out
 
 
 def _parallel_rows(fn, n: int, threads: int) -> None:
@@ -137,22 +81,31 @@ def _parallel_rows(fn, n: int, threads: int) -> None:
 
 
 def compression_forward(
-    t: PairTensor, net: CompressionNet, threads: int = 1
+    prev: np.ndarray, cur: np.ndarray, net: CompressionNet, threads: int = 1
 ) -> np.ndarray:
-    """Score every cell of the pair tensor with the shared compression net."""
-    if net.in_dim != t.values.shape[2]:
-        raise ValueError(
-            f"net input width {net.in_dim} != cell width {t.values.shape[2]}"
-        )
-    cap = t.capacity
-    cp, cc = t.counts
-    # all out-of-count cells are zero vectors, scored once and broadcast
-    zero_score = mlp_forward(np.zeros((1, net.in_dim)), net.layers)[0, 0]
-    m = np.full((cap, cap), zero_score)
+    """Score every (previous row, current row) feature pair; cp x cc.
+
+    Each previous row's cells are built and scored as one work unit, so
+    a row's scores depend only on that row and the current features.
+    """
+    prev = np.asarray(prev, dtype=np.float64)
+    cur = np.asarray(cur, dtype=np.float64)
+    if prev.ndim != 2 or cur.ndim != 2:
+        raise ValueError(f"features must be 2-D, got {prev.shape} and {cur.shape}")
+    d = prev.shape[1]
+    if cur.shape[1] != d:
+        raise ValueError(f"feature widths differ: {d} vs {cur.shape[1]}")
+    if net.in_dim != 2 * d:
+        raise ValueError(f"net input width {net.in_dim} != cell width {2 * d}")
+    cp, cc = len(prev), len(cur)
+    m = np.empty((cp, cc))
     if cp and cc:
 
         def score_row(i):
-            m[i, :cc] = mlp_forward(t.values[i, :cc, :], net.layers)[:, 0]
+            cells = np.empty((cc, 2 * d))
+            cells[:, :d] = prev[i]
+            cells[:, d:] = cur
+            m[i] = mlp_forward(cells, net.layers)[:, 0]
 
         _parallel_rows(score_row, cp, threads)
     return m
@@ -164,58 +117,36 @@ def _row_softmax(block: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def normalize_pair(
-    m1: np.ndarray, m2: np.ndarray, counts: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masked row softmax of m1 and column softmax of m2.
+def normalize_pair(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax of m1 and column softmax of m2.
 
-    m1 is (N, N+1) with the dummy column last; m2 is (N+1, N) with the
-    dummy row last.  Padding slots are masked to -LARGE before the
-    softmax (the dummy entry of a valid row/column never is), and rows
-    of a1 past count_prev / columns of a2 past count_cur come back as
-    exact zeros.
+    m1 is cp x (cc+1) with the dummy column last; m2 is (cp+1) x cc
+    with the dummy row last.
     """
-    cap = m1.shape[0]
-    if m1.shape != (cap, cap + 1) or m2.shape != (cap + 1, cap):
+    if m1.ndim != 2 or m1.shape[1] < 1 or m2.shape != (
+        m1.shape[0] + 1, m1.shape[1] - 1
+    ):
         raise ValueError(f"augmented shapes mismatched: {m1.shape}, {m2.shape}")
-    cp, cc = counts
-
-    masked1 = m1.copy()
-    masked1[cp:, :] = -LARGE
-    masked1[:, cc:cap] = -LARGE
-    masked2 = m2.copy()
-    masked2[:, cc:] = -LARGE
-    masked2[cp:cap, :] = -LARGE
-
-    a1 = np.zeros_like(m1)
-    if cp:
-        a1[:cp] = _row_softmax(masked1[:cp])
-    a2 = np.zeros_like(m2)
-    if cc:
-        a2[:, :cc] = _row_softmax(masked2[:, :cc].T).T
-    return a1, a2
+    return _row_softmax(m1), _row_softmax(m2.T).T
 
 
-def augment_and_softmax(
-    m: np.ndarray, counts: tuple[int, int], dummy_score: float
-) -> AffinityMatrices:
-    """Append the dummy column/row, mask padding slots, and normalize."""
+def augment_and_softmax(m: np.ndarray, dummy_score: float) -> AffinityMatrices:
+    """Append the dummy column/row to the cp x cc scores and normalize."""
     m = np.asarray(m, dtype=np.float64)
-    cap = m.shape[0]
-    if m.shape != (cap, cap):
-        raise ValueError(f"m must be square, got {m.shape}")
+    if m.ndim != 2:
+        raise ValueError(f"m must be 2-D, got {m.shape}")
     if not np.isfinite(m).all() or not np.isfinite(dummy_score):
         raise ValueError("non-finite affinity score")
-    cp, cc = counts
+    cp, cc = m.shape
 
-    m1 = np.empty((cap, cap + 1))
-    m1[:, :cap] = m
-    m1[:, cap] = dummy_score
-    m2 = np.empty((cap + 1, cap))
-    m2[:cap, :] = m
-    m2[cap, :] = dummy_score
+    m1 = np.empty((cp, cc + 1))
+    m1[:, :cc] = m
+    m1[:, cc] = dummy_score
+    m2 = np.empty((cp + 1, cc))
+    m2[:cp, :] = m
+    m2[cp, :] = dummy_score
 
-    a1, a2 = normalize_pair(m1, m2, counts)
+    a1, a2 = normalize_pair(m1, m2)
 
     return AffinityMatrices(
         m=m,
@@ -223,9 +154,8 @@ def augment_and_softmax(
         m2=m2,
         a1=a1,
         a2=a2,
-        a1_trim=a1[:, :cap],
-        a2_trim=a2[:cap, :],
-        counts=(cp, cc),
+        a1_trim=a1[:, :cc],
+        a2_trim=a2[:cp, :],
     )
 
 
@@ -238,7 +168,6 @@ def affinity_from_features(
 ) -> AffinityMatrices:
     """Full affinity head for one frame pair."""
     return augment_and_softmax(
-        compression_forward(build_pair_tensor(prev, cur), net, threads),
-        (prev.count, cur.count),
+        compression_forward(prev.features, cur.features, net, threads),
         dummy_score,
     )

@@ -8,25 +8,28 @@ ways to keep such pairs, the assignment with the highest total score
 wins (scores of gate-failing pairs are floored to zero, which makes the
 Hungarian optimum equal to the brute-force optimum over gated partial
 matchings).  Unmatched current objects open new tracks, unmatched
-previous objects end theirs.
+previous objects end theirs.  Every track entry keeps the admitted
+detection it was made from, so writing tracks needs no second pass over
+the sequence.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .affinity import AffinityMatrices, affinity_from_features
 from .cropping import DEFAULT_POINTS_PER_OBJECT, crop_frame
+from .geometry import Detection, Frame
 from .model import AffinityModel
 from .pointnet import featurize_frame
-from .sequence_io import SequenceSource, format_float, load_admitted_frame
+from .sequence_io import SequenceSource, load_admitted_frame, write_tracks_file
 
 DEFAULT_BIRTH_THRESHOLD = 0.3
-TRACKS_HEADER = "frame,track_id,cx,cy,cz,l,w,h,yaw,conf"
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,17 @@ class TrackerConfig:
             raise ValueError("threads must be >= 1")
 
 
+class TrackEntry(NamedTuple):
+    """One tracked observation: the admitted detection at frame/slot."""
+
+    frame: int
+    slot: int
+    detection: Detection
+
+
 @dataclass(frozen=True)
 class TrackSet:
-    """Identity-labeled trajectories: track_id -> ((frame, slot), ...)."""
+    """Identity-labeled trajectories: track_id -> (TrackEntry, ...)."""
 
     tracks: dict = field(default_factory=dict)
     next_id: int = 0
@@ -72,10 +83,10 @@ class TrackSet:
 
 def score_matrix(aff: AffinityMatrices) -> np.ndarray:
     """count_prev x (count_cur + 1): fused real scores plus leave column."""
-    cp, cc = aff.counts
+    cp, cc = aff.m.shape
     s = np.empty((cp, cc + 1))
-    s[:, :cc] = (aff.a1_trim[:cp, :cc] + aff.a2_trim[:cp, :cc]) / 2.0
-    s[:, cc] = aff.a1[:cp, aff.capacity]
+    s[:, :cc] = (aff.a1_trim + aff.a2_trim) / 2.0
+    s[:, cc] = aff.a1[:, cc]
     return s
 
 
@@ -121,15 +132,19 @@ def solve_assignment(
 def update_tracks(
     ts: TrackSet,
     result: AssignmentResult,
-    frame_index: int,
+    frame: Frame,
     prev_frame_index: int | None = None,
 ) -> TrackSet:
-    """Extend matched tracks, open tracks for births; deaths just stop."""
+    """Extend matched tracks, open tracks for births; deaths just stop.
+
+    Each new entry keeps the admitted detection of its slot in frame.
+    """
+    frame_index = frame.index
     if prev_frame_index is None:
         prev_frame_index = frame_index - 1
     open_slots = {}
     for tid, entries in ts.tracks.items():
-        f, slot = entries[-1]
+        f, slot, _ = entries[-1]
         if f == prev_frame_index:
             if slot in open_slots:
                 raise ValueError(f"two tracks end on slot {slot} of frame {f}")
@@ -145,13 +160,13 @@ def update_tracks(
         if j in claimed:
             raise ValueError(f"slot {j} claimed twice in frame {frame_index}")
         claimed.add(j)
-        tracks[tid] = tracks[tid] + ((frame_index, j),)
+        tracks[tid] = tracks[tid] + (TrackEntry(frame_index, j, frame.detections[j]),)
     next_id = ts.next_id
     for j in sorted(result.births):
         if j in claimed:
             raise ValueError(f"slot {j} claimed twice in frame {frame_index}")
         claimed.add(j)
-        tracks[next_id] = ((frame_index, j),)
+        tracks[next_id] = (TrackEntry(frame_index, j, frame.detections[j]),)
         next_id += 1
     return TrackSet(tracks, next_id)
 
@@ -166,7 +181,6 @@ def track_sequence(
 
     When a dict is passed as timing, it receives seconds_per_frame.
     """
-    capacity = src.config.max_objects
     ts = TrackSet()
     prev_fs = None
     started = time.perf_counter()
@@ -174,7 +188,7 @@ def track_sequence(
         frame = load_admitted_frame(src, index)
         crops = crop_frame(frame, P=cfg.points_per_object, seed=cfg.seed)
         fs = featurize_frame(
-            crops, model.pointnet, capacity, frame_index=index, threads=cfg.threads
+            crops, model.pointnet, frame_index=index, threads=cfg.threads
         )
         if prev_fs is None:
             result = AssignmentResult(
@@ -185,7 +199,7 @@ def track_sequence(
                 prev_fs, fs, model.compression, model.dummy_score, threads=cfg.threads
             )
             result = solve_assignment(score_matrix(aff), cfg.birth_threshold)
-        ts = update_tracks(ts, result, index)
+        ts = update_tracks(ts, result, frame)
         prev_fs = fs
     if timing is not None:
         elapsed = time.perf_counter() - started
@@ -195,24 +209,13 @@ def track_sequence(
     return ts
 
 
-def write_tracks_csv(path, src: SequenceSource, ts: TrackSet) -> None:
+def write_tracks_csv(path, ts: TrackSet) -> None:
     """Track output rows sorted by frame then track id."""
-    rows = []
-    for tid, entries in ts.tracks.items():
-        for frame_index, slot in entries:
-            rows.append((frame_index, tid, slot))
-    rows.sort()
-    frames = {}
-    lines = [TRACKS_HEADER]
-    for frame_index, tid, slot in rows:
-        if frame_index not in frames:
-            frames[frame_index] = load_admitted_frame(src, frame_index)
-        det = frames[frame_index].detections[slot]
-        b = det.box
-        vals = [b.center[0], b.center[1], b.center[2],
-                b.length, b.width, b.height, b.yaw, det.confidence]
-        lines.append(
-            f"{frame_index},{tid}," + ",".join(format_float(v) for v in vals)
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_tracks_file(
+        path,
+        (
+            (e.frame, tid, e.detection.box, e.detection.confidence)
+            for tid, entries in ts.tracks.items()
+            for e in entries
+        ),
+    )

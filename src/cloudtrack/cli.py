@@ -223,7 +223,7 @@ def cmd_track(args) -> int:
     )
     timing: dict = {}
     ts = track_sequence(src, model, cfg, timing=timing)
-    write_tracks_csv(args.out, src, ts)
+    write_tracks_csv(args.out, ts)
     print(
         f"out={args.out} frames={src.frame_count} tracks={len(ts.tracks)} "
         f"seconds_per_frame={timing['seconds_per_frame']:.6f}"

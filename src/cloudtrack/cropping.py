@@ -59,10 +59,6 @@ class ObjectPoints:
             raise ValueError("padding rows must be zero")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def capacity(self) -> int:
-        return len(self.points)
-
 
 def crop_object(
     cloud: PointCloud,

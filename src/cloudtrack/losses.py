@@ -15,9 +15,10 @@ Four terms, each normalized and averaged into the training objective:
 total = (l_f + l_b + l_c + l_a) / 4.
 
 Gradients are taken with respect to the raw augmented score matrices M1
-and M2 (and the shared dummy score) through the masked softmax.  Ties
-in the consistency term use the sign(0) = 0 subgradient; ties in the
-assemble max route the gradient to the backward matrix.
+(cp x (cc+1)) and M2 ((cp+1) x cc), and the shared dummy score, through
+the row and column softmax.  Ties in the consistency term use the
+sign(0) = 0 subgradient; ties in the assemble max route the gradient to
+the backward matrix.
 """
 
 from __future__ import annotations
@@ -27,53 +28,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import AffinityMatrices, normalize_pair
-from .geometry import Frame
-from .pointnet import DEFAULT_CAPACITY
 
 
 @dataclass(frozen=True)
 class GroundTruthAssignment:
     """Zero/one association targets for one frame pair.
 
-    g1 is (N, N+1) with the leave column last, g2 is (N+1, N) with the
-    enter row last, g3 is the (N, N) real-match matrix.  Every valid g1
-    row and g2 column sums to exactly one.
+    g1 is cp x (cc+1) with the leave column last, g2 is (cp+1) x cc with
+    the enter row last, g3 is the cp x cc real-match matrix.  Every g1
+    row and every g2 column sums to exactly one.
     """
 
     g1: np.ndarray
     g2: np.ndarray
     g3: np.ndarray
-    counts: tuple[int, int]
 
     def __post_init__(self):
         g1 = np.asarray(self.g1, dtype=np.float64)
         g2 = np.asarray(self.g2, dtype=np.float64)
         g3 = np.asarray(self.g3, dtype=np.float64)
-        cap = g3.shape[0]
-        cp, cc = self.counts
-        if g3.shape != (cap, cap) or g1.shape != (cap, cap + 1) or g2.shape != (cap + 1, cap):
+        if g3.ndim != 2:
+            raise ValueError(f"g3 must be 2-D, got {g3.shape}")
+        cp, cc = g3.shape
+        if g1.shape != (cp, cc + 1) or g2.shape != (cp + 1, cc):
             raise ValueError("ground-truth shapes inconsistent")
         for name, g in (("g1", g1), ("g2", g2), ("g3", g3)):
             if not np.isin(g, (0.0, 1.0)).all():
                 raise ValueError(f"{name} must be zero/one")
-        if not np.array_equal(g1[:cp].sum(axis=1), np.ones(cp)):
-            raise ValueError("each valid g1 row must sum to 1")
-        if np.any(g1[cp:]):
-            raise ValueError("g1 rows past count_prev must be zero")
-        if not np.array_equal(g2[:, :cc].sum(axis=0), np.ones(cc)):
-            raise ValueError("each valid g2 column must sum to 1")
-        if np.any(g2[:, cc:]):
-            raise ValueError("g2 columns past count_cur must be zero")
-        if not (np.array_equal(g3, g1[:, :cap]) and np.array_equal(g3, g2[:cap, :])):
+        if not np.array_equal(g1.sum(axis=1), np.ones(cp)):
+            raise ValueError("each g1 row must sum to 1")
+        if not np.array_equal(g2.sum(axis=0), np.ones(cc)):
+            raise ValueError("each g2 column must sum to 1")
+        if not (np.array_equal(g3, g1[:, :cc]) and np.array_equal(g3, g2[:cp, :])):
             raise ValueError("g3 must agree with g1 and g2 on real cells")
         object.__setattr__(self, "g1", g1)
         object.__setattr__(self, "g2", g2)
         object.__setattr__(self, "g3", g3)
-        object.__setattr__(self, "counts", (int(cp), int(cc)))
-
-    @property
-    def capacity(self) -> int:
-        return self.g3.shape[0]
 
 
 @dataclass(frozen=True)
@@ -101,45 +91,32 @@ class LossGradients:
     d_dummy: float
 
 
-def build_gt(
-    prev: Frame, cur: Frame, capacity: int = DEFAULT_CAPACITY
-) -> GroundTruthAssignment:
-    """Association targets from labeled frames; every detection needs gt_id."""
+def build_gt(prev_ids, cur_ids) -> GroundTruthAssignment:
+    """Association targets from the true identities of two frames' objects.
 
-    def ids_of(frame):
-        ids = []
-        for slot, det in enumerate(frame.detections):
-            if det.gt_id is None:
-                raise ValueError(
-                    f"frame {frame.index}: detection {slot} has no gt_id"
-                )
-            ids.append(det.gt_id)
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"frame {frame.index}: duplicate gt_id")
-        return ids
-
-    prev_ids, cur_ids = ids_of(prev), ids_of(cur)
+    An id of None marks an object with no identity (a false detection):
+    it leaves on the previous side, enters on the current side, and never
+    matches anything, another None included.
+    """
+    prev_ids, cur_ids = list(prev_ids), list(cur_ids)
+    for side, ids in (("previous", prev_ids), ("current", cur_ids)):
+        known = [gid for gid in ids if gid is not None]
+        if len(set(known)) != len(known):
+            raise ValueError(f"duplicate gt_id in {side} frame")
     cp, cc = len(prev_ids), len(cur_ids)
-    if cp > capacity or cc > capacity:
-        raise ValueError("more detections than capacity")
-
-    g1 = np.zeros((capacity, capacity + 1))
-    g2 = np.zeros((capacity + 1, capacity))
-    g3 = np.zeros((capacity, capacity))
-    cur_slot = {gid: j for j, gid in enumerate(cur_ids)}
+    g1 = np.zeros((cp, cc + 1))
+    g2 = np.zeros((cp + 1, cc))
+    g3 = np.zeros((cp, cc))
+    cur_slot = {gid: j for j, gid in enumerate(cur_ids) if gid is not None}
     for i, gid in enumerate(prev_ids):
         j = cur_slot.get(gid)
         if j is None:
-            g1[i, capacity] = 1.0
+            g1[i, cc] = 1.0
         else:
-            g1[i, j] = 1.0
-            g2[i, j] = 1.0
-            g3[i, j] = 1.0
-    prev_set = set(prev_ids)
-    for j, gid in enumerate(cur_ids):
-        if gid not in prev_set:
-            g2[capacity, j] = 1.0
-    return GroundTruthAssignment(g1, g2, g3, (cp, cc))
+            g1[i, j] = g2[i, j] = g3[i, j] = 1.0
+    # a current object enters unless some previous object matched it
+    g2[cp, :] = 1.0 - g3.sum(axis=0)
+    return GroundTruthAssignment(g1, g2, g3)
 
 
 def _gated_cross_entropy(g: np.ndarray, p: np.ndarray) -> float:
@@ -179,8 +156,8 @@ def loss_total(l_f: float, l_b: float, l_c: float, l_a: float) -> LossBreakdown:
 
 def loss_breakdown(aff: AffinityMatrices, gt: GroundTruthAssignment) -> LossBreakdown:
     """All four terms for one frame pair's affinity output."""
-    if aff.counts != gt.counts:
-        raise ValueError(f"counts mismatch: {aff.counts} vs {gt.counts}")
+    if aff.m.shape != gt.g3.shape:
+        raise ValueError(f"shape mismatch: {aff.m.shape} vs {gt.g3.shape}")
     return loss_total(
         loss_forward(gt.g1, aff.a1),
         loss_backward(gt.g2, aff.a2),
@@ -189,17 +166,27 @@ def loss_breakdown(aff: AffinityMatrices, gt: GroundTruthAssignment) -> LossBrea
     )
 
 
+def _normalize_for(m1, m2, gt: GroundTruthAssignment):
+    """normalize_pair, after checking the scores fit the ground truth."""
+    m1 = np.asarray(m1, dtype=np.float64)
+    m2 = np.asarray(m2, dtype=np.float64)
+    cp, cc = gt.g3.shape
+    if m1.shape != (cp, cc + 1):
+        raise ValueError(f"m1 shape {m1.shape} != ground truth {(cp, cc + 1)}")
+    return normalize_pair(m1, m2)
+
+
 def loss_from_raw(
     m1: np.ndarray, m2: np.ndarray, gt: GroundTruthAssignment
 ) -> LossBreakdown:
     """Losses straight from raw augmented score matrices (gradient-check path)."""
-    a1, a2 = normalize_pair(np.asarray(m1, float), np.asarray(m2, float), gt.counts)
-    cap = gt.capacity
+    a1, a2 = _normalize_for(m1, m2, gt)
+    cp, cc = gt.g3.shape
     return loss_total(
         loss_forward(gt.g1, a1),
         loss_backward(gt.g2, a2),
-        loss_consistency(a1[:, :cap], a2[:cap, :]),
-        loss_assemble(gt.g3, a1[:, :cap], a2[:cap, :]),
+        loss_consistency(a1[:, :cc], a2[:cp, :]),
+        loss_assemble(gt.g3, a1[:, :cc], a2[:cp, :]),
     )
 
 
@@ -216,13 +203,12 @@ def loss_gradients(
     """
     m1 = np.asarray(m1, dtype=np.float64)
     m2 = np.asarray(m2, dtype=np.float64)
-    cap = gt.capacity
-    cp, cc = gt.counts
+    a1, a2 = _normalize_for(m1, m2, gt)
+    cp, cc = gt.g3.shape
     if dummy_score is not None:
-        if np.any(m1[:, cap] != dummy_score) or np.any(m2[cap, :] != dummy_score):
+        if np.any(m1[:, cc] != dummy_score) or np.any(m2[cp, :] != dummy_score):
             raise ValueError("dummy slots of m1/m2 disagree with dummy_score")
-    a1, a2 = normalize_pair(m1, m2, gt.counts)
-    a1t, a2t = a1[:, :cap], a2[:cap, :]
+    a1t, a2t = a1[:, :cc], a2[:cp, :]
 
     d_a1 = np.zeros_like(a1)
     d_a2 = np.zeros_like(a2)
@@ -239,8 +225,8 @@ def loss_gradients(
 
     # consistency term, sign(0) = 0 at ties
     sgn = np.sign(a1t - a2t)
-    d_a1[:, :cap] += sgn / 4.0
-    d_a2[:cap, :] += -sgn / 4.0
+    d_a1[:, :cc] += sgn / 4.0
+    d_a2[:cp, :] += -sgn / 4.0
 
     # assemble term; at ties the backward matrix carries the gradient
     s3 = gt.g3.sum()
@@ -250,23 +236,15 @@ def loss_gradients(
         coef = np.zeros_like(a1t)
         coef[mask] = -1.0 / (4.0 * s3 * best[mask])
         forward_wins = mask & (a1t > a2t)
-        d_a1[:, :cap][forward_wins] += coef[forward_wins]
+        d_a1[:, :cc][forward_wins] += coef[forward_wins]
         backward_wins = mask & ~(a1t > a2t)
-        d_a2[:cap, :][backward_wins] += coef[backward_wins]
+        d_a2[:cp, :][backward_wins] += coef[backward_wins]
 
-    # softmax backward; zero rows/columns of a kill masked and padding slots
-    d_m1 = np.zeros_like(m1)
-    if cp:
-        rows_a = a1[:cp]
-        rows_g = d_a1[:cp]
-        inner = (rows_a * rows_g).sum(axis=1, keepdims=True)
-        d_m1[:cp] = rows_a * (rows_g - inner)
-    d_m2 = np.zeros_like(m2)
-    if cc:
-        cols_a = a2[:, :cc].T
-        cols_g = d_a2[:, :cc].T
-        inner = (cols_a * cols_g).sum(axis=1, keepdims=True)
-        d_m2[:, :cc] = (cols_a * (cols_g - inner)).T
+    # softmax backward: rows of a1, columns of a2
+    inner = (a1 * d_a1).sum(axis=1, keepdims=True)
+    d_m1 = a1 * (d_a1 - inner)
+    inner = (a2 * d_a2).sum(axis=0, keepdims=True)
+    d_m2 = a2 * (d_a2 - inner)
 
-    d_dummy = float(d_m1[:, cap].sum() + d_m2[cap, :].sum())
+    d_dummy = float(d_m1[:, cc].sum() + d_m2[cp, :].sum())
     return LossGradients(d_m1, d_m2, d_dummy)

@@ -1,8 +1,8 @@
 """Model container and the on-disk weights format.
 
-One file holds up to two sections back to back: the point-feature MLP
-(magic ``PNW1``) and, for a full model, the compression net (magic
-``CMP1``) followed by a single f32 dummy score.  Sections use the layer
+One file holds two sections back to back: the point-feature MLP (magic
+``PNW1``) and the compression net (magic ``CMP1``), followed by a single
+f32 dummy score.  Sections use the layer
 codec from nets.py; everything is little-endian f32, so a save/load
 cycle of a freshly initialized model is bit-exact.
 """
@@ -56,18 +56,6 @@ def init_model(
         compression=CompressionNet(init_layers(compression_widths, rng)),
         dummy_score=0.0,
     )
-
-
-def save_weights(w: PointNetWeights, path) -> None:
-    """Write just the point-feature section."""
-    Path(path).write_bytes(pack_layers(MAGIC_POINTNET, w.layers))
-
-
-def load_weights(path) -> PointNetWeights:
-    """Read the point-feature section; trailing sections are ignored."""
-    buf = Path(path).read_bytes()
-    layers, _ = unpack_layers(buf, 0, MAGIC_POINTNET, str(path))
-    return PointNetWeights(layers)
 
 
 def save_model(model: AffinityModel, path) -> None:

@@ -1,11 +1,12 @@
-"""Point-set featurizer: shared per-point MLP followed by a masked max-pool.
+"""Point-set featurizer: shared per-point MLP followed by a max-pool.
 
 Each object's valid points run through the same small MLP (default
 widths 3-64-128-512, ReLU between layers) and the feature is the
-element-wise maximum over valid points only, so zero padding never
-leaks into the feature.  Valid points are canonically ordered before
-the matrix products, which makes the output bitwise identical under
-any permutation or re-padding of the input points.
+element-wise maximum over valid points only, so a crop's zero padding
+never leaks into the feature.  Valid points are canonically ordered
+before the matrix products, which makes the output bitwise identical
+under any permutation or re-padding of the input points.  A frame's
+features are one row per object, in detection order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .nets import Layers, layer_widths, mlp_forward, validate_layers
 
 DEFAULT_POINTNET_WIDTHS = (3, 64, 128, 512)
 DEFAULT_FEATURE_DIM = 512
-DEFAULT_CAPACITY = 100
 
 
 @dataclass(frozen=True)
@@ -43,26 +43,21 @@ class PointNetWeights:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Per-object feature rows for one frame; rows past count are zero."""
+    """One feature row per object of a frame."""
 
     features: np.ndarray
-    count: int
     frame_index: int = 0
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
-        if not 0 <= self.count <= len(feats):
-            raise ValueError("count outside 0..capacity")
         if not np.isfinite(feats).all():
             raise ValueError("non-finite feature value")
-        if np.any(feats[self.count :]):
-            raise ValueError("rows past count must be zero")
         object.__setattr__(self, "features", feats)
 
     @property
-    def capacity(self) -> int:
+    def count(self) -> int:
         return len(self.features)
 
     @property
@@ -86,18 +81,15 @@ def pointnet_forward(obj: ObjectPoints, w: PointNetWeights) -> np.ndarray:
 def featurize_frame(
     objs,
     w: PointNetWeights,
-    capacity: int = DEFAULT_CAPACITY,
     frame_index: int = 0,
     threads: int = 1,
 ) -> FeatureSet:
-    """Featurize each object into its slot; slots past len(objs) stay zero.
+    """Featurize each object into its own row, in input order.
 
-    Each slot is one work unit, so results never depend on threads.
+    Each row is one work unit, so results never depend on threads.
     """
     objs = tuple(objs)
-    if len(objs) > capacity:
-        raise ValueError(f"{len(objs)} objects exceed capacity {capacity}")
-    feats = np.zeros((capacity, w.feature_dim))
+    feats = np.zeros((len(objs), w.feature_dim))
 
     def fill(slot: int) -> None:
         feats[slot] = pointnet_forward(objs[slot], w)
@@ -108,4 +100,4 @@ def featurize_frame(
     else:
         for slot in range(len(objs)):
             fill(slot)
-    return FeatureSet(feats, len(objs), frame_index)
+    return FeatureSet(feats, frame_index)

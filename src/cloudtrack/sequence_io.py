@@ -25,13 +25,14 @@ import numpy as np
 from .geometry import Detection, Frame, OrientedBox3, PointCloud
 
 DETECTION_HEADER = "frame,conf,cx,cy,cz,l,w,h,yaw"
+TRACKS_HEADER = "frame,track_id,cx,cy,cz,l,w,h,yaw,conf"
 DEFAULT_CONFIDENCE_THRESHOLD = 0.4
 DEFAULT_MAX_OBJECTS = 100
 
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """Admission policy: strict confidence cut plus per-frame capacity."""
+    """Admission policy: strict confidence cut plus a per-frame object cap."""
 
     confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD
     max_objects: int = DEFAULT_MAX_OBJECTS
@@ -160,7 +161,7 @@ def load_frame(src: SequenceSource, index: int) -> Frame:
 
 def admit_detections(frame: Frame, cfg: IngestConfig) -> Frame:
     """Apply the admission filter: strictly-above-threshold confidence,
-    descending confidence order (stable on ties), truncated to capacity."""
+    descending confidence order (stable on ties), truncated to max_objects."""
     kept = [d for d in frame.detections if d.confidence > cfg.confidence_threshold]
     order = sorted(range(len(kept)), key=lambda i: (-kept[i].confidence, i))
     admitted = tuple(kept[i] for i in order[: cfg.max_objects])
@@ -204,6 +205,22 @@ def write_frame(root, frame: Frame, with_gt: bool = True) -> None:
     pts = frame.cloud.points.astype("<f4")
     (root / "frames" / f"{frame.index}.xyz").write_bytes(pts.tobytes())
     write_detections(root, frame.index, frame.detections, with_gt)
+
+
+def write_tracks_file(path, rows) -> None:
+    """Write (frame, track_id, box, conf) rows as a track CSV.
+
+    Rows are sorted by frame then track id; this is the format of both
+    predicted tracks and a synthetic scene's ground truth.
+    """
+    lines = [TRACKS_HEADER]
+    for frame_index, track_id, b, conf in sorted(rows, key=lambda r: (r[0], r[1])):
+        vals = [b.center[0], b.center[1], b.center[2],
+                b.length, b.width, b.height, b.yaw, conf]
+        lines.append(
+            f"{frame_index},{track_id}," + ",".join(format_float(v) for v in vals)
+        )
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_sequence_meta(root, frame_count: int, name: str = "") -> None:

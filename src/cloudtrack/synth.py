@@ -30,12 +30,12 @@ from .geometry import Detection, Frame, OrientedBox3, PointCloud, from_box_frame
 from .sequence_io import (
     IngestConfig,
     SequenceSource,
-    format_float,
     load_frame,
     open_sequence,
     write_detections,
     write_frame,
     write_sequence_meta,
+    write_tracks_file,
 )
 
 SHAPE_KINDS = ("box_shell", "sphere_shell", "cylinder_shell")
@@ -264,19 +264,8 @@ def generate(cfg: SynthConfig, out_dir) -> SequenceSource:
         )
         write_frame(root, frame, with_gt=True)
     write_sequence_meta(root, cfg.n_frames, name=f"synth-{cfg.seed}")
-    _write_gt_tracks(root / GT_TRACKS_NAME, gt_rows)
+    write_tracks_file(root / GT_TRACKS_NAME, gt_rows)
     return open_sequence(root)
-
-
-def _write_gt_tracks(path: Path, rows) -> None:
-    lines = ["frame,track_id,cx,cy,cz,l,w,h,yaw,conf"]
-    for frame_index, gt_id, box, conf in sorted(rows, key=lambda r: (r[0], r[1])):
-        vals = [box.center[0], box.center[1], box.center[2],
-                box.length, box.width, box.height, box.yaw, conf]
-        lines.append(
-            f"{frame_index},{gt_id}," + ",".join(format_float(v) for v in vals)
-        )
-    path.write_text("\n".join(lines) + "\n")
 
 
 def perturb(

@@ -65,30 +65,28 @@ class PairSample:
 
 def _pair_loss_and_grads(model: AffinityModel, sample: PairSample):
     """Loss, compression-layer gradients, and dummy gradient for one pair."""
-    cap = sample.prev.capacity
-    cp, cc = sample.prev.count, sample.cur.count
+    prev, cur = sample.prev.features, sample.cur.features
+    cp, cc = len(prev), len(cur)
+    d = sample.prev.dim
     layers = model.compression.layers
-    m = np.zeros((cap, cap))
-    cells = None
+    m = np.zeros((cp, cc))
     acts = None
     if cp and cc:
-        cells = np.empty((cp * cc, 2 * sample.prev.dim))
-        cells[:, : sample.prev.dim] = np.repeat(
-            sample.prev.features[:cp], cc, axis=0
-        )
-        cells[:, sample.prev.dim:] = np.tile(sample.cur.features[:cc], (cp, 1))
+        cells = np.empty((cp * cc, 2 * d))
+        cells[:, :d] = np.repeat(prev, cc, axis=0)
+        cells[:, d:] = np.tile(cur, (cp, 1))
         out, acts = mlp_forward_cached(cells, layers)
         if not np.isfinite(out).all():
             raise RuntimeError("non-finite affinity score")
-        m[:cp, :cc] = out.reshape(cp, cc)
-    aff = augment_and_softmax(m, (cp, cc), model.dummy_score)
+        m = out.reshape(cp, cc)
+    aff = augment_and_softmax(m, model.dummy_score)
     losses = loss_breakdown(aff, sample.gt)
     if not np.isfinite(losses.total):
         raise RuntimeError("non-finite loss")
     grads = loss_gradients(aff.m1, aff.m2, sample.gt, dummy_score=model.dummy_score)
-    d_m = grads.d_m1[:, :cap] + grads.d_m2[:cap, :]
+    d_m = grads.d_m1[:, :cc] + grads.d_m2[:cp, :]
     if cp and cc:
-        layer_grads = mlp_backward(acts, layers, d_m[:cp, :cc].reshape(-1, 1))
+        layer_grads = mlp_backward(acts, layers, d_m.reshape(-1, 1))
     else:
         layer_grads = tuple(
             (np.zeros_like(W), np.zeros_like(b)) for W, b in layers
@@ -143,19 +141,18 @@ def training_pairs(
     the tracker's cropping defaults, so training sees exactly what the
     tracker will see.
     """
-    capacity = src.config.max_objects
     crop_defaults = TrackerConfig(seed=cfg.seed)
     frames = [load_admitted_frame(src, i) for i in range(src.frame_count)]
     feats = [
         featurize_frame(
             crop_frame(f, P=crop_defaults.points_per_object, seed=cfg.seed),
             model.pointnet,
-            capacity,
             frame_index=f.index,
             threads=threads,
         )
         for f in frames
     ]
+    ids = [[det.gt_id for det in f.detections] for f in frames]
     lo, hi = cfg.frame_gap_range
     samples = []
     for cur in range(src.frame_count):
@@ -163,7 +160,10 @@ def training_pairs(
             prev = cur - gap
             if prev < 0:
                 continue
-            gt = build_gt(frames[prev], frames[cur], capacity)
+            try:
+                gt = build_gt(ids[prev], ids[cur])
+            except ValueError as exc:
+                raise ValueError(f"frames {prev}->{cur}: {exc}") from None
             samples.append(PairSample(feats[prev], feats[cur], gt))
     if not samples:
         raise ValueError("sequence too short for the configured frame gaps")

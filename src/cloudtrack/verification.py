@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import GroundTruthAssignment, LossGradients, loss_from_raw, loss_gradients
+from .losses import (
+    GroundTruthAssignment,
+    LossGradients,
+    build_gt,
+    loss_from_raw,
+    loss_gradients,
+)
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -37,43 +43,35 @@ class LosscheckReport:
         return self.failures == 0 and self.trials > 0
 
 
-def random_gt(rng: np.random.Generator, capacity: int, n_prev: int, n_cur: int) -> GroundTruthAssignment:
+def random_ids(rng: np.random.Generator, n_prev: int, n_cur: int) -> tuple[list, list]:
     """Random partial bijection: some ids persist, the rest churn."""
     matched = int(rng.integers(0, min(n_prev, n_cur) + 1))
     prev_ids = list(range(matched)) + [100 + k for k in range(n_prev - matched)]
     cur_ids = list(range(matched)) + [200 + k for k in range(n_cur - matched)]
     rng.shuffle(prev_ids)
     rng.shuffle(cur_ids)
-
-    g1 = np.zeros((capacity, capacity + 1))
-    g2 = np.zeros((capacity + 1, capacity))
-    g3 = np.zeros((capacity, capacity))
-    cur_slot = {gid: j for j, gid in enumerate(cur_ids)}
-    for i, gid in enumerate(prev_ids):
-        j = cur_slot.get(gid)
-        if j is None:
-            g1[i, capacity] = 1.0
-        else:
-            g1[i, j] = g2[i, j] = g3[i, j] = 1.0
-    for j, gid in enumerate(cur_ids):
-        if gid not in set(prev_ids):
-            g2[capacity, j] = 1.0
-    return GroundTruthAssignment(g1, g2, g3, (n_prev, n_cur))
+    return prev_ids, cur_ids
 
 
-def random_instance(rng: np.random.Generator, capacity: int = 8):
-    """Random raw score matrices plus a consistent ground truth."""
-    n_prev = int(rng.integers(1, capacity + 1))
-    n_cur = int(rng.integers(1, capacity + 1))
-    gt = random_gt(rng, capacity, n_prev, n_cur)
+def random_instance(rng: np.random.Generator, max_count: int = 8):
+    """Random raw score matrices plus a consistent ground truth.
+
+    Both object counts are drawn from 1..max_count.  Scores are drawn at
+    the full max_count x max_count size and then cut to the counts, so a
+    given seed yields the same random stream whatever counts come out.
+    """
+    n_prev = int(rng.integers(1, max_count + 1))
+    n_cur = int(rng.integers(1, max_count + 1))
+    gt = build_gt(*random_ids(rng, n_prev, n_cur))
     dummy = float(rng.normal())
-    m = rng.normal(size=(capacity, capacity))
-    m1 = np.empty((capacity, capacity + 1))
-    m1[:, :capacity] = m
-    m1[:, capacity] = dummy
-    m2 = np.empty((capacity + 1, capacity))
-    m2[:capacity, :] = m + rng.normal(size=m.shape) * 0.5
-    m2[capacity, :] = dummy
+    m = rng.normal(size=(max_count, max_count))
+    noise = rng.normal(size=m.shape) * 0.5
+    m1 = np.empty((n_prev, n_cur + 1))
+    m1[:, :n_cur] = m[:n_prev, :n_cur]
+    m1[:, n_cur] = dummy
+    m2 = np.empty((n_prev + 1, n_cur))
+    m2[:n_prev, :] = (m + noise)[:n_prev, :n_cur]
+    m2[n_prev, :] = dummy
     return m1, m2, gt, dummy
 
 
@@ -88,12 +86,11 @@ def identity_errors(gt: GroundTruthAssignment) -> tuple[float, float]:
     total loss to zero; all-equal scores must pin the forward term to
     ln(count_cur + 1) and the backward term to ln(count_prev + 1).
     """
-    cap = gt.capacity
-    cp, cc = gt.counts
+    cp, cc = gt.g3.shape
     sharp1 = np.where(gt.g1 > 0.5, 80.0, 0.0)
     sharp2 = np.where(gt.g2 > 0.5, 80.0, 0.0)
     sharp_err = abs(loss_from_raw(sharp1, sharp2, gt).total)
-    flat = loss_from_raw(np.zeros((cap, cap + 1)), np.zeros((cap + 1, cap)), gt)
+    flat = loss_from_raw(np.zeros(gt.g1.shape), np.zeros(gt.g2.shape), gt)
     uniform_err = max(
         abs(flat.l_f - (np.log(cc + 1.0) if cp else 0.0)),
         abs(flat.l_b - (np.log(cp + 1.0) if cc else 0.0)),
@@ -115,7 +112,7 @@ def fd_gradient_check(
     """
     if grads is None:
         grads = loss_gradients(m1, m2, gt)
-    cap = gt.capacity
+    cp, cc = gt.g3.shape
 
     def total(a, b):
         return loss_from_raw(a, b, gt).total
@@ -135,11 +132,11 @@ def fd_gradient_check(
 
     def with_dummy(value):
         a, b = m1.copy(), m2.copy()
-        a[:, cap] = value
-        b[cap, :] = value
+        a[:, cc] = value
+        b[cp, :] = value
         return total(a, b)
 
-    base = float(m1[0, cap])
+    base = float(m1[0, cc])
     fd = (with_dummy(base + step) - with_dummy(base - step)) / (2.0 * step)
     worst = max(worst, relative_error(grads.d_dummy, fd))
     return worst
@@ -148,7 +145,7 @@ def fd_gradient_check(
 def run_losscheck(
     trials: int,
     seed: int = 0,
-    capacity: int = 8,
+    max_count: int = 8,
     tolerance: float = DEFAULT_TOLERANCE,
     corrupt_gradient: bool = False,
 ) -> LosscheckReport:
@@ -161,7 +158,7 @@ def run_losscheck(
     failures = 0
     worst_overall = 0.0
     for trial in range(trials):
-        m1, m2, gt, _ = random_instance(rng, capacity)
+        m1, m2, gt, _ = random_instance(rng, max_count)
         grads = loss_gradients(m1, m2, gt)
         if corrupt_gradient:
             bad = grads.d_m1.copy()
@@ -173,7 +170,7 @@ def run_losscheck(
         failures += 0 if ok else 1
         worst_overall = max(worst_overall, worst)
         lines.append(
-            f"trial {trial}: counts={gt.counts} max_rel_err={worst:.3e} "
+            f"trial {trial}: counts={gt.g3.shape} max_rel_err={worst:.3e} "
             f"sharp_err={sharp_err:.1e} uniform_err={uniform_err:.1e} "
             f"{'ok' if ok else 'FAIL'}"
         )

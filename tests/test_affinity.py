@@ -1,64 +1,28 @@
-"""Affinity head: pair tensor, compression net, masked softmax matrices."""
+"""Affinity head: pair cells, compression net, softmax matrices."""
 
 import numpy as np
 import pytest
 
 from cloudtrack.affinity import (
     CompressionNet,
-    PairTensor,
     affinity_from_features,
     augment_and_softmax,
-    build_pair_tensor,
     compression_forward,
-    pair_cell_matrix,
 )
 from cloudtrack.nets import init_layers, relu
 from cloudtrack.pointnet import FeatureSet
-
-
-def feature_set(rows, capacity, frame_index=0):
-    rows = np.asarray(rows, dtype=float)
-    feats = np.zeros((capacity, rows.shape[1] if len(rows) else 2))
-    if len(rows):
-        feats[: len(rows)] = rows
-    return FeatureSet(feats, len(rows), frame_index)
 
 
 def tiny_net(rng, in_dim=4):
     return CompressionNet(init_layers((in_dim, 3, 3, 2, 2, 1), rng))
 
 
-class TestBuildPairTensor:
-    def test_concatenation_cell(self):
-        prev = feature_set([[1.0, 2.0]], capacity=3)
-        cur = feature_set([[3.0, 4.0]], capacity=3)
-        t = build_pair_tensor(prev, cur)
-        assert t.counts == (1, 1)
-        assert np.array_equal(t.values[0, 0], [1.0, 2.0, 3.0, 4.0])
-
-    def test_empty_side_gives_zero_tensor(self):
-        prev = feature_set(np.empty((0, 2)), capacity=3)
-        cur = feature_set([[3.0, 4.0]], capacity=3)
-        t = build_pair_tensor(prev, cur)
-        assert not np.any(t.values)
-
-    def test_halves_match_sources(self):
-        rng = np.random.default_rng(201)
-        prev = feature_set(rng.normal(size=(3, 5)), capacity=6)
-        cur = feature_set(rng.normal(size=(4, 5)), capacity=6)
-        t = build_pair_tensor(prev, cur)
-        for i in range(3):
-            for j in range(4):
-                assert np.array_equal(t.values[i, j, :5], prev.features[i])
-                assert np.array_equal(t.values[i, j, 5:], cur.features[j])
-        assert not np.any(t.values[3:])
-        assert not np.any(t.values[:, 4:])
-
-    def test_width_mismatch(self):
-        prev = feature_set(np.ones((1, 2)), capacity=3)
-        cur = feature_set(np.ones((1, 3)), capacity=3)
-        with pytest.raises(ValueError):
-            build_pair_tensor(prev, cur)
+def cell_score(net, cell):
+    x = np.asarray(cell, dtype=float).copy()
+    for W, b in net.layers[:-1]:
+        x = relu(W @ x + b)
+    W, b = net.layers[-1]
+    return (W @ x + b)[0]
 
 
 class TestCompressionForward:
@@ -70,142 +34,127 @@ class TestCompressionForward:
         layers[-1] = (np.zeros((1, 2)), np.array([0.75]))
         net = CompressionNet(layers)
         rng = np.random.default_rng(202)
-        prev = feature_set(rng.normal(size=(2, 2)), capacity=4)
-        cur = feature_set(rng.normal(size=(3, 2)), capacity=4)
-        m = compression_forward(build_pair_tensor(prev, cur), net)
-        assert np.array_equal(m, np.full((4, 4), 0.75))
+        m = compression_forward(rng.normal(size=(2, 2)), rng.normal(size=(3, 2)), net)
+        assert np.array_equal(m, np.full((2, 3), 0.75))
 
     def test_single_cell_matches_hand_computation(self):
         rng = np.random.default_rng(203)
         net = tiny_net(rng)
         v = rng.normal(size=4)
-        prev = feature_set([v[:2]], capacity=2)
-        cur = feature_set([v[2:]], capacity=2)
-        m = compression_forward(build_pair_tensor(prev, cur), net)
-        x = v.copy()
-        for W, b in net.layers[:-1]:
-            x = relu(W @ x + b)
-        W, b = net.layers[-1]
-        expected = (W @ x + b)[0]
-        assert abs(m[0, 0] - expected) < 1e-12
+        m = compression_forward(v[None, :2], v[None, 2:], net)
+        assert m.shape == (1, 1)
+        assert abs(m[0, 0] - cell_score(net, v)) < 1e-12
 
     def test_matches_per_cell_oracle(self):
         rng = np.random.default_rng(204)
         net = tiny_net(rng)
-        prev = feature_set(rng.normal(size=(3, 2)), capacity=5)
-        cur = feature_set(rng.normal(size=(4, 2)), capacity=5)
-        t = build_pair_tensor(prev, cur)
-        m = compression_forward(t, net)
-        for i in range(5):
-            for j in range(5):
-                x = t.values[i, j].copy()
-                for W, b in net.layers[:-1]:
-                    x = relu(W @ x + b)
-                W, b = net.layers[-1]
-                assert abs(m[i, j] - (W @ x + b)[0]) < 1e-12
+        prev = rng.normal(size=(3, 2))
+        cur = rng.normal(size=(4, 2))
+        m = compression_forward(prev, cur, net)
+        assert m.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                cell = np.concatenate([prev[i], cur[j]])
+                assert abs(m[i, j] - cell_score(net, cell)) < 1e-12
+
+    def test_empty_side_gives_empty_matrix(self):
+        rng = np.random.default_rng(209)
+        net = tiny_net(rng)
+        assert compression_forward(np.empty((0, 2)), np.ones((3, 2)), net).shape == (0, 3)
+        assert compression_forward(np.ones((2, 2)), np.empty((0, 2)), net).shape == (2, 0)
 
     def test_prev_permutation_permutes_rows_bitwise(self):
         rng = np.random.default_rng(205)
         net = tiny_net(rng)
         rows = rng.normal(size=(4, 2))
-        cur = feature_set(rng.normal(size=(3, 2)), capacity=5)
+        cur = rng.normal(size=(3, 2))
         perm = np.array([2, 0, 3, 1])
-        m = compression_forward(build_pair_tensor(feature_set(rows, 5), cur), net)
-        mp = compression_forward(
-            build_pair_tensor(feature_set(rows[perm], 5), cur), net
-        )
-        assert mp[:4].tobytes() == m[perm].tobytes()
+        m = compression_forward(rows, cur, net)
+        mp = compression_forward(rows[perm], cur, net)
+        assert mp.tobytes() == m[perm].tobytes()
 
     def test_thread_count_never_changes_bits(self):
         rng = np.random.default_rng(206)
         net = tiny_net(rng)
-        prev = feature_set(rng.normal(size=(5, 2)), capacity=6)
-        cur = feature_set(rng.normal(size=(6, 2)), capacity=6)
-        t = build_pair_tensor(prev, cur)
-        base = compression_forward(t, net, threads=1)
+        prev = rng.normal(size=(5, 2))
+        cur = rng.normal(size=(6, 2))
+        base = compression_forward(prev, cur, net, threads=1)
         for threads in (2, 3, 8):
-            assert compression_forward(t, net, threads=threads).tobytes() == base.tobytes()
+            got = compression_forward(prev, cur, net, threads=threads)
+            assert got.tobytes() == base.tobytes()
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(207)
         net = tiny_net(rng, in_dim=6)
-        prev = feature_set(np.ones((1, 2)), capacity=2)
-        cur = feature_set(np.ones((1, 2)), capacity=2)
-        with pytest.raises(ValueError):
-            compression_forward(build_pair_tensor(prev, cur), net)
+        with pytest.raises(ValueError, match="net input width"):
+            compression_forward(np.ones((1, 2)), np.ones((1, 2)), net)
 
-    def test_pair_cell_matrix_matches_tensor(self):
-        rng = np.random.default_rng(208)
-        prev = feature_set(rng.normal(size=(3, 2)), capacity=4)
-        cur = feature_set(rng.normal(size=(2, 2)), capacity=4)
-        t = build_pair_tensor(prev, cur)
-        for i in range(3):
-            assert pair_cell_matrix(prev, cur, i).tobytes() == t.values[i, :2, :].tobytes()
+    def test_feature_width_mismatch(self):
+        rng = np.random.default_rng(210)
+        net = tiny_net(rng, in_dim=5)
+        with pytest.raises(ValueError, match="feature widths differ"):
+            compression_forward(np.ones((1, 2)), np.ones((1, 3)), net)
 
 
 class TestAugmentAndSoftmax:
     def test_two_way_uniform(self):
-        aff = augment_and_softmax(np.zeros((1, 1)), (1, 1), 0.0)
+        aff = augment_and_softmax(np.zeros((1, 1)), 0.0)
         assert np.allclose(aff.a1[0], [0.5, 0.5], atol=1e-15)
         assert np.allclose(aff.a2[:, 0], [0.5, 0.5], atol=1e-15)
 
     def test_uniform_row_over_101_entries(self):
-        m = np.zeros((100, 100))
-        aff = augment_and_softmax(m, (1, 100), 0.0)
+        m = np.zeros((1, 100))
+        aff = augment_and_softmax(m, 0.0)
+        assert aff.a1.shape == (1, 101)
         assert np.allclose(aff.a1[0], np.full(101, 1.0 / 101.0), atol=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(211)
-        m = rng.normal(size=(6, 6))
+        m = rng.normal(size=(4, 5))
         dummy = 0.3
-        a = augment_and_softmax(m, (4, 5), dummy)
-        b = augment_and_softmax(m + 2.7, (4, 5), dummy + 2.7)
+        a = augment_and_softmax(m, dummy)
+        b = augment_and_softmax(m + 2.7, dummy + 2.7)
         assert np.allclose(a.a1, b.a1, atol=1e-12)
         assert np.allclose(a.a2, b.a2, atol=1e-12)
 
     def test_stochasticity(self):
         rng = np.random.default_rng(212)
         for _ in range(100):
-            cap = int(rng.integers(1, 9))
-            cp = int(rng.integers(0, cap + 1))
-            cc = int(rng.integers(0, cap + 1))
-            m = rng.normal(size=(cap, cap)) * 3
-            aff = augment_and_softmax(m, (cp, cc), float(rng.normal()))
-            assert np.allclose(aff.a1[:cp].sum(axis=1), 1.0, atol=1e-9)
-            assert np.allclose(aff.a2[:, :cc].sum(axis=0), 1.0, atol=1e-9)
-            # padding rows and columns carry no probability at all
-            assert not np.any(aff.a1[cp:])
-            assert not np.any(aff.a2[:, cc:])
-            # masked slots inside valid rows/columns are hopeless
-            assert np.all(aff.a1[:cp, cc:-1] < 1e-30)
-            assert np.all(aff.a2[cp:-1, :cc] < 1e-30)
+            cp = int(rng.integers(0, 9))
+            cc = int(rng.integers(0, 9))
+            m = rng.normal(size=(cp, cc)) * 3
+            aff = augment_and_softmax(m, float(rng.normal()))
+            assert aff.a1.shape == (cp, cc + 1)
+            assert aff.a2.shape == (cp + 1, cc)
+            assert np.allclose(aff.a1.sum(axis=1), 1.0, atol=1e-9)
+            assert np.allclose(aff.a2.sum(axis=0), 1.0, atol=1e-9)
 
     def test_trims(self):
         rng = np.random.default_rng(213)
-        m = rng.normal(size=(4, 4))
-        aff = augment_and_softmax(m, (3, 2), 0.1)
-        assert np.array_equal(aff.a1_trim, aff.a1[:, :4])
-        assert np.array_equal(aff.a2_trim, aff.a2[:4, :])
+        m = rng.normal(size=(3, 2))
+        aff = augment_and_softmax(m, 0.1)
+        assert np.array_equal(aff.a1_trim, aff.a1[:, :2])
+        assert np.array_equal(aff.a2_trim, aff.a2[:3, :])
 
     def test_prev_slot_permutation_equivariance(self):
         rng = np.random.default_rng(214)
         net = tiny_net(rng)
         rows = rng.normal(size=(4, 2))
-        cur = feature_set(rng.normal(size=(3, 2)), capacity=4)
+        cur = FeatureSet(rng.normal(size=(3, 2)))
         perm = np.array([3, 1, 0, 2])
-        a = affinity_from_features(feature_set(rows, 4), cur, net, 0.2)
-        b = affinity_from_features(feature_set(rows[perm], 4), cur, net, 0.2)
-        assert np.allclose(b.a1[:4], a.a1[perm], atol=1e-15)
+        a = affinity_from_features(FeatureSet(rows), cur, net, 0.2)
+        b = affinity_from_features(FeatureSet(rows[perm]), cur, net, 0.2)
+        assert np.allclose(b.a1, a.a1[perm], atol=1e-15)
         assert np.allclose(b.a2[:4], a.a2[perm], atol=1e-15)
 
     def test_composed_path_matches_pieces(self):
         rng = np.random.default_rng(215)
         net = tiny_net(rng)
-        prev = feature_set(rng.normal(size=(3, 2)), capacity=5)
-        cur = feature_set(rng.normal(size=(2, 2)), capacity=5)
+        prev = FeatureSet(rng.normal(size=(3, 2)))
+        cur = FeatureSet(rng.normal(size=(2, 2)))
         direct = affinity_from_features(prev, cur, net, 0.4)
-        m = compression_forward(build_pair_tensor(prev, cur), net)
-        composed = augment_and_softmax(m, (3, 2), 0.4)
+        m = compression_forward(prev.features, cur.features, net)
+        composed = augment_and_softmax(m, 0.4)
         assert direct.a1.tobytes() == composed.a1.tobytes()
         assert direct.a2.tobytes() == composed.a2.tobytes()
 
@@ -213,17 +162,7 @@ class TestAugmentAndSoftmax:
         m = np.zeros((2, 2))
         m[0, 0] = np.inf
         with pytest.raises(ValueError):
-            augment_and_softmax(m, (1, 1), 0.0)
-
-
-class TestPairTensorType:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            PairTensor(np.zeros((2, 3, 4)), (1, 1))
-
-    def test_counts_validation(self):
-        with pytest.raises(ValueError):
-            PairTensor(np.zeros((2, 2, 4)), (3, 1))
+            augment_and_softmax(m, 0.0)
 
 
 class TestCompressionNetType:

@@ -5,6 +5,7 @@ from cloudtrack import (
     AssignmentResult,
     IngestConfig,
     TrackerConfig,
+    TrackEntry,
     TrackSet,
     init_model,
     open_sequence,
@@ -146,79 +147,81 @@ class TestSolveAssignment:
 class TestScoreMatrix:
     def test_fuses_and_appends_leave_column(self):
         rng = np.random.default_rng(3)
-        cap, cp, cc = 6, 3, 4
-        m = rng.normal(size=(cap, cap))
-        aff = augment_and_softmax(m, (cp, cc), 0.2)
+        cp, cc = 3, 4
+        m = rng.normal(size=(cp, cc))
+        aff = augment_and_softmax(m, 0.2)
         s = score_matrix(aff)
         assert s.shape == (cp, cc + 1)
-        expect = (aff.a1_trim[:cp, :cc] + aff.a2_trim[:cp, :cc]) / 2.0
+        expect = (aff.a1_trim + aff.a2_trim) / 2.0
         assert np.array_equal(s[:, :cc], expect)
-        assert np.array_equal(s[:, cc], aff.a1[:cp, cap])
+        assert np.array_equal(s[:, cc], aff.a1[:, cc])
 
     def test_rows_bounded_by_one(self):
         rng = np.random.default_rng(4)
-        m = rng.normal(size=(8, 8))
-        aff = augment_and_softmax(m, (5, 7), -0.4)
+        m = rng.normal(size=(5, 7))
+        aff = augment_and_softmax(m, -0.4)
         s = score_matrix(aff)
         assert (s >= 0.0).all() and (s <= 1.0).all()
 
 
+def frame_with(index, n):
+    """A frame with n detections, slot k centred at x = 10 * index + k."""
+    dets = tuple(
+        Detection(box_at(10.0 * index + k, 0.0), 0.5 + 0.05 * k) for k in range(n)
+    )
+    return Frame(index, PointCloud(np.empty((0, 3)), index), dets)
+
+
+def links(ts):
+    """track_id -> ((frame, slot), ...), dropping the stored detections."""
+    return {tid: tuple((e.frame, e.slot) for e in entries)
+            for tid, entries in ts.tracks.items()}
+
+
+def result(matches=(), births=(), deaths=()):
+    return AssignmentResult(frozenset(matches), frozenset(births), frozenset(deaths))
+
+
 class TestUpdateTracks:
     def test_initial_births(self):
-        ts = update_tracks(
-            TrackSet(), AssignmentResult(frozenset(), frozenset({0, 1}), frozenset()), 0
-        )
-        assert ts.tracks == {0: ((0, 0),), 1: ((0, 1),)}
+        frame = frame_with(0, 2)
+        ts = update_tracks(TrackSet(), result(births={0, 1}), frame)
+        assert links(ts) == {0: ((0, 0),), 1: ((0, 1),)}
         assert ts.next_id == 2
+        assert ts.tracks[1][0].detection is frame.detections[1]
 
     def test_match_extends_track(self):
-        ts = TrackSet({0: ((0, 0),)}, 1)
-        ts = update_tracks(
-            ts, AssignmentResult(frozenset({(0, 1)}), frozenset(), frozenset()), 1
-        )
-        assert ts.tracks[0] == ((0, 0), (1, 1))
+        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
+        frame = frame_with(1, 2)
+        ts = update_tracks(ts, result(matches={(0, 1)}), frame)
+        assert links(ts)[0] == ((0, 0), (1, 1))
+        assert ts.tracks[0][1] == TrackEntry(1, 1, frame.detections[1])
 
     def test_death_then_birth_uses_fresh_id(self):
-        ts = TrackSet({0: ((0, 0),)}, 1)
-        ts = update_tracks(
-            ts, AssignmentResult(frozenset(), frozenset(), frozenset({0})), 1
-        )
-        ts = update_tracks(
-            ts, AssignmentResult(frozenset(), frozenset({0}), frozenset()), 2
-        )
+        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
+        ts = update_tracks(ts, result(deaths={0}), frame_with(1, 0))
+        ts = update_tracks(ts, result(births={0}), frame_with(2, 1))
         assert set(ts.tracks) == {0, 1}
-        assert ts.tracks[1] == ((2, 0),)
+        assert links(ts)[1] == ((2, 0),)
         assert ts.next_id == 2
 
     def test_dead_track_never_reactivates(self):
         # track 0 ends at frame 0; a frame-2 match on slot 0 has no owner
-        ts = TrackSet({0: ((0, 0),)}, 1)
-        ts = update_tracks(
-            ts, AssignmentResult(frozenset(), frozenset(), frozenset({0})), 1
-        )
+        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
+        ts = update_tracks(ts, result(deaths={0}), frame_with(1, 0))
         with pytest.raises(ValueError, match="no open track"):
-            update_tracks(
-                ts, AssignmentResult(frozenset({(0, 0)}), frozenset(), frozenset()), 2
-            )
+            update_tracks(ts, result(matches={(0, 0)}), frame_with(2, 1))
 
     def test_ten_frame_lineage(self):
         # one object tracked 0..4, replaced by a newcomer from frame 5 on
-        ts = update_tracks(
-            TrackSet(), AssignmentResult(frozenset(), frozenset({0}), frozenset()), 0
-        )
+        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
         for f in range(1, 5):
-            ts = update_tracks(
-                ts, AssignmentResult(frozenset({(0, 0)}), frozenset(), frozenset()), f
-            )
-        ts = update_tracks(
-            ts, AssignmentResult(frozenset(), frozenset({0}), frozenset({0})), 5
-        )
+            ts = update_tracks(ts, result(matches={(0, 0)}), frame_with(f, 1))
+        ts = update_tracks(ts, result(births={0}, deaths={0}), frame_with(5, 1))
         for f in range(6, 10):
-            ts = update_tracks(
-                ts, AssignmentResult(frozenset({(0, 0)}), frozenset(), frozenset()), f
-            )
-        assert ts.tracks[0] == tuple((f, 0) for f in range(5))
-        assert ts.tracks[1] == tuple((f, 0) for f in range(5, 10))
+            ts = update_tracks(ts, result(matches={(0, 0)}), frame_with(f, 1))
+        assert links(ts)[0] == tuple((f, 0) for f in range(5))
+        assert links(ts)[1] == tuple((f, 0) for f in range(5, 10))
 
     def test_result_validation(self):
         with pytest.raises(ValueError):
@@ -279,7 +282,7 @@ class TestTrackSequence:
         src, model = toy
         ts = track_sequence(src, model, TrackerConfig(seed=1))
         seen = set()
-        for entries in ts.tracks.values():
+        for entries in links(ts).values():
             for entry in entries:
                 assert entry not in seen
                 seen.add(entry)
@@ -291,7 +294,7 @@ class TestTrackSequence:
             track_sequence(src, model, TrackerConfig(seed=1, threads=t))
             for t in (1, 1, 3)
         ]
-        assert runs[0].tracks == runs[1].tracks == runs[2].tracks
+        assert links(runs[0]) == links(runs[1]) == links(runs[2])
         assert runs[0].next_id == runs[2].next_id
 
     def test_timing_reported(self, toy):
@@ -304,7 +307,7 @@ class TestTrackSequence:
         src, model = toy
         ts = track_sequence(src, model, TrackerConfig(seed=1))
         out = tmp_path / "tracks.csv"
-        write_tracks_csv(out, src, ts)
+        write_tracks_csv(out, ts)
         lines = out.read_text().splitlines()
         assert lines[0] == "frame,track_id,cx,cy,cz,l,w,h,yaw,conf"
         keys = []
@@ -314,5 +317,20 @@ class TestTrackSequence:
             keys.append((int(parts[0]), int(parts[1])))
             assert float(parts[9]) == 1.0
         assert keys == sorted(keys)
-        write_tracks_csv(tmp_path / "again.csv", src, ts)
+        write_tracks_csv(tmp_path / "again.csv", ts)
         assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
+
+    def test_writing_reads_no_frames(self, toy, tmp_path):
+        src, model = toy
+        ts = track_sequence(src, model, TrackerConfig(seed=1))
+        before = tmp_path / "before.csv"
+        write_tracks_csv(before, ts)
+        moved = tmp_path / "moved"
+        src.root.rename(moved)
+        try:
+            after = tmp_path / "after.csv"
+            write_tracks_csv(after, ts)
+        finally:
+            moved.rename(src.root)
+        assert after.read_bytes() == before.read_bytes()
+        assert after.read_text().count("\n") == 1 + sum(map(len, ts.tracks.values()))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cloudtrack.affinity import augment_and_softmax, normalize_pair
-from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
 from cloudtrack.losses import (
     GroundTruthAssignment,
     build_gt,
@@ -19,103 +18,108 @@ from cloudtrack.losses import (
     loss_gradients,
     loss_total,
 )
-from cloudtrack.verification import fd_gradient_check, random_gt, random_instance
+from cloudtrack.verification import fd_gradient_check, random_ids, random_instance
 
 
-def labeled_frame(index, gt_ids):
-    dets = tuple(
-        Detection(
-            OrientedBox3(np.array([float(i), 0.0, 0.0]), 1.0, 1.0, 1.0, 0.0),
-            0.9,
-            gt_id=gid,
-        )
-        for i, gid in enumerate(gt_ids)
-    )
-    return Frame(index, PointCloud(np.empty((0, 3)), index), dets)
+def random_gt(rng, n_prev, n_cur):
+    return build_gt(*random_ids(rng, n_prev, n_cur))
 
 
 class TestBuildGt:
     def test_identity_pair(self):
-        gt = build_gt(labeled_frame(0, [5, 9]), labeled_frame(1, [5, 9]), capacity=4)
-        assert np.array_equal(gt.g3[:2, :2], np.eye(2))
-        assert not np.any(gt.g1[:, 4])
-        assert not np.any(gt.g2[4, :])
+        gt = build_gt([5, 9], [5, 9])
+        assert np.array_equal(gt.g3, np.eye(2))
+        assert not np.any(gt.g1[:, 2])
+        assert not np.any(gt.g2[2, :])
 
     def test_full_turnover(self):
-        gt = build_gt(labeled_frame(0, [1]), labeled_frame(1, [2]), capacity=3)
+        gt = build_gt([1], [2])
         assert not np.any(gt.g3)
-        assert gt.g1[0, 3] == 1.0
-        assert gt.g2[3, 0] == 1.0
+        assert gt.g1[0, 1] == 1.0
+        assert gt.g2[1, 0] == 1.0
+
+    def test_empty_side(self):
+        gt = build_gt([], [7, 8])
+        assert gt.g1.shape == (0, 3) and gt.g3.shape == (0, 2)
+        assert np.array_equal(gt.g2, [[1.0, 1.0]])
+        gt = build_gt([7], [])
+        assert np.array_equal(gt.g1, [[1.0]])
+        assert gt.g2.shape == (2, 0)
 
     def test_permutation_oracle(self):
         rng = np.random.default_rng(301)
         for _ in range(20):
             ids = list(rng.permutation(60)[:6])
             perm = rng.permutation(6)
-            prev = labeled_frame(0, ids)
-            cur = labeled_frame(1, [ids[k] for k in perm])
-            gt = build_gt(prev, cur, capacity=8)
-            expected = np.zeros((8, 8))
+            cur_ids = [ids[k] for k in perm]
+            gt = build_gt(ids, cur_ids)
+            expected = np.zeros((6, 6))
             for i in range(6):
                 for j in range(6):
-                    if ids[i] == [ids[k] for k in perm][j]:
+                    if ids[i] == cur_ids[j]:
                         expected[i, j] = 1.0
             assert np.array_equal(gt.g3, expected)
 
     def test_missing_gt_id(self):
-        bad = labeled_frame(0, [1, None])
-        with pytest.raises(ValueError, match="gt_id"):
-            build_gt(bad, labeled_frame(1, [1]), capacity=4)
+        # an unlabeled detection leaves on the previous side, enters on
+        # the current side, and two of them never match each other
+        gt = build_gt([1, None], [None, 1, None])
+        assert np.array_equal(gt.g3, [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        assert np.array_equal(gt.g1[:, 3], [0.0, 1.0])
+        assert np.array_equal(gt.g2[2, :], [1.0, 0.0, 1.0])
 
     def test_duplicate_gt_id(self):
-        bad = labeled_frame(0, [3, 3])
         with pytest.raises(ValueError, match="duplicate"):
-            build_gt(bad, labeled_frame(1, [3]), capacity=4)
+            build_gt([3, 3], [3])
+        with pytest.raises(ValueError, match="duplicate"):
+            build_gt([3], [4, 4])
+        build_gt([None, None], [None])
 
 
-def perfect_affinity(gt, capacity, sharp=200.0):
+def perfect_affinity(gt, sharp=200.0):
     """Scores so peaked the softmax sits at the GT up to double rounding."""
-    m = np.zeros((capacity, capacity))
+    cp, cc = gt.g3.shape
+    m = np.zeros((cp, cc))
     m[gt.g3 > 0.5] = sharp
     dummy = 0.0
-    m1 = np.hstack([m, np.full((capacity, 1), dummy)])
-    m1[gt.g1[:, capacity] > 0.5, capacity] = sharp
-    m2 = np.vstack([m, np.full((1, capacity), dummy)])
-    m2[capacity, gt.g2[capacity, :] > 0.5] = sharp
+    m1 = np.hstack([m, np.full((cp, 1), dummy)])
+    m1[gt.g1[:, cc] > 0.5, cc] = sharp
+    m2 = np.vstack([m, np.full((1, cc), dummy)])
+    m2[cp, gt.g2[cp, :] > 0.5] = sharp
     return m1, m2
 
 
 class TestLossTerms:
     def test_perfect_forward_is_zero(self):
         rng = np.random.default_rng(302)
-        gt = random_gt(rng, 6, 4, 5)
-        m1, m2 = perfect_affinity(gt, 6)
-        a1, a2 = normalize_pair(m1, m2, gt.counts)
+        gt = random_gt(rng, 4, 5)
+        m1, m2 = perfect_affinity(gt)
+        a1, a2 = normalize_pair(m1, m2)
         assert loss_forward(gt.g1, a1) < 1e-12
         assert loss_backward(gt.g2, a2) < 1e-12
-        assert loss_assemble(gt.g3, a1[:, :6], a2[:6, :]) < 1e-12
+        assert loss_assemble(gt.g3, a1[:, :5], a2[:4, :]) < 1e-12
 
     def test_uniform_forward_is_log_101(self):
-        aff = augment_and_softmax(np.zeros((100, 100)), (1, 100), 0.0)
-        g1 = np.zeros((100, 101))
+        aff = augment_and_softmax(np.zeros((1, 100)), 0.0)
+        g1 = np.zeros((1, 101))
         g1[0, 13] = 1.0
         assert abs(loss_forward(g1, aff.a1) - math.log(101.0)) < 1e-9
 
     def test_uniform_backward_is_log_101(self):
-        aff = augment_and_softmax(np.zeros((100, 100)), (100, 1), 0.0)
-        g2 = np.zeros((101, 100))
+        aff = augment_and_softmax(np.zeros((100, 1)), 0.0)
+        g2 = np.zeros((101, 1))
         g2[42, 0] = 1.0
         assert abs(loss_backward(g2, aff.a2) - math.log(101.0)) < 1e-9
 
     def test_forward_double_loop_oracle(self):
         rng = np.random.default_rng(303)
-        gt = random_gt(rng, 6, 4, 4)
-        m = rng.normal(size=(6, 6))
-        aff = augment_and_softmax(m, gt.counts, 0.2)
+        gt = random_gt(rng, 4, 4)
+        m = rng.normal(size=(4, 4))
+        aff = augment_and_softmax(m, 0.2)
         total = 0.0
         count = 0
-        for i in range(6):
-            for j in range(7):
+        for i in range(4):
+            for j in range(5):
                 if gt.g1[i, j] > 0.5:
                     total += -math.log(aff.a1[i, j])
                     count += 1
@@ -180,18 +184,18 @@ class TestLossTerms:
 
     def test_shift_invariance_of_forward_loss(self):
         rng = np.random.default_rng(308)
-        gt = random_gt(rng, 5, 3, 4)
-        m = rng.normal(size=(5, 5))
-        a = augment_and_softmax(m, gt.counts, 0.1)
-        b = augment_and_softmax(m + 3.3, gt.counts, 0.1 + 3.3)
+        gt = random_gt(rng, 3, 4)
+        m = rng.normal(size=(3, 4))
+        a = augment_and_softmax(m, 0.1)
+        b = augment_and_softmax(m + 3.3, 0.1 + 3.3)
         assert abs(loss_forward(gt.g1, a.a1) - loss_forward(gt.g1, b.a1)) < 1e-12
 
     def test_breakdown_matches_raw_path(self):
         rng = np.random.default_rng(309)
-        gt = random_gt(rng, 5, 4, 3)
-        m = rng.normal(size=(5, 5))
+        gt = random_gt(rng, 4, 3)
+        m = rng.normal(size=(4, 3))
         dummy = 0.25
-        aff = augment_and_softmax(m, gt.counts, dummy)
+        aff = augment_and_softmax(m, dummy)
         via_aff = loss_breakdown(aff, gt)
         via_raw = loss_from_raw(aff.m1, aff.m2, gt)
         assert via_aff == via_raw
@@ -201,7 +205,7 @@ class TestGradients:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(310)
         for _ in range(5):
-            m1, m2, gt, _ = random_instance(rng, capacity=5)
+            m1, m2, gt, _ = random_instance(rng, max_count=5)
             assert fd_gradient_check(m1, m2, gt) < 1e-4
 
     def test_tied_gradient_conventions_by_hand(self):
@@ -214,7 +218,7 @@ class TestGradients:
         g1 = np.array([[1.0, 0.0]])
         g2 = np.array([[1.0], [0.0]])
         g3 = np.array([[1.0]])
-        gt = GroundTruthAssignment(g1, g2, g3, (1, 1))
+        gt = GroundTruthAssignment(g1, g2, g3)
         grads = loss_gradients(np.zeros((1, 2)), np.zeros((2, 1)), gt)
         assert np.allclose(grads.d_m1, [[-0.125, 0.125]], atol=1e-15)
         assert np.allclose(grads.d_m2, [[-0.25], [0.25]], atol=1e-15)
@@ -222,26 +226,16 @@ class TestGradients:
 
     def test_near_perfect_prediction_has_tiny_gradient(self):
         rng = np.random.default_rng(312)
-        gt = random_gt(rng, 5, 4, 4)
-        m1, m2 = perfect_affinity(gt, 5, sharp=60.0)
+        gt = random_gt(rng, 4, 4)
+        m1, m2 = perfect_affinity(gt, sharp=60.0)
         grads = loss_gradients(m1, m2, gt)
         assert np.abs(grads.d_m1).max() < 1e-8
         assert np.abs(grads.d_m2).max() < 1e-8
         assert abs(grads.d_dummy) < 1e-8
 
-    def test_masked_entries_have_zero_gradient(self):
-        rng = np.random.default_rng(313)
-        m1, m2, gt, _ = random_instance(rng, capacity=6)
-        cp, cc = gt.counts
-        grads = loss_gradients(m1, m2, gt)
-        assert not np.any(grads.d_m1[cp:])
-        assert not np.any(grads.d_m1[:, cc:-1])
-        assert not np.any(grads.d_m2[:, cc:])
-        assert not np.any(grads.d_m2[cp:-1, :])
-
     def test_dummy_consistency_check(self):
         rng = np.random.default_rng(314)
-        m1, m2, gt, dummy = random_instance(rng, capacity=4)
+        m1, m2, gt, dummy = random_instance(rng, max_count=4)
         loss_gradients(m1, m2, gt, dummy_score=dummy)
         with pytest.raises(ValueError):
             loss_gradients(m1, m2, gt, dummy_score=dummy + 1.0)
@@ -249,19 +243,19 @@ class TestGradients:
 
 class TestGroundTruthType:
     def test_rejects_row_sum_violation(self):
-        g1 = np.zeros((3, 4))
-        g2 = np.zeros((4, 3))
-        g3 = np.zeros((3, 3))
-        with pytest.raises(ValueError):
-            GroundTruthAssignment(g1, g2, g3, (1, 0))
+        g1 = np.zeros((1, 1))
+        g2 = np.zeros((2, 0))
+        g3 = np.zeros((1, 0))
+        with pytest.raises(ValueError, match="g1 row"):
+            GroundTruthAssignment(g1, g2, g3)
 
     def test_rejects_inconsistent_g3(self):
-        g1 = np.zeros((3, 4))
-        g2 = np.zeros((4, 3))
-        g3 = np.zeros((3, 3))
+        g1 = np.zeros((1, 3))
+        g2 = np.zeros((2, 2))
+        g3 = np.zeros((1, 2))
         g1[0, 0] = 1.0
         g2[0, 0] = 1.0
         g3[0, 1] = 1.0
-        g2[3, 1] = 1.0
-        with pytest.raises(ValueError):
-            GroundTruthAssignment(g1, g2, g3, (1, 2))
+        g2[1, 1] = 1.0
+        with pytest.raises(ValueError, match="g3"):
+            GroundTruthAssignment(g1, g2, g3)

@@ -8,10 +8,9 @@ from cloudtrack.model import (
     AffinityModel,
     init_model,
     load_model,
-    load_weights,
     save_model,
 )
-from cloudtrack.nets import init_layers
+from cloudtrack.nets import init_layers, pack_layers
 from cloudtrack.pointnet import PointNetWeights
 
 
@@ -68,22 +67,12 @@ class TestModelFile:
         assert first.dummy_score == second.dummy_score
         assert abs(first.dummy_score - 0.3712) < 1e-6
 
-    def test_load_weights_reads_first_section_only(self, tmp_path):
-        model = init_model(seed=13, pointnet_widths=(3, 8, 16),
-                           compression_widths=(32, 8, 4, 4, 2, 1))
-        path = tmp_path / "model.bin"
-        save_model(model, path)
-        pn = load_weights(path)
-        assert layers_equal(pn.layers, model.pointnet.layers)
-
     def test_missing_second_section(self, tmp_path):
-        from cloudtrack.model import save_weights
-
         model = init_model(seed=14, pointnet_widths=(3, 4),
                            compression_widths=(8, 4, 4, 2, 2, 1))
         path = tmp_path / "only_pn.bin"
-        save_weights(model.pointnet, path)
-        with pytest.raises(ValueError):
+        path.write_bytes(pack_layers(b"PNW1", model.pointnet.layers))
+        with pytest.raises(ValueError, match="truncated"):
             load_model(path)
 
     def test_truncated_dummy(self, tmp_path):

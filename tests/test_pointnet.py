@@ -1,13 +1,14 @@
-"""Featurizer: shared MLP, masked max-pool, weight files."""
+"""Featurizer: shared MLP, masked max-pool, the featurizer section of model files."""
 
 import struct
 
 import numpy as np
 import pytest
 
+from cloudtrack.affinity import CompressionNet
 from cloudtrack.cropping import ObjectPoints
-from cloudtrack.model import load_weights, save_weights
-from cloudtrack.nets import init_layers, mlp_forward
+from cloudtrack.model import AffinityModel, load_model, save_model
+from cloudtrack.nets import init_layers, mlp_forward, pack_layers
 from cloudtrack.pointnet import (
     FeatureSet,
     PointNetWeights,
@@ -78,9 +79,9 @@ class TestPointnetForward:
 class TestFeaturizeFrame:
     def test_empty(self):
         rng = np.random.default_rng(105)
-        fs = featurize_frame((), random_weights(rng), capacity=10)
+        fs = featurize_frame((), random_weights(rng))
         assert fs.count == 0
-        assert not np.any(fs.features)
+        assert fs.features.shape == (0, 16)
 
     def test_slots_filled_in_order(self):
         rng = np.random.default_rng(106)
@@ -88,33 +89,38 @@ class TestFeaturizeFrame:
         objs = [
             object_from(rng.uniform(-1, 1, size=(12, 3))) for _ in range(2)
         ]
-        fs = featurize_frame(objs, w, capacity=5)
+        fs = featurize_frame(objs, w)
         assert fs.count == 2
+        assert fs.features.shape == (2, 16)
         for slot, obj in enumerate(objs):
             solo = pointnet_forward(obj, w)
             assert fs.features[slot].tobytes() == solo.tobytes()
-        assert not np.any(fs.features[2:])
 
-    def test_capacity_overflow(self):
-        rng = np.random.default_rng(107)
-        w = random_weights(rng)
-        objs = [object_from(rng.uniform(-1, 1, size=(4, 3))) for _ in range(3)]
-        with pytest.raises(ValueError):
-            featurize_frame(objs, w, capacity=2)
+    def test_feature_set_rejects_bad_rows(self):
+        with pytest.raises(ValueError, match="2-D"):
+            FeatureSet(np.ones(8))
+        feats = np.ones((2, 8))
+        feats[1, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            FeatureSet(feats)
 
-    def test_feature_set_rejects_nonzero_padding(self):
-        feats = np.ones((4, 8))
-        with pytest.raises(ValueError):
-            FeatureSet(feats, 2)
+
+def model_with_pointnet(w):
+    """A full model whose featurizer is w, with a matching compression net."""
+    rng = np.random.default_rng(0)
+    net = CompressionNet(init_layers((2 * w.feature_dim, 4, 4, 2, 2, 1), rng))
+    return AffinityModel(w, net, 0.0)
 
 
 class TestWeightsFile:
+    """The featurizer section of a model file (magic PNW1)."""
+
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(108)
         w = PointNetWeights(init_layers((3, 64, 128, 512), rng))
         path = tmp_path / "w.bin"
-        save_weights(w, path)
-        loaded = load_weights(path)
+        save_model(model_with_pointnet(w), path)
+        loaded = load_model(path).pointnet
         assert len(loaded.layers) == len(w.layers)
         for (W1, b1), (W2, b2) in zip(w.layers, loaded.layers):
             assert W1.tobytes() == W2.tobytes()
@@ -124,17 +130,18 @@ class TestWeightsFile:
         path = tmp_path / "w.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
-            load_weights(path)
+            load_model(path)
 
     def test_truncated(self, tmp_path):
         rng = np.random.default_rng(109)
         w = PointNetWeights(init_layers((3, 4, 6), rng))
         path = tmp_path / "w.bin"
-        save_weights(w, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-10])
+        save_model(model_with_pointnet(w), path)
+        # cut inside the featurizer section, the first one in the file
+        section = len(pack_layers(b"PNW1", w.layers))
+        path.write_bytes(path.read_bytes()[: section - 10])
         with pytest.raises(ValueError, match="truncated"):
-            load_weights(path)
+            load_model(path)
 
     def test_hand_built_file(self, tmp_path):
         rng = np.random.default_rng(110)
@@ -143,12 +150,15 @@ class TestWeightsFile:
         blob = b"PNW1" + struct.pack("<I", 2)
         blob += struct.pack("<II", 4, 3) + w1.tobytes() + np.zeros(4, "<f4").tobytes()
         blob += struct.pack("<II", 512, 4) + w2.tobytes() + np.zeros(512, "<f4").tobytes()
+        cmp_layers = init_layers((1024, 4, 4, 2, 2, 1), rng)
+        blob += pack_layers(b"CMP1", cmp_layers) + struct.pack("<f", 0.5)
         path = tmp_path / "hand.bin"
         path.write_bytes(blob)
-        loaded = load_weights(path)
-        assert loaded.widths == (3, 4, 512)
-        assert loaded.layers[0][0].astype("<f4").tobytes() == w1.tobytes()
-        assert loaded.layers[1][0].astype("<f4").tobytes() == w2.tobytes()
+        loaded = load_model(path)
+        assert loaded.pointnet.widths == (3, 4, 512)
+        assert loaded.pointnet.layers[0][0].astype("<f4").tobytes() == w1.tobytes()
+        assert loaded.pointnet.layers[1][0].astype("<f4").tobytes() == w2.tobytes()
+        assert loaded.dummy_score == 0.5
 
     def test_broken_chain_rejected(self, tmp_path):
         blob = b"PNW1" + struct.pack("<I", 2)
@@ -157,4 +167,4 @@ class TestWeightsFile:
         path = tmp_path / "bad.bin"
         path.write_bytes(blob)
         with pytest.raises(ValueError, match="chain"):
-            load_weights(path)
+            load_model(path)

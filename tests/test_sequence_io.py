@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
+from cloudtrack.metrics import read_center_tracks
 from cloudtrack.sequence_io import (
     DETECTION_HEADER,
     IngestConfig,
@@ -14,6 +15,7 @@ from cloudtrack.sequence_io import (
     open_sequence,
     write_frame,
     write_sequence_meta,
+    write_tracks_file,
 )
 
 
@@ -199,6 +201,20 @@ class TestRoundTrip:
         make_sequence(b, [reloaded])
         for rel in ("sequence.meta", "frames/0.xyz", "detections/0.csv"):
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+    def test_tracks_file_sorted_and_readable(self, tmp_path):
+        box = simple_detection(1.0, cx=2.5).box
+        rows = [(1, 4, box, 0.75), (0, 9, box, 1.0), (1, 2, box, 0.5)]
+        path = tmp_path / "tracks.csv"
+        write_tracks_file(path, rows)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "frame,track_id,cx,cy,cz,l,w,h,yaw,conf"
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["0", "9"], ["1", "2"], ["1", "4"],
+        ]
+        assert lines[3] == "1,4,2.5,0.0,0.0,1.0,1.0,1.0,0.0,0.75"
+        centers = read_center_tracks(path)
+        assert sorted(centers) == [0, 1] and sorted(centers[1]) == [2, 4]
 
     def test_open_sequence_reads_name(self, tmp_path):
         write_sequence_meta(tmp_path, 0, name="val-07")

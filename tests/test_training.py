@@ -10,7 +10,8 @@ from cloudtrack.nets import (
     mlp_forward,
     mlp_forward_cached,
 )
-from cloudtrack.synth import SynthConfig, generate
+from cloudtrack.sequence_io import load_admitted_frame
+from cloudtrack.synth import SynthConfig, generate, perturb
 from cloudtrack.training import (
     LOG_HEADER,
     PairSample,
@@ -73,21 +74,15 @@ def scene(tmp_path_factory):
 def batch_loss(model, batch):
     totals = []
     for sample in batch:
-        cap = sample.prev.capacity
-        cp, cc = sample.prev.count, sample.cur.count
-        m = np.zeros((cap, cap))
+        prev, cur = sample.prev.features, sample.cur.features
+        cp, cc = len(prev), len(cur)
+        m = np.zeros((cp, cc))
         if cp and cc:
             cells = np.empty((cp * cc, 2 * sample.prev.dim))
-            cells[:, : sample.prev.dim] = np.repeat(
-                sample.prev.features[:cp], cc, axis=0
-            )
-            cells[:, sample.prev.dim:] = np.tile(
-                sample.cur.features[:cc], (cp, 1)
-            )
-            from cloudtrack.nets import mlp_forward as fwd
-
-            m[:cp, :cc] = fwd(cells, model.compression.layers).reshape(cp, cc)
-        aff = augment_and_softmax(m, (cp, cc), model.dummy_score)
+            cells[:, : sample.prev.dim] = np.repeat(prev, cc, axis=0)
+            cells[:, sample.prev.dim:] = np.tile(cur, (cp, 1))
+            m = mlp_forward(cells, model.compression.layers).reshape(cp, cc)
+        aff = augment_and_softmax(m, model.dummy_score)
         totals.append(loss_breakdown(aff, sample.gt).total)
     return float(np.mean(totals))
 
@@ -157,6 +152,26 @@ class TestTrainingPairs:
         assert len(pool) == scene.frame_count - 1
         for sample in pool:
             assert sample.cur.frame_index - sample.prev.frame_index == 1
+
+    def test_unlabeled_detections_train(self, tmp_path):
+        # admitted false detections carry no gt_id; they are leave/enter
+        # targets, not a reason to stop
+        src = generate(
+            SynthConfig(n_objects=3, n_frames=8, seed=5, points_per_object=60),
+            tmp_path / "seq",
+        )
+        noisy = perturb(
+            src, fp_rate=0.3, conf_model=(0.5, 0.9), seed=5, out_dir=tmp_path / "noisy"
+        )
+        unlabeled = sum(
+            det.gt_id is None
+            for i in range(noisy.frame_count)
+            for det in load_admitted_frame(noisy, i).detections
+        )
+        assert unlabeled > 0
+        _, log = train(noisy, TrainConfig(steps=3, seed=1))
+        assert len(log) == 3
+        assert all(np.isfinite(b.total) for b in log)
 
     def test_too_short_sequence_rejected(self, tmp_path):
         cfg = SynthConfig(n_objects=1, n_frames=1, seed=1, points_per_object=20)
