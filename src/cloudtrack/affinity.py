@@ -1,14 +1,16 @@
-"""Pairwise affinity head: pair cells, compression net, softmax matrices.
+"""Pairwise affinity head: compression net over feature pairs, softmax matrices.
 
 Feature rows from a previous frame (cp objects) and a current frame (cc
-objects) are paired exhaustively (concatenation, so two D-wide features
-make a 2D-wide cell) and every cell runs through a shared pointwise
-compression stack that ends in one scalar, giving the cp x cc raw score
-matrix M.  M is augmented with a learned dummy score (an extra column
-for objects that leave, an extra row for objects that enter) and
-normalized: row softmax of the cp x (cc+1) matrix M1 gives the forward
-association A1, column softmax of the (cp+1) x cc matrix M2 gives the
-backward association A2.
+objects) are paired exhaustively, and every pair runs through a shared
+pointwise compression stack that ends in one scalar, giving the cp x cc
+raw score matrix M.  The stack's first layer acts on the concatenated
+pair [a; b], but it is linear, so W1 [a; b] + b1 = W1[:, :D] a +
+(W1[:, D:] b + b1): each frame's features are projected once and the
+2D-wide concatenated cell is never built.  M is augmented with a
+learned dummy score (an extra column for objects that leave, an extra
+row for objects that enter) and normalized: row softmax of the
+cp x (cc+1) matrix M1 gives the forward association A1, column softmax
+of the (cp+1) x cc matrix M2 gives the backward association A2.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import Layers, layer_widths, mlp_forward, validate_layers
+from .nets import Layers, layer_widths, mlp_forward, relu, validate_layers
 from .pointnet import FeatureSet
 
 DEFAULT_COMPRESSION_WIDTHS = (1024, 512, 256, 128, 64, 1)
@@ -27,7 +29,7 @@ COMPRESSION_LAYER_COUNT = 5
 
 @dataclass(frozen=True)
 class CompressionNet:
-    """Five pointwise layers mapping a pair cell to one raw affinity score."""
+    """Five pointwise layers mapping a feature pair to one raw affinity score."""
 
     layers: Layers
 
@@ -49,6 +51,15 @@ class CompressionNet:
     @property
     def in_dim(self) -> int:
         return self.widths[0]
+
+    def split_first_layer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w_prev, w_cur, b1) with first-layer output a @ w_prev + b @ w_cur + b1.
+
+        a and b are the previous and current feature of one pair.
+        """
+        W, b = self.layers[0]
+        d = W.shape[1] // 2
+        return W[:, :d].T, W[:, d:].T, b
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,10 @@ def compression_forward(
 ) -> np.ndarray:
     """Score every (previous row, current row) feature pair; cp x cc.
 
-    Each previous row's cells are built and scored as one work unit, so
-    a row's scores depend only on that row and the current features.
+    The current features are projected through their half of the first
+    layer once.  Each previous row is then one work unit (its projection
+    plus layers 2-5), so a row's scores depend only on that row and the
+    current features, never on the other rows or the thread count.
     """
     prev = np.asarray(prev, dtype=np.float64)
     cur = np.asarray(cur, dtype=np.float64)
@@ -96,16 +109,16 @@ def compression_forward(
     if cur.shape[1] != d:
         raise ValueError(f"feature widths differ: {d} vs {cur.shape[1]}")
     if net.in_dim != 2 * d:
-        raise ValueError(f"net input width {net.in_dim} != cell width {2 * d}")
+        raise ValueError(f"net input width {net.in_dim} != pair width {2 * d}")
     cp, cc = len(prev), len(cur)
     m = np.empty((cp, cc))
     if cp and cc:
+        w_prev, w_cur, b1 = net.split_first_layer()
+        cur_half = cur @ w_cur + b1
 
         def score_row(i):
-            cells = np.empty((cc, 2 * d))
-            cells[:, :d] = prev[i]
-            cells[:, d:] = cur
-            m[i] = mlp_forward(cells, net.layers)[:, 0]
+            hidden = relu(prev[i] @ w_prev + cur_half)
+            m[i] = mlp_forward(hidden, net.layers[1:])[:, 0]
 
         _parallel_rows(score_row, cp, threads)
     return m

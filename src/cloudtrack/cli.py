@@ -12,7 +12,6 @@ never changes any output byte.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .association import TrackerConfig, track_sequence, write_tracks_csv
@@ -22,8 +21,6 @@ from .sequence_io import IngestConfig, open_sequence
 from .synth import SynthConfig, generate, perturb
 from .training import TrainConfig, train
 from .verification import run_losscheck
-
-THREADS_ENV = "PCDAN_THREADS"
 
 
 def _positive_int(text: str) -> int:
@@ -75,31 +72,13 @@ def _enter_event(text: str) -> tuple:
     return ("enter", int(text))
 
 
-def default_threads() -> int:
-    """PCDAN_THREADS when set, otherwise the machine's core count."""
-    env = os.environ.get(THREADS_ENV, "")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}")
-        if value < 1:
-            raise ValueError(f"{THREADS_ENV} must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
-
-
 def _add_threads_flag(sub) -> None:
     sub.add_argument(
         "--threads",
         type=_positive_int,
-        default=None,
-        help=f"worker threads (default: {THREADS_ENV} or all cores)",
+        default=1,
+        help="worker threads (default: 1)",
     )
-
-
-def _resolve_threads(args) -> int:
-    return args.threads if args.threads is not None else default_threads()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +183,7 @@ def cmd_train(args) -> int:
         cfg,
         weights_out=args.out,
         log_out=args.log,
-        threads=_resolve_threads(args),
+        threads=args.threads,
     )
     final = float(log[-1].total) if log else float("nan")
     print(f"weights={args.out} steps={cfg.steps} final_total={final!r}")
@@ -219,7 +198,7 @@ def cmd_track(args) -> int:
     cfg = TrackerConfig(
         birth_threshold=args.birth_threshold,
         seed=args.seed,
-        threads=_resolve_threads(args),
+        threads=args.threads,
     )
     timing: dict = {}
     ts = track_sequence(src, model, cfg, timing=timing)

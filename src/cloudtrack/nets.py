@@ -71,12 +71,13 @@ def mlp_forward_cached(x: np.ndarray, layers: Layers):
     return x @ W.T + b, inputs
 
 
-def mlp_backward(inputs, layers: Layers, d_out: np.ndarray) -> Layers:
-    """Gradient of a scalar objective w.r.t. every weight and bias.
+def mlp_backward(inputs, layers: Layers, d_out: np.ndarray):
+    """Gradient of a scalar objective w.r.t. every weight, bias and the input.
 
     inputs comes from mlp_forward_cached; d_out is the objective's
-    gradient at the stack's output.  The ReLU derivative at exactly
-    zero is taken as zero.
+    gradient at the stack's output.  Returns (layer gradients, gradient
+    at the stack's input).  The ReLU derivative at exactly zero is taken
+    as zero.
     """
     grads: list = [None] * len(layers)
     dz = np.asarray(d_out, dtype=np.float64)
@@ -84,9 +85,10 @@ def mlp_backward(inputs, layers: Layers, d_out: np.ndarray) -> Layers:
         W, _ = layers[k]
         a = inputs[k]
         grads[k] = (dz.T @ a, dz.sum(axis=0))
+        dz = dz @ W
         if k:
-            dz = (dz @ W) * (a > 0.0)
-    return tuple(grads)
+            dz = dz * (a > 0.0)
+    return tuple(grads), dz
 
 
 def init_layers(widths, rng: np.random.Generator) -> Layers:

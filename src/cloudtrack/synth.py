@@ -280,7 +280,9 @@ def perturb(
     """Corrupt a sequence's detections; points and ground truth stay intact.
 
     The random stream advances identically whatever the rates are, so
-    raising one rate never reshuffles the noise drawn for another.
+    raising one rate never reshuffles the noise drawn for another.  False
+    positives land anywhere within the frame's own x/y half-extents (the
+    largest |x| and |y| over its points and detection centres).
     """
     if det_noise_sigma < 0.0:
         raise ValueError("det_noise_sigma must be >= 0")
@@ -302,9 +304,12 @@ def perturb(
             shutil.copyfile(gt, root / GT_TRACKS_NAME)
 
     rng = np.random.default_rng(seed)
-    arena = 30.0
     for frame_index in range(src.frame_count):
         frame = load_frame(src, frame_index)
+        centers = [det.box.center[:2] for det in frame.detections]
+        half_x, half_y = np.abs(
+            np.vstack([frame.cloud.points[:, :2], *centers])
+        ).max(axis=0, initial=0.0)
         # keep the source's gt column so a zero-rate pass is a no-op
         with open(src.detection_path(frame_index)) as fh:
             has_gt = fh.readline().rstrip("\n").endswith(",gt_id")
@@ -325,8 +330,8 @@ def perturb(
             rows.append(Detection(box, det.confidence, det.gt_id))
             if fp_rate > 0.0 and fp_coin < fp_rate:
                 center = np.array(
-                    [arena * (2.0 * fp_draw[0] - 1.0),
-                     arena * (2.0 * fp_draw[1] - 1.0),
+                    [half_x * (2.0 * fp_draw[0] - 1.0),
+                     half_y * (2.0 * fp_draw[1] - 1.0),
                      0.5 + 2.0 * fp_draw[2]]
                 )
                 fp_box = OrientedBox3(

@@ -4,8 +4,11 @@ The point featurizer stays frozen; only the compression stack and the
 dummy score learn.  Every step samples a batch of frame pairs from a
 labeled sequence (gap drawn from frame_gap_range), pushes the cached
 features through the compression net, and descends the four-part
-association loss.  Each step reports the loss measured before its
-update, so a shrinking log means the updates help.
+association loss.  As in the tracker, the net's first layer projects
+each frame's features once instead of acting on concatenated pairs, and
+its gradient is summed per feature row; layers 2-5 see the whole batch
+in one forward and one backward pass.  Each step reports the loss
+measured before its update, so a shrinking log means the updates help.
 """
 
 from __future__ import annotations
@@ -16,17 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from .affinity import CompressionNet, augment_and_softmax
-from .association import TrackerConfig
-from .cropping import crop_frame
+from .cropping import DEFAULT_POINTS_PER_OBJECT, crop_frame
 from .losses import (
     GroundTruthAssignment,
     LossBreakdown,
     build_gt,
     loss_breakdown,
     loss_gradients,
+    loss_total,
 )
 from .model import AffinityModel, init_model, save_model
-from .nets import mlp_backward, mlp_forward_cached
+from .nets import mlp_backward, mlp_forward_cached, relu
 from .pointnet import FeatureSet, featurize_frame
 from .sequence_io import SequenceSource, format_float, load_admitted_frame
 
@@ -63,59 +66,61 @@ class PairSample:
     gt: GroundTruthAssignment
 
 
-def _pair_loss_and_grads(model: AffinityModel, sample: PairSample):
-    """Loss, compression-layer gradients, and dummy gradient for one pair."""
-    prev, cur = sample.prev.features, sample.cur.features
-    cp, cc = len(prev), len(cur)
-    d = sample.prev.dim
-    layers = model.compression.layers
-    m = np.zeros((cp, cc))
-    acts = None
-    if cp and cc:
-        cells = np.empty((cp * cc, 2 * d))
-        cells[:, :d] = np.repeat(prev, cc, axis=0)
-        cells[:, d:] = np.tile(cur, (cp, 1))
-        out, acts = mlp_forward_cached(cells, layers)
-        if not np.isfinite(out).all():
-            raise RuntimeError("non-finite affinity score")
-        m = out.reshape(cp, cc)
-    aff = augment_and_softmax(m, model.dummy_score)
-    losses = loss_breakdown(aff, sample.gt)
-    if not np.isfinite(losses.total):
-        raise RuntimeError("non-finite loss")
-    grads = loss_gradients(aff.m1, aff.m2, sample.gt, dummy_score=model.dummy_score)
-    d_m = grads.d_m1[:, :cc] + grads.d_m2[:cp, :]
-    if cp and cc:
-        layer_grads = mlp_backward(acts, layers, d_m.reshape(-1, 1))
-    else:
-        layer_grads = tuple(
-            (np.zeros_like(W), np.zeros_like(b)) for W, b in layers
-        )
-    return losses, layer_grads, grads.d_dummy
-
-
 def train_step(
     model: AffinityModel, batch, cfg: TrainConfig
 ) -> tuple[AffinityModel, LossBreakdown]:
-    """One descent step over a batch; returns the pre-step batch loss."""
+    """One descent step over a batch; returns the pre-step batch loss.
+
+    The first layer is applied to each frame's features separately: pair
+    (i, j) gets the hidden row relu(prev[i] @ w_prev + cur[j] @ w_cur + b1).
+    The hidden rows of every pair in the batch then go through layers 2-5
+    in one forward and one backward pass.
+    """
     batch = tuple(batch)
     if not batch:
         raise ValueError("batch must contain at least one pair")
     layers = model.compression.layers
+    w_prev, w_cur, b1 = model.compression.split_first_layer()
+    width = len(b1)
+    hidden = np.concatenate([
+        relu(
+            (s.prev.features @ w_prev)[:, None, :]
+            + (s.cur.features @ w_cur + b1)[None, :, :]
+        ).reshape(-1, width)
+        for s in batch
+    ])
+    out, acts = mlp_forward_cached(hidden, layers[1:])
+    if not np.isfinite(out).all():
+        raise RuntimeError("non-finite affinity score")
+    splits = np.cumsum([s.prev.count * s.cur.count for s in batch])[:-1]
     sums = np.zeros(4)
-    acc = [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
+    d_scores = []
     d_dummy = 0.0
-    for sample in batch:
-        losses, layer_grads, dd = _pair_loss_and_grads(model, sample)
+    for s, scores in zip(batch, np.split(out[:, 0], splits)):
+        cp, cc = s.prev.count, s.cur.count
+        aff = augment_and_softmax(scores.reshape(cp, cc), model.dummy_score)
+        losses = loss_breakdown(aff, s.gt)
+        if not np.isfinite(losses.total):
+            raise RuntimeError("non-finite loss")
         sums += (losses.l_f, losses.l_b, losses.l_c, losses.l_a)
-        for k, (dW, db) in enumerate(layer_grads):
-            acc[k] = (acc[k][0] + dW, acc[k][1] + db)
-        d_dummy += dd
+        grads = loss_gradients(aff.m1, aff.m2, s.gt, dummy_score=model.dummy_score)
+        d_scores.append((grads.d_m1[:, :cc] + grads.d_m2[:cp, :]).reshape(-1, 1))
+        d_dummy += grads.d_dummy
+    rest_grads, d_hidden = mlp_backward(acts, layers[1:], np.concatenate(d_scores))
+    d_z = d_hidden * (hidden > 0.0)
+    # d(pair (i, j))/dW1 is dz_ij [prev_i; cur_j]^T, summed per feature row
+    d = w_prev.shape[0]
+    d_w1 = np.zeros_like(layers[0][0])
+    for s, dz in zip(batch, np.split(d_z, splits)):
+        dz = dz.reshape(s.prev.count, s.cur.count, width)
+        d_w1[:, :d] += dz.sum(axis=1).T @ s.prev.features
+        d_w1[:, d:] += dz.sum(axis=0).T @ s.cur.features
+    layer_grads = ((d_w1, d_z.sum(axis=0)),) + rest_grads
     n = len(batch)
     lr = cfg.learning_rate
     new_layers = tuple(
         (W - lr * dW / n, b - lr * db / n)
-        for (W, b), (dW, db) in zip(layers, acc)
+        for (W, b), (dW, db) in zip(layers, layer_grads)
     )
     for W, b in new_layers:
         if not (np.isfinite(W).all() and np.isfinite(b).all()):
@@ -123,13 +128,8 @@ def train_step(
     new_dummy = model.dummy_score - lr * d_dummy / n
     if not np.isfinite(new_dummy):
         raise RuntimeError("training diverged: non-finite dummy score")
-    mean = sums / n
-    losses = LossBreakdown(
-        mean[0], mean[1], mean[2], mean[3],
-        (mean[0] + mean[1] + mean[2] + mean[3]) / 4.0,
-    )
-    net = CompressionNet(new_layers)
-    return model.with_compression(net, new_dummy), losses
+    losses = loss_total(*(sums / n))
+    return model.with_compression(CompressionNet(new_layers), new_dummy), losses
 
 
 def training_pairs(
@@ -138,14 +138,13 @@ def training_pairs(
     """All candidate PairSamples for the configured frame gaps.
 
     Features are computed once per frame with the frozen featurizer and
-    the tracker's cropping defaults, so training sees exactly what the
+    the tracker's default crop size, so training sees exactly what the
     tracker will see.
     """
-    crop_defaults = TrackerConfig(seed=cfg.seed)
     frames = [load_admitted_frame(src, i) for i in range(src.frame_count)]
     feats = [
         featurize_frame(
-            crop_frame(f, P=crop_defaults.points_per_object, seed=cfg.seed),
+            crop_frame(f, P=DEFAULT_POINTS_PER_OBJECT, seed=cfg.seed),
             model.pointnet,
             frame_index=f.index,
             threads=threads,

@@ -9,12 +9,18 @@ from cloudtrack.affinity import (
     augment_and_softmax,
     compression_forward,
 )
+from cloudtrack.model import init_model
 from cloudtrack.nets import init_layers, relu
 from cloudtrack.pointnet import FeatureSet
 
 
 def tiny_net(rng, in_dim=4):
     return CompressionNet(init_layers((in_dim, 3, 3, 2, 2, 1), rng))
+
+
+def real_net():
+    """The default 1024-512-256-128-64-1 stack, for 512-wide features."""
+    return init_model(seed=3).compression
 
 
 def cell_score(net, cell):
@@ -65,23 +71,27 @@ class TestCompressionForward:
 
     def test_prev_permutation_permutes_rows_bitwise(self):
         rng = np.random.default_rng(205)
-        net = tiny_net(rng)
-        rows = rng.normal(size=(4, 2))
-        cur = rng.normal(size=(3, 2))
-        perm = np.array([2, 0, 3, 1])
-        m = compression_forward(rows, cur, net)
-        mp = compression_forward(rows[perm], cur, net)
-        assert mp.tobytes() == m[perm].tobytes()
+        cases = [
+            (tiny_net(rng), rng.normal(size=(4, 2)), rng.normal(size=(3, 2))),
+            (real_net(), rng.normal(size=(37, 512)), rng.normal(size=(61, 512))),
+        ]
+        for net, rows, cur in cases:
+            perm = rng.permutation(len(rows))
+            m = compression_forward(rows, cur, net)
+            mp = compression_forward(rows[perm], cur, net)
+            assert mp.tobytes() == m[perm].tobytes()
 
     def test_thread_count_never_changes_bits(self):
         rng = np.random.default_rng(206)
-        net = tiny_net(rng)
-        prev = rng.normal(size=(5, 2))
-        cur = rng.normal(size=(6, 2))
-        base = compression_forward(prev, cur, net, threads=1)
-        for threads in (2, 3, 8):
-            got = compression_forward(prev, cur, net, threads=threads)
-            assert got.tobytes() == base.tobytes()
+        cases = [
+            (tiny_net(rng), rng.normal(size=(5, 2)), rng.normal(size=(6, 2))),
+            (real_net(), rng.normal(size=(37, 512)), rng.normal(size=(61, 512))),
+        ]
+        for net, prev, cur in cases:
+            base = compression_forward(prev, cur, net, threads=1)
+            for threads in (2, 3, 8):
+                got = compression_forward(prev, cur, net, threads=threads)
+                assert got.tobytes() == base.tobytes()
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(207)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from cloudtrack.cli import run
+from cloudtrack.cli import build_parser, run
 from cloudtrack.model import init_model, save_model
 from cloudtrack.sequence_io import load_frame, open_sequence, write_sequence_meta
 
@@ -278,13 +278,12 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "1/1 trials passed" in proc.stdout
 
-    def test_threads_env_fallback(self, monkeypatch):
-        from cloudtrack.cli import default_threads
-
+    def test_threads_default_is_one(self, monkeypatch):
+        # the environment no longer selects a thread count
         monkeypatch.setenv("PCDAN_THREADS", "3")
-        assert default_threads() == 3
-        monkeypatch.setenv("PCDAN_THREADS", "zero")
-        with pytest.raises(ValueError):
-            default_threads()
-        monkeypatch.delenv("PCDAN_THREADS")
-        assert default_threads() >= 1
+        parser = build_parser()
+        for argv in (
+            ["train", "--seq", "s", "--out", "w.bin"],
+            ["track", "--seq", "s", "--weights", "w.bin", "--out", "t.csv"],
+        ):
+            assert parser.parse_args(argv).threads == 1

@@ -175,6 +175,24 @@ class TestPerturb:
                 assert a.gt_id == b.gt_id
                 assert np.array_equal(a.box.center, b.box.center)
 
+    def test_false_positives_spread_over_the_scene(self, tmp_path):
+        cfg = SynthConfig(
+            n_objects=10, n_frames=3, seed=17, points_per_object=20,
+            arena=(100.0, 100.0),
+        )
+        noisy = perturb(generate(cfg, tmp_path / "c"), fp_rate=1.0, seed=17,
+                        out_dir=tmp_path / "n")
+        reach = 0.0
+        for f in range(noisy.frame_count):
+            frame = load_frame(noisy, f)
+            half = np.abs(frame.cloud.points[:, :2]).max(axis=0)
+            for det in frame.detections:
+                if det.gt_id is None:
+                    xy = np.abs(det.box.center[:2])
+                    assert (xy <= half).all()
+                    reach = max(reach, xy.max())
+        assert reach > 30.0
+
     def test_drop_rate_one_removes_everything(self, small_scene, tmp_path):
         cfg, src = small_scene
         noisy = perturb(src, fn_rate=1.0, seed=15, out_dir=tmp_path / "n")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cloudtrack.losses import loss_breakdown
+from cloudtrack.losses import build_gt, loss_breakdown, loss_gradients
 from cloudtrack.model import init_model, load_model
 from cloudtrack.affinity import augment_and_softmax
+from cloudtrack.pointnet import FeatureSet
 from cloudtrack.nets import (
     init_layers,
     mlp_backward,
@@ -34,21 +35,24 @@ class TestMlpBackward:
             return float((mlp_forward(x, ls) * coef).sum())
 
         out, acts = mlp_forward_cached(x, layers)
-        grads = mlp_backward(acts, layers, coef)
+        grads, d_x = mlp_backward(acts, layers, coef)
+        assert d_x.shape == x.shape
+        checks = [(x, d_x)]
+        for (W, b), (dW, db) in zip(layers, grads):
+            checks += [(W, dW), (b, db)]
         h = 1e-6
-        for k, (W, b) in enumerate(layers):
-            for arr, g in ((W, grads[k][0]), (b, grads[k][1])):
-                flat = arr.reshape(-1)
-                for idx in range(flat.size):
-                    keep = flat[idx]
-                    flat[idx] = keep + h
-                    up = objective(layers)
-                    flat[idx] = keep - h
-                    down = objective(layers)
-                    flat[idx] = keep
-                    fd = (up - down) / (2 * h)
-                    ref = g.reshape(-1)[idx]
-                    assert abs(ref - fd) <= 1e-6 * max(1.0, abs(fd))
+        for arr, g in checks:
+            flat = arr.reshape(-1)
+            for idx in range(flat.size):
+                keep = flat[idx]
+                flat[idx] = keep + h
+                up = objective(layers)
+                flat[idx] = keep - h
+                down = objective(layers)
+                flat[idx] = keep
+                fd = (up - down) / (2 * h)
+                ref = g.reshape(-1)[idx]
+                assert abs(ref - fd) <= 1e-6 * max(1.0, abs(fd))
 
     def test_cached_forward_matches_plain(self):
         rng = np.random.default_rng(32)
@@ -71,23 +75,74 @@ def scene(tmp_path_factory):
     return generate(cfg, tmp_path_factory.mktemp("train-scene"))
 
 
+def pair_cells(sample):
+    """Every (previous, current) feature pair concatenated, row-major."""
+    prev, cur = sample.prev.features, sample.cur.features
+    return np.hstack([np.repeat(prev, len(cur), axis=0), np.tile(cur, (len(prev), 1))])
+
+
 def batch_loss(model, batch):
     totals = []
     for sample in batch:
-        prev, cur = sample.prev.features, sample.cur.features
-        cp, cc = len(prev), len(cur)
-        m = np.zeros((cp, cc))
-        if cp and cc:
-            cells = np.empty((cp * cc, 2 * sample.prev.dim))
-            cells[:, : sample.prev.dim] = np.repeat(prev, cc, axis=0)
-            cells[:, sample.prev.dim:] = np.tile(cur, (cp, 1))
-            m = mlp_forward(cells, model.compression.layers).reshape(cp, cc)
+        cp, cc = sample.prev.count, sample.cur.count
+        m = mlp_forward(pair_cells(sample), model.compression.layers).reshape(cp, cc)
         aff = augment_and_softmax(m, model.dummy_score)
         totals.append(loss_breakdown(aff, sample.gt).total)
     return float(np.mean(totals))
 
 
+def explicit_cell_step(model, batch, lr):
+    """Reference update: every pair concatenated into one 2D-wide cell."""
+    layers = model.compression.layers
+    acc = [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
+    d_dummy = 0.0
+    for sample in batch:
+        cp, cc = sample.prev.count, sample.cur.count
+        out, acts = mlp_forward_cached(pair_cells(sample), layers)
+        aff = augment_and_softmax(out.reshape(cp, cc), model.dummy_score)
+        g = loss_gradients(aff.m1, aff.m2, sample.gt, dummy_score=model.dummy_score)
+        d_m = g.d_m1[:, :cc] + g.d_m2[:cp, :]
+        grads, _ = mlp_backward(acts, layers, d_m.reshape(-1, 1))
+        acc = [(aW + dW, ab + db) for (aW, ab), (dW, db) in zip(acc, grads)]
+        d_dummy += g.d_dummy
+    n = len(batch)
+    new_layers = [
+        (W - lr * dW / n, b - lr * db / n) for (W, b), (dW, db) in zip(layers, acc)
+    ]
+    return new_layers, model.dummy_score - lr * d_dummy / n
+
+
 class TestTrainStep:
+    def test_matches_explicit_cell_oracle(self):
+        model = init_model(
+            seed=33, pointnet_widths=(3, 4, 3), compression_widths=(6, 5, 4, 3, 2, 1)
+        )
+        model = model.with_compression(model.compression, 0.3)
+        rng = np.random.default_rng(33)
+        links = [
+            ([1, 2, 3], [2, None, 1, 4]),
+            ([], [5]),
+            ([7, None], [7]),
+            ([8, 9], [9, 8]),
+        ]
+        batch = [
+            PairSample(
+                FeatureSet(rng.normal(size=(len(p), 3))),
+                FeatureSet(rng.normal(size=(len(c), 3))),
+                build_gt(p, c),
+            )
+            for p, c in links
+        ]
+        lr = 1.0
+        updated, _ = train_step(model, batch, TrainConfig(steps=1, learning_rate=lr))
+        want_layers, want_dummy = explicit_cell_step(model, batch, lr)
+        for (W, b), (w_ref, b_ref) in zip(updated.compression.layers, want_layers):
+            assert np.abs(W - w_ref).max() < 1e-12
+            assert np.abs(b - b_ref).max() < 1e-12
+        assert abs(updated.dummy_score - want_dummy) < 1e-12
+        changed = updated.compression.layers[0][0] - model.compression.layers[0][0]
+        assert np.abs(changed).max() > 1e-3
+
     def test_fixed_batch_descends(self, scene):
         model = init_model(seed=7)
         cfg = TrainConfig(steps=1, learning_rate=1e-4)
