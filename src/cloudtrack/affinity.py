@@ -15,7 +15,6 @@ of the (cp+1) x cc matrix M2 gives the backward association A2.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,25 +80,16 @@ class AffinityMatrices:
     a2_trim: np.ndarray
 
 
-def _parallel_rows(fn, n: int, threads: int) -> None:
-    # fixed per-row work units, so results never depend on the pool size
-    if threads <= 1 or n <= 1:
-        for i in range(n):
-            fn(i)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fn, range(n)))
-
-
 def compression_forward(
-    prev: np.ndarray, cur: np.ndarray, net: CompressionNet, threads: int = 1
+    prev: np.ndarray, cur: np.ndarray, net: CompressionNet
 ) -> np.ndarray:
     """Score every (previous row, current row) feature pair; cp x cc.
 
     The current features are projected through their half of the first
-    layer once.  Each previous row is then one work unit (its projection
+    layer once.  Each previous row then runs on its own (its projection
     plus layers 2-5), so a row's scores depend only on that row and the
-    current features, never on the other rows or the thread count.
+    current features, never on the other rows: permuting the previous
+    rows permutes the output rows bitwise.
     """
     prev = np.asarray(prev, dtype=np.float64)
     cur = np.asarray(cur, dtype=np.float64)
@@ -115,12 +105,9 @@ def compression_forward(
     if cp and cc:
         w_prev, w_cur, b1 = net.split_first_layer()
         cur_half = cur @ w_cur + b1
-
-        def score_row(i):
+        for i in range(cp):
             hidden = relu(prev[i] @ w_prev + cur_half)
             m[i] = mlp_forward(hidden, net.layers[1:])[:, 0]
-
-        _parallel_rows(score_row, cp, threads)
     return m
 
 
@@ -177,10 +164,8 @@ def affinity_from_features(
     cur: FeatureSet,
     net: CompressionNet,
     dummy_score: float,
-    threads: int = 1,
 ) -> AffinityMatrices:
     """Full affinity head for one frame pair."""
     return augment_and_softmax(
-        compression_forward(prev.features, cur.features, net, threads),
-        dummy_score,
+        compression_forward(prev.features, cur.features, net), dummy_score
     )

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .affinity import AffinityMatrices, affinity_from_features
-from .cropping import DEFAULT_POINTS_PER_OBJECT, crop_frame
+from .cropping import crop_frame
 from .geometry import Detection, Frame
 from .model import AffinityModel
 from .pointnet import featurize_frame
@@ -52,17 +52,11 @@ class AssignmentResult:
 @dataclass(frozen=True)
 class TrackerConfig:
     birth_threshold: float = DEFAULT_BIRTH_THRESHOLD
-    points_per_object: int = DEFAULT_POINTS_PER_OBJECT
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.birth_threshold <= 1.0:
             raise ValueError("birth_threshold must be in [0, 1]")
-        if self.points_per_object < 1:
-            raise ValueError("points_per_object must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 class TrackEntry(NamedTuple):
@@ -186,9 +180,8 @@ def track_sequence(
     started = time.perf_counter()
     for index in range(src.frame_count):
         frame = load_admitted_frame(src, index)
-        crops = crop_frame(frame, P=cfg.points_per_object, seed=cfg.seed)
         fs = featurize_frame(
-            crops, model.pointnet, frame_index=index, threads=cfg.threads
+            crop_frame(frame, seed=cfg.seed), model.pointnet, frame_index=index
         )
         if prev_fs is None:
             result = AssignmentResult(
@@ -196,7 +189,7 @@ def track_sequence(
             )
         else:
             aff = affinity_from_features(
-                prev_fs, fs, model.compression, model.dummy_score, threads=cfg.threads
+                prev_fs, fs, model.compression, model.dummy_score
             )
             result = solve_assignment(score_matrix(aff), cfg.birth_threshold)
         ts = update_tracks(ts, result, frame)

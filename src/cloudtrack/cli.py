@@ -5,8 +5,9 @@ affinity head), track (run the tracker over a sequence), eval (score
 tracks against ground truth), losscheck (gradient and loss-identity
 verification).  Exit codes: 0 success, 1 runtime failure, 2 usage
 error.  stdout carries machine-parseable data only; diagnostics go to
-stderr.  Every subcommand is deterministic given --seed; --threads
-never changes any output byte.
+stderr.  Every subcommand is deterministic given --seed.  train and
+track still accept --threads, but ignore it: the pipeline runs on one
+serial path.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _add_threads_flag(sub) -> None:
         "--threads",
         type=_positive_int,
         default=1,
-        help="worker threads (default: 1)",
+        help="ignored; kept so existing scripts still parse (default: 1)",
     )
 
 
@@ -178,13 +179,7 @@ def cmd_train(args) -> int:
         batch_pairs=args.batch_pairs,
         seed=args.seed,
     )
-    _, log = train(
-        src,
-        cfg,
-        weights_out=args.out,
-        log_out=args.log,
-        threads=args.threads,
-    )
+    _, log = train(src, cfg, weights_out=args.out, log_out=args.log)
     final = float(log[-1].total) if log else float("nan")
     print(f"weights={args.out} steps={cfg.steps} final_total={final!r}")
     return 0
@@ -195,11 +190,7 @@ def cmd_track(args) -> int:
         args.seq, IngestConfig(confidence_threshold=args.conf_threshold)
     )
     model = load_model(args.weights)
-    cfg = TrackerConfig(
-        birth_threshold=args.birth_threshold,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    cfg = TrackerConfig(birth_threshold=args.birth_threshold, seed=args.seed)
     timing: dict = {}
     ts = track_sequence(src, model, cfg, timing=timing)
     write_tracks_csv(args.out, ts)

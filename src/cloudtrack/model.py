@@ -67,7 +67,7 @@ def save_model(model: AffinityModel, path) -> None:
 
 
 def load_model(path) -> AffinityModel:
-    """Read a full model file (both sections required)."""
+    """Read a full model file (both sections required, nothing after)."""
     buf = Path(path).read_bytes()
     origin = str(path)
     pn_layers, offset = unpack_layers(buf, 0, MAGIC_POINTNET, origin)
@@ -75,6 +75,9 @@ def load_model(path) -> AffinityModel:
     if offset + 4 > len(buf):
         raise ValueError(f"{origin}: truncated at byte {offset}")
     (dummy,) = struct.unpack_from("<f", buf, offset)
+    extra = len(buf) - (offset + 4)
+    if extra:
+        raise ValueError(f"{origin}: {extra} trailing bytes after the dummy score")
     return AffinityModel(
         pointnet=PointNetWeights(pn_layers),
         compression=CompressionNet(cmp_layers),

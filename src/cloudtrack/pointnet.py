@@ -11,7 +11,6 @@ features are one row per object, in detection order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,26 +77,13 @@ def pointnet_forward(obj: ObjectPoints, w: PointNetWeights) -> np.ndarray:
     return mlp_forward(pts, w.layers).max(axis=0)
 
 
-def featurize_frame(
-    objs,
-    w: PointNetWeights,
-    frame_index: int = 0,
-    threads: int = 1,
-) -> FeatureSet:
+def featurize_frame(objs, w: PointNetWeights, frame_index: int = 0) -> FeatureSet:
     """Featurize each object into its own row, in input order.
 
-    Each row is one work unit, so results never depend on threads.
+    Each row depends only on its own object's points.
     """
     objs = tuple(objs)
     feats = np.zeros((len(objs), w.feature_dim))
-
-    def fill(slot: int) -> None:
-        feats[slot] = pointnet_forward(objs[slot], w)
-
-    if threads > 1 and len(objs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(objs))))
-    else:
-        for slot in range(len(objs)):
-            fill(slot)
+    for slot, obj in enumerate(objs):
+        feats[slot] = pointnet_forward(obj, w)
     return FeatureSet(feats, frame_index)

@@ -7,8 +7,9 @@ A sequence directory looks like::
       frames/<i>.xyz       # raw little-endian float32 xyz triples
       detections/<i>.csv   # header: frame,conf,cx,cy,cz,l,w,h,yaw[,gt_id]
 
-Frame files are indexed 0..frame_count-1 with no zero padding.  The gt_id
-column is optional; when present, an empty field means "no identity"
+Frame files are indexed 0..frame_count-1 with no zero padding, and every
+row's frame field must be its file's index, written as in the file name.
+The gt_id column is optional; when present, an empty field means "no identity"
 (used for injected false detections).  All multi-byte binary values are
 little-endian.  Floats in CSV files are written with shortest round-trip
 formatting, so a load/write cycle of canonical files is byte identical.
@@ -102,11 +103,17 @@ def _parse_points(path: Path) -> np.ndarray:
     return pts
 
 
-def _parse_detection_row(path: Path, lineno: int, row: str, has_gt: bool) -> Detection:
+def _parse_detection_row(
+    path: Path, lineno: int, row: str, has_gt: bool, frame_index: int
+) -> Detection:
     fields = row.split(",")
     expected = 10 if has_gt else 9
     if len(fields) != expected:
         raise ValueError(f"{path}:{lineno}: expected {expected} fields, got {len(fields)}")
+    if fields[0] != str(frame_index):
+        raise ValueError(
+            f"{path}:{lineno}: frame field {fields[0]!r} in the file of frame {frame_index}"
+        )
     try:
         values = [float(v) for v in fields[1:9]]
     except ValueError as exc:
@@ -127,7 +134,7 @@ def _parse_detection_row(path: Path, lineno: int, row: str, has_gt: bool) -> Det
         raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
-def _parse_detections(path: Path) -> tuple[Detection, ...]:
+def _parse_detections(path: Path, frame_index: int) -> tuple[Detection, ...]:
     text = path.read_text()
     lines = text.splitlines()
     if not lines:
@@ -143,7 +150,7 @@ def _parse_detections(path: Path) -> tuple[Detection, ...]:
     for lineno, row in enumerate(lines[1:], start=2):
         if not row:
             continue
-        out.append(_parse_detection_row(path, lineno, row, has_gt))
+        out.append(_parse_detection_row(path, lineno, row, has_gt, frame_index))
     return tuple(out)
 
 
@@ -156,7 +163,7 @@ def load_frame(src: SequenceSource, index: int) -> Frame:
         if not path.is_file():
             raise FileNotFoundError(f"missing frame file: {path}")
     cloud = PointCloud(_parse_points(ppath), frame_index=index)
-    return Frame(index, cloud, _parse_detections(dpath))
+    return Frame(index, cloud, _parse_detections(dpath, index))
 
 
 def admit_detections(frame: Frame, cfg: IngestConfig) -> Frame:

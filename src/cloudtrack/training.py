@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .affinity import CompressionNet, augment_and_softmax
-from .cropping import DEFAULT_POINTS_PER_OBJECT, crop_frame
+from .cropping import crop_frame
 from .losses import (
     GroundTruthAssignment,
     LossBreakdown,
@@ -133,21 +133,18 @@ def train_step(
 
 
 def training_pairs(
-    src: SequenceSource, model: AffinityModel, cfg: TrainConfig, threads: int = 1
+    src: SequenceSource, model: AffinityModel, cfg: TrainConfig
 ) -> tuple:
     """All candidate PairSamples for the configured frame gaps.
 
     Features are computed once per frame with the frozen featurizer and
-    the tracker's default crop size, so training sees exactly what the
+    the same crop call as the tracker, so training sees exactly what the
     tracker will see.
     """
     frames = [load_admitted_frame(src, i) for i in range(src.frame_count)]
     feats = [
         featurize_frame(
-            crop_frame(f, P=DEFAULT_POINTS_PER_OBJECT, seed=cfg.seed),
-            model.pointnet,
-            frame_index=f.index,
-            threads=threads,
+            crop_frame(f, seed=cfg.seed), model.pointnet, frame_index=f.index
         )
         for f in frames
     ]
@@ -175,12 +172,11 @@ def train(
     model: AffinityModel | None = None,
     weights_out=None,
     log_out=None,
-    threads: int = 1,
 ) -> tuple[AffinityModel, tuple[LossBreakdown, ...]]:
     """Run the descent loop; optionally write the model and the loss log."""
     if model is None:
         model = init_model(cfg.seed)
-    pool = training_pairs(src, model, cfg, threads=threads)
+    pool = training_pairs(src, model, cfg)
     rng = np.random.default_rng(cfg.seed)
     log = []
     for step in range(cfg.steps):

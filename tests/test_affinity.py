@@ -81,18 +81,6 @@ class TestCompressionForward:
             mp = compression_forward(rows[perm], cur, net)
             assert mp.tobytes() == m[perm].tobytes()
 
-    def test_thread_count_never_changes_bits(self):
-        rng = np.random.default_rng(206)
-        cases = [
-            (tiny_net(rng), rng.normal(size=(5, 2)), rng.normal(size=(6, 2))),
-            (real_net(), rng.normal(size=(37, 512)), rng.normal(size=(61, 512))),
-        ]
-        for net, prev, cur in cases:
-            base = compression_forward(prev, cur, net, threads=1)
-            for threads in (2, 3, 8):
-                got = compression_forward(prev, cur, net, threads=threads)
-                assert got.tobytes() == base.tobytes()
-
     def test_width_mismatch(self):
         rng = np.random.default_rng(207)
         net = tiny_net(rng, in_dim=6)

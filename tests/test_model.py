@@ -83,3 +83,21 @@ class TestModelFile:
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(ValueError, match="truncated"):
             load_model(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        a = init_model(seed=16, pointnet_widths=(3, 4),
+                       compression_widths=(8, 4, 4, 2, 2, 1))
+        b = init_model(seed=17, pointnet_widths=(3, 4),
+                       compression_widths=(8, 4, 4, 2, 2, 1))
+        pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_model(a, pa)
+        save_model(b, pb)
+        both = tmp_path / "both.bin"
+        both.write_bytes(pa.read_bytes() + pb.read_bytes())
+        extra = pb.stat().st_size
+        message = f"{extra} trailing bytes after the dummy score"
+        with pytest.raises(ValueError, match=message):
+            load_model(both)
+        pa.write_bytes(pa.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            load_model(pa)

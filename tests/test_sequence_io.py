@@ -108,6 +108,34 @@ class TestLoadFrame:
         with pytest.raises(ValueError, match=":2"):
             load_frame(open_sequence(tmp_path), 0)
 
+    def test_non_integer_frame_field_rejected(self, tmp_path):
+        write_sequence_meta(tmp_path, 4)
+        for i in range(4):
+            write_frame(tmp_path, Frame(i, PointCloud(np.empty((0, 3)), i), ()))
+        (tmp_path / "detections" / "3.csv").write_text(
+            DETECTION_HEADER + "\n3,0.9,1.0,2.0,0.5,4.0,1.8,1.6,0.1\n"
+            "oops,0.9,1.0,2.0,0.5,4.0,1.8,1.6,0.1\n"
+        )
+        src = open_sequence(tmp_path)
+        with pytest.raises(
+            ValueError, match=r"3\.csv:3: frame field 'oops' in the file of frame 3"
+        ):
+            load_frame(src, 3)
+
+    def test_frame_field_must_match_file_index(self, tmp_path):
+        write_sequence_meta(tmp_path, 4)
+        for i in range(4):
+            write_frame(tmp_path, Frame(i, PointCloud(np.empty((0, 3)), i), ()))
+        (tmp_path / "detections" / "3.csv").write_text(
+            DETECTION_HEADER + "\n2,0.9,1.0,2.0,0.5,4.0,1.8,1.6,0.1\n"
+        )
+        src = open_sequence(tmp_path)
+        with pytest.raises(
+            ValueError, match=r"3\.csv:2: frame field '2' in the file of frame 3"
+        ):
+            load_frame(src, 3)
+        assert load_frame(src, 2).detections == ()
+
     def test_non_finite_coordinate_rejected(self, tmp_path):
         write_sequence_meta(tmp_path, 1)
         (tmp_path / "frames").mkdir()
