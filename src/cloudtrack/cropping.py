@@ -6,19 +6,31 @@ fixed count P.  Fewer than P interior points are zero-padded; more than
 P are thinned by seeded uniform sampling without replacement, keeping
 source order.  Selection depends only on (seed, frame index, slot), so
 crops are reproducible bit for bit.
+
+A frame is cropped in one x-sorted pass: the cloud is sorted by x once,
+and each box takes as candidates the points whose x lies within its
+footprint's half-diagonal (plus a small margin) of its center.  That
+window is a superset of the box interior, the exact closed-box test runs
+on every candidate, and candidates keep source order, so the crops are
+the same as testing the whole cloud against every box.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Frame, OrientedBox3, PointCloud, box_contains, to_box_frame
+from .geometry import Frame, OrientedBox3, PointCloud, local_inside, to_box_frame
 
 DEFAULT_POINTS_PER_OBJECT = 128
 
 _MASK64 = (1 << 64) - 1
+
+# Relative slack on a box's x-window.  It absorbs the rounding of the
+# rotation and of the center subtraction, which scales with |center x|.
+_WINDOW_MARGIN = 1e-6
 
 
 def _mix64(x: int) -> int:
@@ -60,6 +72,33 @@ class ObjectPoints:
         object.__setattr__(self, "points", pts)
 
 
+def _crop(
+    candidates: np.ndarray,
+    box: OrientedBox3,
+    P: int,
+    seed: int,
+) -> ObjectPoints:
+    """Crop box from candidates: source-ordered points covering its interior."""
+    if P < 1:
+        raise ValueError("P must be >= 1")
+    local = to_box_frame(box, candidates)
+    local = local[local_inside(box, local)]
+    n = len(local)
+    if n > P:
+        rng = np.random.default_rng(seed & _MASK64)
+        local = local[np.sort(rng.permutation(n)[:P])]
+        n = P
+    out = np.zeros((P, 3))
+    out[:n] = local
+    return ObjectPoints(out, n)
+
+
+def _x_reach(box: OrientedBox3) -> float:
+    """Half-width of an x-window around box.center that holds its interior."""
+    half_diagonal = math.hypot(box.length, box.width) / 2.0
+    return half_diagonal + _WINDOW_MARGIN * (half_diagonal + abs(box.center[0]))
+
+
 def crop_object(
     cloud: PointCloud,
     box: OrientedBox3,
@@ -67,21 +106,7 @@ def crop_object(
     seed: int = 0,
 ) -> ObjectPoints:
     """Collect the cloud points inside box, in the box-local frame."""
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    out = np.zeros((P, 3))
-    if len(cloud) == 0:
-        return ObjectPoints(out, 0)
-    inside = cloud.points[box_contains(box, cloud.points)]
-    n = len(inside)
-    if n > P:
-        rng = np.random.default_rng(seed & _MASK64)
-        keep = np.sort(rng.permutation(n)[:P])
-        inside = inside[keep]
-        n = P
-    if n:
-        out[:n] = to_box_frame(box, inside)
-    return ObjectPoints(out, n)
+    return _crop(cloud.points, box, P, seed)
 
 
 def crop_frame(
@@ -89,8 +114,20 @@ def crop_frame(
     P: int = DEFAULT_POINTS_PER_OBJECT,
     seed: int = 0,
 ) -> tuple[ObjectPoints, ...]:
-    """Crop every detection of an admitted frame, in detection order."""
-    return tuple(
-        crop_object(frame.cloud, det.box, P, slot_seed(seed, frame.index, slot))
-        for slot, det in enumerate(frame.detections)
-    )
+    """Crop every detection of an admitted frame, in detection order.
+
+    The cloud is sorted by x once; each box tests only the points in its
+    x-window, a superset of its interior taken back to source order, so
+    every crop equals crop_object on the whole cloud with the slot's seed.
+    """
+    points = frame.cloud.points
+    order = np.argsort(points[:, 0], kind="stable")
+    xs = points[order, 0]
+    crops = []
+    for slot, det in enumerate(frame.detections):
+        x, reach = det.box.center[0], _x_reach(det.box)
+        lo = np.searchsorted(xs, x - reach, side="left")
+        hi = np.searchsorted(xs, x + reach, side="right")
+        window = points[np.sort(order[lo:hi])]
+        crops.append(_crop(window, det.box, P, slot_seed(seed, frame.index, slot)))
+    return tuple(crops)

@@ -120,10 +120,17 @@ def box_contains(box: OrientedBox3, p) -> np.ndarray | bool:
     """
     arr = np.asarray(p, dtype=np.float64)
     single = arr.ndim == 1
-    local = to_box_frame(box, arr)
-    half = box.half_extents
-    inside = (np.abs(local) <= half).all(axis=1)
+    inside = local_inside(box, to_box_frame(box, arr))
     return bool(inside[0]) if single else inside
+
+
+def local_inside(box: OrientedBox3, local: np.ndarray) -> np.ndarray:
+    """Closed-box rule on (n, 3) points already in box's local frame.
+
+    This is the one place that decides "inside": a point is inside when
+    every local coordinate is within the half extents, boundary included.
+    """
+    return (np.abs(local) <= box.half_extents).all(axis=1)
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,10 @@ def open_sequence(root, config: IngestConfig | None = None) -> SequenceSource:
         if not sep:
             raise ValueError(f"{meta}:{lineno}: expected key=value, got {line!r}")
         if key == "frame_count":
-            frame_count = int(value)
+            try:
+                frame_count = int(value)
+            except ValueError:
+                raise ValueError(f"{meta}:{lineno}: bad frame_count {value!r}") from None
         elif key == "name":
             name = value
     if frame_count is None or frame_count < 0:

@@ -1,5 +1,6 @@
 """Object cropping: containment filter, local frame, seeded thinning."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,13 @@ from cloudtrack.geometry import (
 
 def unit_box(center=(0.0, 0.0, 0.0), yaw=0.0):
     return OrientedBox3(np.asarray(center, dtype=float), 1.0, 1.0, 1.0, yaw)
+
+
+def ulps_from(value, steps):
+    """The float `steps` representable values above value (below if negative)."""
+    for _ in range(abs(steps)):
+        value = np.nextafter(value, math.copysign(math.inf, steps))
+    return float(value)
 
 
 class TestCropObject:
@@ -97,14 +105,81 @@ class TestCropFrame:
         frame = Frame(0, PointCloud(np.empty((0, 3)), 0), ())
         assert crop_frame(frame, P=8, seed=0) == ()
 
-    def test_slot_order_matches_detections(self):
+    def _equivalence_frames(self):
+        """Frames whose crops must match per-slot crop_object byte for byte."""
         rng = np.random.default_rng(91)
-        frame = self._frame(rng, 3)
-        crops = crop_frame(frame, P=16, seed=0)
-        assert len(crops) == 3
-        for slot, (det, crop) in enumerate(zip(frame.detections, crops)):
-            solo = crop_object(frame.cloud, det.box, P=16, seed=slot_seed(0, 0, slot))
-            assert crop.points.tobytes() == solo.points.tobytes()
+        yield "unit boxes", self._frame(rng, 3)
+
+        # dense cloud; boxes at yaw 0, +-pi/4, pi/2 and a random yaw, in both
+        # a long and a wide shape, so the x-extent is not just length / 2
+        pts = rng.uniform([-12, -12, -2], [12, 12, 2], size=(6000, 3))
+        yaws = (0.0, math.pi / 4, -math.pi / 4, math.pi / 2, rng.uniform(-math.pi, math.pi))
+        boxes = [
+            OrientedBox3(rng.uniform([-9, -9, -0.2], [9, 9, 0.2]), l, w, 1.6, yaw)
+            for yaw in yaws
+            for l, w in ((4.0, 1.5), (1.0, 3.0))
+        ]
+        yield "dense", self._frame_of(pts, boxes)
+
+        # points exactly on the faces, edges and corners of boxes at many yaws,
+        # including yaws that put a footprint diagonal along x, where a corner
+        # sits exactly at the half-diagonal from the center
+        grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
+        boxes, pts = [], []
+        fixed_yaws = (0.0, math.pi / 4, -math.pi / 4, math.pi / 2)
+        for k in range(60):
+            l, w, h = rng.uniform(0.5, 5.0, size=3)
+            if k < len(fixed_yaws):
+                yaw = fixed_yaws[k]
+            elif k < 30:
+                yaw = math.atan2(w, l) * (-1) ** k
+            else:
+                yaw = rng.uniform(-math.pi, math.pi)
+            box = OrientedBox3([8.0 * k, rng.uniform(-30, 30), 1.0], l, w, h, yaw)
+            boxes.append(box)
+            pts.append(from_box_frame(box, grid * box.half_extents))
+        yield "faces and corners", self._frame_of(np.concatenate(pts), boxes)
+
+        # points around the two x-extreme corners, stepped a few ulps outward
+        # in x and to either side in y: rounding in the closed-box test admits
+        # some that lie past the exact x-extent.  Half the boxes put a
+        # diagonal along x, so that extent is the half-diagonal itself.
+        boxes, pts = [], []
+        for k in range(40):
+            l, w, h = rng.uniform(0.5, 5.0, size=3)
+            yaw = math.atan2(w, l) * (-1) ** k if k < 20 else rng.uniform(-math.pi, math.pi)
+            box = OrientedBox3([rng.uniform(-10, 10), 20.0 * k, 0.0], l, w, h, yaw)
+            corners = from_box_frame(box, [[a * l / 2, b * w / 2, 0.0] for a in (-1, 1) for b in (-1, 1)])
+            extent = abs(l / 2 * math.cos(box.yaw)) + abs(w / 2 * math.sin(box.yaw))
+            for side in (-1, 1):
+                corner_y = corners[np.argmax(side * corners[:, 0]), 1]
+                for i, j in itertools.product(range(5), range(-8, 9)):
+                    x = ulps_from(box.center[0] + side * extent, i * side)
+                    pts.append([x, ulps_from(corner_y, j), 0.0])
+            r = math.hypot(l, w) / 2.0
+            for side, rel in itertools.product((-1, 1), (-1e-9, 0.0, 1e-9)):
+                pts.append([box.center[0] + side * r * (1.0 + rel), box.center[1], 0.0])
+            boxes.append(box)
+        yield "window edges", self._frame_of(np.array(pts), boxes)
+
+        # a box far from every point has an empty window
+        pts = rng.uniform(-6, 6, size=(500, 3))
+        yield "empty window", self._frame_of(pts, [unit_box(), unit_box((500.0, 0.0, 0.0))])
+
+        yield "empty cloud", self._frame_of(np.empty((0, 3)), [unit_box(), unit_box((1.0, 2.0, 0.0))])
+
+    def _frame_of(self, pts, boxes):
+        return Frame(0, PointCloud(pts, 0), tuple(Detection(b, 0.9) for b in boxes))
+
+    def test_slot_order_matches_detections(self):
+        for name, frame in self._equivalence_frames():
+            for P in (16, 64):
+                crops = crop_frame(frame, P=P, seed=0)
+                assert len(crops) == len(frame.detections), name
+                for slot, (det, crop) in enumerate(zip(frame.detections, crops)):
+                    solo = crop_object(frame.cloud, det.box, P=P, seed=slot_seed(0, 0, slot))
+                    assert crop.valid_count == solo.valid_count, (name, P, slot)
+                    assert crop.points.tobytes() == solo.points.tobytes(), (name, P, slot)
 
     def test_bitwise_repeatable(self):
         rng = np.random.default_rng(92)

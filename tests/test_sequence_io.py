@@ -247,3 +247,10 @@ class TestRoundTrip:
     def test_open_sequence_reads_name(self, tmp_path):
         write_sequence_meta(tmp_path, 0, name="val-07")
         assert open_sequence(tmp_path).name == "val-07"
+
+    def test_non_integer_frame_count_reports_line(self, tmp_path):
+        meta = tmp_path / "sequence.meta"
+        meta.write_text("name=val-07\nframe_count=two\n")
+        with pytest.raises(ValueError) as info:
+            open_sequence(tmp_path)
+        assert str(info.value) == f"{meta}:2: bad frame_count 'two'"
