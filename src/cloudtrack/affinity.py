@@ -1,21 +1,25 @@
 """Pairwise affinity head: compression net over feature pairs, softmax matrices.
 
 Feature rows from a previous frame (cp objects) and a current frame (cc
-objects) are paired exhaustively, and every pair runs through a shared
+objects) are paired, and each eligible pair runs through a shared
 pointwise compression stack that ends in one scalar, giving the cp x cc
-raw score matrix M.  The stack's first layer acts on the concatenated
-pair [a; b], but it is linear, so W1 [a; b] + b1 = W1[:, :D] a +
-(W1[:, D:] b + b1): each frame's features are projected once and the
-2D-wide concatenated cell is never built.  M is augmented with a
-learned dummy score (an extra column for objects that leave, an extra
-row for objects that enter) and normalized: row softmax of the
-cp x (cc+1) matrix M1 gives the forward association A1, column softmax
-of the (cp+1) x cc matrix M2 gives the backward association A2.
+raw score matrix M.  By default every pair is eligible; the tracker
+passes a motion gate that keeps only the pairs within reach, and every
+other pair scores -inf, so both softmaxes give it exactly zero.  The
+stack's first layer acts on the concatenated pair [a; b], but it is
+linear, so W1 [a; b] + b1 = W1[:, :D] a + (W1[:, D:] b + b1): each
+frame's features are projected once and the 2D-wide concatenated cell
+is never built.  M is augmented with a learned dummy score (an extra
+column for objects that leave, an extra row for objects that enter) and
+normalized: row softmax of the cp x (cc+1) matrix M1 gives the forward
+association A1, column softmax of the (cp+1) x cc matrix M2 gives the
+backward association A2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +64,17 @@ class CompressionNet:
         d = W.shape[1] // 2
         return W[:, :d].T, W[:, d:].T, b
 
+    @cached_property
+    def contiguous_w_prev(self) -> np.ndarray:
+        """split_first_layer's w_prev as a contiguous copy, made once per net.
+
+        The tracker multiplies it by one feature row at a time, and each
+        product streams the whole block, which is faster from contiguous
+        memory.  Copying per frame would cost more than it saves on small
+        scenes, so the copy lives with the (immutable) net.
+        """
+        return np.ascontiguousarray(self.split_first_layer()[0])
+
 
 @dataclass(frozen=True)
 class AffinityMatrices:
@@ -81,15 +96,21 @@ class AffinityMatrices:
 
 
 def compression_forward(
-    prev: np.ndarray, cur: np.ndarray, net: CompressionNet
+    prev: np.ndarray,
+    cur: np.ndarray,
+    net: CompressionNet,
+    eligible: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Score every (previous row, current row) feature pair; cp x cc.
+    """Score the (previous row, current row) feature pairs; cp x cc.
 
-    The current features are projected through their half of the first
+    eligible is a cp x cc boolean mask (default: every pair).  Only
+    eligible cells run through the net; the others score -inf.  The
+    current features are projected through their half of the first
     layer once.  Each previous row then runs on its own (its projection
-    plus layers 2-5), so a row's scores depend only on that row and the
-    current features, never on the other rows: permuting the previous
-    rows permutes the output rows bitwise.
+    plus layers 2-5 over its eligible columns; a row with none skips the
+    net), so a row's scores depend only on that row, its mask row and
+    the current features, never on the other rows: permuting the
+    previous rows and their mask rows permutes the output rows bitwise.
     """
     prev = np.asarray(prev, dtype=np.float64)
     cur = np.asarray(cur, dtype=np.float64)
@@ -101,13 +122,21 @@ def compression_forward(
     if net.in_dim != 2 * d:
         raise ValueError(f"net input width {net.in_dim} != pair width {2 * d}")
     cp, cc = len(prev), len(cur)
-    m = np.empty((cp, cc))
-    if cp and cc:
-        w_prev, w_cur, b1 = net.split_first_layer()
+    if eligible is None:
+        eligible = np.ones((cp, cc), dtype=bool)
+    eligible = np.asarray(eligible, dtype=bool)
+    if eligible.shape != (cp, cc):
+        raise ValueError(f"eligible mask is {eligible.shape}, scores are {(cp, cc)}")
+    m = np.full((cp, cc), -np.inf)
+    if eligible.any():
+        _, w_cur, b1 = net.split_first_layer()
+        w_prev = net.contiguous_w_prev
         cur_half = cur @ w_cur + b1
         for i in range(cp):
-            hidden = relu(prev[i] @ w_prev + cur_half)
-            m[i] = mlp_forward(hidden, net.layers[1:])[:, 0]
+            cols = np.flatnonzero(eligible[i])
+            if len(cols):
+                hidden = relu(prev[i] @ w_prev + cur_half[cols])
+                m[i, cols] = mlp_forward(hidden, net.layers[1:])[:, 0]
     return m
 
 
@@ -131,12 +160,17 @@ def normalize_pair(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def augment_and_softmax(m: np.ndarray, dummy_score: float) -> AffinityMatrices:
-    """Append the dummy column/row to the cp x cc scores and normalize."""
+    """Append the dummy column/row to the cp x cc scores and normalize.
+
+    A -inf score marks a pair that may not link: it gets exactly zero
+    in A1 and A2.  The finite dummy keeps every row and column of the
+    softmax well defined.  NaN, +inf and a non-finite dummy are errors.
+    """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"m must be 2-D, got {m.shape}")
-    if not np.isfinite(m).all() or not np.isfinite(dummy_score):
-        raise ValueError("non-finite affinity score")
+    if np.isnan(m).any() or np.isposinf(m).any() or not np.isfinite(dummy_score):
+        raise ValueError("NaN or +inf affinity score, or non-finite dummy")
     cp, cc = m.shape
 
     m1 = np.empty((cp, cc + 1))
@@ -164,8 +198,9 @@ def affinity_from_features(
     cur: FeatureSet,
     net: CompressionNet,
     dummy_score: float,
+    eligible: np.ndarray | None = None,
 ) -> AffinityMatrices:
-    """Full affinity head for one frame pair."""
+    """Full affinity head for one frame pair, over the eligible pairs."""
     return augment_and_softmax(
-        compression_forward(prev.features, cur.features, net), dummy_score
+        compression_forward(prev.features, cur.features, net, eligible), dummy_score
     )

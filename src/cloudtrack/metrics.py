@@ -83,29 +83,34 @@ def read_center_tracks(path) -> CenterTracks:
 
 def _match_frame(gt_objs, pred_objs, last_match, radius):
     """Greedy continuations first, then gated minimum-distance assignment."""
+    gt_ids = sorted(gt_objs)
+    pred_ids = sorted(pred_objs)
+    if not gt_ids or not pred_ids:
+        return []
+    gt_xyz = np.array([gt_objs[gid] for gid in gt_ids])
+    pred_xyz = np.array([pred_objs[pid] for pid in pred_ids])
+    dist = np.linalg.norm(gt_xyz[:, None, :] - pred_xyz[None, :, :], axis=2)
+    column = {pid: b for b, pid in enumerate(pred_ids)}
     pairs = []
-    used_pred = set()
+    used = np.zeros(len(pred_ids), dtype=bool)
     remaining_gt = []
-    for gid in sorted(gt_objs):
-        pid = last_match.get(gid)
-        if pid is not None and pid in pred_objs and pid not in used_pred:
-            d = float(np.linalg.norm(gt_objs[gid] - pred_objs[pid]))
-            if d <= radius:
-                pairs.append((gid, pid, d))
-                used_pred.add(pid)
-                continue
-        remaining_gt.append(gid)
-    remaining_pred = [pid for pid in sorted(pred_objs) if pid not in used_pred]
-    if remaining_gt and remaining_pred:
-        cost = np.empty((len(remaining_gt), len(remaining_pred)))
-        for a, gid in enumerate(remaining_gt):
-            for b, pid in enumerate(remaining_pred):
-                d = float(np.linalg.norm(gt_objs[gid] - pred_objs[pid]))
-                cost[a, b] = d if d <= radius else _UNMATCHABLE
+    for a, gid in enumerate(gt_ids):
+        b = column.get(last_match.get(gid))
+        if b is not None and not used[b] and dist[a, b] <= radius:
+            pairs.append((gid, pred_ids[b], float(dist[a, b])))
+            used[b] = True
+        else:
+            remaining_gt.append(a)
+    remaining_pred = np.flatnonzero(~used)
+    if remaining_gt and len(remaining_pred):
+        cost = dist[np.ix_(remaining_gt, remaining_pred)]
+        cost[cost > radius] = _UNMATCHABLE
         rows, cols = linear_sum_assignment(cost)
         for a, b in zip(rows, cols):
             if cost[a, b] <= radius:
-                pairs.append((remaining_gt[a], remaining_pred[b], cost[a, b]))
+                pairs.append(
+                    (gt_ids[remaining_gt[a]], pred_ids[remaining_pred[b]], cost[a, b])
+                )
     return pairs
 
 

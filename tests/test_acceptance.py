@@ -1,4 +1,4 @@
-"""Acceptance gate: nine pipeline-level criteria at fixed tolerances.
+"""Acceptance gate: ten pipeline-level criteria at fixed tolerances.
 
 Each test prints exactly one ``criterion N ...: PASS|FAIL`` line (shown
 with ``pytest -s``, or in the captured output of a failing run) and then
@@ -294,6 +294,32 @@ def test_c8_mota_self_consistency():
         ok,
         f"worst identity err {worst:.1e}, swap case IDS {swap.id_switches}, "
         f"MOTA {swap.mota!r}",
+    )
+    assert ok, line
+
+
+def test_c10_dense_scene_tracking(trained_setup, tmp_path):
+    _, _, model, _, _ = trained_setup
+    dense_src = generate(
+        SynthConfig(n_objects=40, n_frames=8, seed=11, arena=(60.0, 60.0)),
+        tmp_path / "dense",
+    )
+    started = time.perf_counter()
+    ts = track_sequence(dense_src, model, TrackerConfig(seed=0))
+    elapsed = time.perf_counter() - started
+    pred_path = tmp_path / "pred.csv"
+    write_tracks_csv(pred_path, ts)
+    report = evaluate(
+        read_center_tracks(dense_src.root / GT_TRACKS_NAME),
+        read_center_tracks(pred_path),
+        match_radius=1.0,
+    )
+    ok = report.mota >= 0.99 and report.id_switches <= 1 and elapsed < 30.0
+    line = verdict(
+        "10 dense tracking",
+        ok,
+        f"40 objects x 8 frames, MOTA {report.mota:.4f}, "
+        f"IDS {report.id_switches}, {elapsed:.2f}s",
     )
     assert ok, line
 

@@ -81,6 +81,41 @@ class TestCompressionForward:
             mp = compression_forward(rows[perm], cur, net)
             assert mp.tobytes() == m[perm].tobytes()
 
+    def test_masked_prev_permutation_permutes_rows_bitwise(self):
+        rng = np.random.default_rng(218)
+        net, rows, cur = real_net(), rng.normal(size=(37, 512)), rng.normal(size=(61, 512))
+        eligible = rng.uniform(size=(37, 61)) < 0.1
+        eligible[5] = False
+        eligible[9] = True
+        perm = rng.permutation(37)
+        m = compression_forward(rows, cur, net, eligible)
+        mp = compression_forward(rows[perm], cur, net, eligible[perm])
+        assert mp.tobytes() == m[perm].tobytes()
+        assert np.isneginf(m[~eligible]).all() and np.isfinite(m[eligible]).all()
+
+    def test_masked_cells_match_oracle(self):
+        rng = np.random.default_rng(219)
+        net = tiny_net(rng)
+        prev = rng.normal(size=(4, 2))
+        cur = rng.normal(size=(5, 2))
+        eligible = rng.uniform(size=(4, 5)) < 0.5
+        eligible[2] = False
+        m = compression_forward(prev, cur, net, eligible)
+        for i in range(4):
+            for j in range(5):
+                if eligible[i, j]:
+                    cell = np.concatenate([prev[i], cur[j]])
+                    assert abs(m[i, j] - cell_score(net, cell)) < 1e-12
+                else:
+                    assert m[i, j] == -np.inf
+
+    def test_mask_shape_must_match(self):
+        rng = np.random.default_rng(220)
+        with pytest.raises(ValueError, match="eligible mask"):
+            compression_forward(
+                np.ones((2, 2)), np.ones((3, 2)), tiny_net(rng), np.ones((3, 2), bool)
+            )
+
     def test_width_mismatch(self):
         rng = np.random.default_rng(207)
         net = tiny_net(rng, in_dim=6)
@@ -157,10 +192,35 @@ class TestAugmentAndSoftmax:
         assert direct.a2.tobytes() == composed.a2.tobytes()
 
     def test_rejects_non_finite(self):
-        m = np.zeros((2, 2))
-        m[0, 0] = np.inf
+        for bad in (np.inf, np.nan):
+            m = np.zeros((2, 2))
+            m[0, 0] = bad
+            with pytest.raises(ValueError):
+                augment_and_softmax(m, 0.0)
         with pytest.raises(ValueError):
-            augment_and_softmax(m, 0.0)
+            augment_and_softmax(np.zeros((2, 2)), np.inf)
+        with pytest.raises(ValueError):
+            augment_and_softmax(np.full((2, 2), -np.inf), -np.inf)
+
+    def test_negative_infinity_gives_exact_zeros(self):
+        rng = np.random.default_rng(221)
+        for _ in range(200):
+            cp, cc = int(rng.integers(0, 9)), int(rng.integers(0, 9))
+            m = rng.normal(size=(cp, cc)) * 3.0
+            gated = rng.uniform(size=(cp, cc)) < 0.5
+            if cp:
+                gated[0] = True
+            m[gated] = -np.inf
+            dummy = float(rng.normal())
+            aff = augment_and_softmax(m, dummy)
+            assert (aff.a1_trim[gated] == 0.0).all()
+            assert (aff.a2_trim[gated] == 0.0).all()
+            assert np.allclose(aff.a1.sum(axis=1), 1.0, atol=1e-9)
+            assert np.allclose(aff.a2.sum(axis=0), 1.0, atol=1e-9)
+            shift = float(rng.uniform(-20.0, 20.0))
+            moved = augment_and_softmax(m + shift, dummy + shift)
+            assert np.abs(moved.a1 - aff.a1).max(initial=0.0) <= 1e-12
+            assert np.abs(moved.a2 - aff.a2).max(initial=0.0) <= 1e-12
 
 
 class TestCompressionNetType:

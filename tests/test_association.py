@@ -17,7 +17,8 @@ from cloudtrack import (
     write_sequence_meta,
     write_tracks_csv,
 )
-from cloudtrack.affinity import augment_and_softmax
+from cloudtrack.affinity import CompressionNet, augment_and_softmax
+from cloudtrack.association import GATE_RADIUS_M, motion_gate
 from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
 
 
@@ -331,3 +332,84 @@ class TestTrackSequence:
             moved.rename(src.root)
         assert after.read_bytes() == before.read_bytes()
         assert after.read_text().count("\n") == 1 + sum(map(len, ts.tracks.values()))
+
+
+class TestMotionGate:
+    def test_radius_is_inclusive_and_scales_with_gap(self):
+        r = GATE_RADIUS_M
+        prev = [[0.0, 0.0, 0.0]]
+        cur = [[r, 0.0, 0.0], [np.nextafter(r, 2 * r), 0.0, 0.0],
+               [0.0, 1.5 * r, 0.0], [0.0, 2 * r, 0.0]]
+        assert motion_gate(prev, cur, 1).tolist() == [[True, False, False, False]]
+        assert motion_gate(prev, cur, 2).tolist() == [[True, True, True, True]]
+
+    def test_xy_distance_ignores_height(self):
+        prev = [[3.0, 4.0, 0.0]]
+        cur = [[3.0 + 0.6 * GATE_RADIUS_M, 4.0 + 0.8 * GATE_RADIUS_M, 50.0]]
+        assert motion_gate(prev, cur, 1).tolist() == [[True]]
+
+    def test_shape_follows_counts(self):
+        assert motion_gate([], [[0.0, 0.0, 0.0]] * 3, 1).shape == (0, 3)
+        assert motion_gate([[0.0, 0.0, 0.0]] * 2, [], 1).shape == (2, 0)
+
+
+GRID = np.array(
+    [(x, y, z) for x in (-0.75, -0.25, 0.25, 0.75)
+     for y in (-0.5, 0.0, 0.5) for z in (-0.5, 0.0, 0.5)]
+)
+
+
+def write_grid_sequence(root, positions):
+    """positions[f] lists (x, y) centers; every object has the same points.
+
+    The grid and the centers are exact binary fractions, so each crop is
+    the same local point set and every object gets the same feature.
+    """
+    root.mkdir(parents=True, exist_ok=True)
+    for f, centers in enumerate(positions):
+        boxes = [box_at(x, y) for x, y in centers]
+        pts = np.vstack([GRID + b.center for b in boxes])
+        write_frame(root, Frame(
+            index=f,
+            cloud=PointCloud(pts),
+            detections=tuple(Detection(b, 1.0) for b in boxes),
+        ))
+    write_sequence_meta(root, len(positions), "grid")
+    return open_sequence(root, IngestConfig(max_objects=8))
+
+
+def constant_net(score):
+    """A compression net that gives every pair the same raw score."""
+    widths = (1024, 512, 256, 128, 64, 1)
+    layers = [(np.zeros((o, i)), np.zeros(o)) for i, o in zip(widths, widths[1:])]
+    layers[-1] = (layers[-1][0], np.array([score]))
+    return CompressionNet(layers)
+
+
+class TestGatedTracking:
+    def test_same_size_objects_keep_ids_when_slots_swap(self, tmp_path):
+        # features tie exactly, so only the positions tell the objects apart
+        src = write_grid_sequence(tmp_path / "seq", [
+            [(0.0, 0.0), (8.0, 0.0)],
+            [(8.25, 0.0), (0.25, 0.0)],
+            [(0.5, 0.0), (8.5, 0.0)],
+        ])
+        base = init_model(seed=5)
+        model = base.with_compression(base.compression, -10.0)
+        ts = track_sequence(src, model, TrackerConfig(seed=1))
+        assert links(ts) == {
+            0: ((0, 0), (1, 1), (2, 0)),
+            1: ((0, 1), (1, 0), (2, 1)),
+        }
+
+    def test_pair_out_of_reach_never_links(self, tmp_path):
+        # object A jumps 1.5 radii; B moves a little.  Every pair scores
+        # 30 against a dummy of 0, so ungated A would link at score ~0.5
+        jump = 1.5 * GATE_RADIUS_M
+        src = write_grid_sequence(tmp_path / "seq", [
+            [(0.0, 0.0), (20.0, 0.0)],
+            [(jump, 0.0), (20.25, 0.0)],
+        ])
+        model = init_model(seed=5).with_compression(constant_net(30.0), 0.0)
+        ts = track_sequence(src, model, TrackerConfig(birth_threshold=0.0, seed=1))
+        assert links(ts) == {0: ((0, 0),), 1: ((0, 1), (1, 1)), 2: ((1, 0),)}

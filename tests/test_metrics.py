@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from test_acceptance import random_mot_scenario
 
+from cloudtrack import metrics
 from cloudtrack.metrics import (
     MotReport,
     evaluate,
@@ -164,6 +167,73 @@ class TestEvaluateProperties:
             noisy_r = evaluate(gt, noisy)
             assert clean_r.mota >= noisy_r.mota
             assert noisy_r.false_pos > clean_r.false_pos
+
+
+def match_frame_loop(gt_objs, pred_objs, last_match, radius):
+    """Reference matcher: one norm per gt/pred pair in a double loop."""
+    pairs = []
+    used_pred = set()
+    remaining_gt = []
+    for gid in sorted(gt_objs):
+        pid = last_match.get(gid)
+        if pid is not None and pid in pred_objs and pid not in used_pred:
+            d = float(np.linalg.norm(gt_objs[gid] - pred_objs[pid]))
+            if d <= radius:
+                pairs.append((gid, pid, d))
+                used_pred.add(pid)
+                continue
+        remaining_gt.append(gid)
+    remaining_pred = [pid for pid in sorted(pred_objs) if pid not in used_pred]
+    if remaining_gt and remaining_pred:
+        cost = np.empty((len(remaining_gt), len(remaining_pred)))
+        for a, gid in enumerate(remaining_gt):
+            for b, pid in enumerate(remaining_pred):
+                d = float(np.linalg.norm(gt_objs[gid] - pred_objs[pid]))
+                cost[a, b] = d if d <= radius else 1e9
+        rows, cols = linear_sum_assignment(cost)
+        for a, b in zip(rows, cols):
+            if cost[a, b] <= radius:
+                pairs.append((remaining_gt[a], remaining_pred[b], cost[a, b]))
+    return pairs
+
+
+def crowded_scenario(rng, n_objects=12, n_frames=10):
+    """Objects within a match radius of each other, ids that swap and drop."""
+    gt_rows, pred_rows = [], []
+    starts = rng.uniform(-2.0, 2.0, size=(n_objects, 3))
+    vels = rng.uniform(-0.3, 0.3, size=(n_objects, 3))
+    for f in range(n_frames):
+        pids = rng.permutation(n_objects) if rng.uniform() < 0.3 else range(n_objects)
+        for k, pid in zip(range(n_objects), pids):
+            c = starts[k] + f * vels[k]
+            gt_rows.append((f, k, *c))
+            if rng.uniform() > 0.15:
+                pred_rows.append((f, int(pid), *(c + rng.normal(size=3) * 0.3)))
+    return tracks(gt_rows), tracks(pred_rows)
+
+
+class TestMatchFrameOracle:
+    """The distance-matrix matcher agrees with the per-pair loop."""
+
+    def assert_same_report(self, monkeypatch, gt, pred):
+        fast = evaluate(gt, pred)
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "_match_frame", match_frame_loop)
+            slow = evaluate(gt, pred)
+        for field in ("false_neg", "false_pos", "id_switches", "matches", "mota"):
+            assert getattr(fast, field) == getattr(slow, field), field
+        assert abs(fast.motp - slow.motp) <= 1e-12
+
+    def test_c8_scenarios(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            self.assert_same_report(monkeypatch, *random_mot_scenario(rng))
+
+    def test_random_and_crowded_scenes(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            self.assert_same_report(monkeypatch, *random_scenario(rng))
+            self.assert_same_report(monkeypatch, *crowded_scenario(rng))
 
 
 class TestReportFormats:
