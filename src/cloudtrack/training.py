@@ -5,10 +5,14 @@ dummy score learn.  Every step samples a batch of frame pairs from a
 labeled sequence (gap drawn from frame_gap_range), pushes the cached
 features through the compression net, and descends the four-part
 association loss.  As in the tracker, the net's first layer projects
-each frame's features once instead of acting on concatenated pairs, and
-its gradient is summed per feature row; layers 2-5 see the whole batch
-in one forward and one backward pass.  Each step reports the loss
-measured before its update, so a shrinking log means the updates help.
+features instead of acting on concatenated pairs: the batch's
+previous-frame features are stacked and projected with one product, and
+so are its current-frame features.  Layers 2-5 see the whole batch in
+one forward and one backward pass.  The first layer's gradient is summed
+per feature row, so each half of it is one low-rank product of the
+stacked row sums with the stacked features, subtracted from a copy of
+W1.  Each step reports the loss measured before its update, so a
+shrinking log means the updates help.
 """
 
 from __future__ import annotations
@@ -73,8 +77,15 @@ def train_step(
 
     The first layer is applied to each frame's features separately: pair
     (i, j) gets the hidden row relu(prev[i] @ w_prev + cur[j] @ w_cur + b1).
-    The hidden rows of every pair in the batch then go through layers 2-5
-    in one forward and one backward pass.
+    The batch's previous-frame features are stacked into one matrix and its
+    current-frame features into another, and each stack is projected with
+    one product; a sample's hidden block is built from its slices of the
+    two projections.  The hidden rows of every pair then go through layers
+    2-5 in one forward and one backward pass.  Back at the first layer, the
+    gradient of pair (i, j) is dz_ij [prev_i; cur_j]^T, so each half of the
+    W1 gradient is one product of the stacked per-row sums of dz with the
+    stacked features, of rank at most the number of rows, and is subtracted
+    from a copy of W1 in place.
     """
     batch = tuple(batch)
     if not batch:
@@ -82,12 +93,15 @@ def train_step(
     layers = model.compression.layers
     w_prev, w_cur, b1 = model.compression.split_first_layer()
     width = len(b1)
+    prev_x = np.concatenate([s.prev.features for s in batch])
+    cur_x = np.concatenate([s.cur.features for s in batch])
+    prev_splits = np.cumsum([s.prev.count for s in batch])[:-1]
+    cur_splits = np.cumsum([s.cur.count for s in batch])[:-1]
+    prev_h = np.split(prev_x @ w_prev, prev_splits)
+    cur_h = np.split(cur_x @ w_cur + b1, cur_splits)
     hidden = np.concatenate([
-        relu(
-            (s.prev.features @ w_prev)[:, None, :]
-            + (s.cur.features @ w_cur + b1)[None, :, :]
-        ).reshape(-1, width)
-        for s in batch
+        relu(p[:, None, :] + c[None, :, :]).reshape(-1, width)
+        for p, c in zip(prev_h, cur_h)
     ])
     out, acts = mlp_forward_cached(hidden, layers[1:])
     if not np.isfinite(out).all():
@@ -108,28 +122,32 @@ def train_step(
         d_dummy += grads.d_dummy
     rest_grads, d_hidden = mlp_backward(acts, layers[1:], np.concatenate(d_scores))
     d_z = d_hidden * (hidden > 0.0)
-    # d(pair (i, j))/dW1 is dz_ij [prev_i; cur_j]^T, summed per feature row
-    d = w_prev.shape[0]
-    d_w1 = np.zeros_like(layers[0][0])
-    for s, dz in zip(batch, np.split(d_z, splits)):
-        dz = dz.reshape(s.prev.count, s.cur.count, width)
-        d_w1[:, :d] += dz.sum(axis=1).T @ s.prev.features
-        d_w1[:, d:] += dz.sum(axis=0).T @ s.cur.features
-    layer_grads = ((d_w1, d_z.sum(axis=0)),) + rest_grads
+    blocks = [
+        dz.reshape(s.prev.count, s.cur.count, width)
+        for s, dz in zip(batch, np.split(d_z, splits))
+    ]
+    d_prev = np.concatenate([dz.sum(axis=1) for dz in blocks])
+    d_cur = np.concatenate([dz.sum(axis=0) for dz in blocks])
     n = len(batch)
     lr = cfg.learning_rate
-    new_layers = tuple(
+    w1 = layers[0][0].copy()
+    d = w_prev.shape[0]
+    for half, d_rows, x in ((w1[:, :d], d_prev, prev_x), (w1[:, d:], d_cur, cur_x)):
+        # lr / n scales the thin row-sum factor, not the width x D product
+        half -= (d_rows * (lr / n)).T @ x
+    new_layers = ((w1, b1 - lr * d_z.sum(axis=0) / n),) + tuple(
         (W - lr * dW / n, b - lr * db / n)
-        for (W, b), (dW, db) in zip(layers, layer_grads)
+        for (W, b), (dW, db) in zip(layers[1:], rest_grads)
     )
-    for W, b in new_layers:
-        if not (np.isfinite(W).all() and np.isfinite(b).all()):
-            raise RuntimeError("training diverged: non-finite weight")
+    try:
+        net = CompressionNet(new_layers)
+    except ValueError:
+        raise RuntimeError("training diverged: non-finite weight") from None
     new_dummy = model.dummy_score - lr * d_dummy / n
     if not np.isfinite(new_dummy):
         raise RuntimeError("training diverged: non-finite dummy score")
     losses = loss_total(*(sums / n))
-    return model.with_compression(CompressionNet(new_layers), new_dummy), losses
+    return model.with_compression(net, new_dummy), losses
 
 
 def training_pairs(

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cloudtrack.losses import build_gt, loss_breakdown, loss_gradients
+from cloudtrack import training
+from cloudtrack.losses import LossGradients, build_gt, loss_breakdown, loss_gradients
 from cloudtrack.model import init_model, load_model
-from cloudtrack.affinity import augment_and_softmax
+from cloudtrack.affinity import CompressionNet, augment_and_softmax
 from cloudtrack.pointnet import FeatureSet
 from cloudtrack.nets import (
     init_layers,
@@ -22,6 +23,7 @@ from cloudtrack.training import (
     training_pairs,
     write_loss_log,
 )
+from cloudtrack.verification import DEFAULT_STEP, DEFAULT_TOLERANCE, relative_error
 
 
 class TestMlpBackward:
@@ -142,6 +144,108 @@ class TestTrainStep:
         assert abs(updated.dummy_score - want_dummy) < 1e-12
         changed = updated.compression.layers[0][0] - model.compression.layers[0][0]
         assert np.abs(changed).max() > 1e-3
+
+    def test_matches_explicit_cell_oracle_at_default_widths(self, scene):
+        model = init_model(seed=7)
+        cfg = TrainConfig(steps=1, learning_rate=0.5)
+        pool = training_pairs(scene, model, cfg)
+        # the pool runs gap by gap within each current frame, so neighbours
+        # can hold the very same FeatureSet
+        a, b = next((x, y) for x, y in zip(pool, pool[1:]) if x.cur is y.cur)
+        batch = [a, pool[0], b, a]
+        snapshot = [(W.copy(), b1.copy()) for W, b1 in model.compression.layers]
+        dummy = model.dummy_score
+        updated, _ = train_step(model, batch, cfg)
+        want_layers, want_dummy = explicit_cell_step(model, batch, cfg.learning_rate)
+        for (W, b1), (w_ref, b_ref) in zip(updated.compression.layers, want_layers):
+            assert np.abs(W - w_ref).max() < 1e-12
+            assert np.abs(b1 - b_ref).max() < 1e-12
+        assert abs(updated.dummy_score - want_dummy) < 1e-12
+        d = model.compression.in_dim // 2
+        changed = updated.compression.layers[0][0] - snapshot[0][0]
+        assert np.abs(changed[:, :d]).max() > 1e-6
+        assert np.abs(changed[:, d:]).max() > 1e-6
+        for (W, b1), (w0, b0) in zip(model.compression.layers, snapshot):
+            assert np.array_equal(W, w0) and np.array_equal(b1, b0)
+        assert model.dummy_score == dummy
+
+    def test_weight_gradients_match_finite_differences(self):
+        model = init_model(
+            seed=34, pointnet_widths=(3, 4, 3), compression_widths=(6, 5, 4, 3, 2, 1)
+        )
+        model = model.with_compression(model.compression, -0.2)
+        rng = np.random.default_rng(34)
+        links = [
+            ([1, 2, 3], [3, None, 1]),
+            ([], [5, 6]),
+            ([4, 7], []),
+            ([8, 9], [9, 10]),
+        ]
+        batch = [
+            PairSample(
+                FeatureSet(rng.normal(size=(len(p), 3))),
+                FeatureSet(rng.normal(size=(len(c), 3))),
+                build_gt(p, c),
+            )
+            for p, c in links
+        ]
+        lr = 1.0
+        updated, _ = train_step(model, batch, TrainConfig(steps=1, learning_rate=lr))
+        n = len(batch)
+
+        # the step descends the batch mean, so (old - new) * n / lr is the
+        # gradient of the batch's summed loss
+        def grad(old, new):
+            return (old - new) * n / lr
+
+        def summed_loss(moved):
+            return n * batch_loss(moved, batch)
+
+        def loss_at(layer, part, idx, delta):
+            layers = [(W.copy(), b.copy()) for W, b in model.compression.layers]
+            layers[layer][part][idx] += delta
+            return summed_loss(model.with_compression(CompressionNet(layers), model.dummy_score))
+
+        h = DEFAULT_STEP
+        (w1, b1), (w2, _) = model.compression.layers[:2]
+        (new_w1, new_b1), (new_w2, _) = updated.compression.layers[:2]
+        checks = [(0, 0, w1, new_w1), (0, 1, b1, new_b1), (1, 0, w2, new_w2)]
+        worst = 0.0
+        for layer, part, old, new in checks:
+            analytic = grad(old, new)
+            for idx in np.ndindex(old.shape):
+                fd = (loss_at(layer, part, idx, h) - loss_at(layer, part, idx, -h)) / (2 * h)
+                worst = max(worst, relative_error(float(analytic[idx]), fd))
+        d_w1 = grad(w1, new_w1)
+        assert np.abs(d_w1[:, :3]).max() > 1e-3 and np.abs(d_w1[:, 3:]).max() > 1e-3
+        up = summed_loss(model.with_compression(model.compression, model.dummy_score + h))
+        down = summed_loss(model.with_compression(model.compression, model.dummy_score - h))
+        d_dummy = grad(model.dummy_score, updated.dummy_score)
+        assert abs(d_dummy) > 1e-3
+        worst = max(worst, relative_error(d_dummy, (up - down) / (2 * h)))
+        assert worst < DEFAULT_TOLERANCE
+
+    def test_overflowing_update_raises_divergence(self, scene):
+        model = init_model(seed=7)
+        batch = batch_from(scene, model, TrainConfig(steps=1))
+        cfg = TrainConfig(steps=1, learning_rate=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError) as caught:
+                train_step(model, batch, cfg)
+        assert str(caught.value) == "training diverged: non-finite weight"
+        assert caught.value.__cause__ is None and caught.value.__suppress_context__
+
+    def test_non_finite_dummy_raises_divergence(self, scene, monkeypatch):
+        # zero score gradients leave every weight finite; only the dummy blows up
+        def dummy_only(m1, m2, gt, dummy_score):
+            g = loss_gradients(m1, m2, gt, dummy_score=dummy_score)
+            return LossGradients(np.zeros_like(g.d_m1), np.zeros_like(g.d_m2), 1e308)
+
+        monkeypatch.setattr(training, "loss_gradients", dummy_only)
+        model = init_model(seed=7)
+        batch = batch_from(scene, model, TrainConfig(steps=1))
+        with pytest.raises(RuntimeError, match="training diverged: non-finite dummy"):
+            train_step(model, batch, TrainConfig(steps=1, learning_rate=10.0))
 
     def test_fixed_batch_descends(self, scene):
         model = init_model(seed=7)
