@@ -1,25 +1,27 @@
 """Track linking: fuse affinities into scores, assign optimally, grow tracks.
 
-For each consecutive frame pair a motion gate first marks which
-previous/current pairs are within reach: the xy distance between their
-box centers is at most GATE_RADIUS_M per frame of gap.  Only those
-pairs are scored by the affinity head; the others get exactly zero.
-The trimmed forward/backward matrices are averaged into a score matrix
-whose extra column holds the leave probability.  A previous/current
-pair may link only when its score beats both that leave probability
-and the birth threshold, so a gated-out pair never links; among all
-ways to keep such pairs, the assignment with the highest total score
-wins (scores of gate-failing pairs are floored to zero, which makes the
-Hungarian optimum equal to the brute-force optimum over gated partial
-matchings).  Unmatched current objects open new tracks, unmatched
-previous objects end theirs.  Every track entry keeps the admitted
-detection it was made from, so writing tracks needs no second pass over
-the sequence.
+The tracker keeps one table of live tracks: the track id on each slot of
+the last frame added, with that frame's features and box centers.  Every
+frame, the first included, takes the same path against it.  A motion
+gate first marks which previous/current pairs are within reach: the xy
+distance between their box centers is at most GATE_RADIUS_M per frame
+of gap.  Only those pairs are scored by the affinity head; the others
+get exactly zero.  The trimmed forward/backward matrices are averaged
+into a score matrix whose extra column holds the leave probability.  A
+previous/current pair may link only when its score beats both that
+leave probability and the birth threshold, so a gated-out pair never
+links; among all ways to keep such pairs, the assignment with the
+highest total score wins (scores of gate-failing pairs are floored to
+zero, which makes the Hungarian optimum equal to the brute-force optimum
+over gated partial matchings).  Unmatched current objects open new
+tracks, unmatched previous objects end theirs; against the empty table
+of frame 0 every object is a birth.  Every track entry keeps the
+admitted detection it was made from, so writing tracks needs no second
+pass over the sequence.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -30,7 +32,7 @@ from .affinity import AffinityMatrices, affinity_from_features
 from .cropping import crop_frame
 from .geometry import Detection, Frame
 from .model import AffinityModel
-from .pointnet import featurize_frame
+from .pointnet import FeatureSet, featurize_frame
 from .sequence_io import SequenceSource, load_admitted_frame, write_tracks_file
 
 DEFAULT_BIRTH_THRESHOLD = 0.3
@@ -79,10 +81,15 @@ class TrackEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class TrackSet:
-    """Identity-labeled trajectories: track_id -> (TrackEntry, ...)."""
+    """Identity-labeled trajectories: track_id -> (TrackEntry, ...).
+
+    live holds the track id on each slot of the last frame added, in
+    slot order: the previous side of the next assignment.
+    """
 
     tracks: dict = field(default_factory=dict)
     next_id: int = 0
+    live: tuple = ()
 
 
 def score_matrix(aff: AffinityMatrices) -> np.ndarray:
@@ -147,77 +154,60 @@ def motion_gate(prev_centers, cur_centers, frame_gap: int) -> np.ndarray:
 def update_tracks(ts: TrackSet, result: AssignmentResult, frame: Frame) -> TrackSet:
     """Extend matched tracks, open tracks for births; deaths just stop.
 
-    Each new entry keeps the admitted detection of its slot in frame.
+    result must partition the slots of ts.live and of frame's detections.
+    Matched previous slot i continues track ts.live[i]; births take fresh
+    ids in slot order.  Each new entry keeps the admitted detection of
+    its slot in frame.  The returned live lists the track on each slot
+    of frame.
     """
-    frame_index = frame.index
-    prev_frame_index = frame_index - 1
-    open_slots = {}
-    for tid, entries in ts.tracks.items():
-        f, slot, _ = entries[-1]
-        if f == prev_frame_index:
-            if slot in open_slots:
-                raise ValueError(f"two tracks end on slot {slot} of frame {f}")
-            open_slots[slot] = tid
+    cp, cc = len(ts.live), len(frame.detections)
+    prev_used = {i for i, _ in result.matches} | result.deaths
+    cur_used = {j for _, j in result.matches} | result.births
+    if prev_used != set(range(cp)) or cur_used != set(range(cc)):
+        raise ValueError(
+            f"assignment does not partition the {cp} previous and {cc} "
+            f"current slots of frame {frame.index}"
+        )
+    owner = {j: ts.live[i] for i, j in result.matches}
     tracks = dict(ts.tracks)
-    claimed = set()
-    for i, j in sorted(result.matches):
-        tid = open_slots.get(i)
-        if tid is None:
-            raise ValueError(
-                f"matched previous slot {i} has no open track at frame {prev_frame_index}"
-            )
-        if j in claimed:
-            raise ValueError(f"slot {j} claimed twice in frame {frame_index}")
-        claimed.add(j)
-        tracks[tid] = tracks[tid] + (TrackEntry(frame_index, j, frame.detections[j]),)
     next_id = ts.next_id
     for j in sorted(result.births):
-        if j in claimed:
-            raise ValueError(f"slot {j} claimed twice in frame {frame_index}")
-        claimed.add(j)
-        tracks[next_id] = (TrackEntry(frame_index, j, frame.detections[j]),)
+        owner[j] = next_id
+        tracks[next_id] = ()
         next_id += 1
-    return TrackSet(tracks, next_id)
+    live = tuple(owner[j] for j in range(cc))
+    for j, tid in enumerate(live):
+        tracks[tid] += (TrackEntry(frame.index, j, frame.detections[j]),)
+    return TrackSet(tracks, next_id, live)
 
 
 def track_sequence(
-    src: SequenceSource,
-    model: AffinityModel,
-    cfg: TrackerConfig = TrackerConfig(),
-    timing: dict | None = None,
+    src: SequenceSource, model: AffinityModel, cfg: TrackerConfig = TrackerConfig()
 ) -> TrackSet:
     """Run the full pipeline over consecutive frames of a sequence.
 
-    When a dict is passed as timing, it receives seconds_per_frame.
+    The previous side starts as an empty table, so frame 0 takes the
+    same path as every later frame and all its objects are births.
     """
     ts = TrackSet()
-    prev_fs = prev_centers = None
-    started = time.perf_counter()
+    # no rows, so the frame index only sets a gap that gates nothing
+    prev_fs = FeatureSet(np.zeros((0, model.pointnet.feature_dim)), frame_index=-1)
+    prev_centers = np.zeros((0, 3))
     for index in range(src.frame_count):
         frame = load_admitted_frame(src, index)
         fs = featurize_frame(
             crop_frame(frame, seed=cfg.seed), model.pointnet, frame_index=index
         )
         centers = [d.box.center for d in frame.detections]
-        if prev_fs is None:
-            result = AssignmentResult(
-                frozenset(), frozenset(range(fs.count)), frozenset()
-            )
-        else:
-            eligible = motion_gate(
-                prev_centers, centers, fs.frame_index - prev_fs.frame_index
-            )
-            aff = affinity_from_features(
-                prev_fs, fs, model.compression, model.dummy_score, eligible=eligible
-            )
-            result = solve_assignment(score_matrix(aff), cfg.birth_threshold)
+        eligible = motion_gate(
+            prev_centers, centers, fs.frame_index - prev_fs.frame_index
+        )
+        aff = affinity_from_features(
+            prev_fs, fs, model.compression, model.dummy_score, eligible=eligible
+        )
+        result = solve_assignment(score_matrix(aff), cfg.birth_threshold)
         ts = update_tracks(ts, result, frame)
         prev_fs, prev_centers = fs, centers
-    if timing is not None:
-        elapsed = time.perf_counter() - started
-        timing["seconds_per_frame"] = (
-            elapsed / src.frame_count if src.frame_count else 0.0
-        )
     return ts
 
 

@@ -16,7 +16,8 @@ total = (l_f + l_b + l_c + l_a) / 4.
 
 Gradients are taken with respect to the raw augmented score matrices M1
 (cp x (cc+1)) and M2 ((cp+1) x cc), and the shared dummy score, through
-the row and column softmax.  Ties in the consistency term use the
+the row and column softmax; loss_gradients takes the softmax outputs
+the affinity head already produced.  Ties in the consistency term use the
 sign(0) = 0 subgradient; ties in the assemble max route the gradient to
 the backward matrix.
 """
@@ -166,22 +167,15 @@ def loss_breakdown(aff: AffinityMatrices, gt: GroundTruthAssignment) -> LossBrea
     )
 
 
-def _normalize_for(m1, m2, gt: GroundTruthAssignment):
-    """normalize_pair, after checking the scores fit the ground truth."""
-    m1 = np.asarray(m1, dtype=np.float64)
-    m2 = np.asarray(m2, dtype=np.float64)
-    cp, cc = gt.g3.shape
-    if m1.shape != (cp, cc + 1):
-        raise ValueError(f"m1 shape {m1.shape} != ground truth {(cp, cc + 1)}")
-    return normalize_pair(m1, m2)
-
-
 def loss_from_raw(
     m1: np.ndarray, m2: np.ndarray, gt: GroundTruthAssignment
 ) -> LossBreakdown:
     """Losses straight from raw augmented score matrices (gradient-check path)."""
-    a1, a2 = _normalize_for(m1, m2, gt)
+    m1 = np.asarray(m1, dtype=np.float64)
     cp, cc = gt.g3.shape
+    if m1.shape != (cp, cc + 1):
+        raise ValueError(f"m1 shape {m1.shape} != ground truth {(cp, cc + 1)}")
+    a1, a2 = normalize_pair(m1, np.asarray(m2, dtype=np.float64))
     return loss_total(
         loss_forward(gt.g1, a1),
         loss_backward(gt.g2, a2),
@@ -191,23 +185,22 @@ def loss_from_raw(
 
 
 def loss_gradients(
-    m1: np.ndarray,
-    m2: np.ndarray,
-    gt: GroundTruthAssignment,
-    dummy_score: float | None = None,
+    a1: np.ndarray, a2: np.ndarray, gt: GroundTruthAssignment
 ) -> LossGradients:
     """Analytic d(total)/dM1, d(total)/dM2 and the dummy-score gradient.
 
-    When dummy_score is given, the augmented entries of m1/m2 must equal
-    it; the dummy gradient is then the sum over all those tied slots.
+    a1 and a2 are the row softmax of M1 and the column softmax of M2
+    (AffinityMatrices.a1 and .a2, or normalize_pair's output).  The
+    dummy gradient sums over M1's last column and M2's last row, the
+    slots that all hold the one dummy score.
     """
-    m1 = np.asarray(m1, dtype=np.float64)
-    m2 = np.asarray(m2, dtype=np.float64)
-    a1, a2 = _normalize_for(m1, m2, gt)
+    a1 = np.asarray(a1, dtype=np.float64)
+    a2 = np.asarray(a2, dtype=np.float64)
     cp, cc = gt.g3.shape
-    if dummy_score is not None:
-        if np.any(m1[:, cc] != dummy_score) or np.any(m2[cp, :] != dummy_score):
-            raise ValueError("dummy slots of m1/m2 disagree with dummy_score")
+    if a1.shape != (cp, cc + 1) or a2.shape != (cp + 1, cc):
+        raise ValueError(
+            f"a1/a2 shapes {a1.shape}, {a2.shape} do not fit ground truth {(cp, cc)}"
+        )
     a1t, a2t = a1[:, :cc], a2[:cp, :]
 
     d_a1 = np.zeros_like(a1)

@@ -32,7 +32,6 @@ class MotReport:
     false_neg: int
     gt_count: int
     matches: int
-    seconds_per_frame: float
 
     def __post_init__(self):
         counts = (
@@ -49,8 +48,8 @@ class MotReport:
         errors = self.false_neg + self.false_pos + self.id_switches
         if abs(self.mota - (1.0 - errors / self.gt_count)) > 1e-12:
             raise ValueError("mota does not match its error counts")
-        if self.motp < 0.0 or self.seconds_per_frame < 0.0:
-            raise ValueError("motp and seconds_per_frame must be non-negative")
+        if self.motp < 0.0:
+            raise ValueError("motp must be non-negative")
 
 
 def read_center_tracks(path) -> CenterTracks:
@@ -118,7 +117,6 @@ def evaluate(
     gt: CenterTracks,
     pred: CenterTracks,
     match_radius: float = DEFAULT_MATCH_RADIUS,
-    seconds_per_frame: float = 0.0,
 ) -> MotReport:
     """Score predicted tracks against ground-truth tracks."""
     if match_radius <= 0.0:
@@ -161,7 +159,6 @@ def evaluate(
         false_neg=false_neg,
         gt_count=gt_count,
         matches=matches,
-        seconds_per_frame=seconds_per_frame,
     )
 
 
@@ -174,7 +171,6 @@ def report_table(report: MotReport) -> str:
         ("False negatives", str(report.false_neg)),
         ("GT objects", str(report.gt_count)),
         ("Matches", str(report.matches)),
-        ("Seconds/frame", f"{report.seconds_per_frame:.6f}"),
     ]
     width = max(len(name) for name, _ in rows)
     return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)

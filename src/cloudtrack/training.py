@@ -117,7 +117,7 @@ def train_step(
         if not np.isfinite(losses.total):
             raise RuntimeError("non-finite loss")
         sums += (losses.l_f, losses.l_b, losses.l_c, losses.l_a)
-        grads = loss_gradients(aff.m1, aff.m2, s.gt, dummy_score=model.dummy_score)
+        grads = loss_gradients(aff.a1, aff.a2, s.gt)
         d_scores.append((grads.d_m1[:, :cc] + grads.d_m2[:cp, :]).reshape(-1, 1))
         d_dummy += grads.d_dummy
     rest_grads, d_hidden = mlp_backward(acts, layers[1:], np.concatenate(d_scores))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .affinity import normalize_pair
 from .losses import (
     GroundTruthAssignment,
     LossGradients,
@@ -111,7 +112,7 @@ def fd_gradient_check(
     (which moves the last column of m1 and last row of m2 together).
     """
     if grads is None:
-        grads = loss_gradients(m1, m2, gt)
+        grads = loss_gradients(*normalize_pair(m1, m2), gt)
     cp, cc = gt.g3.shape
 
     def total(a, b):
@@ -159,7 +160,7 @@ def run_losscheck(
     worst_overall = 0.0
     for trial in range(trials):
         m1, m2, gt, _ = random_instance(rng, max_count)
-        grads = loss_gradients(m1, m2, gt)
+        grads = loss_gradients(*normalize_pair(m1, m2), gt)
         if corrupt_gradient:
             bad = grads.d_m1.copy()
             bad[0, 0] += 0.05 * (1.0 + np.abs(bad).max())

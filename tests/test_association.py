@@ -193,10 +193,12 @@ class TestUpdateTracks:
 
     def test_match_extends_track(self):
         ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
+        assert ts.live == (0,)
         frame = frame_with(1, 2)
-        ts = update_tracks(ts, result(matches={(0, 1)}), frame)
-        assert links(ts)[0] == ((0, 0), (1, 1))
+        ts = update_tracks(ts, result(matches={(0, 1)}, births={0}), frame)
+        assert links(ts) == {0: ((0, 0), (1, 1)), 1: ((1, 0),)}
         assert ts.tracks[0][1] == TrackEntry(1, 1, frame.detections[1])
+        assert ts.live == (1, 0)
 
     def test_death_then_birth_uses_fresh_id(self):
         ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
@@ -207,11 +209,56 @@ class TestUpdateTracks:
         assert ts.next_id == 2
 
     def test_dead_track_never_reactivates(self):
-        # track 0 ends at frame 0; a frame-2 match on slot 0 has no owner
+        # track 0 ends at frame 1; the object on slot 0 of frame 2 is new
         ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
+        assert ts.live == (0,)
         ts = update_tracks(ts, result(deaths={0}), frame_with(1, 0))
-        with pytest.raises(ValueError, match="no open track"):
-            update_tracks(ts, result(matches={(0, 0)}), frame_with(2, 1))
+        assert ts.live == ()
+        ts = update_tracks(ts, result(births={0}), frame_with(2, 1))
+        assert ts.live == (1,)
+        ts = update_tracks(ts, result(matches={(0, 0)}), frame_with(3, 1))
+        assert ts.live == (1,)
+        assert links(ts) == {0: ((0, 0),), 1: ((2, 0), (3, 0))}
+
+    def test_live_follows_slot_order(self):
+        ts = update_tracks(TrackSet(), result(births={0, 1, 2}), frame_with(0, 3))
+        assert ts.live == (0, 1, 2)
+        ts = update_tracks(
+            ts, result(matches={(0, 2), (2, 0)}, births={1, 3}, deaths={1}),
+            frame_with(1, 4),
+        )
+        assert ts.live == (2, 3, 0, 4)
+        assert ts.next_id == 5
+
+    def test_input_track_set_unchanged(self):
+        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
+        before = (dict(ts.tracks), ts.next_id, ts.live)
+        update_tracks(ts, result(matches={(0, 0)}, births={1}), frame_with(1, 2))
+        assert (ts.tracks, ts.next_id, ts.live) == before
+
+    def test_unassigned_current_slot_rejected(self):
+        # slot 0 of frame 1 is neither matched nor born
+        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
+        with pytest.raises(ValueError, match="does not partition"):
+            update_tracks(ts, result(matches={(0, 1)}), frame_with(1, 2))
+
+    def test_match_beyond_live_table_rejected(self):
+        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
+        with pytest.raises(ValueError, match="does not partition"):
+            update_tracks(ts, result(matches={(1, 0)}, deaths={0}), frame_with(1, 1))
+        with pytest.raises(ValueError, match="does not partition"):
+            update_tracks(TrackSet(), result(matches={(0, 0)}), frame_with(0, 1))
+
+    def test_death_outside_live_table_rejected(self):
+        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
+        with pytest.raises(ValueError, match="does not partition"):
+            update_tracks(ts, result(matches={(0, 0)}, deaths={7}), frame_with(1, 1))
+
+    def test_unended_live_track_rejected(self):
+        # previous slot 1 is neither matched nor dead
+        ts = update_tracks(TrackSet(), result(births={0, 1}), frame_with(0, 2))
+        with pytest.raises(ValueError, match="does not partition"):
+            update_tracks(ts, result(matches={(0, 0)}), frame_with(1, 1))
 
     def test_ten_frame_lineage(self):
         # one object tracked 0..4, replaced by a newcomer from frame 5 on
@@ -295,11 +342,25 @@ class TestTrackSequence:
         assert links(runs[0]) == links(runs[1]) == links(runs[2])
         assert runs[0].next_id == runs[1].next_id == runs[2].next_id
 
-    def test_timing_reported(self, toy):
-        src, model = toy
-        timing = {}
-        track_sequence(src, model, TrackerConfig(seed=1), timing=timing)
-        assert timing["seconds_per_frame"] > 0.0
+    def test_empty_frames_take_the_same_path(self, tmp_path):
+        # frame 0 and frame 2 have no detections
+        rng = np.random.default_rng(78)
+        src = write_toy_sequence(tmp_path / "seq", [
+            [],
+            [(0.0, 0.0), (8.0, 0.0)],
+            [],
+            [(0.6, 0.0), (8.6, 0.0), (16.0, 0.0)],
+            [(0.9, 0.0), (8.9, 0.0), (16.3, 0.0)],
+        ], rng)
+        ts = track_sequence(src, init_model(seed=5), TrackerConfig(seed=1))
+        owner = [(entry, tid) for tid, entries in links(ts).items() for entry in entries]
+        assert sorted(entry for entry, _ in owner) == [
+            (1, 0), (1, 1), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)
+        ]
+        assert sorted(ts.tracks) == list(range(ts.next_id))
+        # the empty frame 2 ends both frame-1 tracks
+        assert links(ts)[0] == ((1, 0),) and links(ts)[1] == ((1, 1),)
+        assert ts.live == tuple(tid for entry, tid in sorted(owner) if entry[0] == 4)
 
     def test_csv_round_trip_and_order(self, toy, tmp_path):
         src, model = toy

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -146,10 +147,18 @@ class TestTrackCommand:
         ])
         assert code == 0
         captured = capsys.readouterr()
-        assert "seconds_per_frame=" in captured.out and captured.err == ""
+        assert captured.err == ""
+        frames = open_sequence(seq).frame_count
+        printed = re.fullmatch(
+            rf"out={re.escape(str(out))} frames={frames} tracks=(\d+) "
+            r"seconds_per_frame=(\d+\.\d{6})\n",
+            captured.out,
+        )
+        assert printed and float(printed[2]) > 0.0
         lines = out.read_text().splitlines()
         assert lines[0] == "frame,track_id,cx,cy,cz,l,w,h,yaw,conf"
         assert len(lines) > 1
+        assert int(printed[1]) == len({line.split(",")[1] for line in lines[1:]})
 
     def test_row_count_equals_admitted_detections(self, tiny_pipeline, tmp_path):
         seq, weights, _ = tiny_pipeline
@@ -226,10 +235,11 @@ class TestEvalCommand:
         gt = seq / "gt_tracks.csv"
         assert run(["eval", "--gt", str(gt), "--pred", str(gt)]) == 0
         out = capsys.readouterr().out
-        assert "MOTA" in out
+        assert "MOTA" in out and "Seconds/frame" not in out
         payload = json.loads(out[out.index("{"):])
         assert payload["mota"] == 1.0
         assert payload["id_switches"] == 0
+        assert "seconds_per_frame" not in payload
 
     def test_json_mota_matches_table_mota(self, tiny_pipeline, tmp_path, capsys):
         seq, weights, _ = tiny_pipeline

@@ -1,4 +1,4 @@
-"""The first three walkthrough demos run to completion on the current API."""
+"""Every walkthrough demo runs to completion on the current API."""
 
 import os
 import subprocess
@@ -12,6 +12,8 @@ DEMOS = (
     "01_synthesize_scene.py",
     "02_features_and_affinity.py",
     "03_losses_and_gradients.py",
+    "04_train_and_track.py",
+    "05_noise_robustness.py",
 )
 
 

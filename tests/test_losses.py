@@ -219,7 +219,7 @@ class TestGradients:
         g2 = np.array([[1.0], [0.0]])
         g3 = np.array([[1.0]])
         gt = GroundTruthAssignment(g1, g2, g3)
-        grads = loss_gradients(np.zeros((1, 2)), np.zeros((2, 1)), gt)
+        grads = loss_gradients(*normalize_pair(np.zeros((1, 2)), np.zeros((2, 1))), gt)
         assert np.allclose(grads.d_m1, [[-0.125, 0.125]], atol=1e-15)
         assert np.allclose(grads.d_m2, [[-0.25], [0.25]], atol=1e-15)
         assert abs(grads.d_dummy - 0.375) < 1e-15
@@ -228,17 +228,36 @@ class TestGradients:
         rng = np.random.default_rng(312)
         gt = random_gt(rng, 4, 4)
         m1, m2 = perfect_affinity(gt, sharp=60.0)
-        grads = loss_gradients(m1, m2, gt)
+        grads = loss_gradients(*normalize_pair(m1, m2), gt)
         assert np.abs(grads.d_m1).max() < 1e-8
         assert np.abs(grads.d_m2).max() < 1e-8
         assert abs(grads.d_dummy) < 1e-8
 
-    def test_dummy_consistency_check(self):
+    def test_rejects_shapes_that_do_not_fit_gt(self):
         rng = np.random.default_rng(314)
-        m1, m2, gt, dummy = random_instance(rng, max_count=4)
-        loss_gradients(m1, m2, gt, dummy_score=dummy)
-        with pytest.raises(ValueError):
-            loss_gradients(m1, m2, gt, dummy_score=dummy + 1.0)
+        m1, m2, gt, _ = random_instance(rng, max_count=4)
+        a1, a2 = normalize_pair(m1, m2)
+        loss_gradients(a1, a2, gt)
+        with pytest.raises(ValueError, match="do not fit"):
+            loss_gradients(a1[:, :-1], a2[:, :-1], gt)
+        with pytest.raises(ValueError, match="do not fit"):
+            loss_gradients(a1, a2[:-1], gt)
+        with pytest.raises(ValueError, match="do not fit"):
+            loss_gradients(a2.T, a1.T, gt)
+
+    def test_head_softmax_gives_the_raw_path_gradients(self):
+        # the trainer hands in augment_and_softmax's a1/a2 directly
+        rng = np.random.default_rng(316)
+        for _ in range(5):
+            m1, m2, gt, dummy = random_instance(rng, max_count=5)
+            cp, cc = gt.g3.shape
+            aff = augment_and_softmax(m1[:, :cc], dummy)
+            via_head = loss_gradients(aff.a1, aff.a2, gt)
+            via_raw = loss_gradients(*normalize_pair(aff.m1, aff.m2), gt)
+            assert np.array_equal(via_head.d_m1, via_raw.d_m1)
+            assert np.array_equal(via_head.d_m2, via_raw.d_m2)
+            assert via_head.d_dummy == via_raw.d_dummy
+            assert fd_gradient_check(aff.m1, aff.m2, gt, grads=via_head) < 1e-4
 
 
 class TestGroundTruthType:

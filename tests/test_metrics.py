@@ -91,10 +91,6 @@ class TestEvaluateBasics:
         assert report.id_switches == 0
         assert report.false_pos == 1
 
-    def test_seconds_per_frame_passthrough(self):
-        gt = tracks([(0, 0, 0.0, 0.0, 0.0)])
-        assert evaluate(gt, gt, seconds_per_frame=0.125).seconds_per_frame == 0.125
-
 
 class TestEvaluateErrors:
     def test_empty_ground_truth_rejected(self):
@@ -239,7 +235,7 @@ class TestMatchFrameOracle:
 class TestReportFormats:
     def report(self):
         gt = tracks(straight_line(0, 3, 0.0))
-        return evaluate(gt, gt, seconds_per_frame=0.01)
+        return evaluate(gt, gt)
 
     def test_json_field_names(self):
         data = json.loads(report_json(self.report()))
@@ -251,24 +247,23 @@ class TestReportFormats:
             "false_neg",
             "gt_count",
             "matches",
-            "seconds_per_frame",
         }
         assert data["mota"] == 1.0
         assert data["matches"] == 3
 
     def test_table_mentions_every_metric(self):
         table = report_table(self.report())
-        for label in ("MOTA", "MOTP", "ID switches", "False positives",
-                      "False negatives", "GT objects", "Matches", "Seconds/frame"):
-            assert label in table
+        labels = [line.split("  ")[0] for line in table.splitlines()]
+        assert labels == ["MOTA", "MOTP", "ID switches", "False positives",
+                          "False negatives", "GT objects", "Matches"]
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            MotReport(1.0, 0.0, 0, 0, 0, 0, 0, 0.0)
+            MotReport(1.0, 0.0, 0, 0, 0, 0, 0)
         with pytest.raises(ValueError):
-            MotReport(0.9, 0.0, 0, 0, 0, 10, 10, 0.0)
+            MotReport(0.9, 0.0, 0, 0, 0, 10, 10)
         with pytest.raises(ValueError):
-            MotReport(1.0, -0.1, 0, 0, 0, 10, 10, 0.0)
+            MotReport(1.0, -0.1, 0, 0, 0, 10, 10)
 
 
 class TestReadCenterTracks:

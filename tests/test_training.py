@@ -102,7 +102,7 @@ def explicit_cell_step(model, batch, lr):
         cp, cc = sample.prev.count, sample.cur.count
         out, acts = mlp_forward_cached(pair_cells(sample), layers)
         aff = augment_and_softmax(out.reshape(cp, cc), model.dummy_score)
-        g = loss_gradients(aff.m1, aff.m2, sample.gt, dummy_score=model.dummy_score)
+        g = loss_gradients(aff.a1, aff.a2, sample.gt)
         d_m = g.d_m1[:, :cc] + g.d_m2[:cp, :]
         grads, _ = mlp_backward(acts, layers, d_m.reshape(-1, 1))
         acc = [(aW + dW, ab + db) for (aW, ab), (dW, db) in zip(acc, grads)]
@@ -237,8 +237,8 @@ class TestTrainStep:
 
     def test_non_finite_dummy_raises_divergence(self, scene, monkeypatch):
         # zero score gradients leave every weight finite; only the dummy blows up
-        def dummy_only(m1, m2, gt, dummy_score):
-            g = loss_gradients(m1, m2, gt, dummy_score=dummy_score)
+        def dummy_only(a1, a2, gt):
+            g = loss_gradients(a1, a2, gt)
             return LossGradients(np.zeros_like(g.d_m1), np.zeros_like(g.d_m2), 1e308)
 
         monkeypatch.setattr(training, "loss_gradients", dummy_only)
