@@ -8,18 +8,19 @@ passes a motion gate that keeps only the pairs within reach, and every
 other pair scores -inf, so both softmaxes give it exactly zero.  The
 stack's first layer acts on the concatenated pair [a; b], but it is
 linear, so W1 [a; b] + b1 = W1[:, :D] a + (W1[:, D:] b + b1): each
-frame's features are projected once and the 2D-wide concatenated cell
-is never built.  M is augmented with a learned dummy score (an extra
-column for objects that leave, an extra row for objects that enter) and
-normalized: row softmax of the cp x (cc+1) matrix M1 gives the forward
-association A1, column softmax of the (cp+1) x cc matrix M2 gives the
-backward association A2.
+frame's features are projected once, the 2D-wide concatenated cell is
+never built, and the eligible pairs run through the stack as one batch
+in a canonical previous-row order (see compression_forward).  M is
+augmented with a learned dummy score (an extra column for objects
+that leave, an extra row for objects that enter) and normalized: row
+softmax of the cp x (cc+1) matrix M1 gives the forward association A1,
+column softmax of the (cp+1) x cc matrix M2 gives the backward
+association A2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,17 +65,6 @@ class CompressionNet:
         d = W.shape[1] // 2
         return W[:, :d].T, W[:, d:].T, b
 
-    @cached_property
-    def contiguous_w_prev(self) -> np.ndarray:
-        """split_first_layer's w_prev as a contiguous copy, made once per net.
-
-        The tracker multiplies it by one feature row at a time, and each
-        product streams the whole block, which is faster from contiguous
-        memory.  Copying per frame would cost more than it saves on small
-        scenes, so the copy lives with the (immutable) net.
-        """
-        return np.ascontiguousarray(self.split_first_layer()[0])
-
 
 @dataclass(frozen=True)
 class AffinityMatrices:
@@ -104,15 +94,17 @@ def compression_forward(
     """Score the (previous row, current row) feature pairs; cp x cc.
 
     eligible is a cp x cc boolean mask (default: every pair).  Only
-    eligible cells run through the net; the others score -inf.  The
-    current features are projected through their half of the first
-    layer once.  Each previous row then runs on its own (its projection
-    plus layers 2-5 over its eligible columns; a row with none skips the
-    net), so a row's scores depend only on that row, its mask row and
-    the current features, never on the other rows: permuting the
-    previous rows and their mask rows permutes the output rows bitwise.
+    eligible cells run through the net, all in one batch; the others
+    score -inf.  As the featurizer orders points, the batch orders the
+    previous rows canonically: by the bytes of the feature row, then of
+    its mask row, one entry per distinct key.  Any permutation of the
+    previous rows and their mask rows thus gives the matrix products the
+    same inputs and permutes M's rows bitwise.  The mask is in the key
+    because equal features can carry different masks (every empty crop
+    has the zero feature); keyed on features alone, those rows' input
+    order would move their cells within the batch.
     """
-    prev = np.asarray(prev, dtype=np.float64)
+    prev = np.ascontiguousarray(prev, dtype=np.float64)
     cur = np.asarray(cur, dtype=np.float64)
     if prev.ndim != 2 or cur.ndim != 2:
         raise ValueError(f"features must be 2-D, got {prev.shape} and {cur.shape}")
@@ -124,20 +116,20 @@ def compression_forward(
     cp, cc = len(prev), len(cur)
     if eligible is None:
         eligible = np.ones((cp, cc), dtype=bool)
-    eligible = np.asarray(eligible, dtype=bool)
+    eligible = np.ascontiguousarray(eligible, dtype=bool)
     if eligible.shape != (cp, cc):
         raise ValueError(f"eligible mask is {eligible.shape}, scores are {(cp, cc)}")
-    m = np.full((cp, cc), -np.inf)
-    if eligible.any():
-        _, w_cur, b1 = net.split_first_layer()
-        w_prev = net.contiguous_w_prev
-        cur_half = cur @ w_cur + b1
-        for i in range(cp):
-            cols = np.flatnonzero(eligible[i])
-            if len(cols):
-                hidden = relu(prev[i] @ w_prev + cur_half[cols])
-                m[i, cols] = mlp_forward(hidden, net.layers[1:])[:, 0]
-    return m
+    if not eligible.any():
+        return np.full((cp, cc), -np.inf)
+    key = np.concatenate([prev.view(np.uint8), eligible.view(np.uint8)], axis=1)
+    key = key.view(np.dtype((np.void, key.shape[1])))[:, 0]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rows, cols = np.nonzero(eligible[first])
+    w_prev, w_cur, b1 = net.split_first_layer()
+    hidden = relu((prev[first] @ w_prev)[rows] + (cur @ w_cur + b1)[cols])
+    m = np.full((len(first), cc), -np.inf)
+    m[rows, cols] = mlp_forward(hidden, net.layers[1:])[:, 0]
+    return m[inverse]
 
 
 def _row_softmax(block: np.ndarray) -> np.ndarray:

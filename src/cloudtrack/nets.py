@@ -55,10 +55,7 @@ def layer_widths(layers: Layers) -> tuple[int, ...]:
 
 def mlp_forward(x: np.ndarray, layers: Layers) -> np.ndarray:
     """Apply the stack to rows of x; ReLU between layers, none after last."""
-    for W, b in layers[:-1]:
-        x = relu(x @ W.T + b)
-    W, b = layers[-1]
-    return x @ W.T + b
+    return mlp_forward_cached(x, layers)[0]
 
 
 def mlp_forward_cached(x: np.ndarray, layers: Layers):

@@ -19,7 +19,6 @@ from .cropping import ObjectPoints
 from .nets import Layers, layer_widths, mlp_forward, validate_layers
 
 DEFAULT_POINTNET_WIDTHS = (3, 64, 128, 512)
-DEFAULT_FEATURE_DIM = 512
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Affinity head: pair cells, compression net, softmax matrices."""
+"""Affinity head: compression net over gated feature pairs, softmax matrices."""
 
 import numpy as np
 import pytest
@@ -87,27 +87,36 @@ class TestCompressionForward:
         eligible = rng.uniform(size=(37, 61)) < 0.1
         eligible[5] = False
         eligible[9] = True
-        perm = rng.permutation(37)
-        m = compression_forward(rows, cur, net, eligible)
-        mp = compression_forward(rows[perm], cur, net, eligible[perm])
-        assert mp.tobytes() == m[perm].tobytes()
-        assert np.isneginf(m[~eligible]).all() and np.isfinite(m[eligible]).all()
+        # tied previous rows: duplicated features, several of them all-zero
+        # (an empty crop's feature), each carrying a different mask row
+        tied = rows.copy()
+        tied[20:26] = 0.0
+        tied[30:34] = tied[7]
+        tied_eligible = eligible.copy()
+        tied_eligible[[20, 22, 30, 32]] = eligible[7]
+        for feats, mask in ((rows, eligible), (tied, tied_eligible)):
+            for _ in range(3):
+                perm = rng.permutation(37)
+                m = compression_forward(feats, cur, net, mask)
+                mp = compression_forward(feats[perm], cur, net, mask[perm])
+                assert mp.tobytes() == m[perm].tobytes()
+                assert np.isneginf(m[~mask]).all() and np.isfinite(m[mask]).all()
 
     def test_masked_cells_match_oracle(self):
         rng = np.random.default_rng(219)
-        net = tiny_net(rng)
-        prev = rng.normal(size=(4, 2))
-        cur = rng.normal(size=(5, 2))
-        eligible = rng.uniform(size=(4, 5)) < 0.5
-        eligible[2] = False
-        m = compression_forward(prev, cur, net, eligible)
-        for i in range(4):
-            for j in range(5):
-                if eligible[i, j]:
-                    cell = np.concatenate([prev[i], cur[j]])
-                    assert abs(m[i, j] - cell_score(net, cell)) < 1e-12
-                else:
-                    assert m[i, j] == -np.inf
+        for net, d in ((tiny_net(rng), 2), (real_net(), 512)):
+            prev = rng.normal(size=(4, d))
+            cur = rng.normal(size=(5, d))
+            eligible = rng.uniform(size=(4, 5)) < 0.5
+            eligible[2] = False
+            m = compression_forward(prev, cur, net, eligible)
+            for i in range(4):
+                for j in range(5):
+                    if eligible[i, j]:
+                        cell = np.concatenate([prev[i], cur[j]])
+                        assert abs(m[i, j] - cell_score(net, cell)) < 1e-12
+                    else:
+                        assert m[i, j] == -np.inf
 
     def test_mask_shape_must_match(self):
         rng = np.random.default_rng(220)
