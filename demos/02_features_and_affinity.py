@@ -4,8 +4,8 @@ Object features and pairwise affinity
 
 Crop each detected object out of the frame cloud, embed the crops with
 the point-set network, and score every previous/current pair with the
-compression network.  The normalized affinity matrices are the input to
-track linking.
+compression network.  The head's output, the normalized pair (A1, A2),
+is the input to track linking.
 """
 
 import tempfile
@@ -16,6 +16,7 @@ import numpy as np
 from cloudtrack import (
     SynthConfig,
     affinity_from_features,
+    compression_forward,
     crop_frame,
     featurize_frame,
     generate,
@@ -47,18 +48,21 @@ shuffled[:100] = pts[:100][rng.permutation(100)]
 b = pointnet_forward(ObjectPoints(shuffled, 100), model.pointnet)
 print(f"permutation changes feature bytes: {a.tobytes() != b.tobytes()}")
 
-aff = affinity_from_features(prev_fs, cur_fs, model.compression, model.dummy_score)
-cp, cc = aff.m.shape
+m = compression_forward(prev_fs.features, cur_fs.features, model.compression)
+cp, cc = m.shape
 print(f"\nraw scores M ({cp} previous x {cc} current):")
-print(np.array2string(aff.m, precision=3))
+print(np.array2string(m, precision=3))
 
-# A1 appends a leave column and normalizes each row; A2 appends an
-# enter row and normalizes each column.  Every row of A1 and every
-# column of A2 is a probability distribution.
+# The head's output is the pair (A1, A2).  A1 appends a leave column
+# and normalizes each row; A2 appends an enter row and normalizes each
+# column.  Every row of A1 and every column of A2 is a probability
+# distribution.  affinity_from_features runs M and the softmaxes in one
+# call.
+a1, a2 = affinity_from_features(prev_fs, cur_fs, model.compression, model.dummy_score)
 print("\nrow-normalized A1 (last column = leave):")
-print(np.array2string(aff.a1, precision=3))
-print("row sums:", np.array2string(aff.a1.sum(axis=1), precision=6))
+print(np.array2string(a1, precision=3))
+print("row sums:", np.array2string(a1.sum(axis=1), precision=6))
 
 print("\ncolumn-normalized A2 (last row = enter):")
-print(np.array2string(aff.a2, precision=3))
-print("column sums:", np.array2string(aff.a2.sum(axis=0), precision=6))
+print(np.array2string(a2, precision=3))
+print("column sums:", np.array2string(a2.sum(axis=0), precision=6))

@@ -8,7 +8,6 @@ with standard multi-object tracking metrics.
 """
 
 from .affinity import (
-    AffinityMatrices,
     CompressionNet,
     affinity_from_features,
     augment_and_softmax,
@@ -81,7 +80,6 @@ from .verification import LosscheckReport, fd_gradient_check, run_losscheck
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityMatrices",
     "AffinityModel",
     "AssignmentResult",
     "CompressionNet",

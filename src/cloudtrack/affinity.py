@@ -1,4 +1,4 @@
-"""Pairwise affinity head: compression net over feature pairs, softmax matrices.
+"""Pairwise affinity head: compression net over feature pairs, then (A1, A2).
 
 Feature rows from a previous frame (cp objects) and a current frame (cc
 objects) are paired, and each eligible pair runs through a shared
@@ -15,7 +15,8 @@ augmented with a learned dummy score (an extra column for objects
 that leave, an extra row for objects that enter) and normalized: row
 softmax of the cp x (cc+1) matrix M1 gives the forward association A1,
 column softmax of the (cp+1) x cc matrix M2 gives the backward
-association A2.
+association A2.  The pair (A1, A2) is the head's only output: the
+tracker fuses it into assignment scores and the loss reads it as is.
 """
 
 from __future__ import annotations
@@ -64,25 +65,6 @@ class CompressionNet:
         W, b = self.layers[0]
         d = W.shape[1] // 2
         return W[:, :d].T, W[:, d:].T, b
-
-
-@dataclass(frozen=True)
-class AffinityMatrices:
-    """Raw and normalized association matrices for one frame pair.
-
-    m is cp x cc; m1 and a1 are cp x (cc+1) with the dummy column last,
-    every a1 row sums to one; m2 and a2 are (cp+1) x cc with the dummy
-    row last, every a2 column sums to one.  a1_trim drops the dummy
-    column, a2_trim drops the dummy row.
-    """
-
-    m: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    a1_trim: np.ndarray
-    a2_trim: np.ndarray
 
 
 def compression_forward(
@@ -139,11 +121,13 @@ def _row_softmax(block: np.ndarray) -> np.ndarray:
 
 
 def normalize_pair(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row softmax of m1 and column softmax of m2.
+    """(A1, A2): row softmax of m1 and column softmax of m2.
 
     m1 is cp x (cc+1) with the dummy column last; m2 is (cp+1) x cc
     with the dummy row last.
     """
+    m1 = np.asarray(m1, dtype=np.float64)
+    m2 = np.asarray(m2, dtype=np.float64)
     if m1.ndim != 2 or m1.shape[1] < 1 or m2.shape != (
         m1.shape[0] + 1, m1.shape[1] - 1
     ):
@@ -151,12 +135,17 @@ def normalize_pair(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return _row_softmax(m1), _row_softmax(m2.T).T
 
 
-def augment_and_softmax(m: np.ndarray, dummy_score: float) -> AffinityMatrices:
-    """Append the dummy column/row to the cp x cc scores and normalize.
+def augment_and_softmax(
+    m: np.ndarray, dummy_score: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A1, A2) of the cp x cc scores, augmented with the dummy score.
 
-    A -inf score marks a pair that may not link: it gets exactly zero
-    in A1 and A2.  The finite dummy keeps every row and column of the
-    softmax well defined.  NaN, +inf and a non-finite dummy are errors.
+    A1 is cp x (cc+1), each row summing to one, its last column the
+    leave probability; A2 is (cp+1) x cc, each column summing to one,
+    its last row the enter probability.  A -inf score marks a pair that
+    may not link: it gets exactly zero in A1 and A2.  The finite dummy
+    keeps every row and column of the softmax well defined.  NaN, +inf
+    and a non-finite dummy are errors.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -171,18 +160,7 @@ def augment_and_softmax(m: np.ndarray, dummy_score: float) -> AffinityMatrices:
     m2 = np.empty((cp + 1, cc))
     m2[:cp, :] = m
     m2[cp, :] = dummy_score
-
-    a1, a2 = normalize_pair(m1, m2)
-
-    return AffinityMatrices(
-        m=m,
-        m1=m1,
-        m2=m2,
-        a1=a1,
-        a2=a2,
-        a1_trim=a1[:, :cc],
-        a2_trim=a2[:cp, :],
-    )
+    return normalize_pair(m1, m2)
 
 
 def affinity_from_features(
@@ -191,8 +169,8 @@ def affinity_from_features(
     net: CompressionNet,
     dummy_score: float,
     eligible: np.ndarray | None = None,
-) -> AffinityMatrices:
-    """Full affinity head for one frame pair, over the eligible pairs."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full affinity head for one frame pair: (A1, A2) over the eligible pairs."""
     return augment_and_softmax(
         compression_forward(prev.features, cur.features, net, eligible), dummy_score
     )

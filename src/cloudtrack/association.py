@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .affinity import AffinityMatrices, affinity_from_features
+from .affinity import affinity_from_features
 from .cropping import crop_frame
 from .geometry import Detection, Frame
 from .model import AffinityModel
@@ -92,12 +92,16 @@ class TrackSet:
     live: tuple = ()
 
 
-def score_matrix(aff: AffinityMatrices) -> np.ndarray:
-    """count_prev x (count_cur + 1): fused real scores plus leave column."""
-    cp, cc = aff.m.shape
+def score_matrix(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """count_prev x (count_cur + 1): fused real scores plus leave column.
+
+    a1 and a2 are the head's forward and backward softmaxes.  The real
+    block averages them; the last column is A1's leave probability.
+    """
+    cp, cc = a1.shape[0], a2.shape[1]
     s = np.empty((cp, cc + 1))
-    s[:, :cc] = (aff.a1_trim + aff.a2_trim) / 2.0
-    s[:, cc] = aff.a1[:, cc]
+    s[:, :cc] = (a1[:, :cc] + a2[:cp, :]) / 2.0
+    s[:, cc] = a1[:, cc]
     return s
 
 
@@ -202,10 +206,10 @@ def track_sequence(
         eligible = motion_gate(
             prev_centers, centers, fs.frame_index - prev_fs.frame_index
         )
-        aff = affinity_from_features(
+        a1, a2 = affinity_from_features(
             prev_fs, fs, model.compression, model.dummy_score, eligible=eligible
         )
-        result = solve_assignment(score_matrix(aff), cfg.birth_threshold)
+        result = solve_assignment(score_matrix(a1, a2), cfg.birth_threshold)
         ts = update_tracks(ts, result, frame)
         prev_fs, prev_centers = fs, centers
     return ts

@@ -1,6 +1,10 @@
 """Association losses and their analytic gradients.
 
-Four terms, each normalized and averaged into the training objective:
+Both loss functions read the affinity head's output as it comes: the
+pair (A1, A2), A1 the row softmax of the cp x (cc+1) matrix M1 (dummy
+column last), A2 the column softmax of the (cp+1) x cc matrix M2 (dummy
+row last).  loss_breakdown gives four terms, averaged into the training
+objective:
 
 - forward loss: cross-entropy of A1 rows against the forward ground
   truth (where did each previous object go, dummy column = left),
@@ -14,12 +18,11 @@ Four terms, each normalized and averaged into the training objective:
 
 total = (l_f + l_b + l_c + l_a) / 4.
 
-Gradients are taken with respect to the raw augmented score matrices M1
-(cp x (cc+1)) and M2 ((cp+1) x cc), and the shared dummy score, through
-the row and column softmax; loss_gradients takes the softmax outputs
-the affinity head already produced.  Ties in the consistency term use the
-sign(0) = 0 subgradient; ties in the assemble max route the gradient to
-the backward matrix.
+loss_gradients takes the same pair and returns the gradients with
+respect to the raw matrices M1 and M2, and the shared dummy score,
+through the row and column softmax.  Ties in the consistency term use
+the sign(0) = 0 subgradient; ties in the assemble max route the
+gradient to the backward matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import AffinityMatrices, normalize_pair
+from .affinity import normalize_pair
 
 
 @dataclass(frozen=True)
@@ -73,14 +76,14 @@ class LossBreakdown:
     l_b: float
     l_c: float
     l_a: float
-    total: float
 
     def __post_init__(self):
-        parts = (self.l_f, self.l_b, self.l_c, self.l_a)
-        if any(p < 0 for p in parts):
+        if any(p < 0 for p in (self.l_f, self.l_b, self.l_c, self.l_a)):
             raise ValueError("loss terms must be non-negative")
-        if abs(self.total - sum(parts) / 4.0) > 1e-12:
-            raise ValueError("total must be the mean of the four terms")
+
+    @property
+    def total(self) -> float:
+        return (self.l_f + self.l_b + self.l_c + self.l_a) / 4.0
 
 
 @dataclass(frozen=True)
@@ -130,40 +133,30 @@ def _gated_cross_entropy(g: np.ndarray, p: np.ndarray) -> float:
         return float(-np.log(p[mask]).sum() / total)
 
 
-def loss_forward(g1: np.ndarray, a1: np.ndarray) -> float:
-    """Cross-entropy of forward associations at ground-truth cells."""
-    return _gated_cross_entropy(np.asarray(g1), np.asarray(a1))
+def _fitted(a1, a2, gt: GroundTruthAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """a1 and a2 as float arrays, checked against the ground truth's shapes."""
+    a1 = np.asarray(a1, dtype=np.float64)
+    a2 = np.asarray(a2, dtype=np.float64)
+    cp, cc = gt.g3.shape
+    if a1.shape != (cp, cc + 1) or a2.shape != (cp + 1, cc):
+        raise ValueError(
+            f"a1/a2 shapes {a1.shape}, {a2.shape} do not fit ground truth {(cp, cc)}"
+        )
+    return a1, a2
 
 
-def loss_backward(g2: np.ndarray, a2: np.ndarray) -> float:
-    """Cross-entropy of backward associations at ground-truth cells."""
-    return _gated_cross_entropy(np.asarray(g2), np.asarray(a2))
-
-
-def loss_consistency(a1_trim: np.ndarray, a2_trim: np.ndarray) -> float:
-    """Entry-wise L1 gap between forward and backward association."""
-    return float(np.abs(np.asarray(a1_trim) - np.asarray(a2_trim)).sum())
-
-
-def loss_assemble(g3: np.ndarray, a1_trim: np.ndarray, a2_trim: np.ndarray) -> float:
-    """Cross-entropy of the stronger direction at true-match cells."""
-    best = np.maximum(np.asarray(a2_trim), np.asarray(a1_trim))
-    return _gated_cross_entropy(np.asarray(g3), best)
-
-
-def loss_total(l_f: float, l_b: float, l_c: float, l_a: float) -> LossBreakdown:
-    return LossBreakdown(l_f, l_b, l_c, l_a, (l_f + l_b + l_c + l_a) / 4.0)
-
-
-def loss_breakdown(aff: AffinityMatrices, gt: GroundTruthAssignment) -> LossBreakdown:
-    """All four terms for one frame pair's affinity output."""
-    if aff.m.shape != gt.g3.shape:
-        raise ValueError(f"shape mismatch: {aff.m.shape} vs {gt.g3.shape}")
-    return loss_total(
-        loss_forward(gt.g1, aff.a1),
-        loss_backward(gt.g2, aff.a2),
-        loss_consistency(aff.a1_trim, aff.a2_trim),
-        loss_assemble(gt.g3, aff.a1_trim, aff.a2_trim),
+def loss_breakdown(
+    a1: np.ndarray, a2: np.ndarray, gt: GroundTruthAssignment
+) -> LossBreakdown:
+    """All four terms for one frame pair, from the head's (A1, A2)."""
+    a1, a2 = _fitted(a1, a2, gt)
+    cp, cc = gt.g3.shape
+    a1t, a2t = a1[:, :cc], a2[:cp, :]
+    return LossBreakdown(
+        _gated_cross_entropy(gt.g1, a1),
+        _gated_cross_entropy(gt.g2, a2),
+        float(np.abs(a1t - a2t).sum()),
+        _gated_cross_entropy(gt.g3, np.maximum(a2t, a1t)),
     )
 
 
@@ -171,17 +164,7 @@ def loss_from_raw(
     m1: np.ndarray, m2: np.ndarray, gt: GroundTruthAssignment
 ) -> LossBreakdown:
     """Losses straight from raw augmented score matrices (gradient-check path)."""
-    m1 = np.asarray(m1, dtype=np.float64)
-    cp, cc = gt.g3.shape
-    if m1.shape != (cp, cc + 1):
-        raise ValueError(f"m1 shape {m1.shape} != ground truth {(cp, cc + 1)}")
-    a1, a2 = normalize_pair(m1, np.asarray(m2, dtype=np.float64))
-    return loss_total(
-        loss_forward(gt.g1, a1),
-        loss_backward(gt.g2, a2),
-        loss_consistency(a1[:, :cc], a2[:cp, :]),
-        loss_assemble(gt.g3, a1[:, :cc], a2[:cp, :]),
-    )
+    return loss_breakdown(*normalize_pair(m1, m2), gt)
 
 
 def loss_gradients(
@@ -190,17 +173,12 @@ def loss_gradients(
     """Analytic d(total)/dM1, d(total)/dM2 and the dummy-score gradient.
 
     a1 and a2 are the row softmax of M1 and the column softmax of M2
-    (AffinityMatrices.a1 and .a2, or normalize_pair's output).  The
-    dummy gradient sums over M1's last column and M2's last row, the
-    slots that all hold the one dummy score.
+    (the head's output, or normalize_pair's).  The dummy gradient sums
+    over M1's last column and M2's last row, the slots that all hold the
+    one dummy score.
     """
-    a1 = np.asarray(a1, dtype=np.float64)
-    a2 = np.asarray(a2, dtype=np.float64)
+    a1, a2 = _fitted(a1, a2, gt)
     cp, cc = gt.g3.shape
-    if a1.shape != (cp, cc + 1) or a2.shape != (cp + 1, cc):
-        raise ValueError(
-            f"a1/a2 shapes {a1.shape}, {a2.shape} do not fit ground truth {(cp, cc)}"
-        )
     a1t, a2t = a1[:, :cc], a2[:cp, :]
 
     d_a1 = np.zeros_like(a1)

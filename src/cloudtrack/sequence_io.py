@@ -28,21 +28,17 @@ from .geometry import Detection, Frame, OrientedBox3, PointCloud
 DETECTION_HEADER = "frame,conf,cx,cy,cz,l,w,h,yaw"
 TRACKS_HEADER = "frame,track_id,cx,cy,cz,l,w,h,yaw,conf"
 DEFAULT_CONFIDENCE_THRESHOLD = 0.4
-DEFAULT_MAX_OBJECTS = 100
 
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """Admission policy: strict confidence cut plus a per-frame object cap."""
+    """Admission policy: a strict confidence cut."""
 
     confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD
-    max_objects: int = DEFAULT_MAX_OBJECTS
 
     def __post_init__(self):
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ValueError("confidence_threshold must be in [0, 1]")
-        if self.max_objects < 1:
-            raise ValueError("max_objects must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -170,11 +166,11 @@ def load_frame(src: SequenceSource, index: int) -> Frame:
 
 
 def admit_detections(frame: Frame, cfg: IngestConfig) -> Frame:
-    """Apply the admission filter: strictly-above-threshold confidence,
-    descending confidence order (stable on ties), truncated to max_objects."""
+    """Apply the admission filter: strictly-above-threshold confidence, in
+    descending confidence order, ties kept in file order.  Slot order sets
+    crop seeds and birth ids, so it must not depend on anything else."""
     kept = [d for d in frame.detections if d.confidence > cfg.confidence_threshold]
-    order = sorted(range(len(kept)), key=lambda i: (-kept[i].confidence, i))
-    admitted = tuple(kept[i] for i in order[: cfg.max_objects])
+    admitted = tuple(sorted(kept, key=lambda d: -d.confidence))
     return Frame(frame.index, frame.cloud, admitted)
 
 

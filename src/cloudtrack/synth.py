@@ -28,7 +28,6 @@ import numpy as np
 from .cropping import slot_seed
 from .geometry import Detection, Frame, OrientedBox3, PointCloud, from_box_frame
 from .sequence_io import (
-    IngestConfig,
     SequenceSource,
     load_frame,
     open_sequence,

@@ -30,7 +30,6 @@ from .losses import (
     build_gt,
     loss_breakdown,
     loss_gradients,
-    loss_total,
 )
 from .model import AffinityModel, init_model, save_model
 from .nets import mlp_backward, mlp_forward_cached, relu
@@ -112,12 +111,12 @@ def train_step(
     d_dummy = 0.0
     for s, scores in zip(batch, np.split(out[:, 0], splits)):
         cp, cc = s.prev.count, s.cur.count
-        aff = augment_and_softmax(scores.reshape(cp, cc), model.dummy_score)
-        losses = loss_breakdown(aff, s.gt)
+        a1, a2 = augment_and_softmax(scores.reshape(cp, cc), model.dummy_score)
+        losses = loss_breakdown(a1, a2, s.gt)
         if not np.isfinite(losses.total):
             raise RuntimeError("non-finite loss")
         sums += (losses.l_f, losses.l_b, losses.l_c, losses.l_a)
-        grads = loss_gradients(aff.a1, aff.a2, s.gt)
+        grads = loss_gradients(a1, a2, s.gt)
         d_scores.append((grads.d_m1[:, :cc] + grads.d_m2[:cp, :]).reshape(-1, 1))
         d_dummy += grads.d_dummy
     rest_grads, d_hidden = mlp_backward(acts, layers[1:], np.concatenate(d_scores))
@@ -146,7 +145,7 @@ def train_step(
     new_dummy = model.dummy_score - lr * d_dummy / n
     if not np.isfinite(new_dummy):
         raise RuntimeError("training diverged: non-finite dummy score")
-    losses = loss_total(*(sums / n))
+    losses = LossBreakdown(*(sums / n))
     return model.with_compression(net, new_dummy), losses
 
 

@@ -87,17 +87,17 @@ def test_c3_softmax_contracts():
         cp, cc = int(rng.integers(0, 9)), int(rng.integers(0, 9))
         m = rng.normal(size=(cp, cc)) * 3.0
         dummy = float(rng.normal())
-        aff = augment_and_softmax(m, dummy)
+        a1, a2 = augment_and_softmax(m, dummy)
         if cp:
-            worst_sum = max(worst_sum, np.abs(aff.a1.sum(axis=1) - 1.0).max())
+            worst_sum = max(worst_sum, np.abs(a1.sum(axis=1) - 1.0).max())
         if cc:
-            worst_sum = max(worst_sum, np.abs(aff.a2.sum(axis=0) - 1.0).max())
+            worst_sum = max(worst_sum, np.abs(a2.sum(axis=0) - 1.0).max())
         shift = float(rng.uniform(-20.0, 20.0))
-        moved = augment_and_softmax(m + shift, dummy + shift)
+        moved1, moved2 = augment_and_softmax(m + shift, dummy + shift)
         worst_shift = max(
             worst_shift,
-            np.abs(moved.a1 - aff.a1).max(initial=0.0),
-            np.abs(moved.a2 - aff.a2).max(initial=0.0),
+            np.abs(moved1 - a1).max(initial=0.0),
+            np.abs(moved2 - a2).max(initial=0.0),
         )
     ok = worst_sum <= 1e-9 and worst_shift <= 1e-12
     line = verdict(

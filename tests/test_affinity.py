@@ -1,4 +1,4 @@
-"""Affinity head: compression net over gated feature pairs, softmax matrices."""
+"""Affinity head: compression net over gated feature pairs, then (A1, A2)."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from cloudtrack.affinity import (
     affinity_from_features,
     augment_and_softmax,
     compression_forward,
+    normalize_pair,
 )
 from cloudtrack.model import init_model
 from cloudtrack.nets import init_layers, relu
@@ -140,24 +141,24 @@ class TestCompressionForward:
 
 class TestAugmentAndSoftmax:
     def test_two_way_uniform(self):
-        aff = augment_and_softmax(np.zeros((1, 1)), 0.0)
-        assert np.allclose(aff.a1[0], [0.5, 0.5], atol=1e-15)
-        assert np.allclose(aff.a2[:, 0], [0.5, 0.5], atol=1e-15)
+        a1, a2 = augment_and_softmax(np.zeros((1, 1)), 0.0)
+        assert np.allclose(a1[0], [0.5, 0.5], atol=1e-15)
+        assert np.allclose(a2[:, 0], [0.5, 0.5], atol=1e-15)
 
     def test_uniform_row_over_101_entries(self):
         m = np.zeros((1, 100))
-        aff = augment_and_softmax(m, 0.0)
-        assert aff.a1.shape == (1, 101)
-        assert np.allclose(aff.a1[0], np.full(101, 1.0 / 101.0), atol=1e-12)
+        a1, _ = augment_and_softmax(m, 0.0)
+        assert a1.shape == (1, 101)
+        assert np.allclose(a1[0], np.full(101, 1.0 / 101.0), atol=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(211)
         m = rng.normal(size=(4, 5))
         dummy = 0.3
-        a = augment_and_softmax(m, dummy)
-        b = augment_and_softmax(m + 2.7, dummy + 2.7)
-        assert np.allclose(a.a1, b.a1, atol=1e-12)
-        assert np.allclose(a.a2, b.a2, atol=1e-12)
+        a1, a2 = augment_and_softmax(m, dummy)
+        b1, b2 = augment_and_softmax(m + 2.7, dummy + 2.7)
+        assert np.allclose(a1, b1, atol=1e-12)
+        assert np.allclose(a2, b2, atol=1e-12)
 
     def test_stochasticity(self):
         rng = np.random.default_rng(212)
@@ -165,18 +166,23 @@ class TestAugmentAndSoftmax:
             cp = int(rng.integers(0, 9))
             cc = int(rng.integers(0, 9))
             m = rng.normal(size=(cp, cc)) * 3
-            aff = augment_and_softmax(m, float(rng.normal()))
-            assert aff.a1.shape == (cp, cc + 1)
-            assert aff.a2.shape == (cp + 1, cc)
-            assert np.allclose(aff.a1.sum(axis=1), 1.0, atol=1e-9)
-            assert np.allclose(aff.a2.sum(axis=0), 1.0, atol=1e-9)
+            a1, a2 = augment_and_softmax(m, float(rng.normal()))
+            assert a1.shape == (cp, cc + 1)
+            assert a2.shape == (cp + 1, cc)
+            assert np.allclose(a1.sum(axis=1), 1.0, atol=1e-9)
+            assert np.allclose(a2.sum(axis=0), 1.0, atol=1e-9)
 
-    def test_trims(self):
+    def test_dummy_goes_in_last_column_and_last_row(self):
+        # the pair is normalize_pair of M with the dummy as A1's leave
+        # column and A2's enter row, bit for bit
         rng = np.random.default_rng(213)
         m = rng.normal(size=(3, 2))
-        aff = augment_and_softmax(m, 0.1)
-        assert np.array_equal(aff.a1_trim, aff.a1[:, :2])
-        assert np.array_equal(aff.a2_trim, aff.a2[:3, :])
+        m1 = np.hstack([m, np.full((3, 1), 0.1)])
+        m2 = np.vstack([m, np.full((1, 2), 0.1)])
+        a1, a2 = augment_and_softmax(m, 0.1)
+        b1, b2 = normalize_pair(m1, m2)
+        assert a1.tobytes() == b1.tobytes()
+        assert a2.tobytes() == b2.tobytes()
 
     def test_prev_slot_permutation_equivariance(self):
         rng = np.random.default_rng(214)
@@ -184,21 +190,21 @@ class TestAugmentAndSoftmax:
         rows = rng.normal(size=(4, 2))
         cur = FeatureSet(rng.normal(size=(3, 2)))
         perm = np.array([3, 1, 0, 2])
-        a = affinity_from_features(FeatureSet(rows), cur, net, 0.2)
-        b = affinity_from_features(FeatureSet(rows[perm]), cur, net, 0.2)
-        assert np.allclose(b.a1, a.a1[perm], atol=1e-15)
-        assert np.allclose(b.a2[:4], a.a2[perm], atol=1e-15)
+        a1, a2 = affinity_from_features(FeatureSet(rows), cur, net, 0.2)
+        b1, b2 = affinity_from_features(FeatureSet(rows[perm]), cur, net, 0.2)
+        assert np.allclose(b1, a1[perm], atol=1e-15)
+        assert np.allclose(b2[:4], a2[perm], atol=1e-15)
 
     def test_composed_path_matches_pieces(self):
         rng = np.random.default_rng(215)
         net = tiny_net(rng)
         prev = FeatureSet(rng.normal(size=(3, 2)))
         cur = FeatureSet(rng.normal(size=(2, 2)))
-        direct = affinity_from_features(prev, cur, net, 0.4)
+        d1, d2 = affinity_from_features(prev, cur, net, 0.4)
         m = compression_forward(prev.features, cur.features, net)
-        composed = augment_and_softmax(m, 0.4)
-        assert direct.a1.tobytes() == composed.a1.tobytes()
-        assert direct.a2.tobytes() == composed.a2.tobytes()
+        c1, c2 = augment_and_softmax(m, 0.4)
+        assert d1.tobytes() == c1.tobytes()
+        assert d2.tobytes() == c2.tobytes()
 
     def test_rejects_non_finite(self):
         for bad in (np.inf, np.nan):
@@ -221,15 +227,15 @@ class TestAugmentAndSoftmax:
                 gated[0] = True
             m[gated] = -np.inf
             dummy = float(rng.normal())
-            aff = augment_and_softmax(m, dummy)
-            assert (aff.a1_trim[gated] == 0.0).all()
-            assert (aff.a2_trim[gated] == 0.0).all()
-            assert np.allclose(aff.a1.sum(axis=1), 1.0, atol=1e-9)
-            assert np.allclose(aff.a2.sum(axis=0), 1.0, atol=1e-9)
+            a1, a2 = augment_and_softmax(m, dummy)
+            assert (a1[:, :cc][gated] == 0.0).all()
+            assert (a2[:cp, :][gated] == 0.0).all()
+            assert np.allclose(a1.sum(axis=1), 1.0, atol=1e-9)
+            assert np.allclose(a2.sum(axis=0), 1.0, atol=1e-9)
             shift = float(rng.uniform(-20.0, 20.0))
-            moved = augment_and_softmax(m + shift, dummy + shift)
-            assert np.abs(moved.a1 - aff.a1).max(initial=0.0) <= 1e-12
-            assert np.abs(moved.a2 - aff.a2).max(initial=0.0) <= 1e-12
+            b1, b2 = augment_and_softmax(m + shift, dummy + shift)
+            assert np.abs(b1 - a1).max(initial=0.0) <= 1e-12
+            assert np.abs(b2 - a2).max(initial=0.0) <= 1e-12
 
 
 class TestCompressionNetType:

@@ -3,7 +3,6 @@ import pytest
 
 from cloudtrack import (
     AssignmentResult,
-    IngestConfig,
     TrackerConfig,
     TrackEntry,
     TrackSet,
@@ -150,18 +149,17 @@ class TestScoreMatrix:
         rng = np.random.default_rng(3)
         cp, cc = 3, 4
         m = rng.normal(size=(cp, cc))
-        aff = augment_and_softmax(m, 0.2)
-        s = score_matrix(aff)
+        a1, a2 = augment_and_softmax(m, 0.2)
+        s = score_matrix(a1, a2)
         assert s.shape == (cp, cc + 1)
-        expect = (aff.a1_trim + aff.a2_trim) / 2.0
+        expect = (a1[:, :cc] + a2[:cp, :]) / 2.0
         assert np.array_equal(s[:, :cc], expect)
-        assert np.array_equal(s[:, cc], aff.a1[:, cc])
+        assert np.array_equal(s[:, cc], a1[:, cc])
 
     def test_rows_bounded_by_one(self):
         rng = np.random.default_rng(4)
         m = rng.normal(size=(5, 7))
-        aff = augment_and_softmax(m, -0.4)
-        s = score_matrix(aff)
+        s = score_matrix(*augment_and_softmax(m, -0.4))
         assert (s >= 0.0).all() and (s <= 1.0).all()
 
 
@@ -309,7 +307,7 @@ def write_toy_sequence(root, positions, rng):
         )
         write_frame(root, frame)
     write_sequence_meta(root, len(positions), "toy")
-    return open_sequence(root, IngestConfig(max_objects=8))
+    return open_sequence(root)
 
 
 @pytest.fixture(scope="module")
@@ -436,7 +434,7 @@ def write_grid_sequence(root, positions):
             detections=tuple(Detection(b, 1.0) for b in boxes),
         ))
     write_sequence_meta(root, len(positions), "grid")
-    return open_sequence(root, IngestConfig(max_objects=8))
+    return open_sequence(root)
 
 
 def constant_net(score):

@@ -8,15 +8,11 @@ import pytest
 from cloudtrack.affinity import augment_and_softmax, normalize_pair
 from cloudtrack.losses import (
     GroundTruthAssignment,
+    LossBreakdown,
     build_gt,
-    loss_assemble,
-    loss_backward,
     loss_breakdown,
-    loss_consistency,
-    loss_forward,
     loss_from_raw,
     loss_gradients,
-    loss_total,
 )
 from cloudtrack.verification import fd_gradient_check, random_ids, random_instance
 
@@ -89,116 +85,144 @@ def perfect_affinity(gt, sharp=200.0):
     return m1, m2
 
 
+def augmented(m, dummy):
+    """M1 and M2 of the cp x cc scores: the dummy as last column and last row."""
+    cp, cc = m.shape
+    m1 = np.hstack([m, np.full((cp, 1), dummy)])
+    m2 = np.vstack([m, np.full((1, cc), dummy)])
+    return m1, m2
+
+
 class TestLossTerms:
     def test_perfect_forward_is_zero(self):
         rng = np.random.default_rng(302)
         gt = random_gt(rng, 4, 5)
-        m1, m2 = perfect_affinity(gt)
-        a1, a2 = normalize_pair(m1, m2)
-        assert loss_forward(gt.g1, a1) < 1e-12
-        assert loss_backward(gt.g2, a2) < 1e-12
-        assert loss_assemble(gt.g3, a1[:, :5], a2[:4, :]) < 1e-12
+        losses = loss_breakdown(*normalize_pair(*perfect_affinity(gt)), gt)
+        assert losses.l_f < 1e-12
+        assert losses.l_b < 1e-12
+        assert losses.l_a < 1e-12
 
     def test_uniform_forward_is_log_101(self):
-        aff = augment_and_softmax(np.zeros((1, 100)), 0.0)
-        g1 = np.zeros((1, 101))
-        g1[0, 13] = 1.0
-        assert abs(loss_forward(g1, aff.a1) - math.log(101.0)) < 1e-9
+        a1, a2 = augment_and_softmax(np.zeros((1, 100)), 0.0)
+        gt = build_gt([13], range(100))
+        assert gt.g1[0, 13] == 1.0
+        assert abs(loss_breakdown(a1, a2, gt).l_f - math.log(101.0)) < 1e-9
 
     def test_uniform_backward_is_log_101(self):
-        aff = augment_and_softmax(np.zeros((100, 1)), 0.0)
-        g2 = np.zeros((101, 1))
-        g2[42, 0] = 1.0
-        assert abs(loss_backward(g2, aff.a2) - math.log(101.0)) < 1e-9
+        a1, a2 = augment_and_softmax(np.zeros((100, 1)), 0.0)
+        gt = build_gt(range(100), [42])
+        assert gt.g2[42, 0] == 1.0
+        assert abs(loss_breakdown(a1, a2, gt).l_b - math.log(101.0)) < 1e-9
 
     def test_forward_double_loop_oracle(self):
         rng = np.random.default_rng(303)
         gt = random_gt(rng, 4, 4)
         m = rng.normal(size=(4, 4))
-        aff = augment_and_softmax(m, 0.2)
+        a1, a2 = augment_and_softmax(m, 0.2)
         total = 0.0
         count = 0
         for i in range(4):
             for j in range(5):
                 if gt.g1[i, j] > 0.5:
-                    total += -math.log(aff.a1[i, j])
+                    total += -math.log(a1[i, j])
                     count += 1
-        assert abs(loss_forward(gt.g1, aff.a1) - total / count) < 1e-12
+        assert abs(loss_breakdown(a1, a2, gt).l_f - total / count) < 1e-12
 
     def test_backward_transpose_symmetry(self):
+        # transposing the problem swaps the forward and backward roles
         rng = np.random.default_rng(304)
         for _ in range(10):
-            g = (rng.uniform(size=(5, 4)) < 0.3).astype(float)
-            a = rng.uniform(0.01, 1.0, size=(5, 4))
-            assert abs(loss_backward(g, a) - loss_forward(g.T, a.T)) < 1e-12
+            cp, cc = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            gt = random_gt(rng, cp, cc)
+            a1 = rng.uniform(0.01, 1.0, size=(cp, cc + 1))
+            a2 = rng.uniform(0.01, 1.0, size=(cp + 1, cc))
+            mirrored = GroundTruthAssignment(gt.g2.T, gt.g1.T, gt.g3.T)
+            got = loss_breakdown(a1, a2, gt)
+            flipped = loss_breakdown(a2.T, a1.T, mirrored)
+            assert abs(got.l_b - flipped.l_f) < 1e-12
+            assert abs(got.l_f - flipped.l_b) < 1e-12
+            assert abs(got.l_c - flipped.l_c) < 1e-12
+            assert abs(got.l_a - flipped.l_a) < 1e-12
 
     def test_consistency_zero_and_single_entry(self):
-        a = np.full((3, 3), 0.2)
-        assert loss_consistency(a, a) == 0.0
-        b = a.copy()
-        b[1, 2] += 0.3
-        assert abs(loss_consistency(b, a) - 0.3) < 1e-12
+        gt = build_gt([1, 2, 3], [1, 2, 3])
+        a1 = np.full((3, 4), 0.2)
+        a2 = np.full((4, 3), 0.2)
+        assert loss_breakdown(a1, a2, gt).l_c == 0.0
+        a1[1, 2] += 0.3
+        assert abs(loss_breakdown(a1, a2, gt).l_c - 0.3) < 1e-12
+        # the dummy column and row do not enter the consistency term
+        a1[:, 3] = 0.9
+        a2[3, :] = 0.01
+        assert abs(loss_breakdown(a1, a2, gt).l_c - 0.3) < 1e-12
 
     def test_consistency_double_loop_oracle(self):
         rng = np.random.default_rng(305)
-        x = rng.uniform(size=(6, 6))
-        y = rng.uniform(size=(6, 6))
+        x = rng.uniform(size=(6, 7))
+        y = rng.uniform(size=(7, 6))
         oracle = sum(abs(x[i, j] - y[i, j]) for i in range(6) for j in range(6))
-        assert abs(loss_consistency(x, y) - oracle) < 1e-12
+        gt = build_gt(range(6), range(6))
+        assert abs(loss_breakdown(x, y, gt).l_c - oracle) < 1e-12
 
     def test_assemble_picks_the_larger(self):
-        g3 = np.zeros((2, 2))
-        g3[0, 0] = 1.0
-        a1t = np.full((2, 2), 0.1)
-        a2t = np.full((2, 2), 0.1)
-        a1t[0, 0] = math.exp(-2.0)
-        a2t[0, 0] = math.exp(-1.0)
-        assert abs(loss_assemble(g3, a1t, a2t) - 1.0) < 1e-12
+        gt = build_gt([1, 2], [1, 3])
+        assert gt.g3.sum() == 1.0 and gt.g3[0, 0] == 1.0
+        a1 = np.full((2, 3), 0.1)
+        a2 = np.full((3, 2), 0.1)
+        a1[0, 0] = math.exp(-2.0)
+        a2[0, 0] = math.exp(-1.0)
+        assert abs(loss_breakdown(a1, a2, gt).l_a - 1.0) < 1e-12
 
     def test_assemble_double_loop_oracle(self):
         rng = np.random.default_rng(306)
-        g3 = (rng.uniform(size=(5, 5)) < 0.3).astype(float)
-        a1t = rng.uniform(0.01, 1.0, size=(5, 5))
-        a2t = rng.uniform(0.01, 1.0, size=(5, 5))
+        gt = random_gt(rng, 5, 5)
+        a1 = rng.uniform(0.01, 1.0, size=(5, 6))
+        a2 = rng.uniform(0.01, 1.0, size=(6, 5))
         cells = [
-            -math.log(max(a1t[i, j], a2t[i, j]))
+            -math.log(max(a1[i, j], a2[i, j]))
             for i in range(5)
             for j in range(5)
-            if g3[i, j] > 0.5
+            if gt.g3[i, j] > 0.5
         ]
         expected = sum(cells) / len(cells) if cells else 0.0
-        assert abs(loss_assemble(g3, a1t, a2t) - expected) < 1e-12
+        assert abs(loss_breakdown(a1, a2, gt).l_a - expected) < 1e-12
 
     def test_empty_gt_is_zero(self):
-        assert loss_forward(np.zeros((3, 4)), np.full((3, 4), 0.5)) == 0.0
-        assert loss_assemble(np.zeros((3, 3)), np.full((3, 3), 0.5), np.full((3, 3), 0.5)) == 0.0
+        # no true match leaves the assemble term empty; no previous
+        # object leaves the forward term empty
+        no_match = build_gt([1, 2, 3], [4, 5, 6])
+        a1, a2 = np.full((3, 4), 0.5), np.full((4, 3), 0.5)
+        assert loss_breakdown(a1, a2, no_match).l_a == 0.0
+        no_prev = build_gt([], [4, 5, 6])
+        assert loss_breakdown(np.zeros((0, 4)), np.full((1, 3), 0.5), no_prev).l_f == 0.0
 
     def test_loss_total(self):
-        assert loss_total(0.0, 0.0, 0.0, 0.0).total == 0.0
-        assert loss_total(4.0, 2.0, 1.0, 1.0).total == 2.0
+        assert LossBreakdown(0.0, 0.0, 0.0, 0.0).total == 0.0
+        assert LossBreakdown(4.0, 2.0, 1.0, 1.0).total == 2.0
         rng = np.random.default_rng(307)
         for _ in range(20):
             parts = rng.uniform(0, 5, size=4)
-            got = loss_total(*parts)
+            got = LossBreakdown(*parts)
             assert abs(got.total - parts.mean()) < 1e-15
+        with pytest.raises(ValueError, match="non-negative"):
+            LossBreakdown(0.0, 0.0, -1e-9, 0.0)
 
     def test_shift_invariance_of_forward_loss(self):
         rng = np.random.default_rng(308)
         gt = random_gt(rng, 3, 4)
         m = rng.normal(size=(3, 4))
-        a = augment_and_softmax(m, 0.1)
-        b = augment_and_softmax(m + 3.3, 0.1 + 3.3)
-        assert abs(loss_forward(gt.g1, a.a1) - loss_forward(gt.g1, b.a1)) < 1e-12
+        a = loss_breakdown(*augment_and_softmax(m, 0.1), gt)
+        b = loss_breakdown(*augment_and_softmax(m + 3.3, 0.1 + 3.3), gt)
+        assert abs(a.l_f - b.l_f) < 1e-12
 
     def test_breakdown_matches_raw_path(self):
         rng = np.random.default_rng(309)
         gt = random_gt(rng, 4, 3)
         m = rng.normal(size=(4, 3))
         dummy = 0.25
-        aff = augment_and_softmax(m, dummy)
-        via_aff = loss_breakdown(aff, gt)
-        via_raw = loss_from_raw(aff.m1, aff.m2, gt)
-        assert via_aff == via_raw
+        via_head = loss_breakdown(*augment_and_softmax(m, dummy), gt)
+        via_raw = loss_from_raw(*augmented(m, dummy), gt)
+        assert via_head == via_raw
 
 
 class TestGradients:
@@ -237,27 +261,28 @@ class TestGradients:
         rng = np.random.default_rng(314)
         m1, m2, gt, _ = random_instance(rng, max_count=4)
         a1, a2 = normalize_pair(m1, m2)
-        loss_gradients(a1, a2, gt)
-        with pytest.raises(ValueError, match="do not fit"):
-            loss_gradients(a1[:, :-1], a2[:, :-1], gt)
-        with pytest.raises(ValueError, match="do not fit"):
-            loss_gradients(a1, a2[:-1], gt)
-        with pytest.raises(ValueError, match="do not fit"):
-            loss_gradients(a2.T, a1.T, gt)
+        for loss_fn in (loss_gradients, loss_breakdown):
+            loss_fn(a1, a2, gt)
+            with pytest.raises(ValueError, match="do not fit"):
+                loss_fn(a1[:, :-1], a2[:, :-1], gt)
+            with pytest.raises(ValueError, match="do not fit"):
+                loss_fn(a1, a2[:-1], gt)
+            with pytest.raises(ValueError, match="do not fit"):
+                loss_fn(a2.T, a1.T, gt)
 
     def test_head_softmax_gives_the_raw_path_gradients(self):
-        # the trainer hands in augment_and_softmax's a1/a2 directly
+        # the trainer hands in augment_and_softmax's (a1, a2) directly
         rng = np.random.default_rng(316)
         for _ in range(5):
             m1, m2, gt, dummy = random_instance(rng, max_count=5)
             cp, cc = gt.g3.shape
-            aff = augment_and_softmax(m1[:, :cc], dummy)
-            via_head = loss_gradients(aff.a1, aff.a2, gt)
-            via_raw = loss_gradients(*normalize_pair(aff.m1, aff.m2), gt)
+            head_m1, head_m2 = augmented(m1[:, :cc], dummy)
+            via_head = loss_gradients(*augment_and_softmax(m1[:, :cc], dummy), gt)
+            via_raw = loss_gradients(*normalize_pair(head_m1, head_m2), gt)
             assert np.array_equal(via_head.d_m1, via_raw.d_m1)
             assert np.array_equal(via_head.d_m2, via_raw.d_m2)
             assert via_head.d_dummy == via_raw.d_dummy
-            assert fd_gradient_check(aff.m1, aff.m2, gt, grads=via_head) < 1e-4
+            assert fd_gradient_check(head_m1, head_m2, gt, grads=via_head) < 1e-4
 
 
 class TestGroundTruthType:

@@ -167,13 +167,13 @@ class TestAdmitDetections:
         out = admit_detections(frame, IngestConfig())
         assert out.detections == ()
 
-    def test_tie_truncation_keeps_file_order(self):
+    def test_ties_keep_file_order_without_a_cap(self):
         dets = tuple(simple_detection(0.9, cx=float(i)) for i in range(150))
         frame = Frame(0, PointCloud(np.empty((0, 3)), 0), dets)
-        out = admit_detections(frame, IngestConfig(max_objects=100))
-        assert len(out.detections) == 100
+        out = admit_detections(frame, IngestConfig())
+        assert len(out.detections) == 150
         # stable sort on equal confidences preserves original order
-        assert [d.box.center[0] for d in out.detections] == list(map(float, range(100)))
+        assert [d.box.center[0] for d in out.detections] == list(map(float, range(150)))
 
     def test_descending_confidence_order(self):
         confs = [0.5, 0.9, 0.7, 0.9, 0.6]
@@ -192,11 +192,13 @@ class TestAdmitDetections:
                 simple_detection(float(rng.uniform()), cx=float(i)) for i in range(n)
             )
             frame = Frame(0, PointCloud(np.empty((0, 3)), 0), dets)
-            cfg = IngestConfig(max_objects=8)
+            cfg = IngestConfig()
             once = admit_detections(frame, cfg)
             twice = admit_detections(once, cfg)
             assert once.detections == twice.detections
-            assert len(once.detections) <= cfg.max_objects
+            assert len(once.detections) == sum(
+                d.confidence > cfg.confidence_threshold for d in dets
+            )
 
 
 class TestRoundTrip:

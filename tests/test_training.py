@@ -88,8 +88,8 @@ def batch_loss(model, batch):
     for sample in batch:
         cp, cc = sample.prev.count, sample.cur.count
         m = mlp_forward(pair_cells(sample), model.compression.layers).reshape(cp, cc)
-        aff = augment_and_softmax(m, model.dummy_score)
-        totals.append(loss_breakdown(aff, sample.gt).total)
+        a1, a2 = augment_and_softmax(m, model.dummy_score)
+        totals.append(loss_breakdown(a1, a2, sample.gt).total)
     return float(np.mean(totals))
 
 
@@ -101,8 +101,8 @@ def explicit_cell_step(model, batch, lr):
     for sample in batch:
         cp, cc = sample.prev.count, sample.cur.count
         out, acts = mlp_forward_cached(pair_cells(sample), layers)
-        aff = augment_and_softmax(out.reshape(cp, cc), model.dummy_score)
-        g = loss_gradients(aff.a1, aff.a2, sample.gt)
+        a1, a2 = augment_and_softmax(out.reshape(cp, cc), model.dummy_score)
+        g = loss_gradients(a1, a2, sample.gt)
         d_m = g.d_m1[:, :cc] + g.d_m2[:cp, :]
         grads, _ = mlp_backward(acts, layers, d_m.reshape(-1, 1))
         acc = [(aW + dW, ab + db) for (aW, ab), (dW, db) in zip(acc, grads)]
