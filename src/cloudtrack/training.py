@@ -4,15 +4,20 @@ The point featurizer stays frozen; only the compression stack and the
 dummy score learn.  Every step samples a batch of frame pairs from a
 labeled sequence (gap drawn from frame_gap_range), pushes the cached
 features through the compression net, and descends the four-part
-association loss.  As in the tracker, the net's first layer projects
-features instead of acting on concatenated pairs: the batch's
-previous-frame features are stacked and projected with one product, and
-so are its current-frame features.  Layers 2-5 see the whole batch in
-one forward and one backward pass.  The first layer's gradient is summed
-per feature row, so each half of it is one low-rank product of the
-stacked row sums with the stacked features, subtracted from a copy of
-W1.  Each step reports the loss measured before its update, so a
-shrinking log means the updates help.
+association loss.  train() makes one private, mutable working copy of
+the compression weights and the dummy score, descends it in place for
+all its steps, and builds the AffinityModel once, at the end.  The copy
+holds the first layer as its two contiguous halves: the columns that act
+on previous-frame features and those that act on current-frame
+features.  As in the tracker, the first layer projects features instead
+of acting on concatenated pairs: the batch's previous-frame features are
+stacked and projected through their half with one product, and so are
+its current-frame features.  Layers 2-5 see the whole batch in one
+forward and one backward pass.  The first layer's gradient is summed per
+feature row, so each half's update is one low-rank product of the
+stacked row sums with the stacked features, subtracted in place.  Each
+step reports the loss measured before its update, so a shrinking log
+means the updates help.
 """
 
 from __future__ import annotations
@@ -69,84 +74,122 @@ class PairSample:
     gt: GroundTruthAssignment
 
 
+class _WorkingCopy:
+    """Private, mutable compression weights and dummy score, descended in place.
+
+    W1 is held as its two contiguous out x D halves, w_prev and w_cur;
+    b1 and layers 2-5 are copies too, so the model the copy was made from
+    never changes.
+    """
+
+    def __init__(self, model: AffinityModel):
+        (w1, b1), *rest = model.compression.layers
+        d = w1.shape[1] // 2
+        self.pointnet = model.pointnet
+        self.w_prev = w1[:, :d].copy()
+        self.w_cur = w1[:, d:].copy()
+        self.b1 = b1.copy()
+        self.rest = tuple((W.copy(), b.copy()) for W, b in rest)
+        self.dummy_score = model.dummy_score
+
+    def step(self, batch, learning_rate: float) -> LossBreakdown:
+        """One descent step over a batch; returns the pre-step batch loss.
+
+        The first layer is applied to each frame's features separately:
+        pair (i, j) gets the hidden row relu(w_prev prev_i + w_cur cur_j + b1).
+        The batch's previous-frame features are stacked into one matrix and
+        its current-frame features into another, and each stack is
+        projected with one product; a sample's hidden block is built from
+        its slices of the two projections.  The hidden rows of every pair
+        then go through layers 2-5 in one forward and one backward pass.
+        Back at the first layer, the gradient of pair (i, j) is
+        dz_ij [prev_i; cur_j]^T, so each half's gradient is one product of
+        the stacked per-row sums of dz with the stacked features, of rank at
+        most the number of rows, and is subtracted from the half in place.
+        A non-finite weight or dummy score after the update raises
+        RuntimeError and leaves the copy unusable.
+        """
+        batch = tuple(batch)
+        if not batch:
+            raise ValueError("batch must contain at least one pair")
+        width = len(self.b1)
+        prev_x = np.concatenate([s.prev.features for s in batch])
+        cur_x = np.concatenate([s.cur.features for s in batch])
+        prev_splits = np.cumsum([s.prev.count for s in batch])[:-1]
+        cur_splits = np.cumsum([s.cur.count for s in batch])[:-1]
+        prev_h = np.split(prev_x @ self.w_prev.T, prev_splits)
+        cur_h = np.split(cur_x @ self.w_cur.T + self.b1, cur_splits)
+        hidden = np.concatenate([
+            relu(p[:, None, :] + c[None, :, :]).reshape(-1, width)
+            for p, c in zip(prev_h, cur_h)
+        ])
+        out, acts = mlp_forward_cached(hidden, self.rest)
+        if not np.isfinite(out).all():
+            raise RuntimeError("non-finite affinity score")
+        splits = np.cumsum([s.prev.count * s.cur.count for s in batch])[:-1]
+        sums = np.zeros(4)
+        d_scores = []
+        d_dummy = 0.0
+        for s, scores in zip(batch, np.split(out[:, 0], splits)):
+            cp, cc = s.prev.count, s.cur.count
+            a1, a2 = augment_and_softmax(scores.reshape(cp, cc), self.dummy_score)
+            losses = loss_breakdown(a1, a2, s.gt)
+            if not np.isfinite(losses.total):
+                raise RuntimeError("non-finite loss")
+            sums += (losses.l_f, losses.l_b, losses.l_c, losses.l_a)
+            grads = loss_gradients(a1, a2, s.gt)
+            d_scores.append((grads.d_m1[:, :cc] + grads.d_m2[:cp, :]).reshape(-1, 1))
+            d_dummy += grads.d_dummy
+        rest_grads, d_hidden = mlp_backward(acts, self.rest, np.concatenate(d_scores))
+        d_z = d_hidden * (hidden > 0.0)
+        blocks = [
+            dz.reshape(s.prev.count, s.cur.count, width)
+            for s, dz in zip(batch, np.split(d_z, splits))
+        ]
+        d_prev = np.concatenate([dz.sum(axis=1) for dz in blocks])
+        d_cur = np.concatenate([dz.sum(axis=0) for dz in blocks])
+        n = len(batch)
+        lr = learning_rate
+        halves = ((self.w_prev, d_prev, prev_x), (self.w_cur, d_cur, cur_x))
+        for half, d_rows, x in halves:
+            # lr / n scales the thin row-sum factor, not the width x D product
+            half -= (d_rows * (lr / n)).T @ x
+        self.b1 -= lr * d_z.sum(axis=0) / n
+        for (W, b), (dW, db) in zip(self.rest, rest_grads):
+            W -= lr * dW / n
+            b -= lr * db / n
+        weights = (self.w_prev, self.w_cur, self.b1, *(a for wb in self.rest for a in wb))
+        if not all(np.isfinite(a).all() for a in weights):
+            raise RuntimeError("training diverged: non-finite weight") from None
+        self.dummy_score = self.dummy_score - lr * d_dummy / n
+        if not np.isfinite(self.dummy_score):
+            raise RuntimeError("training diverged: non-finite dummy score") from None
+        return LossBreakdown(*(sums / n))
+
+    def model(self) -> AffinityModel:
+        """The weights as a model; call once, after the last step.
+
+        Only W1 is built anew, from its halves; the other arrays are
+        handed over uncopied.
+        """
+        w1 = np.concatenate((self.w_prev, self.w_cur), axis=1)
+        net = CompressionNet(((w1, self.b1), *self.rest))
+        return AffinityModel(self.pointnet, net, self.dummy_score)
+
+
 def train_step(
     model: AffinityModel, batch, cfg: TrainConfig
 ) -> tuple[AffinityModel, LossBreakdown]:
-    """One descent step over a batch; returns the pre-step batch loss.
+    """One descent step over a batch; returns the new model and the pre-step loss.
 
-    The first layer is applied to each frame's features separately: pair
-    (i, j) gets the hidden row relu(prev[i] @ w_prev + cur[j] @ w_cur + b1).
-    The batch's previous-frame features are stacked into one matrix and its
-    current-frame features into another, and each stack is projected with
-    one product; a sample's hidden block is built from its slices of the
-    two projections.  The hidden rows of every pair then go through layers
-    2-5 in one forward and one backward pass.  Back at the first layer, the
-    gradient of pair (i, j) is dz_ij [prev_i; cur_j]^T, so each half of the
-    W1 gradient is one product of the stacked per-row sums of dz with the
-    stacked features, of rank at most the number of rows, and is subtracted
-    from a copy of W1 in place.
+    model is left unchanged: the step descends a fresh working copy of its
+    compression weights and dummy score (see _WorkingCopy.step) and
+    returns that copy as a new model.  train() takes the same step on one
+    working copy for all its steps.
     """
-    batch = tuple(batch)
-    if not batch:
-        raise ValueError("batch must contain at least one pair")
-    layers = model.compression.layers
-    w_prev, w_cur, b1 = model.compression.split_first_layer()
-    width = len(b1)
-    prev_x = np.concatenate([s.prev.features for s in batch])
-    cur_x = np.concatenate([s.cur.features for s in batch])
-    prev_splits = np.cumsum([s.prev.count for s in batch])[:-1]
-    cur_splits = np.cumsum([s.cur.count for s in batch])[:-1]
-    prev_h = np.split(prev_x @ w_prev, prev_splits)
-    cur_h = np.split(cur_x @ w_cur + b1, cur_splits)
-    hidden = np.concatenate([
-        relu(p[:, None, :] + c[None, :, :]).reshape(-1, width)
-        for p, c in zip(prev_h, cur_h)
-    ])
-    out, acts = mlp_forward_cached(hidden, layers[1:])
-    if not np.isfinite(out).all():
-        raise RuntimeError("non-finite affinity score")
-    splits = np.cumsum([s.prev.count * s.cur.count for s in batch])[:-1]
-    sums = np.zeros(4)
-    d_scores = []
-    d_dummy = 0.0
-    for s, scores in zip(batch, np.split(out[:, 0], splits)):
-        cp, cc = s.prev.count, s.cur.count
-        a1, a2 = augment_and_softmax(scores.reshape(cp, cc), model.dummy_score)
-        losses = loss_breakdown(a1, a2, s.gt)
-        if not np.isfinite(losses.total):
-            raise RuntimeError("non-finite loss")
-        sums += (losses.l_f, losses.l_b, losses.l_c, losses.l_a)
-        grads = loss_gradients(a1, a2, s.gt)
-        d_scores.append((grads.d_m1[:, :cc] + grads.d_m2[:cp, :]).reshape(-1, 1))
-        d_dummy += grads.d_dummy
-    rest_grads, d_hidden = mlp_backward(acts, layers[1:], np.concatenate(d_scores))
-    d_z = d_hidden * (hidden > 0.0)
-    blocks = [
-        dz.reshape(s.prev.count, s.cur.count, width)
-        for s, dz in zip(batch, np.split(d_z, splits))
-    ]
-    d_prev = np.concatenate([dz.sum(axis=1) for dz in blocks])
-    d_cur = np.concatenate([dz.sum(axis=0) for dz in blocks])
-    n = len(batch)
-    lr = cfg.learning_rate
-    w1 = layers[0][0].copy()
-    d = w_prev.shape[0]
-    for half, d_rows, x in ((w1[:, :d], d_prev, prev_x), (w1[:, d:], d_cur, cur_x)):
-        # lr / n scales the thin row-sum factor, not the width x D product
-        half -= (d_rows * (lr / n)).T @ x
-    new_layers = ((w1, b1 - lr * d_z.sum(axis=0) / n),) + tuple(
-        (W - lr * dW / n, b - lr * db / n)
-        for (W, b), (dW, db) in zip(layers[1:], rest_grads)
-    )
-    try:
-        net = CompressionNet(new_layers)
-    except ValueError:
-        raise RuntimeError("training diverged: non-finite weight") from None
-    new_dummy = model.dummy_score - lr * d_dummy / n
-    if not np.isfinite(new_dummy):
-        raise RuntimeError("training diverged: non-finite dummy score")
-    losses = LossBreakdown(*(sums / n))
-    return model.with_compression(net, new_dummy), losses
+    work = _WorkingCopy(model)
+    losses = work.step(batch, cfg.learning_rate)
+    return work.model(), losses
 
 
 def training_pairs(
@@ -159,13 +202,18 @@ def training_pairs(
     tracker will see.
     """
     frames = [load_admitted_frame(src, i) for i in range(src.frame_count)]
+    ids = [[det.gt_id for det in f.detections] for f in frames]
+    if all(gid is None for frame_ids in ids for gid in frame_ids):
+        raise ValueError(
+            "no admitted detection in any frame has a gt_id; "
+            "training needs a labeled sequence"
+        )
     feats = [
         featurize_frame(
             crop_frame(f, seed=cfg.seed), model.pointnet, frame_index=f.index
         )
         for f in frames
     ]
-    ids = [[det.gt_id for det in f.detections] for f in frames]
     lo, hi = cfg.frame_gap_range
     samples = []
     for cur in range(src.frame_count):
@@ -194,16 +242,19 @@ def train(
     if model is None:
         model = init_model(cfg.seed)
     pool = training_pairs(src, model, cfg)
+    work = _WorkingCopy(model)
+    del model  # the loop keeps only the working copy's weights alive
     rng = np.random.default_rng(cfg.seed)
     log = []
     for step in range(cfg.steps):
         picks = rng.integers(0, len(pool), size=cfg.batch_pairs)
         batch = [pool[int(i)] for i in picks]
         try:
-            model, losses = train_step(model, batch, cfg)
+            log.append(work.step(batch, cfg.learning_rate))
         except RuntimeError as exc:
             raise RuntimeError(f"step {step}: {exc}") from None
-        log.append(losses)
+    model = work.model()
+    del work  # W1's halves are not needed while the model is saved
     if weights_out is not None:
         save_model(model, weights_out)
     if log_out is not None:

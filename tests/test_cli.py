@@ -7,7 +7,12 @@ import pytest
 
 from cloudtrack.cli import build_parser, run
 from cloudtrack.model import init_model, save_model
-from cloudtrack.sequence_io import load_frame, open_sequence, write_sequence_meta
+from cloudtrack.sequence_io import (
+    load_frame,
+    open_sequence,
+    write_detections,
+    write_sequence_meta,
+)
 
 
 def tree_bytes(root):
@@ -127,6 +132,21 @@ class TestTrainCommand:
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert captured.out == ""
+
+    def test_unlabeled_sequence_is_runtime_error(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        assert run(synth_args(seq, objects=4, frames=12)) == 0
+        src = open_sequence(seq)
+        for i in range(src.frame_count):
+            write_detections(seq, i, load_frame(src, i).detections, with_gt=False)
+        capsys.readouterr()
+        weights = tmp_path / "w.bin"
+        code = run(["train", "--seq", str(seq), "--out", str(weights), "--steps", "3"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "gt_id" in captured.err
+        assert not weights.exists()
 
     def test_bad_lr_is_usage_error(self, tmp_path, capsys):
         code = run([

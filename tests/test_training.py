@@ -3,7 +3,7 @@ import pytest
 
 from cloudtrack import training
 from cloudtrack.losses import LossGradients, build_gt, loss_breakdown, loss_gradients
-from cloudtrack.model import init_model, load_model
+from cloudtrack.model import init_model, load_model, save_model
 from cloudtrack.affinity import CompressionNet, augment_and_softmax
 from cloudtrack.pointnet import FeatureSet
 from cloudtrack.nets import (
@@ -12,7 +12,7 @@ from cloudtrack.nets import (
     mlp_forward,
     mlp_forward_cached,
 )
-from cloudtrack.sequence_io import load_admitted_frame
+from cloudtrack.sequence_io import load_admitted_frame, load_frame, write_detections
 from cloudtrack.synth import SynthConfig, generate, perturb
 from cloudtrack.training import (
     LOG_HEADER,
@@ -332,6 +332,16 @@ class TestTrainingPairs:
         assert len(log) == 3
         assert all(np.isfinite(b.total) for b in log)
 
+    def test_sequence_without_labels_rejected(self, tmp_path):
+        src = generate(
+            SynthConfig(n_objects=4, n_frames=12, seed=5, points_per_object=60),
+            tmp_path / "seq",
+        )
+        for i in range(src.frame_count):
+            write_detections(src.root, i, load_frame(src, i).detections, with_gt=False)
+        with pytest.raises(ValueError, match="no admitted detection in any frame has a gt_id"):
+            training_pairs(src, init_model(seed=1), TrainConfig(steps=1))
+
     def test_too_short_sequence_rejected(self, tmp_path):
         cfg = SynthConfig(n_objects=1, n_frames=1, seed=1, points_per_object=20)
         src = generate(cfg, tmp_path)
@@ -374,9 +384,36 @@ class TestTrain:
             assert len(vals) == 5
             assert abs(vals[4] - sum(vals[:4]) / 4.0) < 1e-12
 
-    def test_divergence_raises(self, scene):
-        with pytest.raises(RuntimeError, match="step"):
-            train(scene, TrainConfig(steps=5, learning_rate=1e18, seed=2))
+    def test_divergence_raises(self, scene, tmp_path):
+        weights, log = tmp_path / "w.bin", tmp_path / "log.csv"
+        cfg = TrainConfig(steps=5, learning_rate=1e308, seed=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                RuntimeError, match=r"^step \d+: training diverged: non-finite weight$"
+            ) as caught:
+                train(scene, cfg, weights_out=weights, log_out=log)
+        assert caught.value.__cause__ is None and caught.value.__suppress_context__
+        assert not weights.exists() and not log.exists()
+
+    def test_matches_folded_train_step(self, scene, tmp_path):
+        # train() descends one working copy in place; folding the pure
+        # train_step over the same batch draws must do the same arithmetic
+        cfg = TrainConfig(steps=6, seed=4)
+        trained, log = train(scene, cfg, weights_out=tmp_path / "train.bin")
+        model = init_model(cfg.seed)
+        pool = training_pairs(scene, model, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        folded = []
+        for _ in range(cfg.steps):
+            picks = rng.integers(0, len(pool), size=cfg.batch_pairs)
+            model, losses = train_step(model, [pool[int(i)] for i in picks], cfg)
+            folded.append(losses)
+        save_model(model, tmp_path / "folded.bin")
+        assert log == tuple(folded)
+        assert (tmp_path / "train.bin").read_bytes() == (tmp_path / "folded.bin").read_bytes()
+        for (w0, b0), (w1, b1) in zip(trained.compression.layers, model.compression.layers):
+            assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+        assert trained.dummy_score == model.dummy_score
 
     def test_five_hundred_steps_reach_low_loss(self, scene):
         model, log = train(scene, TrainConfig(steps=500, seed=11))
