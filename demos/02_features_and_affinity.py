@@ -34,8 +34,8 @@ cur = load_admitted_frame(src, 1)
 
 # One fixed-size local point set per detection, then one 512-wide
 # feature row per object.
-prev_fs = featurize_frame(crop_frame(prev, seed=0), model.pointnet, frame_index=0)
-cur_fs = featurize_frame(crop_frame(cur, seed=0), model.pointnet, frame_index=1)
+prev_fs = featurize_frame(crop_frame(prev, seed=0), model.pointnet)
+cur_fs = featurize_frame(crop_frame(cur, seed=0), model.pointnet)
 print(f"features: {prev_fs.count} objects x {prev_fs.dim} dims")
 
 # The feature of an object never depends on the order of its points.

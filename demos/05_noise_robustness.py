@@ -34,9 +34,9 @@ model, _ = train(clean, TrainConfig(steps=400, learning_rate=1e-2, seed=0))
 
 
 def track_to(src, name):
-    tracks = track_sequence(src, model, TrackerConfig(seed=0))
+    rows = track_sequence(src, model, TrackerConfig(seed=0))
     path = root / f"{name}.csv"
-    write_tracks_csv(path, tracks)
+    write_tracks_csv(path, rows)
     return path
 
 

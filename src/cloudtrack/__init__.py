@@ -15,9 +15,9 @@ from .affinity import (
 )
 from .association import (
     AssignmentResult,
+    LiveTracks,
     TrackerConfig,
-    TrackEntry,
-    TrackSet,
+    TrackRow,
     score_matrix,
     solve_assignment,
     track_sequence,
@@ -88,6 +88,7 @@ __all__ = [
     "Frame",
     "GroundTruthAssignment",
     "IngestConfig",
+    "LiveTracks",
     "LossBreakdown",
     "LossGradients",
     "LosscheckReport",
@@ -98,8 +99,7 @@ __all__ = [
     "PointNetWeights",
     "SequenceSource",
     "SynthConfig",
-    "TrackEntry",
-    "TrackSet",
+    "TrackRow",
     "TrackerConfig",
     "TrainConfig",
     "admit_detections",

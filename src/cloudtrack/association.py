@@ -1,7 +1,7 @@
 """Track linking: fuse affinities into scores, assign optimally, grow tracks.
 
-The tracker keeps one table of live tracks: the track id on each slot of
-the last frame added, with that frame's features and box centers.  Every
+The tracker keeps one table of live tracks: the last frame's slots, each
+with its track id, admitted detection and feature row.  Every
 frame, the first included, takes the same path against it.  A motion
 gate first marks which previous/current pairs are within reach: the xy
 distance between their box centers is at most GATE_RADIUS_M per frame
@@ -15,14 +15,13 @@ highest total score wins (scores of gate-failing pairs are floored to
 zero, which makes the Hungarian optimum equal to the brute-force optimum
 over gated partial matchings).  Unmatched current objects open new
 tracks, unmatched previous objects end theirs; against the empty table
-of frame 0 every object is a birth.  Every track entry keeps the
-admitted detection it was made from, so writing tracks needs no second
-pass over the sequence.
+of frame 0 every object is a birth.  Each frame yields one row per slot,
+(frame, track id, admitted detection): writing them reads no frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -71,25 +70,28 @@ class TrackerConfig:
             raise ValueError("birth_threshold must be in [0, 1]")
 
 
-class TrackEntry(NamedTuple):
-    """One tracked observation: the admitted detection at frame/slot."""
+class TrackRow(NamedTuple):
+    """One output row: track_id's admitted detection at frame."""
 
     frame: int
-    slot: int
+    track_id: int
     detection: Detection
 
 
 @dataclass(frozen=True)
-class TrackSet:
-    """Identity-labeled trajectories: track_id -> (TrackEntry, ...).
+class LiveTracks:
+    """The last frame's slots: the previous side of the next assignment.
 
-    live holds the track id on each slot of the last frame added, in
-    slot order: the previous side of the next assignment.
+    Slot j of frame holds track ids[j], its admitted detection
+    detections[j] and its feature row features.features[j].  next_id is
+    the id the next birth takes.
     """
 
-    tracks: dict = field(default_factory=dict)
+    frame: int
+    features: FeatureSet
+    ids: tuple = ()
+    detections: tuple = ()
     next_id: int = 0
-    live: tuple = ()
 
 
 def score_matrix(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -155,16 +157,18 @@ def motion_gate(prev_centers, cur_centers, frame_gap: int) -> np.ndarray:
     return np.hypot(d[..., 0], d[..., 1]) <= GATE_RADIUS_M * frame_gap
 
 
-def update_tracks(ts: TrackSet, result: AssignmentResult, frame: Frame) -> TrackSet:
+def update_tracks(
+    live: LiveTracks, result: AssignmentResult, frame: Frame, features: FeatureSet
+) -> tuple[LiveTracks, tuple]:
     """Extend matched tracks, open tracks for births; deaths just stop.
 
-    result must partition the slots of ts.live and of frame's detections.
-    Matched previous slot i continues track ts.live[i]; births take fresh
-    ids in slot order.  Each new entry keeps the admitted detection of
-    its slot in frame.  The returned live lists the track on each slot
-    of frame.
+    result must partition the slots of live and of frame's detections,
+    and features holds one row per detection of frame.  Matched previous
+    slot i continues track live.ids[i]; births take fresh ids in slot
+    order.  Returns the table of frame's slots and frame's TrackRows in
+    slot order; live itself is left unchanged.
     """
-    cp, cc = len(ts.live), len(frame.detections)
+    cp, cc = len(live.ids), len(frame.detections)
     prev_used = {i for i, _ in result.matches} | result.deaths
     cur_used = {j for _, j in result.matches} | result.births
     if prev_used != set(range(cp)) or cur_used != set(range(cc)):
@@ -172,56 +176,48 @@ def update_tracks(ts: TrackSet, result: AssignmentResult, frame: Frame) -> Track
             f"assignment does not partition the {cp} previous and {cc} "
             f"current slots of frame {frame.index}"
         )
-    owner = {j: ts.live[i] for i, j in result.matches}
-    tracks = dict(ts.tracks)
-    next_id = ts.next_id
-    for j in sorted(result.births):
-        owner[j] = next_id
-        tracks[next_id] = ()
-        next_id += 1
-    live = tuple(owner[j] for j in range(cc))
-    for j, tid in enumerate(live):
-        tracks[tid] += (TrackEntry(frame.index, j, frame.detections[j]),)
-    return TrackSet(tracks, next_id, live)
+    if features.count != cc:
+        raise ValueError(f"{features.count} feature rows for {cc} detections")
+    owner = {j: live.ids[i] for i, j in result.matches}
+    owner.update((j, live.next_id + k) for k, j in enumerate(sorted(result.births)))
+    ids = tuple(owner[j] for j in range(cc))
+    rows = tuple(TrackRow(frame.index, t, d) for t, d in zip(ids, frame.detections))
+    next_id = live.next_id + len(result.births)
+    return LiveTracks(frame.index, features, ids, frame.detections, next_id), rows
 
 
 def track_sequence(
     src: SequenceSource, model: AffinityModel, cfg: TrackerConfig = TrackerConfig()
-) -> TrackSet:
+) -> tuple:
     """Run the full pipeline over consecutive frames of a sequence.
 
-    The previous side starts as an empty table, so frame 0 takes the
-    same path as every later frame and all its objects are births.
+    Returns every TrackRow, frame by frame.  The previous side starts as
+    an empty table, so frame 0 takes the same path as every later frame
+    and all its objects are births.
     """
-    ts = TrackSet()
-    # no rows, so the frame index only sets a gap that gates nothing
-    prev_fs = FeatureSet(np.zeros((0, model.pointnet.feature_dim)), frame_index=-1)
-    prev_centers = np.zeros((0, 3))
+    # no slots, so the frame only sets a gap that gates nothing
+    live = LiveTracks(-1, FeatureSet(np.zeros((0, model.pointnet.feature_dim))))
+    rows = []
     for index in range(src.frame_count):
         frame = load_admitted_frame(src, index)
-        fs = featurize_frame(
-            crop_frame(frame, seed=cfg.seed), model.pointnet, frame_index=index
-        )
-        centers = [d.box.center for d in frame.detections]
+        fs = featurize_frame(crop_frame(frame, seed=cfg.seed), model.pointnet)
         eligible = motion_gate(
-            prev_centers, centers, fs.frame_index - prev_fs.frame_index
+            [d.box.center for d in live.detections],
+            [d.box.center for d in frame.detections],
+            index - live.frame,
         )
         a1, a2 = affinity_from_features(
-            prev_fs, fs, model.compression, model.dummy_score, eligible=eligible
+            live.features, fs, model.compression, model.dummy_score, eligible=eligible
         )
         result = solve_assignment(score_matrix(a1, a2), cfg.birth_threshold)
-        ts = update_tracks(ts, result, frame)
-        prev_fs, prev_centers = fs, centers
-    return ts
+        live, frame_rows = update_tracks(live, result, frame, fs)
+        rows.extend(frame_rows)
+    return tuple(rows)
 
 
-def write_tracks_csv(path, ts: TrackSet) -> None:
-    """Track output rows sorted by frame then track id."""
+def write_tracks_csv(path, rows) -> None:
+    """TrackRows as a track CSV, sorted by frame then track id."""
     write_tracks_file(
         path,
-        (
-            (e.frame, tid, e.detection.box, e.detection.confidence)
-            for tid, entries in ts.tracks.items()
-            for e in entries
-        ),
+        ((r.frame, r.track_id, r.detection.box, r.detection.confidence) for r in rows),
     )

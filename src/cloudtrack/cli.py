@@ -16,10 +16,15 @@ import argparse
 import sys
 import time
 
-from .association import TrackerConfig, track_sequence, write_tracks_csv
+from .association import (
+    DEFAULT_BIRTH_THRESHOLD,
+    TrackerConfig,
+    track_sequence,
+    write_tracks_csv,
+)
 from .metrics import evaluate, read_center_tracks, report_json, report_table
 from .model import load_model
-from .sequence_io import IngestConfig, open_sequence
+from .sequence_io import DEFAULT_CONFIDENCE_THRESHOLD, IngestConfig, open_sequence
 from .synth import SynthConfig, generate, perturb
 from .training import TrainConfig, train
 from .verification import run_losscheck
@@ -126,8 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     trk.add_argument("--seq", required=True, help="sequence directory")
     trk.add_argument("--weights", required=True, help="model weights file")
     trk.add_argument("--out", required=True, help="output tracks CSV")
-    trk.add_argument("--birth-threshold", type=_rate, default=0.3)
-    trk.add_argument("--conf-threshold", type=_rate, default=0.4)
+    trk.add_argument("--birth-threshold", type=_rate, default=DEFAULT_BIRTH_THRESHOLD)
+    trk.add_argument(
+        "--conf-threshold", type=_rate, default=DEFAULT_CONFIDENCE_THRESHOLD
+    )
     trk.add_argument("--seed", type=int, default=0)
     _add_threads_flag(trk)
     trk.set_defaults(func=cmd_track)
@@ -193,13 +200,13 @@ def cmd_track(args) -> int:
     model = load_model(args.weights)
     cfg = TrackerConfig(birth_threshold=args.birth_threshold, seed=args.seed)
     started = time.perf_counter()
-    ts = track_sequence(src, model, cfg)
+    rows = track_sequence(src, model, cfg)
     elapsed = time.perf_counter() - started
     per_frame = elapsed / src.frame_count if src.frame_count else 0.0
-    write_tracks_csv(args.out, ts)
+    write_tracks_csv(args.out, rows)
     print(
-        f"out={args.out} frames={src.frame_count} tracks={len(ts.tracks)} "
-        f"seconds_per_frame={per_frame:.6f}"
+        f"out={args.out} frames={src.frame_count} "
+        f"tracks={len({r.track_id for r in rows})} seconds_per_frame={per_frame:.6f}"
     )
     return 0
 

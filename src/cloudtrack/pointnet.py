@@ -44,7 +44,6 @@ class FeatureSet:
     """One feature row per object of a frame."""
 
     features: np.ndarray
-    frame_index: int = 0
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -76,7 +75,7 @@ def pointnet_forward(obj: ObjectPoints, w: PointNetWeights) -> np.ndarray:
     return mlp_forward(pts, w.layers).max(axis=0)
 
 
-def featurize_frame(objs, w: PointNetWeights, frame_index: int = 0) -> FeatureSet:
+def featurize_frame(objs, w: PointNetWeights) -> FeatureSet:
     """Featurize each object into its own row, in input order.
 
     Each row depends only on its own object's points.
@@ -85,4 +84,4 @@ def featurize_frame(objs, w: PointNetWeights, frame_index: int = 0) -> FeatureSe
     feats = np.zeros((len(objs), w.feature_dim))
     for slot, obj in enumerate(objs):
         feats[slot] = pointnet_forward(obj, w)
-    return FeatureSet(feats, frame_index)
+    return FeatureSet(feats)

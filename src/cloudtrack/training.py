@@ -209,10 +209,7 @@ def training_pairs(
             "training needs a labeled sequence"
         )
     feats = [
-        featurize_frame(
-            crop_frame(f, seed=cfg.seed), model.pointnet, frame_index=f.index
-        )
-        for f in frames
+        featurize_frame(crop_frame(f, seed=cfg.seed), model.pointnet) for f in frames
     ]
     lo, hi = cfg.frame_gap_range
     samples = []

@@ -3,9 +3,10 @@ import pytest
 
 from cloudtrack import (
     AssignmentResult,
+    FeatureSet,
+    LiveTracks,
     TrackerConfig,
-    TrackEntry,
-    TrackSet,
+    TrackRow,
     init_model,
     open_sequence,
     score_matrix,
@@ -19,6 +20,7 @@ from cloudtrack import (
 from cloudtrack.affinity import CompressionNet, augment_and_softmax
 from cloudtrack.association import GATE_RADIUS_M, motion_gate
 from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
+from cloudtrack.sequence_io import load_admitted_frame
 
 
 def brute_force_total(s: np.ndarray, birth: float) -> float:
@@ -171,103 +173,158 @@ def frame_with(index, n):
     return Frame(index, PointCloud(np.empty((0, 3)), index), dets)
 
 
-def links(ts):
-    """track_id -> ((frame, slot), ...), dropping the stored detections."""
-    return {tid: tuple((e.frame, e.slot) for e in entries)
-            for tid, entries in ts.tracks.items()}
+def links(rows):
+    """track_id -> ((frame, slot), ...); rows come frame by frame in slot order."""
+    out, slots = {}, {}
+    for row in rows:
+        slot = slots[row.frame] = slots.get(row.frame, -1) + 1
+        out.setdefault(row.track_id, []).append((row.frame, slot))
+    return {tid: tuple(entries) for tid, entries in out.items()}
 
 
 def result(matches=(), births=(), deaths=()):
     return AssignmentResult(frozenset(matches), frozenset(births), frozenset(deaths))
 
 
+def feats(n):
+    return FeatureSet(np.zeros((n, 4)))
+
+
+EMPTY = LiveTracks(-1, feats(0))
+
+
+def step(live, res, frame):
+    return update_tracks(live, res, frame, feats(len(frame.detections)))
+
+
+def drive(*steps):
+    """Run (result, frame) steps from the empty table: (last table, all rows)."""
+    live, rows = EMPTY, []
+    for res, frame in steps:
+        live, new = step(live, res, frame)
+        rows.extend(new)
+    return live, rows
+
+
 class TestUpdateTracks:
     def test_initial_births(self):
         frame = frame_with(0, 2)
-        ts = update_tracks(TrackSet(), result(births={0, 1}), frame)
-        assert links(ts) == {0: ((0, 0),), 1: ((0, 1),)}
-        assert ts.next_id == 2
-        assert ts.tracks[1][0].detection is frame.detections[1]
+        fs = feats(2)
+        live, rows = update_tracks(EMPTY, result(births={0, 1}), frame, fs)
+        assert links(rows) == {0: ((0, 0),), 1: ((0, 1),)}
+        assert live.next_id == 2
+        assert rows[1].detection is frame.detections[1]
+        assert live.frame == 0 and live.features is fs
+        assert live.detections == frame.detections
 
     def test_match_extends_track(self):
-        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
-        assert ts.live == (0,)
+        live, first = step(EMPTY, result(births={0}), frame_with(0, 1))
+        assert live.ids == (0,)
         frame = frame_with(1, 2)
-        ts = update_tracks(ts, result(matches={(0, 1)}, births={0}), frame)
-        assert links(ts) == {0: ((0, 0), (1, 1)), 1: ((1, 0),)}
-        assert ts.tracks[0][1] == TrackEntry(1, 1, frame.detections[1])
-        assert ts.live == (1, 0)
+        live, second = step(live, result(matches={(0, 1)}, births={0}), frame)
+        assert links(first + second) == {0: ((0, 0), (1, 1)), 1: ((1, 0),)}
+        assert second == (TrackRow(1, 1, frame.detections[0]),
+                          TrackRow(1, 0, frame.detections[1]))
+        assert live.ids == (1, 0)
 
     def test_death_then_birth_uses_fresh_id(self):
-        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
-        ts = update_tracks(ts, result(deaths={0}), frame_with(1, 0))
-        ts = update_tracks(ts, result(births={0}), frame_with(2, 1))
-        assert set(ts.tracks) == {0, 1}
-        assert links(ts)[1] == ((2, 0),)
-        assert ts.next_id == 2
+        live, rows = drive(
+            (result(births={0}), frame_with(0, 1)),
+            (result(deaths={0}), frame_with(1, 0)),
+            (result(births={0}), frame_with(2, 1)),
+        )
+        assert set(links(rows)) == {0, 1}
+        assert links(rows)[1] == ((2, 0),)
+        assert live.next_id == 2
 
     def test_dead_track_never_reactivates(self):
         # track 0 ends at frame 1; the object on slot 0 of frame 2 is new
-        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
-        assert ts.live == (0,)
-        ts = update_tracks(ts, result(deaths={0}), frame_with(1, 0))
-        assert ts.live == ()
-        ts = update_tracks(ts, result(births={0}), frame_with(2, 1))
-        assert ts.live == (1,)
-        ts = update_tracks(ts, result(matches={(0, 0)}), frame_with(3, 1))
-        assert ts.live == (1,)
-        assert links(ts) == {0: ((0, 0),), 1: ((2, 0), (3, 0))}
+        live, rows = step(EMPTY, result(births={0}), frame_with(0, 1))
+        assert live.ids == (0,)
+        live, more = step(live, result(deaths={0}), frame_with(1, 0))
+        assert live.ids == () and more == ()
+        rows += more
+        live, more = step(live, result(births={0}), frame_with(2, 1))
+        assert live.ids == (1,)
+        rows += more
+        live, more = step(live, result(matches={(0, 0)}), frame_with(3, 1))
+        assert live.ids == (1,)
+        rows += more
+        assert links(rows) == {0: ((0, 0),), 1: ((2, 0), (3, 0))}
 
     def test_live_follows_slot_order(self):
-        ts = update_tracks(TrackSet(), result(births={0, 1, 2}), frame_with(0, 3))
-        assert ts.live == (0, 1, 2)
-        ts = update_tracks(
-            ts, result(matches={(0, 2), (2, 0)}, births={1, 3}, deaths={1}),
-            frame_with(1, 4),
+        live, _ = step(EMPTY, result(births={0, 1, 2}), frame_with(0, 3))
+        assert live.ids == (0, 1, 2)
+        frame, fs = frame_with(1, 4), feats(4)
+        live, rows = update_tracks(
+            live, result(matches={(0, 2), (2, 0)}, births={1, 3}, deaths={1}),
+            frame, fs,
         )
-        assert ts.live == (2, 3, 0, 4)
-        assert ts.next_id == 5
+        assert live.ids == (2, 3, 0, 4)
+        assert tuple(row.track_id for row in rows) == live.ids
+        assert live.detections == tuple(row.detection for row in rows)
+        assert live.detections == frame.detections and live.features is fs
+        assert (live.frame, live.next_id) == (1, 5)
 
-    def test_input_track_set_unchanged(self):
-        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
-        before = (dict(ts.tracks), ts.next_id, ts.live)
-        update_tracks(ts, result(matches={(0, 0)}, births={1}), frame_with(1, 2))
-        assert (ts.tracks, ts.next_id, ts.live) == before
+    def test_input_table_unchanged(self):
+        live, _ = step(EMPTY, result(births={0}), frame_with(0, 1))
+        before = (live.frame, live.features, live.ids, live.detections, live.next_id)
+        step(live, result(matches={(0, 0)}, births={1}), frame_with(1, 2))
+        after = (live.frame, live.features, live.ids, live.detections, live.next_id)
+        assert after == before
 
     def test_unassigned_current_slot_rejected(self):
         # slot 0 of frame 1 is neither matched nor born
-        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
+        live, _ = step(EMPTY, result(births={0}), frame_with(0, 1))
         with pytest.raises(ValueError, match="does not partition"):
-            update_tracks(ts, result(matches={(0, 1)}), frame_with(1, 2))
+            step(live, result(matches={(0, 1)}), frame_with(1, 2))
 
     def test_match_beyond_live_table_rejected(self):
-        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
+        live, _ = step(EMPTY, result(births={0}), frame_with(0, 1))
         with pytest.raises(ValueError, match="does not partition"):
-            update_tracks(ts, result(matches={(1, 0)}, deaths={0}), frame_with(1, 1))
+            step(live, result(matches={(1, 0)}, deaths={0}), frame_with(1, 1))
         with pytest.raises(ValueError, match="does not partition"):
-            update_tracks(TrackSet(), result(matches={(0, 0)}), frame_with(0, 1))
+            step(EMPTY, result(matches={(0, 0)}), frame_with(0, 1))
 
     def test_death_outside_live_table_rejected(self):
-        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
+        live, _ = step(EMPTY, result(births={0}), frame_with(0, 1))
         with pytest.raises(ValueError, match="does not partition"):
-            update_tracks(ts, result(matches={(0, 0)}, deaths={7}), frame_with(1, 1))
+            step(live, result(matches={(0, 0)}, deaths={7}), frame_with(1, 1))
 
     def test_unended_live_track_rejected(self):
         # previous slot 1 is neither matched nor dead
-        ts = update_tracks(TrackSet(), result(births={0, 1}), frame_with(0, 2))
+        live, _ = step(EMPTY, result(births={0, 1}), frame_with(0, 2))
         with pytest.raises(ValueError, match="does not partition"):
-            update_tracks(ts, result(matches={(0, 0)}), frame_with(1, 1))
+            step(live, result(matches={(0, 0)}), frame_with(1, 1))
+
+    def test_feature_rows_must_match_detections(self):
+        with pytest.raises(ValueError, match="feature rows"):
+            update_tracks(EMPTY, result(births={0, 1}), frame_with(0, 2), feats(1))
 
     def test_ten_frame_lineage(self):
         # one object tracked 0..4, replaced by a newcomer from frame 5 on
-        ts = update_tracks(TrackSet(), result(births={0}), frame_with(0, 1))
-        for f in range(1, 5):
-            ts = update_tracks(ts, result(matches={(0, 0)}), frame_with(f, 1))
-        ts = update_tracks(ts, result(births={0}, deaths={0}), frame_with(5, 1))
-        for f in range(6, 10):
-            ts = update_tracks(ts, result(matches={(0, 0)}), frame_with(f, 1))
-        assert links(ts)[0] == tuple((f, 0) for f in range(5))
-        assert links(ts)[1] == tuple((f, 0) for f in range(5, 10))
+        _, rows = drive(
+            (result(births={0}), frame_with(0, 1)),
+            *((result(matches={(0, 0)}), frame_with(f, 1)) for f in range(1, 5)),
+            (result(births={0}, deaths={0}), frame_with(5, 1)),
+            *((result(matches={(0, 0)}), frame_with(f, 1)) for f in range(6, 10)),
+        )
+        assert links(rows)[0] == tuple((f, 0) for f in range(5))
+        assert links(rows)[1] == tuple((f, 0) for f in range(5, 10))
+
+    def test_long_run_keeps_only_the_live_slots(self):
+        # 5 objects matched for 2 000 frames: the table never grows
+        frames = [frame_with(f, 5) for f in range(2000)]
+        same = result(matches={(k, k) for k in range(5)})
+        live, rows = drive(
+            (result(births=set(range(5))), frames[0]),
+            *((same, frame) for frame in frames[1:]),
+        )
+        assert (len(live.ids), len(live.detections), live.features.count) == (5, 5, 5)
+        assert live.ids == (0, 1, 2, 3, 4) and live.next_id == 5
+        assert len(rows) == 10_000
+        assert {row.track_id for row in rows} == set(range(5))
+        assert links(rows)[3] == tuple((f, 3) for f in range(2000))
 
     def test_result_validation(self):
         with pytest.raises(ValueError):
@@ -326,9 +383,9 @@ def toy(tmp_path_factory):
 class TestTrackSequence:
     def test_every_slot_lands_in_exactly_one_track(self, toy):
         src, model = toy
-        ts = track_sequence(src, model, TrackerConfig(seed=1))
+        rows = track_sequence(src, model, TrackerConfig(seed=1))
         seen = set()
-        for entries in links(ts).values():
+        for entries in links(rows).values():
             for entry in entries:
                 assert entry not in seen
                 seen.add(entry)
@@ -338,7 +395,7 @@ class TestTrackSequence:
         src, model = toy
         runs = [track_sequence(src, model, TrackerConfig(seed=1)) for _ in range(3)]
         assert links(runs[0]) == links(runs[1]) == links(runs[2])
-        assert runs[0].next_id == runs[1].next_id == runs[2].next_id
+        assert len(runs[0]) == len(runs[1]) == len(runs[2])
 
     def test_empty_frames_take_the_same_path(self, tmp_path):
         # frame 0 and frame 2 have no detections
@@ -350,21 +407,26 @@ class TestTrackSequence:
             [(0.6, 0.0), (8.6, 0.0), (16.0, 0.0)],
             [(0.9, 0.0), (8.9, 0.0), (16.3, 0.0)],
         ], rng)
-        ts = track_sequence(src, init_model(seed=5), TrackerConfig(seed=1))
-        owner = [(entry, tid) for tid, entries in links(ts).items() for entry in entries]
+        rows = track_sequence(src, init_model(seed=5), TrackerConfig(seed=1))
+        owner = [(e, tid) for tid, entries in links(rows).items() for e in entries]
         assert sorted(entry for entry, _ in owner) == [
             (1, 0), (1, 1), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)
         ]
-        assert sorted(ts.tracks) == list(range(ts.next_id))
+        ids = sorted({row.track_id for row in rows})
+        assert ids == list(range(len(ids)))
         # the empty frame 2 ends both frame-1 tracks
-        assert links(ts)[0] == ((1, 0),) and links(ts)[1] == ((1, 1),)
-        assert ts.live == tuple(tid for entry, tid in sorted(owner) if entry[0] == 4)
+        assert links(rows)[0] == ((1, 0),) and links(rows)[1] == ((1, 1),)
+        # rows come frame by frame, each frame's in slot order
+        want = [(f, tuple(d.box.center))
+                for f in range(src.frame_count)
+                for d in load_admitted_frame(src, f).detections]
+        assert [(row.frame, tuple(row.detection.box.center)) for row in rows] == want
 
     def test_csv_round_trip_and_order(self, toy, tmp_path):
         src, model = toy
-        ts = track_sequence(src, model, TrackerConfig(seed=1))
+        rows = track_sequence(src, model, TrackerConfig(seed=1))
         out = tmp_path / "tracks.csv"
-        write_tracks_csv(out, ts)
+        write_tracks_csv(out, rows)
         lines = out.read_text().splitlines()
         assert lines[0] == "frame,track_id,cx,cy,cz,l,w,h,yaw,conf"
         keys = []
@@ -374,23 +436,23 @@ class TestTrackSequence:
             keys.append((int(parts[0]), int(parts[1])))
             assert float(parts[9]) == 1.0
         assert keys == sorted(keys)
-        write_tracks_csv(tmp_path / "again.csv", ts)
+        write_tracks_csv(tmp_path / "again.csv", rows)
         assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
 
     def test_writing_reads_no_frames(self, toy, tmp_path):
         src, model = toy
-        ts = track_sequence(src, model, TrackerConfig(seed=1))
+        rows = track_sequence(src, model, TrackerConfig(seed=1))
         before = tmp_path / "before.csv"
-        write_tracks_csv(before, ts)
+        write_tracks_csv(before, rows)
         moved = tmp_path / "moved"
         src.root.rename(moved)
         try:
             after = tmp_path / "after.csv"
-            write_tracks_csv(after, ts)
+            write_tracks_csv(after, rows)
         finally:
             moved.rename(src.root)
         assert after.read_bytes() == before.read_bytes()
-        assert after.read_text().count("\n") == 1 + sum(map(len, ts.tracks.values()))
+        assert after.read_text().count("\n") == 1 + len(rows)
 
 
 class TestMotionGate:
@@ -455,8 +517,8 @@ class TestGatedTracking:
         ])
         base = init_model(seed=5)
         model = base.with_compression(base.compression, -10.0)
-        ts = track_sequence(src, model, TrackerConfig(seed=1))
-        assert links(ts) == {
+        rows = track_sequence(src, model, TrackerConfig(seed=1))
+        assert links(rows) == {
             0: ((0, 0), (1, 1), (2, 0)),
             1: ((0, 1), (1, 0), (2, 1)),
         }
@@ -470,5 +532,5 @@ class TestGatedTracking:
             [(jump, 0.0), (20.25, 0.0)],
         ])
         model = init_model(seed=5).with_compression(constant_net(30.0), 0.0)
-        ts = track_sequence(src, model, TrackerConfig(birth_threshold=0.0, seed=1))
-        assert links(ts) == {0: ((0, 0),), 1: ((0, 1), (1, 1)), 2: ((1, 0),)}
+        rows = track_sequence(src, model, TrackerConfig(birth_threshold=0.0, seed=1))
+        assert links(rows) == {0: ((0, 0),), 1: ((0, 1), (1, 1)), 2: ((1, 0),)}

@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
+from cloudtrack.association import TrackerConfig
 from cloudtrack.cli import build_parser, run
 from cloudtrack.model import init_model, save_model
 from cloudtrack.sequence_io import (
+    IngestConfig,
     load_frame,
     open_sequence,
     write_detections,
@@ -320,6 +322,13 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "1/1 trials passed" in proc.stdout
+
+    def test_track_defaults_match_the_configs(self):
+        args = build_parser().parse_args(
+            ["track", "--seq", "s", "--weights", "w.bin", "--out", "t.csv"]
+        )
+        assert args.birth_threshold == TrackerConfig().birth_threshold
+        assert args.conf_threshold == IngestConfig().confidence_threshold
 
     def test_threads_default_is_one(self, monkeypatch):
         # the environment no longer selects a thread count

@@ -5,7 +5,8 @@ from cloudtrack import training
 from cloudtrack.losses import LossGradients, build_gt, loss_breakdown, loss_gradients
 from cloudtrack.model import init_model, load_model, save_model
 from cloudtrack.affinity import CompressionNet, augment_and_softmax
-from cloudtrack.pointnet import FeatureSet
+from cloudtrack.cropping import crop_frame
+from cloudtrack.pointnet import FeatureSet, featurize_frame
 from cloudtrack.nets import (
     init_layers,
     mlp_backward,
@@ -290,6 +291,21 @@ class TestTrainStep:
             train_step(init_model(seed=1), [], TrainConfig(steps=1))
 
 
+def frame_of(pool, scene, model, cfg):
+    """id of each FeatureSet in pool -> the frame whose features it holds."""
+    ref = [
+        featurize_frame(crop_frame(load_admitted_frame(scene, i), seed=cfg.seed),
+                        model.pointnet).features
+        for i in range(scene.frame_count)
+    ]
+    found = {id(fs): fs for sample in pool for fs in (sample.prev, sample.cur)}
+    out = {}
+    for key, fs in found.items():
+        [index] = [i for i, r in enumerate(ref) if np.array_equal(fs.features, r)]
+        out[key] = index
+    return out
+
+
 class TestTrainingPairs:
     def test_pool_counts_and_feature_caching(self, scene):
         model = init_model(seed=7)
@@ -298,19 +314,17 @@ class TestTrainingPairs:
         n = scene.frame_count
         expected = sum(min(cur, 3) for cur in range(n))
         assert len(pool) == expected
-        by_frame = {}
-        for sample in pool:
-            for fs in (sample.prev, sample.cur):
-                prior = by_frame.setdefault(fs.frame_index, fs)
-                assert prior is fs
+        # one FeatureSet object per frame, shared by every sample using it
+        assert sorted(frame_of(pool, scene, model, cfg).values()) == list(range(n))
 
     def test_gap_one_only(self, scene):
         model = init_model(seed=7)
         cfg = TrainConfig(steps=1, frame_gap_range=(1, 1))
         pool = training_pairs(scene, model, cfg)
         assert len(pool) == scene.frame_count - 1
+        frame = frame_of(pool, scene, model, cfg)
         for sample in pool:
-            assert sample.cur.frame_index - sample.prev.frame_index == 1
+            assert frame[id(sample.cur)] - frame[id(sample.prev)] == 1
 
     def test_unlabeled_detections_train(self, tmp_path):
         # admitted false detections carry no gt_id; they are leave/enter
