@@ -7,6 +7,13 @@ never leaks into the feature.  Valid points are canonically ordered
 before the matrix products, which makes the output bitwise identical
 under any permutation or re-padding of the input points.  A frame's
 features are one row per object, in detection order.
+
+A frame's crops run as one batch in a canonical crop order, through the
+MLP in chunks of a few crops (see featurize_frame), so the rows permute
+bitwise with the objects by construction.  That a row equals its own
+object's pointnet_forward is checked by the tests, not guaranteed by
+construction: it rests on BLAS rounding a row alike wherever it sits in
+a product.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cropping import ObjectPoints
-from .nets import Layers, layer_widths, mlp_forward, validate_layers
+from .nets import Layers, layer_widths, validate_layers
 
 DEFAULT_POINTNET_WIDTHS = (3, 64, 128, 512)
 
@@ -62,26 +69,87 @@ class FeatureSet:
         return self.features.shape[1]
 
 
+# Crops per MLP chunk.  The activations are allocated once per call at
+# this size; 16 crops per chunk lifted dense80's peak RSS past its bound.
+_CHUNK_CROPS = 4
+
+# Crops with fewer valid points run alone, at their own size.  BLAS
+# multiplies such short inputs with other kernels (OpenBLAS: gemv for one
+# row, small-matrix kernels up to 9 rows of the 64->128 layer), whose
+# rows round differently from the same rows inside a longer product.
+_BATCH_MIN_POINTS = 16
+
+
 def _canonical_order(pts: np.ndarray) -> np.ndarray:
     # sort by x, then y, then z so the gemm input is order-independent
     return pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
 
 
+def _pool_crops(crops, layers: Layers) -> np.ndarray:
+    """Max-pooled MLP output of each canonically ordered crop; one row each.
+
+    Equal crops run once.  The last bias is added after the max:
+    rounding is monotone, so max_p fl(y_p + b) == fl(max_p y_p + b).
+    """
+    width = max(len(pts) for pts in crops)
+    padded = np.empty((len(crops), width, 3))
+    for row, pts in zip(padded, crops):
+        row[: len(pts)] = pts
+        row[len(pts) :] = pts[-1]
+    key = padded.reshape(len(crops), -1).view(np.uint8)
+    key = key.view(np.dtype((np.void, key.shape[1])))[:, 0]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    batch = padded[first].reshape(-1, 3)
+    k = len(first)
+    rows = min(k, _CHUNK_CROPS) * width
+    bufs = [np.empty((rows, W.shape[0])) for W, _ in layers]
+    pooled = np.empty((k, layers[-1][0].shape[0]))
+    for start in range(0, k, _CHUNK_CROPS):
+        stop = min(start + _CHUNK_CROPS, k)
+        x = batch[start * width : stop * width]
+        for (W, b), buf in zip(layers[:-1], bufs):
+            h = buf[: len(x)]
+            np.matmul(x, W.T, out=h)
+            h += b
+            np.maximum(h, 0.0, out=h)
+            x = h
+        y = bufs[-1][: len(x)]
+        np.matmul(x, layers[-1][0].T, out=y)
+        y.reshape(stop - start, width, -1).max(axis=1, out=pooled[start:stop])
+    pooled += layers[-1][1]
+    return pooled[inverse]
+
+
 def pointnet_forward(obj: ObjectPoints, w: PointNetWeights) -> np.ndarray:
     """Feature vector for one object; the zero vector when it has no points."""
-    if obj.valid_count == 0:
-        return np.zeros(w.feature_dim)
-    pts = _canonical_order(obj.points[: obj.valid_count])
-    return mlp_forward(pts, w.layers).max(axis=0)
+    return featurize_frame((obj,), w).features[0]
 
 
 def featurize_frame(objs, w: PointNetWeights) -> FeatureSet:
     """Featurize each object into its own row, in input order.
 
-    Each row depends only on its own object's points.
+    Each non-empty crop's valid points are canonically ordered.  The
+    crops of at least _BATCH_MIN_POINTS points run as one batch: padded
+    to the longest by repeating their last point (a duplicate row leaves
+    the max unchanged), ordered by their bytes, and put through the MLP
+    in chunks of a few crops.  Any permutation of objs thus gives the
+    matrix products the same inputs and permutes the rows bitwise.
+    Shorter crops run alone; empty ones keep the zero row.  That a
+    batched row equals its own object's pointnet_forward rests on BLAS
+    computing a row alike at any position of a long product: the tests
+    check it, the construction does not guarantee it.
     """
     objs = tuple(objs)
     feats = np.zeros((len(objs), w.feature_dim))
-    for slot, obj in enumerate(objs):
-        feats[slot] = pointnet_forward(obj, w)
+    crops = {
+        slot: _canonical_order(obj.points[: obj.valid_count])
+        for slot, obj in enumerate(objs)
+        if obj.valid_count
+    }
+    groups = [[slot] for slot, pts in crops.items() if len(pts) < _BATCH_MIN_POINTS]
+    batched = [slot for slot, pts in crops.items() if len(pts) >= _BATCH_MIN_POINTS]
+    if batched:
+        groups.append(batched)
+    for group in groups:
+        feats[group] = _pool_crops([crops[slot] for slot in group], w.layers)
     return FeatureSet(feats)

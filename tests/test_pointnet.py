@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from cloudtrack.affinity import CompressionNet
-from cloudtrack.cropping import ObjectPoints
+from cloudtrack.cropping import ObjectPoints, crop_frame
 from cloudtrack.model import AffinityModel, load_model, save_model
 from cloudtrack.nets import init_layers, mlp_forward, pack_layers
 from cloudtrack.pointnet import (
+    DEFAULT_POINTNET_WIDTHS,
     FeatureSet,
     PointNetWeights,
     featurize_frame,
     pointnet_forward,
 )
+from cloudtrack.sequence_io import load_admitted_frame
+from cloudtrack.synth import SynthConfig, generate
 
 
 def object_from(points, P=None):
@@ -27,6 +30,23 @@ def object_from(points, P=None):
 
 def random_weights(rng, widths=(3, 8, 16)):
     return PointNetWeights(init_layers(widths, rng))
+
+
+def oracle_row(obj, w):
+    """One object's feature as a lone MLP over its canonically ordered points."""
+    if obj.valid_count == 0:
+        return np.zeros(w.feature_dim)
+    pts = obj.points[: obj.valid_count]
+    pts = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
+    return mlp_forward(pts, w.layers).max(axis=0)
+
+
+def assert_rows_match_oracle(objs, w):
+    feats = featurize_frame(objs, w).features
+    assert feats.shape == (len(objs), w.feature_dim)
+    for slot, obj in enumerate(objs):
+        assert feats[slot].tobytes() == oracle_row(obj, w).tobytes(), slot
+    return feats
 
 
 class TestPointnetForward:
@@ -84,17 +104,64 @@ class TestFeaturizeFrame:
         assert fs.features.shape == (0, 16)
 
     def test_slots_filled_in_order(self):
+        # frames around and across the MLP's chunk of four crops; the last
+        # crop of each frame of four or more repeats the first, so two
+        # batch keys tie
         rng = np.random.default_rng(106)
-        w = random_weights(rng)
-        objs = [
-            object_from(rng.uniform(-1, 1, size=(12, 3))) for _ in range(2)
+        w = PointNetWeights(init_layers(DEFAULT_POINTNET_WIDTHS, rng))
+        P = 128
+        frames = (
+            [P],
+            [0, 1, P],
+            [P, 17, 15, P],
+            [40, 0, 9, 100, 40],
+            [P, 1, 2, 16, 64, 10, P - 1, 0, P],
+        )
+        for valid in frames:
+            objs = [object_from(rng.uniform(-1, 1, size=(n, 3)), P=P) for n in valid]
+            if len(objs) >= 4:
+                objs[-1] = objs[0]
+            feats = assert_rows_match_oracle(objs, w)
+            for slot, obj in enumerate(objs):
+                assert feats[slot].tobytes() == pointnet_forward(obj, w).tobytes()
+            for _ in range(5):
+                perm = rng.permutation(len(objs))
+                got = featurize_frame([objs[i] for i in perm], w).features
+                assert got.tobytes() == feats[perm].tobytes()
+
+    def test_last_bias_added_after_max(self):
+        # the last layer's bias is added after the max-pool; signed zeros in
+        # the bias, and in outputs forced to zero, must round as before
+        rng = np.random.default_rng(111)
+        layers = [
+            (W, rng.uniform(-0.5, 0.5, size=len(b)))
+            for W, b in init_layers(DEFAULT_POINTNET_WIDTHS, rng)
         ]
-        fs = featurize_frame(objs, w)
-        assert fs.count == 2
-        assert fs.features.shape == (2, 16)
-        for slot, obj in enumerate(objs):
-            solo = pointnet_forward(obj, w)
-            assert fs.features[slot].tobytes() == solo.tobytes()
+        W, b = layers[-1]
+        W[:8] = 0.0
+        W[8:16] = -0.0
+        b[::3] = 0.0
+        b[1::3] = -0.0
+        w = PointNetWeights(tuple(layers))
+        assert np.signbit(w.layers[-1][1][1::3]).all()
+        objs = [
+            object_from(rng.uniform(-1, 1, size=(n, 3)), P=128)
+            for n in (128, 70, 20, 16, 5, 1, 0)
+        ]
+        assert_rows_match_oracle(objs, w)
+
+    @pytest.mark.parametrize("points_per_object", [200, 60])
+    def test_real_crops_match_oracle(self, tmp_path, points_per_object):
+        cfg = SynthConfig(
+            n_objects=24, n_frames=2, seed=7, arena=(60.0, 60.0),
+            points_per_object=points_per_object,
+        )
+        src = generate(cfg, tmp_path)
+        crops = crop_frame(load_admitted_frame(src, 1), seed=0)
+        assert len(crops) >= 20
+        rng = np.random.default_rng(112)
+        w = PointNetWeights(init_layers(DEFAULT_POINTNET_WIDTHS, rng))
+        assert_rows_match_oracle(crops, w)
 
     def test_feature_set_rejects_bad_rows(self):
         with pytest.raises(ValueError, match="2-D"):
