@@ -32,20 +32,17 @@ model = init_model(seed=0)
 prev = load_admitted_frame(src, 0)
 cur = load_admitted_frame(src, 1)
 
-# One fixed-size local point set per detection, then one 512-wide
-# feature row per object.
+# One box-local crop of at most P points (128 by default) per detection,
+# then one 512-wide feature row per object.
 prev_fs = featurize_frame(crop_frame(prev, seed=0), model.pointnet)
 cur_fs = featurize_frame(crop_frame(cur, seed=0), model.pointnet)
 print(f"features: {prev_fs.count} objects x {prev_fs.dim} dims")
 
 # The feature of an object never depends on the order of its points.
 rng = np.random.default_rng(3)
-pts = np.zeros((128, 3))
-pts[:100] = rng.normal(size=(100, 3))
-a = pointnet_forward(ObjectPoints(pts, 100), model.pointnet)
-shuffled = np.zeros_like(pts)
-shuffled[:100] = pts[:100][rng.permutation(100)]
-b = pointnet_forward(ObjectPoints(shuffled, 100), model.pointnet)
+pts = rng.normal(size=(100, 3))
+a = pointnet_forward(ObjectPoints(pts), model.pointnet)
+b = pointnet_forward(ObjectPoints(pts[rng.permutation(100)]), model.pointnet)
 print(f"permutation changes feature bytes: {a.tobytes() != b.tobytes()}")
 
 m = compression_forward(prev_fs.features, cur_fs.features, model.compression)

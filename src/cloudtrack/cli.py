@@ -233,6 +233,10 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.subcommand == "synth" and args.conf_lo > args.conf_hi:
+            parser.error(
+                f"synth: --conf-lo {args.conf_lo} exceeds --conf-hi {args.conf_hi}"
+            )
     except SystemExit as exc:
         # argparse has already written the usage message to stderr
         return 2 if exc.code else 0

@@ -1,11 +1,10 @@
 """Per-object point extraction.
 
 Each admitted detection gets the cloud points inside its box, expressed
-in the box-local frame (center at origin, yaw removed), resampled to a
-fixed count P.  Fewer than P interior points are zero-padded; more than
-P are thinned by seeded uniform sampling without replacement, keeping
-source order.  Selection depends only on (seed, frame index, slot), so
-crops are reproducible bit for bit.
+in the box-local frame (center at origin, yaw removed): at most P points.
+A box with more than P interior points is thinned to P by seeded uniform
+sampling without replacement, keeping source order.  Selection depends
+only on (seed, frame index, slot), so crops are reproducible bit for bit.
 
 A frame is cropped in one x-sorted pass: the cloud is sorted by x once,
 and each box takes as candidates the points whose x lies within its
@@ -51,25 +50,21 @@ def slot_seed(seed: int, frame_index: int, slot: int) -> int:
 
 @dataclass(frozen=True)
 class ObjectPoints:
-    """Fixed-size local-frame point set for one object.
-
-    Rows past valid_count are zero padding.
-    """
+    """One object's crop: its (n, 3) local-frame points, n at most P."""
 
     points: np.ndarray
-    valid_count: int
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must be (P, 3), got {pts.shape}")
-        if not 0 <= self.valid_count <= len(pts):
-            raise ValueError("valid_count outside 0..P")
-        if not np.isfinite(pts[: self.valid_count]).all():
+            raise ValueError(f"points must be (n, 3), got {pts.shape}")
+        if not np.isfinite(pts).all():
             raise ValueError("non-finite point coordinate")
-        if np.any(pts[self.valid_count:]):
-            raise ValueError("padding rows must be zero")
         object.__setattr__(self, "points", pts)
+
+    @property
+    def valid_count(self) -> int:
+        return len(self.points)
 
 
 def _crop(
@@ -87,10 +82,7 @@ def _crop(
     if n > P:
         rng = np.random.default_rng(seed & _MASK64)
         local = local[np.sort(rng.permutation(n)[:P])]
-        n = P
-    out = np.zeros((P, 3))
-    out[:n] = local
-    return ObjectPoints(out, n)
+    return ObjectPoints(local)
 
 
 def _x_reach(box: OrientedBox3) -> float:

@@ -42,18 +42,16 @@ def _as_finite_points(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """One sensor sweep: an (n, 3) array of xyz points plus its frame index.
+    """One sensor sweep: an (n, 3) array of xyz points.
 
     Point order carries no meaning; consumers must be permutation invariant.
+    The sweep's time step is its Frame's index.
     """
 
     points: np.ndarray
-    frame_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "points", _as_finite_points(self.points))
-        if self.frame_index < 0:
-            raise ValueError("frame_index must be non-negative")
 
     def __len__(self) -> int:
         return self.points.shape[0]

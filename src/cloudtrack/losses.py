@@ -3,14 +3,15 @@
 Both loss functions read the affinity head's output as it comes: the
 pair (A1, A2), A1 the row softmax of the cp x (cc+1) matrix M1 (dummy
 column last), A2 the column softmax of the (cp+1) x cc matrix M2 (dummy
-row last).  loss_breakdown gives four terms, averaged into the training
-objective:
+row last).  The ground truth is one cp x cc match matrix G3; the forward
+target G1 (G3 plus a leave column) and the backward target G2 (G3 plus
+an enter row) are derived from it.  loss_breakdown gives four terms,
+averaged into the training objective:
 
-- forward loss: cross-entropy of A1 rows against the forward ground
-  truth (where did each previous object go, dummy column = left),
-- backward loss: cross-entropy of A2 columns against the backward
-  ground truth (where did each current object come from, dummy row =
-  entered),
+- forward loss: cross-entropy of A1 rows against G1 (where did each
+  previous object go, dummy column = left),
+- backward loss: cross-entropy of A2 columns against G2 (where did each
+  current object come from, dummy row = entered),
 - consistency loss: entry-wise L1 gap between the trimmed forward and
   backward matrices,
 - assemble loss: cross-entropy against the element-wise max of the two
@@ -27,7 +28,7 @@ gradient to the backward matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,38 +37,31 @@ from .affinity import normalize_pair
 
 @dataclass(frozen=True)
 class GroundTruthAssignment:
-    """Zero/one association targets for one frame pair.
+    """Zero/one association targets for one frame pair, from its matches.
 
-    g1 is cp x (cc+1) with the leave column last, g2 is (cp+1) x cc with
-    the enter row last, g3 is the cp x cc real-match matrix.  Every g1
-    row and every g2 column sums to exactly one.
+    g3 is the cp x cc real-match matrix, at most one 1 in each row and
+    each column.  g1 = [g3 | leave column] and g2 = [g3 ; enter row] are
+    derived from it: every g1 row and every g2 column sums to exactly one.
     """
 
-    g1: np.ndarray
-    g2: np.ndarray
     g3: np.ndarray
+    g1: np.ndarray = field(init=False, repr=False)
+    g2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        g1 = np.asarray(self.g1, dtype=np.float64)
-        g2 = np.asarray(self.g2, dtype=np.float64)
         g3 = np.asarray(self.g3, dtype=np.float64)
         if g3.ndim != 2:
             raise ValueError(f"g3 must be 2-D, got {g3.shape}")
-        cp, cc = g3.shape
-        if g1.shape != (cp, cc + 1) or g2.shape != (cp + 1, cc):
-            raise ValueError("ground-truth shapes inconsistent")
-        for name, g in (("g1", g1), ("g2", g2), ("g3", g3)):
-            if not np.isin(g, (0.0, 1.0)).all():
-                raise ValueError(f"{name} must be zero/one")
-        if not np.array_equal(g1.sum(axis=1), np.ones(cp)):
-            raise ValueError("each g1 row must sum to 1")
-        if not np.array_equal(g2.sum(axis=0), np.ones(cc)):
-            raise ValueError("each g2 column must sum to 1")
-        if not (np.array_equal(g3, g1[:, :cc]) and np.array_equal(g3, g2[:cp, :])):
-            raise ValueError("g3 must agree with g1 and g2 on real cells")
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
+        if not np.isin(g3, (0.0, 1.0)).all():
+            raise ValueError("g3 must be zero/one")
+        rows, cols = g3.sum(axis=1), g3.sum(axis=0)
+        if np.any(rows > 1.0):
+            raise ValueError("a g3 row has more than one match")
+        if np.any(cols > 1.0):
+            raise ValueError("a g3 column has more than one match")
         object.__setattr__(self, "g3", g3)
+        object.__setattr__(self, "g1", np.column_stack([g3, 1.0 - rows]))
+        object.__setattr__(self, "g2", np.vstack([g3, 1.0 - cols]))
 
 
 @dataclass(frozen=True)
@@ -107,20 +101,13 @@ def build_gt(prev_ids, cur_ids) -> GroundTruthAssignment:
         known = [gid for gid in ids if gid is not None]
         if len(set(known)) != len(known):
             raise ValueError(f"duplicate gt_id in {side} frame")
-    cp, cc = len(prev_ids), len(cur_ids)
-    g1 = np.zeros((cp, cc + 1))
-    g2 = np.zeros((cp + 1, cc))
-    g3 = np.zeros((cp, cc))
+    g3 = np.zeros((len(prev_ids), len(cur_ids)))
     cur_slot = {gid: j for j, gid in enumerate(cur_ids) if gid is not None}
     for i, gid in enumerate(prev_ids):
         j = cur_slot.get(gid)
-        if j is None:
-            g1[i, cc] = 1.0
-        else:
-            g1[i, j] = g2[i, j] = g3[i, j] = 1.0
-    # a current object enters unless some previous object matched it
-    g2[cp, :] = 1.0 - g3.sum(axis=0)
-    return GroundTruthAssignment(g1, g2, g3)
+        if j is not None:
+            g3[i, j] = 1.0
+    return GroundTruthAssignment(g3)
 
 
 def _gated_cross_entropy(g: np.ndarray, p: np.ndarray) -> float:

@@ -1,12 +1,11 @@
 """Point-set featurizer: shared per-point MLP followed by a max-pool.
 
-Each object's valid points run through the same small MLP (default
-widths 3-64-128-512, ReLU between layers) and the feature is the
-element-wise maximum over valid points only, so a crop's zero padding
-never leaks into the feature.  Valid points are canonically ordered
-before the matrix products, which makes the output bitwise identical
-under any permutation or re-padding of the input points.  A frame's
-features are one row per object, in detection order.
+Each object's crop, at most P points, runs through the same small MLP
+(default widths 3-64-128-512, ReLU between layers) and the feature is
+the element-wise maximum over its points; an empty crop gives the zero
+row.  Points are canonically ordered before the matrix products, which
+makes the output bitwise identical under any permutation of the input
+points.  A frame's features are one row per object, in detection order.
 
 A frame's crops run as one batch in a canonical crop order, through the
 MLP in chunks of a few crops (see featurize_frame), so the rows permute
@@ -73,7 +72,7 @@ class FeatureSet:
 # this size; 16 crops per chunk lifted dense80's peak RSS past its bound.
 _CHUNK_CROPS = 4
 
-# Crops with fewer valid points run alone, at their own size.  BLAS
+# Crops with fewer points run alone, at their own size.  BLAS
 # multiplies such short inputs with other kernels (OpenBLAS: gemv for one
 # row, small-matrix kernels up to 9 rows of the 64->128 layer), whose
 # rows round differently from the same rows inside a longer product.
@@ -128,7 +127,7 @@ def pointnet_forward(obj: ObjectPoints, w: PointNetWeights) -> np.ndarray:
 def featurize_frame(objs, w: PointNetWeights) -> FeatureSet:
     """Featurize each object into its own row, in input order.
 
-    Each non-empty crop's valid points are canonically ordered.  The
+    Each non-empty crop's points are canonically ordered.  The
     crops of at least _BATCH_MIN_POINTS points run as one batch: padded
     to the longest by repeating their last point (a duplicate row leaves
     the max unchanged), ordered by their bytes, and put through the MLP
@@ -142,9 +141,9 @@ def featurize_frame(objs, w: PointNetWeights) -> FeatureSet:
     objs = tuple(objs)
     feats = np.zeros((len(objs), w.feature_dim))
     crops = {
-        slot: _canonical_order(obj.points[: obj.valid_count])
+        slot: _canonical_order(obj.points)
         for slot, obj in enumerate(objs)
-        if obj.valid_count
+        if len(obj.points)
     }
     groups = [[slot] for slot, pts in crops.items() if len(pts) < _BATCH_MIN_POINTS]
     batched = [slot for slot, pts in crops.items() if len(pts) >= _BATCH_MIN_POINTS]

@@ -161,7 +161,7 @@ def load_frame(src: SequenceSource, index: int) -> Frame:
     for path in (ppath, dpath):
         if not path.is_file():
             raise FileNotFoundError(f"missing frame file: {path}")
-    cloud = PointCloud(_parse_points(ppath), frame_index=index)
+    cloud = PointCloud(_parse_points(ppath))
     return Frame(index, cloud, _parse_detections(dpath, index))
 
 

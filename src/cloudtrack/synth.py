@@ -258,7 +258,7 @@ def generate(cfg: SynthConfig, out_dir) -> SequenceSource:
         pts = np.vstack(clouds) if clouds else np.empty((0, 3))
         frame = Frame(
             frame_index,
-            PointCloud(pts.astype(np.float32).astype(np.float64), frame_index),
+            PointCloud(pts.astype(np.float32).astype(np.float64)),
             tuple(detections),
         )
         write_frame(root, frame, with_gt=True)
@@ -279,9 +279,11 @@ def perturb(
     """Corrupt a sequence's detections; points and ground truth stay intact.
 
     The random stream advances identically whatever the rates are, so
-    raising one rate never reshuffles the noise drawn for another.  False
-    positives land anywhere within the frame's own x/y half-extents (the
-    largest |x| and |y| over its points and detection centres).
+    raising one rate never reshuffles the noise drawn for another.  Each
+    source detection may bring one false positive, whether or not it is
+    itself dropped.  False positives land anywhere within the frame's own
+    x/y half-extents (the largest |x| and |y| over its points and
+    detection centres).
     """
     if det_noise_sigma < 0.0:
         raise ValueError("det_noise_sigma must be >= 0")
@@ -318,16 +320,16 @@ def perturb(
             jitter = rng.normal(size=3)
             fp_coin = rng.uniform()
             fp_draw = rng.uniform(size=8)
-            if fn_rate > 0.0 and drop < fn_rate:
-                continue
-            box = det.box
-            if det_noise_sigma > 0.0:
-                box = OrientedBox3(
-                    box.center + det_noise_sigma * jitter,
-                    box.length, box.width, box.height, box.yaw,
-                )
-            rows.append(Detection(box, det.confidence, det.gt_id))
-            if fp_rate > 0.0 and fp_coin < fp_rate:
+            if drop >= fn_rate:
+                box = det.box
+                if det_noise_sigma > 0.0:
+                    box = OrientedBox3(
+                        box.center + det_noise_sigma * jitter,
+                        box.length, box.width, box.height, box.yaw,
+                    )
+                rows.append(Detection(box, det.confidence, det.gt_id))
+            # each detection's clutter comes whether or not it was dropped
+            if fp_coin < fp_rate:
                 center = np.array(
                     [half_x * (2.0 * fp_draw[0] - 1.0),
                      half_y * (2.0 * fp_draw[1] - 1.0),

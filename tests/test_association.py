@@ -170,7 +170,7 @@ def frame_with(index, n):
     dets = tuple(
         Detection(box_at(10.0 * index + k, 0.0), 0.5 + 0.05 * k) for k in range(n)
     )
-    return Frame(index, PointCloud(np.empty((0, 3)), index), dets)
+    return Frame(index, PointCloud(np.empty((0, 3))), dets)
 
 
 def links(rows):

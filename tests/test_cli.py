@@ -78,6 +78,14 @@ class TestSynthCommand:
         assert code == 2
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", [(), ("--fp-rate", "0.1")])
+    def test_inverted_conf_range_is_usage_error(self, tmp_path, capsys, noise):
+        out = tmp_path / "s"
+        extra = [*noise, "--conf-lo", "0.6", "--conf-hi", "0.2"]
+        assert run(synth_args(out, extra=extra)) == 2
+        assert "--conf-lo" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def tiny_pipeline(tmp_path_factory):

@@ -29,41 +29,41 @@ def ulps_from(value, steps):
 
 class TestCropObject:
     def test_empty_cloud(self):
-        out = crop_object(PointCloud(np.empty((0, 3)), 0), unit_box(), P=4, seed=0)
+        out = crop_object(PointCloud(np.empty((0, 3))), unit_box(), P=4, seed=0)
+        assert out.points.shape == (0, 3)
         assert out.valid_count == 0
-        assert not np.any(out.points)
 
-    def test_identity_frame_pads(self):
+    def test_identity_frame_keeps_points(self):
+        # fewer than P interior points: the crop is exactly those points
         pts = np.array([[0.1, 0.2, 0.3], [-0.4, 0.0, 0.1], [0.0, -0.3, -0.2]])
-        out = crop_object(PointCloud(pts, 0), unit_box(), P=4, seed=9)
+        out = crop_object(PointCloud(pts), unit_box(), P=4, seed=9)
         assert out.valid_count == 3
-        assert np.array_equal(out.points[:3], pts)
-        assert not np.any(out.points[3])
+        assert np.array_equal(out.points, pts)
 
     def test_outside_points_dropped(self):
         pts = np.array([[0.1, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        out = crop_object(PointCloud(pts, 0), unit_box(), P=4, seed=0)
-        assert out.valid_count == 1
-        assert np.array_equal(out.points[0], pts[0])
+        out = crop_object(PointCloud(pts), unit_box(), P=4, seed=0)
+        assert np.array_equal(out.points, pts[:1])
 
     def test_seeded_thinning(self):
         rng = np.random.default_rng(81)
         pts = rng.uniform(-0.49, 0.49, size=(1000, 3))
-        a = crop_object(PointCloud(pts, 0), unit_box(), P=128, seed=42)
-        b = crop_object(PointCloud(pts, 0), unit_box(), P=128, seed=42)
-        assert a.valid_count == 128
+        a = crop_object(PointCloud(pts), unit_box(), P=128, seed=42)
+        b = crop_object(PointCloud(pts), unit_box(), P=128, seed=42)
+        assert a.points.shape == (128, 3)
         assert a.points.tobytes() == b.points.tobytes()
         # all 128 selections are distinct source points
-        assert len(np.unique(a.points[:128], axis=0)) == 128
-        c = crop_object(PointCloud(pts, 0), unit_box(), P=128, seed=43)
+        assert len(np.unique(a.points, axis=0)) == 128
+        c = crop_object(PointCloud(pts), unit_box(), P=128, seed=43)
         assert a.points.tobytes() != c.points.tobytes()
 
     def test_thinning_subset_of_interior(self):
         rng = np.random.default_rng(82)
         pts = rng.uniform(-0.49, 0.49, size=(300, 3))
-        out = crop_object(PointCloud(pts, 0), unit_box(), P=64, seed=5)
+        out = crop_object(PointCloud(pts), unit_box(), P=64, seed=5)
         source = {tuple(p) for p in pts}
-        for row in out.points[: out.valid_count]:
+        assert out.points.shape == (64, 3)
+        for row in out.points:
             assert tuple(row) in source
 
     def test_local_points_within_extents(self):
@@ -76,9 +76,8 @@ class TestCropObject:
             world = from_box_frame(
                 box, rng.uniform(-0.5, 0.5, size=(200, 3)) * [l, w, h]
             )
-            out = crop_object(PointCloud(world, 0), box, P=256, seed=1)
-            v = out.points[: out.valid_count]
-            assert np.all(np.abs(v) <= box.half_extents + 1e-9)
+            out = crop_object(PointCloud(world), box, P=256, seed=1)
+            assert np.all(np.abs(out.points) <= box.half_extents + 1e-9)
 
     def test_joint_translation_invariance(self):
         rng = np.random.default_rng(84)
@@ -86,9 +85,9 @@ class TestCropObject:
         world = from_box_frame(box, rng.uniform(-0.45, 0.45, size=(50, 3)) * [2, 1, 1.5])
         shift = np.array([10.0, -3.0, 2.0])
         box2 = OrientedBox3(shift, 2.0, 1.0, 1.5, 0.8)
-        a = crop_object(PointCloud(world, 0), box, P=64, seed=7)
-        b = crop_object(PointCloud(world + shift, 0), box2, P=64, seed=7)
-        assert a.valid_count == b.valid_count
+        a = crop_object(PointCloud(world), box, P=64, seed=7)
+        b = crop_object(PointCloud(world + shift), box2, P=64, seed=7)
+        assert a.points.shape == b.points.shape
         assert np.allclose(a.points, b.points, atol=1e-9)
 
 
@@ -99,10 +98,10 @@ class TestCropFrame:
             Detection(unit_box(center=rng.uniform(-5, 5, size=3)), 0.9)
             for _ in range(n_dets)
         )
-        return Frame(0, PointCloud(pts, 0), dets)
+        return Frame(0, PointCloud(pts), dets)
 
     def test_empty_frame(self):
-        frame = Frame(0, PointCloud(np.empty((0, 3)), 0), ())
+        frame = Frame(0, PointCloud(np.empty((0, 3))), ())
         assert crop_frame(frame, P=8, seed=0) == ()
 
     def _equivalence_frames(self):
@@ -169,7 +168,7 @@ class TestCropFrame:
         yield "empty cloud", self._frame_of(np.empty((0, 3)), [unit_box(), unit_box((1.0, 2.0, 0.0))])
 
     def _frame_of(self, pts, boxes):
-        return Frame(0, PointCloud(pts, 0), tuple(Detection(b, 0.9) for b in boxes))
+        return Frame(0, PointCloud(pts), tuple(Detection(b, 0.9) for b in boxes))
 
     def test_slot_order_matches_detections(self):
         for name, frame in self._equivalence_frames():
@@ -178,7 +177,7 @@ class TestCropFrame:
                 assert len(crops) == len(frame.detections), name
                 for slot, (det, crop) in enumerate(zip(frame.detections, crops)):
                     solo = crop_object(frame.cloud, det.box, P=P, seed=slot_seed(0, 0, slot))
-                    assert crop.valid_count == solo.valid_count, (name, P, slot)
+                    assert crop.points.shape == solo.points.shape, (name, P, slot)
                     assert crop.points.tobytes() == solo.points.tobytes(), (name, P, slot)
 
     def test_bitwise_repeatable(self):
@@ -188,8 +187,8 @@ class TestCropFrame:
         b = crop_frame(frame, P=32, seed=123)
         assert len(a) == len(b)
         for x, y in zip(a, b):
+            assert x.points.shape == y.points.shape
             assert x.points.tobytes() == y.points.tobytes()
-            assert x.valid_count == y.valid_count
 
     def test_slot_seeds_distinct(self):
         seen = {slot_seed(0, f, s) for f in range(20) for s in range(20)}
@@ -197,11 +196,25 @@ class TestCropFrame:
 
 
 class TestObjectPoints:
-    def test_rejects_nonzero_padding(self):
-        pts = np.ones((4, 3))
-        with pytest.raises(ValueError):
-            ObjectPoints(pts, 2)
+    def test_rejects_non_n_by_3_shape(self):
+        for bad in (np.zeros((4, 2)), np.zeros((2, 4)), np.zeros(3), np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError, match=r"\(n, 3\)"):
+                ObjectPoints(bad)
 
-    def test_rejects_bad_valid_count(self):
-        with pytest.raises(ValueError):
-            ObjectPoints(np.zeros((4, 3)), 5)
+    def test_rejects_non_finite_points(self):
+        for value in (np.nan, np.inf, -np.inf):
+            pts = np.zeros((3, 3))
+            pts[1, 2] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                ObjectPoints(pts)
+
+    def test_valid_count_is_the_point_count(self):
+        assert ObjectPoints(np.empty((0, 3))).valid_count == 0
+        assert ObjectPoints(np.ones((5, 3))).valid_count == 5
+
+    def test_crop_over_p_interior_points_has_p_rows(self):
+        rng = np.random.default_rng(85)
+        cloud = PointCloud(rng.uniform(-0.49, 0.49, size=(40, 3)))
+        for P in (1, 8, 39, 40, 41, 128):
+            out = crop_object(cloud, unit_box(), P=P, seed=3)
+            assert out.points.shape == (min(P, 40), 3)

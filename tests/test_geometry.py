@@ -166,8 +166,8 @@ class TestInvariants:
 
     def test_cloud_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            PointCloud(np.array([[0.0, np.nan, 0.0]]), 0)
+            PointCloud(np.array([[0.0, np.nan, 0.0]]))
 
     def test_cloud_may_be_empty(self):
-        cloud = PointCloud(np.empty((0, 3)), 0)
+        cloud = PointCloud(np.empty((0, 3)))
         assert len(cloud) == 0

@@ -136,7 +136,9 @@ class TestLossTerms:
             gt = random_gt(rng, cp, cc)
             a1 = rng.uniform(0.01, 1.0, size=(cp, cc + 1))
             a2 = rng.uniform(0.01, 1.0, size=(cp + 1, cc))
-            mirrored = GroundTruthAssignment(gt.g2.T, gt.g1.T, gt.g3.T)
+            mirrored = GroundTruthAssignment(gt.g3.T)
+            assert np.array_equal(mirrored.g1, gt.g2.T)
+            assert np.array_equal(mirrored.g2, gt.g1.T)
             got = loss_breakdown(a1, a2, gt)
             flipped = loss_breakdown(a2.T, a1.T, mirrored)
             assert abs(got.l_b - flipped.l_f) < 1e-12
@@ -239,10 +241,7 @@ class TestGradients:
         # forward/backward cross-entropy each push -0.5 on their matched
         # probability, assemble pushes another -0.5 on the backward one,
         # and the two-entry softmax Jacobian halves and mirrors them.
-        g1 = np.array([[1.0, 0.0]])
-        g2 = np.array([[1.0], [0.0]])
-        g3 = np.array([[1.0]])
-        gt = GroundTruthAssignment(g1, g2, g3)
+        gt = GroundTruthAssignment(np.array([[1.0]]))
         grads = loss_gradients(*normalize_pair(np.zeros((1, 2)), np.zeros((2, 1))), gt)
         assert np.allclose(grads.d_m1, [[-0.125, 0.125]], atol=1e-15)
         assert np.allclose(grads.d_m2, [[-0.25], [0.25]], atol=1e-15)
@@ -286,20 +285,47 @@ class TestGradients:
 
 
 class TestGroundTruthType:
+    def test_targets_derive_from_the_match_matrix(self):
+        # over random identities, unlabeled ones and empty sides included,
+        # every g1 row and g2 column sums to one and both trims equal g3
+        rng = np.random.default_rng(320)
+        draws = [random_ids(rng, int(rng.integers(0, 7)), int(rng.integers(0, 7)))
+                 for _ in range(60)]
+        for prev_ids, cur_ids in draws:
+            for side in (prev_ids, cur_ids):
+                for k in range(len(side)):
+                    if rng.uniform() < 0.2:
+                        side[k] = None
+        draws += [([], []), ([], [4, None]), ([None, 4], [])]
+        for prev_ids, cur_ids in draws:
+            gt = build_gt(prev_ids, cur_ids)
+            cp, cc = len(prev_ids), len(cur_ids)
+            assert gt.g1.shape == (cp, cc + 1) and gt.g2.shape == (cp + 1, cc)
+            assert np.array_equal(gt.g1.sum(axis=1), np.ones(cp))
+            assert np.array_equal(gt.g2.sum(axis=0), np.ones(cc))
+            assert np.array_equal(gt.g1[:, :cc], gt.g3)
+            assert np.array_equal(gt.g2[:cp], gt.g3)
+            rebuilt = GroundTruthAssignment(gt.g3)
+            assert np.array_equal(rebuilt.g1, gt.g1)
+            assert np.array_equal(rebuilt.g2, gt.g2)
+
     def test_rejects_row_sum_violation(self):
-        g1 = np.zeros((1, 1))
-        g2 = np.zeros((2, 0))
-        g3 = np.zeros((1, 0))
-        with pytest.raises(ValueError, match="g1 row"):
-            GroundTruthAssignment(g1, g2, g3)
+        # a previous object matched twice
+        g3 = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="row"):
+            GroundTruthAssignment(g3)
 
     def test_rejects_inconsistent_g3(self):
-        g1 = np.zeros((1, 3))
-        g2 = np.zeros((2, 2))
-        g3 = np.zeros((1, 2))
-        g1[0, 0] = 1.0
-        g2[0, 0] = 1.0
-        g3[0, 1] = 1.0
-        g2[1, 1] = 1.0
-        with pytest.raises(ValueError, match="g3"):
-            GroundTruthAssignment(g1, g2, g3)
+        # a current object matched twice
+        g3 = np.array([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="column"):
+            GroundTruthAssignment(g3)
+
+    def test_rejects_non_binary_entry(self):
+        for value in (0.5, -1.0, 2.0, np.nan):
+            g3 = np.zeros((2, 2))
+            g3[0, 1] = value
+            with pytest.raises(ValueError, match="zero/one"):
+                GroundTruthAssignment(g3)
+        with pytest.raises(ValueError, match="2-D"):
+            GroundTruthAssignment(np.zeros(3))

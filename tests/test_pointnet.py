@@ -1,4 +1,4 @@
-"""Featurizer: shared MLP, masked max-pool, the featurizer section of model files."""
+"""Featurizer: shared MLP, max-pool, the featurizer section of model files."""
 
 import struct
 
@@ -20,23 +20,15 @@ from cloudtrack.sequence_io import load_admitted_frame
 from cloudtrack.synth import SynthConfig, generate
 
 
-def object_from(points, P=None):
-    points = np.asarray(points, dtype=float)
-    P = P or len(points)
-    padded = np.zeros((P, 3))
-    padded[: len(points)] = points
-    return ObjectPoints(padded, len(points))
-
-
 def random_weights(rng, widths=(3, 8, 16)):
     return PointNetWeights(init_layers(widths, rng))
 
 
 def oracle_row(obj, w):
     """One object's feature as a lone MLP over its canonically ordered points."""
-    if obj.valid_count == 0:
+    pts = obj.points
+    if len(pts) == 0:
         return np.zeros(w.feature_dim)
-    pts = obj.points[: obj.valid_count]
     pts = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
     return mlp_forward(pts, w.layers).max(axis=0)
 
@@ -53,32 +45,24 @@ class TestPointnetForward:
     def test_empty_object_gives_zero_feature(self):
         rng = np.random.default_rng(101)
         w = random_weights(rng)
-        out = pointnet_forward(ObjectPoints(np.zeros((4, 3)), 0), w)
+        out = pointnet_forward(ObjectPoints(np.empty((0, 3))), w)
         assert out.shape == (16,)
         assert not np.any(out)
 
     def test_identity_layer_max_pools(self):
         w = PointNetWeights(((np.eye(3), np.zeros(3)),))
-        obj = object_from([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], P=4)
+        obj = ObjectPoints([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         assert np.array_equal(pointnet_forward(obj, w), [1.0, 2.0, 0.0])
 
     def test_permutation_invariance_bitwise(self):
         rng = np.random.default_rng(102)
         w = random_weights(rng)
         pts = rng.uniform(-1.0, 1.0, size=(50, 3))
-        base = pointnet_forward(object_from(pts), w)
+        base = pointnet_forward(ObjectPoints(pts), w)
         for _ in range(10):
             shuffled = pts[rng.permutation(50)]
-            got = pointnet_forward(object_from(shuffled), w)
+            got = pointnet_forward(ObjectPoints(shuffled), w)
             assert got.tobytes() == base.tobytes()
-
-    def test_padding_invariance_bitwise(self):
-        rng = np.random.default_rng(103)
-        w = random_weights(rng)
-        pts = rng.uniform(-1.0, 1.0, size=(20, 3))
-        a = pointnet_forward(object_from(pts, P=20), w)
-        b = pointnet_forward(object_from(pts, P=77), w)
-        assert a.tobytes() == b.tobytes()
 
     def test_pool_is_per_point_max(self):
         rng = np.random.default_rng(104)
@@ -88,7 +72,7 @@ class TestPointnetForward:
             [mlp_forward(p.reshape(1, 3), w.layers)[0] for p in pts]
         )
         oracle = per_point.max(axis=0)
-        got = pointnet_forward(object_from(pts), w)
+        got = pointnet_forward(ObjectPoints(pts), w)
         assert np.allclose(got, oracle, atol=1e-9, rtol=1e-9)
 
     def test_rejects_wrong_input_width(self):
@@ -117,8 +101,8 @@ class TestFeaturizeFrame:
             [40, 0, 9, 100, 40],
             [P, 1, 2, 16, 64, 10, P - 1, 0, P],
         )
-        for valid in frames:
-            objs = [object_from(rng.uniform(-1, 1, size=(n, 3)), P=P) for n in valid]
+        for counts in frames:
+            objs = [ObjectPoints(rng.uniform(-1, 1, size=(n, 3))) for n in counts]
             if len(objs) >= 4:
                 objs[-1] = objs[0]
             feats = assert_rows_match_oracle(objs, w)
@@ -145,7 +129,7 @@ class TestFeaturizeFrame:
         w = PointNetWeights(tuple(layers))
         assert np.signbit(w.layers[-1][1][1::3]).all()
         objs = [
-            object_from(rng.uniform(-1, 1, size=(n, 3)), P=128)
+            ObjectPoints(rng.uniform(-1, 1, size=(n, 3)))
             for n in (128, 70, 20, 16, 5, 1, 0)
         ]
         assert_rows_match_oracle(objs, w)

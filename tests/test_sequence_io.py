@@ -34,7 +34,7 @@ def simple_detection(conf, cx=0.0, gt_id=None):
 class TestLoadFrame:
     def test_empty_frame(self, tmp_path):
         write_sequence_meta(tmp_path, 1)
-        frame = Frame(0, PointCloud(np.empty((0, 3)), 0), ())
+        frame = Frame(0, PointCloud(np.empty((0, 3))), ())
         write_frame(tmp_path, frame)
         src = open_sequence(tmp_path)
         loaded = load_frame(src, 0)
@@ -83,7 +83,7 @@ class TestLoadFrame:
 
     def test_missing_file_reports_path(self, tmp_path):
         write_sequence_meta(tmp_path, 2)
-        frame = Frame(0, PointCloud(np.empty((0, 3)), 0), ())
+        frame = Frame(0, PointCloud(np.empty((0, 3))), ())
         write_frame(tmp_path, frame)
         with pytest.raises(FileNotFoundError, match="1.xyz"):
             open_sequence(tmp_path)
@@ -111,7 +111,7 @@ class TestLoadFrame:
     def test_non_integer_frame_field_rejected(self, tmp_path):
         write_sequence_meta(tmp_path, 4)
         for i in range(4):
-            write_frame(tmp_path, Frame(i, PointCloud(np.empty((0, 3)), i), ()))
+            write_frame(tmp_path, Frame(i, PointCloud(np.empty((0, 3))), ()))
         (tmp_path / "detections" / "3.csv").write_text(
             DETECTION_HEADER + "\n3,0.9,1.0,2.0,0.5,4.0,1.8,1.6,0.1\n"
             "oops,0.9,1.0,2.0,0.5,4.0,1.8,1.6,0.1\n"
@@ -125,7 +125,7 @@ class TestLoadFrame:
     def test_frame_field_must_match_file_index(self, tmp_path):
         write_sequence_meta(tmp_path, 4)
         for i in range(4):
-            write_frame(tmp_path, Frame(i, PointCloud(np.empty((0, 3)), i), ()))
+            write_frame(tmp_path, Frame(i, PointCloud(np.empty((0, 3))), ()))
         (tmp_path / "detections" / "3.csv").write_text(
             DETECTION_HEADER + "\n2,0.9,1.0,2.0,0.5,4.0,1.8,1.6,0.1\n"
         )
@@ -148,7 +148,7 @@ class TestLoadFrame:
             load_frame(open_sequence(tmp_path), 0)
 
     def test_index_out_of_range(self, tmp_path):
-        make_sequence(tmp_path, [Frame(0, PointCloud(np.empty((0, 3)), 0), ())])
+        make_sequence(tmp_path, [Frame(0, PointCloud(np.empty((0, 3))), ())])
         src = open_sequence(tmp_path)
         with pytest.raises(IndexError):
             load_frame(src, 1)
@@ -157,19 +157,19 @@ class TestLoadFrame:
 class TestAdmitDetections:
     def test_strict_threshold(self):
         dets = tuple(simple_detection(c) for c in (0.39, 0.40, 0.41))
-        frame = Frame(0, PointCloud(np.empty((0, 3)), 0), dets)
+        frame = Frame(0, PointCloud(np.empty((0, 3))), dets)
         out = admit_detections(frame, IngestConfig(confidence_threshold=0.4))
         assert len(out.detections) == 1
         assert out.detections[0].confidence == 0.41
 
     def test_empty_list(self):
-        frame = Frame(0, PointCloud(np.empty((0, 3)), 0), ())
+        frame = Frame(0, PointCloud(np.empty((0, 3))), ())
         out = admit_detections(frame, IngestConfig())
         assert out.detections == ()
 
     def test_ties_keep_file_order_without_a_cap(self):
         dets = tuple(simple_detection(0.9, cx=float(i)) for i in range(150))
-        frame = Frame(0, PointCloud(np.empty((0, 3)), 0), dets)
+        frame = Frame(0, PointCloud(np.empty((0, 3))), dets)
         out = admit_detections(frame, IngestConfig())
         assert len(out.detections) == 150
         # stable sort on equal confidences preserves original order
@@ -178,7 +178,7 @@ class TestAdmitDetections:
     def test_descending_confidence_order(self):
         confs = [0.5, 0.9, 0.7, 0.9, 0.6]
         dets = tuple(simple_detection(c, cx=float(i)) for i, c in enumerate(confs))
-        frame = Frame(0, PointCloud(np.empty((0, 3)), 0), dets)
+        frame = Frame(0, PointCloud(np.empty((0, 3))), dets)
         out = admit_detections(frame, IngestConfig())
         assert [d.confidence for d in out.detections] == [0.9, 0.9, 0.7, 0.6, 0.5]
         # the two 0.9s keep their relative file order
@@ -191,7 +191,7 @@ class TestAdmitDetections:
             dets = tuple(
                 simple_detection(float(rng.uniform()), cx=float(i)) for i in range(n)
             )
-            frame = Frame(0, PointCloud(np.empty((0, 3)), 0), dets)
+            frame = Frame(0, PointCloud(np.empty((0, 3))), dets)
             cfg = IngestConfig()
             once = admit_detections(frame, cfg)
             twice = admit_detections(once, cfg)
@@ -209,7 +209,7 @@ class TestRoundTrip:
             simple_detection(0.8, cx=1.25, gt_id=2),
             simple_detection(0.55, cx=-3.5),
         )
-        frame = Frame(0, PointCloud(pts, 0), dets)
+        frame = Frame(0, PointCloud(pts), dets)
         make_sequence(tmp_path, [frame])
         loaded = load_frame(open_sequence(tmp_path), 0)
         assert np.array_equal(loaded.cloud.points, pts)
@@ -224,7 +224,7 @@ class TestRoundTrip:
             simple_detection(float(rng.uniform(0.41, 1.0)), cx=float(rng.uniform(-4, 4)))
             for _ in range(5)
         )
-        frame = Frame(0, PointCloud(pts, 0), dets)
+        frame = Frame(0, PointCloud(pts), dets)
         a, b = tmp_path / "a", tmp_path / "b"
         make_sequence(a, [frame])
         reloaded = load_frame(open_sequence(a), 0)

@@ -227,6 +227,32 @@ class TestPerturb:
         se = sigma * 0.6028 / np.sqrt(len(deltas))
         assert abs(deltas.mean() - expected) < 3.0 * se
 
+    def test_each_rate_leaves_the_other_noise_alone(self, tmp_path):
+        # misses never take clutter with them, and clutter never moves a
+        # labeled row: the unlabeled rows do not depend on fn_rate, nor
+        # the labeled rows on fp_rate
+        cfg = SynthConfig(n_objects=5, n_frames=40, seed=7, points_per_object=20)
+        src = generate(cfg, tmp_path / "c")
+
+        def rows(fp_rate, fn_rate, labeled):
+            noisy = perturb(src, det_noise_sigma=0.05, fp_rate=fp_rate,
+                            fn_rate=fn_rate, seed=7,
+                            out_dir=tmp_path / f"fp{fp_rate}-fn{fn_rate}")
+            out = []
+            for f in range(noisy.frame_count):
+                body = noisy.detection_path(f).read_text().splitlines()[1:]
+                out.extend(r for r in body if r.endswith(",") != labeled)
+            return out
+
+        clutter = rows(0.3, 0.0, labeled=False)
+        assert len(clutter) > 20
+        for fn_rate in (0.5, 0.9):
+            assert rows(0.3, fn_rate, labeled=False) == clutter
+        kept = rows(0.0, 0.5, labeled=True)
+        assert 0 < len(kept) < 5 * 40
+        for fp_rate in (0.3, 1.0):
+            assert rows(fp_rate, 0.5, labeled=True) == kept
+
     def test_bad_rates_rejected(self, small_scene):
         cfg, src = small_scene
         with pytest.raises(ValueError):
