@@ -24,7 +24,7 @@ from .association import (
     update_tracks,
     write_tracks_csv,
 )
-from .cropping import ObjectPoints, crop_frame, crop_object
+from .cropping import ObjectPoints, crop_frame
 from .geometry import (
     Detection,
     Frame,
@@ -109,7 +109,6 @@ __all__ = [
     "build_gt",
     "compression_forward",
     "crop_frame",
-    "crop_object",
     "evaluate",
     "fd_gradient_check",
     "featurize_frame",

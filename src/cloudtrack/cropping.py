@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Frame, OrientedBox3, PointCloud, local_inside, to_box_frame
+from .geometry import Frame, OrientedBox3, local_inside, to_box_frame
 
 DEFAULT_POINTS_PER_OBJECT = 128
 
@@ -48,7 +48,7 @@ def slot_seed(seed: int, frame_index: int, slot: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectPoints:
     """One object's crop: its (n, 3) local-frame points, n at most P."""
 
@@ -91,16 +91,6 @@ def _x_reach(box: OrientedBox3) -> float:
     return half_diagonal + _WINDOW_MARGIN * (half_diagonal + abs(box.center[0]))
 
 
-def crop_object(
-    cloud: PointCloud,
-    box: OrientedBox3,
-    P: int = DEFAULT_POINTS_PER_OBJECT,
-    seed: int = 0,
-) -> ObjectPoints:
-    """Collect the cloud points inside box, in the box-local frame."""
-    return _crop(cloud.points, box, P, seed)
-
-
 def crop_frame(
     frame: Frame,
     P: int = DEFAULT_POINTS_PER_OBJECT,
@@ -110,7 +100,8 @@ def crop_frame(
 
     The cloud is sorted by x once; each box tests only the points in its
     x-window, a superset of its interior taken back to source order, so
-    every crop equals crop_object on the whole cloud with the slot's seed.
+    every crop equals the one cropped from the whole cloud with the slot's
+    seed.
     """
     points = frame.cloud.points
     order = np.argsort(points[:, 0], kind="stable")

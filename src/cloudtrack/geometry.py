@@ -40,7 +40,7 @@ def _as_finite_points(points) -> np.ndarray:
     return pts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """One sensor sweep: an (n, 3) array of xyz points.
 
@@ -57,7 +57,7 @@ class PointCloud:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientedBox3:
     """Gravity-aligned 3D box: center, extents, and yaw about the z axis."""
 
@@ -131,7 +131,7 @@ def local_inside(box: OrientedBox3, local: np.ndarray) -> np.ndarray:
     return (np.abs(local) <= box.half_extents).all(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Detection:
     """One detected object: oriented box, confidence, optional true identity."""
 
@@ -151,7 +151,7 @@ class Detection:
             object.__setattr__(self, "gt_id", gid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """Point cloud plus detections for one time step."""
 

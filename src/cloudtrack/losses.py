@@ -35,7 +35,7 @@ import numpy as np
 from .affinity import normalize_pair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruthAssignment:
     """Zero/one association targets for one frame pair, from its matches.
 

@@ -10,7 +10,7 @@ cycle of a freshly initialized model is bit-exact.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +39,6 @@ class AffinityModel:
             )
         if not np.isfinite(self.dummy_score):
             raise ValueError("dummy_score must be finite")
-
-    def with_compression(self, net: CompressionNet, dummy_score: float) -> "AffinityModel":
-        return replace(self, compression=net, dummy_score=dummy_score)
 
 
 def init_model(

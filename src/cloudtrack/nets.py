@@ -8,7 +8,9 @@ On disk a stack is one section: a 4-byte magic, a u32 layer count, then
 per layer u32 out_dim, u32 in_dim, row-major f32 weights, f32 biases.
 Everything is little-endian.  In memory weights are float64; files are
 float32, so freshly initialized weights are generated on the f32 grid
-to make save/load round trips bit-exact.
+to make save/load round trips bit-exact.  The point featurizer also
+keeps a float32 copy of its weights, which it runs in (see pointnet.py);
+for weights loaded from a file or made by init_layers that copy is exact.
 """
 
 from __future__ import annotations

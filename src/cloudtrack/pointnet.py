@@ -7,6 +7,13 @@ row.  Points are canonically ordered before the matrix products, which
 makes the output bitwise identical under any permutation of the input
 points.  A frame's features are one row per object, in detection order.
 
+The MLP runs in float32.  Its weights sit on the float32 grid (model
+files store float32) and frame points are float32 on disk; the
+box-local crop coordinates round once to float32, and the products
+round more coarsely than in float64.  Features stay within 1e-6 of the
+largest feature of a float64 MLP on the same crops (the tests bound
+it).  Crop geometry before the MLP and the rows it returns are float64.
+
 A frame's crops run as one batch in a canonical crop order, through the
 MLP in chunks of a few crops (see featurize_frame), so the rows permute
 bitwise with the objects by construction.  That a row equals its own
@@ -17,7 +24,7 @@ a product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,12 +36,24 @@ DEFAULT_POINTNET_WIDTHS = (3, 64, 128, 512)
 
 @dataclass(frozen=True)
 class PointNetWeights:
-    """Per-point MLP weights; input width is always 3 (xyz)."""
+    """Per-point MLP weights; input width is always 3 (xyz).
+
+    layers is float64, as every network's weights are in memory;
+    layers_f32 is the same stack cast once to float32, the type the
+    featurizer runs in.
+    """
 
     layers: Layers
+    layers_f32: Layers = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", validate_layers(self.layers, in_dim=3))
+        layers = validate_layers(self.layers, in_dim=3)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(
+            self,
+            "layers_f32",
+            tuple((W.astype(np.float32), b.astype(np.float32)) for W, b in layers),
+        )
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -45,7 +64,7 @@ class PointNetWeights:
         return self.widths[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureSet:
     """One feature row per object of a frame."""
 
@@ -73,9 +92,10 @@ class FeatureSet:
 _CHUNK_CROPS = 4
 
 # Crops with fewer points run alone, at their own size.  BLAS
-# multiplies such short inputs with other kernels (OpenBLAS: gemv for one
-# row, small-matrix kernels up to 9 rows of the 64->128 layer), whose
-# rows round differently from the same rows inside a longer product.
+# multiplies such short inputs with other float32 kernels (OpenBLAS:
+# small-matrix sgemm kernels up to 9 rows of the 64->128 layer and up to
+# 2 rows of the 128->512 layer), whose rows round differently from the
+# same rows inside a longer product; from 10 points on they match.
 _BATCH_MIN_POINTS = 16
 
 
@@ -87,11 +107,12 @@ def _canonical_order(pts: np.ndarray) -> np.ndarray:
 def _pool_crops(crops, layers: Layers) -> np.ndarray:
     """Max-pooled MLP output of each canonically ordered crop; one row each.
 
+    Runs in float32; layers are float32 (PointNetWeights.layers_f32).
     Equal crops run once.  The last bias is added after the max:
     rounding is monotone, so max_p fl(y_p + b) == fl(max_p y_p + b).
     """
     width = max(len(pts) for pts in crops)
-    padded = np.empty((len(crops), width, 3))
+    padded = np.empty((len(crops), width, 3), dtype=np.float32)
     for row, pts in zip(padded, crops):
         row[: len(pts)] = pts
         row[len(pts) :] = pts[-1]
@@ -101,8 +122,8 @@ def _pool_crops(crops, layers: Layers) -> np.ndarray:
     batch = padded[first].reshape(-1, 3)
     k = len(first)
     rows = min(k, _CHUNK_CROPS) * width
-    bufs = [np.empty((rows, W.shape[0])) for W, _ in layers]
-    pooled = np.empty((k, layers[-1][0].shape[0]))
+    bufs = [np.empty((rows, W.shape[0]), dtype=np.float32) for W, _ in layers]
+    pooled = np.empty((k, layers[-1][0].shape[0]), dtype=np.float32)
     for start in range(0, k, _CHUNK_CROPS):
         stop = min(start + _CHUNK_CROPS, k)
         x = batch[start * width : stop * width]
@@ -127,8 +148,9 @@ def pointnet_forward(obj: ObjectPoints, w: PointNetWeights) -> np.ndarray:
 def featurize_frame(objs, w: PointNetWeights) -> FeatureSet:
     """Featurize each object into its own row, in input order.
 
-    Each non-empty crop's points are canonically ordered.  The
-    crops of at least _BATCH_MIN_POINTS points run as one batch: padded
+    Each non-empty crop's points are canonically ordered and cast to
+    float32, the type the MLP runs in; the rows are returned as float64.
+    The crops of at least _BATCH_MIN_POINTS points run as one batch: padded
     to the longest by repeating their last point (a duplicate row leaves
     the max unchanged), ordered by their bytes, and put through the MLP
     in chunks of a few crops.  Any permutation of objs thus gives the
@@ -150,5 +172,5 @@ def featurize_frame(objs, w: PointNetWeights) -> FeatureSet:
     if batched:
         groups.append(batched)
     for group in groups:
-        feats[group] = _pool_crops([crops[slot] for slot in group], w.layers)
+        feats[group] = _pool_crops([crops[slot] for slot in group], w.layers_f32)
     return FeatureSet(feats)

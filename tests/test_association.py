@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -516,7 +518,7 @@ class TestGatedTracking:
             [(0.5, 0.0), (8.5, 0.0)],
         ])
         base = init_model(seed=5)
-        model = base.with_compression(base.compression, -10.0)
+        model = replace(base, dummy_score=-10.0)
         rows = track_sequence(src, model, TrackerConfig(seed=1))
         assert links(rows) == {
             0: ((0, 0), (1, 1), (2, 0)),
@@ -531,6 +533,6 @@ class TestGatedTracking:
             [(0.0, 0.0), (20.0, 0.0)],
             [(jump, 0.0), (20.25, 0.0)],
         ])
-        model = init_model(seed=5).with_compression(constant_net(30.0), 0.0)
+        model = replace(init_model(seed=5), compression=constant_net(30.0))
         rows = track_sequence(src, model, TrackerConfig(birth_threshold=0.0, seed=1))
         assert links(rows) == {0: ((0, 0),), 1: ((0, 1), (1, 1)), 2: ((1, 0),)}

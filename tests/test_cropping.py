@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cloudtrack.cropping import ObjectPoints, crop_frame, crop_object, slot_seed
+from cloudtrack.cropping import ObjectPoints, _crop, crop_frame, slot_seed
 from cloudtrack.geometry import (
     Detection,
     Frame,
@@ -14,6 +14,11 @@ from cloudtrack.geometry import (
     PointCloud,
     from_box_frame,
 )
+
+
+def crop_object(cloud, box, P, seed):
+    """Oracle: crop box from the whole cloud, not from an x-window of it."""
+    return _crop(cloud.points, box, P, seed)
 
 
 def unit_box(center=(0.0, 0.0, 0.0), yaw=0.0):

@@ -1,5 +1,7 @@
 """Model container and the two-section weights file."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,7 @@ class TestModelFile:
     def test_trained_dummy_round_trips_through_f32(self, tmp_path):
         model = init_model(seed=12, pointnet_widths=(3, 4),
                            compression_widths=(8, 4, 4, 2, 2, 1))
-        moved = model.with_compression(model.compression, 0.3712)
+        moved = replace(model, dummy_score=0.3712)
         path = tmp_path / "model.bin"
         save_model(moved, path)
         first = load_model(path)

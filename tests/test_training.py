@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,7 @@ class TestTrainStep:
         model = init_model(
             seed=33, pointnet_widths=(3, 4, 3), compression_widths=(6, 5, 4, 3, 2, 1)
         )
-        model = model.with_compression(model.compression, 0.3)
+        model = replace(model, dummy_score=0.3)
         rng = np.random.default_rng(33)
         links = [
             ([1, 2, 3], [2, None, 1, 4]),
@@ -174,7 +176,7 @@ class TestTrainStep:
         model = init_model(
             seed=34, pointnet_widths=(3, 4, 3), compression_widths=(6, 5, 4, 3, 2, 1)
         )
-        model = model.with_compression(model.compression, -0.2)
+        model = replace(model, dummy_score=-0.2)
         rng = np.random.default_rng(34)
         links = [
             ([1, 2, 3], [3, None, 1]),
@@ -205,7 +207,7 @@ class TestTrainStep:
         def loss_at(layer, part, idx, delta):
             layers = [(W.copy(), b.copy()) for W, b in model.compression.layers]
             layers[layer][part][idx] += delta
-            return summed_loss(model.with_compression(CompressionNet(layers), model.dummy_score))
+            return summed_loss(replace(model, compression=CompressionNet(layers)))
 
         h = DEFAULT_STEP
         (w1, b1), (w2, _) = model.compression.layers[:2]
@@ -219,8 +221,8 @@ class TestTrainStep:
                 worst = max(worst, relative_error(float(analytic[idx]), fd))
         d_w1 = grad(w1, new_w1)
         assert np.abs(d_w1[:, :3]).max() > 1e-3 and np.abs(d_w1[:, 3:]).max() > 1e-3
-        up = summed_loss(model.with_compression(model.compression, model.dummy_score + h))
-        down = summed_loss(model.with_compression(model.compression, model.dummy_score - h))
+        up = summed_loss(replace(model, dummy_score=model.dummy_score + h))
+        down = summed_loss(replace(model, dummy_score=model.dummy_score - h))
         d_dummy = grad(model.dummy_score, updated.dummy_score)
         assert abs(d_dummy) > 1e-3
         worst = max(worst, relative_error(d_dummy, (up - down) / (2 * h)))

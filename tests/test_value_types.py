@@ -1,0 +1,33 @@
+"""Value types that hold arrays compare and hash by identity."""
+
+import numpy as np
+import pytest
+
+from cloudtrack.cropping import ObjectPoints
+from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
+from cloudtrack.losses import GroundTruthAssignment
+from cloudtrack.pointnet import FeatureSet
+
+
+def box():
+    return OrientedBox3(np.zeros(3), 1.0, 1.0, 1.0)
+
+
+MAKERS = {
+    "PointCloud": lambda: PointCloud(np.ones((2, 3))),
+    "OrientedBox3": box,
+    "Detection": lambda: Detection(box(), 0.9),
+    "Frame": lambda: Frame(0, PointCloud(np.ones((2, 3))), (Detection(box(), 0.9),)),
+    "ObjectPoints": lambda: ObjectPoints(np.ones((2, 3))),
+    "GroundTruthAssignment": lambda: GroundTruthAssignment(np.eye(2)),
+    "FeatureSet": lambda: FeatureSet(np.ones((2, 4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAKERS))
+def test_equality_and_hash_do_not_raise(name):
+    a, b = MAKERS[name](), MAKERS[name]()
+    assert a == a
+    assert a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
