@@ -32,7 +32,7 @@ DEFAULT_COMPRESSION_WIDTHS = (1024, 512, 256, 128, 64, 1)
 COMPRESSION_LAYER_COUNT = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompressionNet:
     """Five pointwise layers mapping a feature pair to one raw affinity score."""
 

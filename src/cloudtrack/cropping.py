@@ -6,12 +6,17 @@ A box with more than P interior points is thinned to P by seeded uniform
 sampling without replacement, keeping source order.  Selection depends
 only on (seed, frame index, slot), so crops are reproducible bit for bit.
 
-A frame is cropped in one x-sorted pass: the cloud is sorted by x once,
-and each box takes as candidates the points whose x lies within its
-footprint's half-diagonal (plus a small margin) of its center.  That
-window is a superset of the box interior, the exact closed-box test runs
-on every candidate, and candidates keep source order, so the crops are
-the same as testing the whole cloud against every box.
+All of a frame's boxes are cropped in one pass.  The cloud is sorted by
+x once, and each box takes as candidates the points whose x lies within
+its footprint's half-diagonal (plus a small margin) of its center.  The
+windows of all boxes are laid end to end, each in source order, with
+each candidate's box parameters beside it.  Every candidate is mapped to
+its box's frame and put through the closed-box test at once, on
+coordinate columns, by the same formulas, with the same rounding, as
+geometry.to_box_frame and geometry.local_inside.  A window is a superset
+of its box's interior, so the crops are the same as testing the whole
+cloud against every box, and a point inside several boxes lands in each
+of their crops.  Only the seeded thinning runs box by box.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Frame, OrientedBox3, local_inside, to_box_frame
+from .geometry import Frame, OrientedBox3, _box_frame_columns, _inside_columns
 
 DEFAULT_POINTS_PER_OBJECT = 128
 
@@ -67,24 +72,6 @@ class ObjectPoints:
         return len(self.points)
 
 
-def _crop(
-    candidates: np.ndarray,
-    box: OrientedBox3,
-    P: int,
-    seed: int,
-) -> ObjectPoints:
-    """Crop box from candidates: source-ordered points covering its interior."""
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    local = to_box_frame(box, candidates)
-    local = local[local_inside(box, local)]
-    n = len(local)
-    if n > P:
-        rng = np.random.default_rng(seed & _MASK64)
-        local = local[np.sort(rng.permutation(n)[:P])]
-    return ObjectPoints(local)
-
-
 def _x_reach(box: OrientedBox3) -> float:
     """Half-width of an x-window around box.center that holds its interior."""
     half_diagonal = math.hypot(box.length, box.width) / 2.0
@@ -98,19 +85,59 @@ def crop_frame(
 ) -> tuple[ObjectPoints, ...]:
     """Crop every detection of an admitted frame, in detection order.
 
-    The cloud is sorted by x once; each box tests only the points in its
-    x-window, a superset of its interior taken back to source order, so
-    every crop equals the one cropped from the whole cloud with the slot's
-    seed.
+    All boxes are cropped in one pass: each box's candidates are the points
+    in its x-window of the x-sorted cloud, taken in source order, and every
+    candidate is mapped to its box's frame and tested against the closed
+    box at once.  A window is a superset of its box's interior, so every
+    crop equals the one cropped from the whole cloud; a crop with more
+    than P points is then thinned with its slot's seed.  P below 1 is
+    rejected, whether or not the frame has detections.
     """
+    if P < 1:
+        raise ValueError("P must be >= 1")
+    boxes = [det.box for det in frame.detections]
+    if not boxes:
+        return ()
     points = frame.cloud.points
-    order = np.argsort(points[:, 0], kind="stable")
+    n = len(points)
+    order = np.argsort(points[:, 0])
     xs = points[order, 0]
+    # per box: center, yaw cosine and sine, half extents
+    params = np.array(
+        [
+            (
+                *box.center.tolist(),
+                math.cos(box.yaw),
+                math.sin(box.yaw),
+                *box.half_extents.tolist(),
+            )
+            for box in boxes
+        ]
+    ).T
+    reach = np.array([_x_reach(box) for box in boxes])
+    lo = np.searchsorted(xs, params[0] - reach, side="left")
+    lengths = np.searchsorted(xs, params[0] + reach, side="right") - lo
+
+    # every box's window, one after another, with its box's parameters;
+    # sorting slot * n + index leaves each window in place and puts its
+    # points in source order
+    slots = np.repeat(np.arange(len(boxes)), lengths)
+    first = np.cumsum(lengths) - lengths
+    window = order[np.arange(len(slots)) - np.repeat(first - lo, lengths)]
+    base = slots * n
+    candidates = np.sort(base + window) - base
+    params = np.repeat(params, lengths, axis=1)
+    columns = np.take(np.ascontiguousarray(points.T), candidates, axis=1)
+    local = _box_frame_columns(columns, params[:3], params[3], params[4])
+    inside = _inside_columns(local, params[5:])
+    kept = np.stack([column[inside] for column in local], axis=1)
+
+    ends = np.cumsum(np.bincount(slots[inside], minlength=len(boxes))).tolist()
     crops = []
-    for slot, det in enumerate(frame.detections):
-        x, reach = det.box.center[0], _x_reach(det.box)
-        lo = np.searchsorted(xs, x - reach, side="left")
-        hi = np.searchsorted(xs, x + reach, side="right")
-        window = points[np.sort(order[lo:hi])]
-        crops.append(_crop(window, det.box, P, slot_seed(seed, frame.index, slot)))
+    for slot, (start, stop) in enumerate(zip([0, *ends], ends)):
+        crop = kept[start:stop]
+        if len(crop) > P:
+            rng = np.random.default_rng(slot_seed(seed, frame.index, slot))
+            crop = crop[np.sort(rng.permutation(len(crop))[:P])]
+        crops.append(ObjectPoints(crop))
     return tuple(crops)

@@ -87,16 +87,25 @@ class OrientedBox3:
         return float(np.linalg.norm([self.length, self.width, self.height]))
 
 
+def _box_frame_columns(xyz, center, c, s):
+    """The box-frame map on coordinate columns; to_box_frame calls it.
+
+    xyz holds the x, y and z columns of the points.  center, and c and s
+    (the cosine and sine of the yaw), are one box's scalars or arrays
+    aligned with the columns, so many boxes map their points in one pass
+    with the same operations, and the same bits, as one box at a time.
+    Returns the local x, y and z columns.
+    """
+    dx = xyz[0] - center[0]
+    dy = xyz[1] - center[1]
+    return dx * c + dy * s, -dx * s + dy * c, xyz[2] - center[2]
+
+
 def to_box_frame(box: OrientedBox3, points) -> np.ndarray:
     """Map world points into the box frame (center at origin, yaw removed)."""
     pts = _as_finite_points(points)
-    d = pts - box.center
     c, s = math.cos(box.yaw), math.sin(box.yaw)
-    local = np.empty_like(d)
-    local[:, 0] = d[:, 0] * c + d[:, 1] * s
-    local[:, 1] = -d[:, 0] * s + d[:, 1] * c
-    local[:, 2] = d[:, 2]
-    return local
+    return np.stack(_box_frame_columns(pts.T, box.center, c, s), axis=1)
 
 
 def from_box_frame(box: OrientedBox3, points) -> np.ndarray:
@@ -123,12 +132,22 @@ def box_contains(box: OrientedBox3, p) -> np.ndarray | bool:
 
 
 def local_inside(box: OrientedBox3, local: np.ndarray) -> np.ndarray:
-    """Closed-box rule on (n, 3) points already in box's local frame.
+    """Closed-box rule on (n, 3) points already in box's local frame."""
+    return _inside_columns(np.asarray(local).T, box.half_extents)
+
+
+def _inside_columns(local, half) -> np.ndarray:
+    """Closed-box rule on local x, y and z columns; local_inside calls it.
 
     This is the one place that decides "inside": a point is inside when
     every local coordinate is within the half extents, boundary included.
+    half holds the three half extents, each a scalar or an array aligned
+    with the columns.
     """
-    return (np.abs(local) <= box.half_extents).all(axis=1)
+    inside = np.abs(local[0]) <= half[0]
+    inside &= np.abs(local[1]) <= half[1]
+    inside &= np.abs(local[2]) <= half[2]
+    return inside
 
 
 @dataclass(frozen=True, eq=False)

@@ -80,7 +80,7 @@ class LossBreakdown:
         return (self.l_f + self.l_b + self.l_c + self.l_a) / 4.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossGradients:
     """d(total)/dM1, d(total)/dM2, d(total)/d(dummy_score)."""
 

@@ -23,7 +23,7 @@ MAGIC_POINTNET = b"PNW1"
 MAGIC_COMPRESSION = b"CMP1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinityModel:
     """Frozen point featurizer, trainable compression net, dummy score."""
 

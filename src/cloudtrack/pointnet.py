@@ -34,7 +34,7 @@ from .nets import Layers, layer_widths, validate_layers
 DEFAULT_POINTNET_WIDTHS = (3, 64, 128, 512)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointNetWeights:
     """Per-point MLP weights; input width is always 3 (xyz).
 
@@ -88,8 +88,10 @@ class FeatureSet:
 
 
 # Crops per MLP chunk.  The activations are allocated once per call at
-# this size; 16 crops per chunk lifted dense80's peak RSS past its bound.
-_CHUNK_CROPS = 4
+# this size: 8 float32 crops of 128 points take 2.9 MB of buffers.  (16
+# crops per chunk lifted dense80's peak RSS past its bound when the MLP
+# ran in float64.)
+_CHUNK_CROPS = 8
 
 # Crops with fewer points run alone, at their own size.  BLAS
 # multiplies such short inputs with other float32 kernels (OpenBLAS:

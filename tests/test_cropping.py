@@ -6,19 +6,32 @@ import math
 import numpy as np
 import pytest
 
-from cloudtrack.cropping import ObjectPoints, _crop, crop_frame, slot_seed
+from cloudtrack.cropping import ObjectPoints, crop_frame, slot_seed
 from cloudtrack.geometry import (
     Detection,
     Frame,
     OrientedBox3,
     PointCloud,
+    box_contains,
     from_box_frame,
+    local_inside,
+    to_box_frame,
 )
 
 
 def crop_object(cloud, box, P, seed):
-    """Oracle: crop box from the whole cloud, not from an x-window of it."""
-    return _crop(cloud.points, box, P, seed)
+    """Oracle: test the whole cloud against one box, then thin with seed."""
+    local = to_box_frame(box, cloud.points)
+    local = local[local_inside(box, local)]
+    if len(local) > P:
+        rng = np.random.default_rng(seed)
+        local = local[np.sort(rng.permutation(len(local))[:P])]
+    return ObjectPoints(local)
+
+
+def crop_one(cloud, box, P, seed):
+    """crop_frame on a one-box frame: the box's crop, thinned with seed's slot 0."""
+    return crop_frame(Frame(0, cloud, (Detection(box, 0.9),)), P=P, seed=seed)[0]
 
 
 def unit_box(center=(0.0, 0.0, 0.0), yaw=0.0):
@@ -34,38 +47,38 @@ def ulps_from(value, steps):
 
 class TestCropObject:
     def test_empty_cloud(self):
-        out = crop_object(PointCloud(np.empty((0, 3))), unit_box(), P=4, seed=0)
+        out = crop_one(PointCloud(np.empty((0, 3))), unit_box(), P=4, seed=0)
         assert out.points.shape == (0, 3)
         assert out.valid_count == 0
 
     def test_identity_frame_keeps_points(self):
         # fewer than P interior points: the crop is exactly those points
         pts = np.array([[0.1, 0.2, 0.3], [-0.4, 0.0, 0.1], [0.0, -0.3, -0.2]])
-        out = crop_object(PointCloud(pts), unit_box(), P=4, seed=9)
+        out = crop_one(PointCloud(pts), unit_box(), P=4, seed=9)
         assert out.valid_count == 3
         assert np.array_equal(out.points, pts)
 
     def test_outside_points_dropped(self):
         pts = np.array([[0.1, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        out = crop_object(PointCloud(pts), unit_box(), P=4, seed=0)
+        out = crop_one(PointCloud(pts), unit_box(), P=4, seed=0)
         assert np.array_equal(out.points, pts[:1])
 
     def test_seeded_thinning(self):
         rng = np.random.default_rng(81)
         pts = rng.uniform(-0.49, 0.49, size=(1000, 3))
-        a = crop_object(PointCloud(pts), unit_box(), P=128, seed=42)
-        b = crop_object(PointCloud(pts), unit_box(), P=128, seed=42)
+        a = crop_one(PointCloud(pts), unit_box(), P=128, seed=42)
+        b = crop_one(PointCloud(pts), unit_box(), P=128, seed=42)
         assert a.points.shape == (128, 3)
         assert a.points.tobytes() == b.points.tobytes()
         # all 128 selections are distinct source points
         assert len(np.unique(a.points, axis=0)) == 128
-        c = crop_object(PointCloud(pts), unit_box(), P=128, seed=43)
+        c = crop_one(PointCloud(pts), unit_box(), P=128, seed=43)
         assert a.points.tobytes() != c.points.tobytes()
 
     def test_thinning_subset_of_interior(self):
         rng = np.random.default_rng(82)
         pts = rng.uniform(-0.49, 0.49, size=(300, 3))
-        out = crop_object(PointCloud(pts), unit_box(), P=64, seed=5)
+        out = crop_one(PointCloud(pts), unit_box(), P=64, seed=5)
         source = {tuple(p) for p in pts}
         assert out.points.shape == (64, 3)
         for row in out.points:
@@ -81,7 +94,7 @@ class TestCropObject:
             world = from_box_frame(
                 box, rng.uniform(-0.5, 0.5, size=(200, 3)) * [l, w, h]
             )
-            out = crop_object(PointCloud(world), box, P=256, seed=1)
+            out = crop_one(PointCloud(world), box, P=256, seed=1)
             assert np.all(np.abs(out.points) <= box.half_extents + 1e-9)
 
     def test_joint_translation_invariance(self):
@@ -90,8 +103,8 @@ class TestCropObject:
         world = from_box_frame(box, rng.uniform(-0.45, 0.45, size=(50, 3)) * [2, 1, 1.5])
         shift = np.array([10.0, -3.0, 2.0])
         box2 = OrientedBox3(shift, 2.0, 1.0, 1.5, 0.8)
-        a = crop_object(PointCloud(world), box, P=64, seed=7)
-        b = crop_object(PointCloud(world + shift), box2, P=64, seed=7)
+        a = crop_one(PointCloud(world), box, P=64, seed=7)
+        b = crop_one(PointCloud(world + shift), box2, P=64, seed=7)
         assert a.points.shape == b.points.shape
         assert np.allclose(a.points, b.points, atol=1e-9)
 
@@ -172,18 +185,65 @@ class TestCropFrame:
 
         yield "empty cloud", self._frame_of(np.empty((0, 3)), [unit_box(), unit_box((1.0, 2.0, 0.0))])
 
+        yield "shared points", self._shared_points_frame(rng)
+
+        # many boxes whose x-windows are one and the same stretch of the cloud
+        pts = rng.uniform([-1.5, -20, -1], [1.5, 20, 1], size=(3000, 3))
+        boxes = [
+            OrientedBox3([0.0, y, 0.0], 2.0, 1.2, 1.5, yaw)
+            for y, yaw in zip(np.linspace(-18, 18, 25), rng.uniform(-math.pi, math.pi, 25))
+        ]
+        yield "one window", self._frame_of(pts, boxes)
+
+    def _shared_points_frame(self, rng):
+        """Identical, nested and overlapping boxes over one dense cloud."""
+        pts = rng.uniform(-3, 3, size=(2000, 3))
+        outer = OrientedBox3([0.1, -0.2, 0.0], 3.0, 2.0, 2.0, 0.3)
+        boxes = [
+            outer,
+            OrientedBox3(outer.center, 3.0, 2.0, 2.0, 0.3),
+            OrientedBox3([0.3, 0.0, 0.1], 1.0, 0.5, 0.6, -0.7),
+            OrientedBox3([1.2, 0.6, -0.3], 2.5, 1.5, 2.0, 1.1),
+            outer,
+        ]
+        return self._frame_of(pts, boxes)
+
     def _frame_of(self, pts, boxes):
         return Frame(0, PointCloud(pts), tuple(Detection(b, 0.9) for b in boxes))
 
     def test_slot_order_matches_detections(self):
         for name, frame in self._equivalence_frames():
-            for P in (16, 64):
+            for P in (1, 16, 64):
                 crops = crop_frame(frame, P=P, seed=0)
                 assert len(crops) == len(frame.detections), name
                 for slot, (det, crop) in enumerate(zip(frame.detections, crops)):
                     solo = crop_object(frame.cloud, det.box, P=P, seed=slot_seed(0, 0, slot))
                     assert crop.points.shape == solo.points.shape, (name, P, slot)
                     assert crop.points.tobytes() == solo.points.tobytes(), (name, P, slot)
+
+    def test_shared_point_in_every_containing_box(self):
+        frame = self._shared_points_frame(np.random.default_rng(93))
+        points = frame.cloud.points
+        crops = crop_frame(frame, P=len(points), seed=0)
+        masks = [box_contains(det.box, points) for det in frame.detections]
+        # most points of the nested box lie in four boxes, and some in all five
+        assert (np.sum(masks, axis=0) >= 4).sum() > 10
+        assert np.all(masks, axis=0).any()
+        for det, mask, crop in zip(frame.detections, masks, crops):
+            expected = to_box_frame(det.box, points[mask])
+            assert crop.points.tobytes() == expected.tobytes()
+
+    def test_rejects_p_below_one(self):
+        rng = np.random.default_rng(94)
+        frames = (
+            Frame(0, PointCloud(np.empty((0, 3))), ()),
+            self._frame(rng, 0),
+            self._frame(rng, 2),
+        )
+        for frame in frames:
+            for P in (0, -1):
+                with pytest.raises(ValueError, match="P must be >= 1"):
+                    crop_frame(frame, P=P)
 
     def test_bitwise_repeatable(self):
         rng = np.random.default_rng(92)
@@ -221,5 +281,5 @@ class TestObjectPoints:
         rng = np.random.default_rng(85)
         cloud = PointCloud(rng.uniform(-0.49, 0.49, size=(40, 3)))
         for P in (1, 8, 39, 40, 41, 128):
-            out = crop_object(cloud, unit_box(), P=P, seed=3)
+            out = crop_one(cloud, unit_box(), P=P, seed=3)
             assert out.points.shape == (min(P, 40), 3)

@@ -111,9 +111,11 @@ class TestFeaturizeFrame:
         assert fs.features.shape == (0, 16)
 
     def test_slots_filled_in_order(self):
-        # frames around and across the MLP's chunk of four crops; the last
-        # crop of each frame of four or more repeats the first, so two
-        # batch keys tie
+        # frames around and across the MLP's chunk of eight crops.  The last
+        # crop of each frame of four or more repeats the first, so two batch
+        # keys tie and run once: n batched crops give n - 1 distinct ones,
+        # and 9, 10, 17 and 18 of them fill one chunk, spill one crop into a
+        # second, fill two, and spill one into a third
         rng = np.random.default_rng(106)
         w = PointNetWeights(init_layers(DEFAULT_POINTNET_WIDTHS, rng))
         P = 128
@@ -123,6 +125,8 @@ class TestFeaturizeFrame:
             [P, 17, 15, P],
             [40, 0, 9, 100, 40],
             [P, 1, 2, 16, 64, 10, P - 1, 0, P],
+            *([P, *range(20, 20 + 6 * (n - 2), 6), P] for n in (8, 9, 10, 16, 17, 18)),
+            [P, 3, *range(20, 20 + 6 * 15, 6), 0, 16, P],
         )
         for counts in frames:
             objs = [ObjectPoints(rng.uniform(-1, 1, size=(n, 3))) for n in counts]

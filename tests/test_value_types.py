@@ -5,8 +5,12 @@ import pytest
 
 from cloudtrack.cropping import ObjectPoints
 from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
-from cloudtrack.losses import GroundTruthAssignment
+from cloudtrack.losses import GroundTruthAssignment, LossGradients
+from cloudtrack.model import init_model
 from cloudtrack.pointnet import FeatureSet
+
+# small widths keep the model makers cheap
+SMALL_MODEL = dict(pointnet_widths=(3, 4, 4), compression_widths=(8, 4, 4, 4, 4, 1))
 
 
 def box():
@@ -21,6 +25,10 @@ MAKERS = {
     "ObjectPoints": lambda: ObjectPoints(np.ones((2, 3))),
     "GroundTruthAssignment": lambda: GroundTruthAssignment(np.eye(2)),
     "FeatureSet": lambda: FeatureSet(np.ones((2, 4))),
+    "PointNetWeights": lambda: init_model(0, **SMALL_MODEL).pointnet,
+    "CompressionNet": lambda: init_model(0, **SMALL_MODEL).compression,
+    "AffinityModel": lambda: init_model(0, **SMALL_MODEL),
+    "LossGradients": lambda: LossGradients(np.ones((2, 3)), np.ones((2, 3)), 0.0),
 }
 
 
