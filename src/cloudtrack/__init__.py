@@ -74,7 +74,9 @@ from .sequence_io import (
     write_sequence_meta,
 )
 from .synth import SynthConfig, generate, perturb
-from .training import TrainConfig, train, train_step, training_pairs, write_loss_log
+from .training import (
+    TrainConfig, TrainState, train, train_step, training_pairs, write_loss_log,
+)
 from .verification import LosscheckReport, fd_gradient_check, run_losscheck
 
 __version__ = "0.1.0"
@@ -102,6 +104,7 @@ __all__ = [
     "TrackRow",
     "TrackerConfig",
     "TrainConfig",
+    "TrainState",
     "admit_detections",
     "affinity_from_features",
     "augment_and_softmax",

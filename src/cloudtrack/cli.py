@@ -122,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     trn.add_argument("--steps", type=_nonneg_int, default=500)
     trn.add_argument("--lr", type=_positive_float, default=1e-2)
     trn.add_argument("--batch-pairs", type=_positive_int, default=4)
-    trn.add_argument("--seed", type=int, default=0)
+    trn.add_argument("--seed", type=int, default=0, help=(
+        "seeds the init, the batches and the thinning of crops over 128 points; "
+        "track computes the features trained on only with the same --seed"))
     trn.add_argument("--log", default=None, help="optional loss log CSV path")
     _add_threads_flag(trn)
     trn.set_defaults(func=cmd_train)
@@ -135,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     trk.add_argument(
         "--conf-threshold", type=_rate, default=DEFAULT_CONFIDENCE_THRESHOLD
     )
-    trk.add_argument("--seed", type=int, default=0)
+    trk.add_argument("--seed", type=int, default=0, help=(
+        "seeds the thinning of crops over 128 points; the train --seed of the "
+        "weights gives the features they were trained on"))
     _add_threads_flag(trk)
     trk.set_defaults(func=cmd_track)
 

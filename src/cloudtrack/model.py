@@ -56,10 +56,14 @@ def init_model(
 
 
 def save_model(model: AffinityModel, path) -> None:
-    """Write featurizer and compression sections plus the dummy score."""
+    """Write both sections and the dummy score; refuse what float32 cannot hold."""
     blob = pack_layers(MAGIC_POINTNET, model.pointnet.layers)
     blob += pack_layers(MAGIC_COMPRESSION, model.compression.layers)
-    blob += struct.pack("<f", np.float32(model.dummy_score))
+    with np.errstate(over="ignore"):
+        dummy = np.float32(model.dummy_score)
+    if not np.isfinite(dummy):
+        raise ValueError("dummy score outside the float32 range")
+    blob += struct.pack("<f", dummy)
     Path(path).write_bytes(blob)
 
 

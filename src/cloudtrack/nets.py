@@ -6,11 +6,12 @@ Weight matrices are out_dim x in_dim, applied as x @ W.T + b.
 
 On disk a stack is one section: a 4-byte magic, a u32 layer count, then
 per layer u32 out_dim, u32 in_dim, row-major f32 weights, f32 biases.
-Everything is little-endian.  In memory weights are float64; files are
-float32, so freshly initialized weights are generated on the f32 grid
-to make save/load round trips bit-exact.  The point featurizer also
-keeps a float32 copy of its weights, which it runs in (see pointnet.py);
-for weights loaded from a file or made by init_layers that copy is exact.
+Everything is little-endian.  In memory the compression net's weights
+are float64 and the point featurizer's are float32, the type it runs in
+(see pointnet.py); files are float32, so freshly initialized weights
+are generated on the f32 grid to make save/load round trips bit-exact.
+A weight that float32 cannot hold is refused when it is packed, so
+every file written loads again.
 """
 
 from __future__ import annotations
@@ -27,15 +28,16 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def validate_layers(layers, in_dim: int | None = None) -> Layers:
-    """Normalize to float64 and check the dimension chain; returns a tuple."""
+def validate_layers(layers, in_dim: int | None = None, dtype=np.float64) -> Layers:
+    """Cast to dtype, then check the chain and finiteness (overflow is inf)."""
     if not layers:
         raise ValueError("network needs at least one layer")
     prev = in_dim
     out = []
     for k, (W, b) in enumerate(layers):
-        W = np.ascontiguousarray(W, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            W = np.ascontiguousarray(W, dtype=dtype)
+            b = np.ascontiguousarray(b, dtype=dtype)
         if W.ndim != 2:
             raise ValueError(f"layer {k}: weight must be 2-D, got {W.shape}")
         if b.shape != (W.shape[0],):
@@ -102,11 +104,12 @@ def init_layers(widths, rng: np.random.Generator) -> Layers:
 
 
 def pack_layers(magic: bytes, layers: Layers) -> bytes:
+    """One file section; a weight outside the float32 range raises ValueError."""
     parts = [magic, struct.pack("<I", len(layers))]
-    for W, b in layers:
+    for W, b in validate_layers(layers, dtype="<f4"):
         parts.append(struct.pack("<II", W.shape[0], W.shape[1]))
-        parts.append(W.astype("<f4").tobytes())
-        parts.append(b.astype("<f4").tobytes())
+        parts.append(W.tobytes())
+        parts.append(b.tobytes())
     return b"".join(parts)
 
 

@@ -7,12 +7,13 @@ row.  Points are canonically ordered before the matrix products, which
 makes the output bitwise identical under any permutation of the input
 points.  A frame's features are one row per object, in detection order.
 
-The MLP runs in float32.  Its weights sit on the float32 grid (model
-files store float32) and frame points are float32 on disk; the
-box-local crop coordinates round once to float32, and the products
-round more coarsely than in float64.  Features stay within 1e-6 of the
-largest feature of a float64 MLP on the same crops (the tests bound
-it).  Crop geometry before the MLP and the rows it returns are float64.
+The MLP runs in float32, and PointNetWeights holds its weights only
+as float32 (model files store float32, so loading is exact); frame
+points are float32 on disk too.  The box-local crop coordinates round
+once to float32, and the products round more coarsely than in float64.
+Features stay within 1e-6 of the largest feature of a float64 MLP on
+the same crops (the tests bound it).  Crop geometry before the MLP and
+the rows it returns are float64.
 
 A frame's crops run as one batch in a canonical crop order, through the
 MLP in chunks of a few crops (see featurize_frame), so the rows permute
@@ -24,7 +25,7 @@ a product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,22 +39,16 @@ DEFAULT_POINTNET_WIDTHS = (3, 64, 128, 512)
 class PointNetWeights:
     """Per-point MLP weights; input width is always 3 (xyz).
 
-    layers is float64, as every network's weights are in memory;
-    layers_f32 is the same stack cast once to float32, the type the
-    featurizer runs in.
+    layers is cast once to float32, the type the featurizer runs in, and
+    validated after the cast: a weight that overflows float32 is refused
+    here, not when a frame is featurized.
     """
 
     layers: Layers
-    layers_f32: Layers = field(init=False, repr=False)
 
     def __post_init__(self):
-        layers = validate_layers(self.layers, in_dim=3)
+        layers = validate_layers(self.layers, in_dim=3, dtype=np.float32)
         object.__setattr__(self, "layers", layers)
-        object.__setattr__(
-            self,
-            "layers_f32",
-            tuple((W.astype(np.float32), b.astype(np.float32)) for W, b in layers),
-        )
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -109,7 +104,7 @@ def _canonical_order(pts: np.ndarray) -> np.ndarray:
 def _pool_crops(crops, layers: Layers) -> np.ndarray:
     """Max-pooled MLP output of each canonically ordered crop; one row each.
 
-    Runs in float32; layers are float32 (PointNetWeights.layers_f32).
+    Runs in float32; layers are float32 (PointNetWeights.layers).
     Equal crops run once.  The last bias is added after the max:
     rounding is monotone, so max_p fl(y_p + b) == fl(max_p y_p + b).
     """
@@ -174,5 +169,5 @@ def featurize_frame(objs, w: PointNetWeights) -> FeatureSet:
     if batched:
         groups.append(batched)
     for group in groups:
-        feats[group] = _pool_crops([crops[slot] for slot in group], w.layers_f32)
+        feats[group] = _pool_crops([crops[slot] for slot in group], w.layers)
     return FeatureSet(feats)

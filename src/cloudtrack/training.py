@@ -1,19 +1,20 @@
 """Plain gradient descent on the affinity head.
 
 The point featurizer stays frozen; only the compression stack and the
-dummy score learn.  Every step samples a batch of frame pairs from a
-labeled sequence (gap drawn from frame_gap_range), pushes the cached
-features through the compression net, and descends the four-part
-association loss.  train() makes one private, mutable working copy of
-the compression weights and the dummy score, descends it in place for
-all its steps, and builds the AffinityModel once, at the end.  The copy
-holds the first layer as its two contiguous halves: the columns that act
-on previous-frame features and those that act on current-frame
-features.  As in the tracker, the first layer projects features instead
-of acting on concatenated pairs: the batch's previous-frame features are
-stacked and projected through their half with one product, and so are
-its current-frame features.  Layers 2-5 see the whole batch in one
-forward and one backward pass.  The first layer's gradient is summed per
+dummy score learn.  training_pairs loads, crops and featurizes the
+sequence one frame at a time, keeping only each frame's gt ids and
+features, and pairs every frame with the frames FRAME_GAPS before it.
+train() builds one TrainState from init_model(seed): a mutable copy of
+the compression weights and the dummy score, holding the first layer as
+its two contiguous halves, the columns that act on previous-frame
+features and those that act on current-frame features.  Every step is
+one train_step, which descends the state in place over a batch of
+sampled pairs; the model is built from the state once, at the end.  As
+in the tracker, the first layer projects features instead of acting on
+concatenated pairs: the batch's previous-frame features are stacked and
+projected through their half with one product, and so are its
+current-frame features.  Layers 2-5 see the whole batch in one forward
+and one backward pass.  The first layer's gradient is summed per
 feature row, so each half's update is one low-rank product of the
 stacked row sums with the stacked features, subtracted in place.  Each
 step reports the loss measured before its update, so a shrinking log
@@ -43,6 +44,9 @@ from .sequence_io import SequenceSource, format_float, load_admitted_frame
 
 LOG_HEADER = "step,l_f,l_b,l_c,l_a,total"
 
+# Each frame is paired with the frames this many steps before it.
+FRAME_GAPS = range(1, 4)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -50,7 +54,6 @@ class TrainConfig:
     learning_rate: float = 1e-2
     batch_pairs: int = 4
     seed: int = 0
-    frame_gap_range: tuple = (1, 3)
 
     def __post_init__(self):
         if self.steps < 0:
@@ -59,10 +62,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive and finite")
         if self.batch_pairs < 1:
             raise ValueError("batch_pairs must be >= 1")
-        lo, hi = self.frame_gap_range
-        if not 1 <= lo <= hi:
-            raise ValueError("frame_gap_range must satisfy 1 <= lo <= hi")
-        object.__setattr__(self, "frame_gap_range", (int(lo), int(hi)))
 
 
 @dataclass(frozen=True)
@@ -74,147 +73,132 @@ class PairSample:
     gt: GroundTruthAssignment
 
 
-class _WorkingCopy:
-    """Private, mutable compression weights and dummy score, descended in place.
+class TrainState:
+    """Mutable compression weights and dummy score, descended by train_step.
 
-    W1 is held as its two contiguous out x D halves, w_prev and w_cur;
-    b1 and layers 2-5 are copies too, so the model the copy was made from
-    never changes.
+    Built from a model, whose arrays it copies: W1 as its two contiguous
+    out x D halves, w_prev and w_cur (from split_first_layer), b1 and
+    layers 2-5 as they are.  Neither the model it was built from nor any
+    model it returns changes when a later step descends it.
     """
 
     def __init__(self, model: AffinityModel):
-        (w1, b1), *rest = model.compression.layers
-        d = w1.shape[1] // 2
+        w_prev, w_cur, b1 = model.compression.split_first_layer()
         self.pointnet = model.pointnet
-        self.w_prev = w1[:, :d].copy()
-        self.w_cur = w1[:, d:].copy()
+        self.w_prev = w_prev.T.copy()
+        self.w_cur = w_cur.T.copy()
         self.b1 = b1.copy()
-        self.rest = tuple((W.copy(), b.copy()) for W, b in rest)
+        self.rest = tuple((W.copy(), b.copy()) for W, b in model.compression.layers[1:])
         self.dummy_score = model.dummy_score
 
-    def step(self, batch, learning_rate: float) -> LossBreakdown:
-        """One descent step over a batch; returns the pre-step batch loss.
-
-        The first layer is applied to each frame's features separately:
-        pair (i, j) gets the hidden row relu(w_prev prev_i + w_cur cur_j + b1).
-        The batch's previous-frame features are stacked into one matrix and
-        its current-frame features into another, and each stack is
-        projected with one product; a sample's hidden block is built from
-        its slices of the two projections.  The hidden rows of every pair
-        then go through layers 2-5 in one forward and one backward pass.
-        Back at the first layer, the gradient of pair (i, j) is
-        dz_ij [prev_i; cur_j]^T, so each half's gradient is one product of
-        the stacked per-row sums of dz with the stacked features, of rank at
-        most the number of rows, and is subtracted from the half in place.
-        A non-finite weight or dummy score after the update raises
-        RuntimeError and leaves the copy unusable.
-        """
-        batch = tuple(batch)
-        if not batch:
-            raise ValueError("batch must contain at least one pair")
-        width = len(self.b1)
-        prev_x = np.concatenate([s.prev.features for s in batch])
-        cur_x = np.concatenate([s.cur.features for s in batch])
-        prev_splits = np.cumsum([s.prev.count for s in batch])[:-1]
-        cur_splits = np.cumsum([s.cur.count for s in batch])[:-1]
-        prev_h = np.split(prev_x @ self.w_prev.T, prev_splits)
-        cur_h = np.split(cur_x @ self.w_cur.T + self.b1, cur_splits)
-        hidden = np.concatenate([
-            relu(p[:, None, :] + c[None, :, :]).reshape(-1, width)
-            for p, c in zip(prev_h, cur_h)
-        ])
-        out, acts = mlp_forward_cached(hidden, self.rest)
-        if not np.isfinite(out).all():
-            raise RuntimeError("non-finite affinity score")
-        splits = np.cumsum([s.prev.count * s.cur.count for s in batch])[:-1]
-        sums = np.zeros(4)
-        d_scores = []
-        d_dummy = 0.0
-        for s, scores in zip(batch, np.split(out[:, 0], splits)):
-            cp, cc = s.prev.count, s.cur.count
-            a1, a2 = augment_and_softmax(scores.reshape(cp, cc), self.dummy_score)
-            losses = loss_breakdown(a1, a2, s.gt)
-            if not np.isfinite(losses.total):
-                raise RuntimeError("non-finite loss")
-            sums += (losses.l_f, losses.l_b, losses.l_c, losses.l_a)
-            grads = loss_gradients(a1, a2, s.gt)
-            d_scores.append((grads.d_m1[:, :cc] + grads.d_m2[:cp, :]).reshape(-1, 1))
-            d_dummy += grads.d_dummy
-        rest_grads, d_hidden = mlp_backward(acts, self.rest, np.concatenate(d_scores))
-        d_z = d_hidden * (hidden > 0.0)
-        blocks = [
-            dz.reshape(s.prev.count, s.cur.count, width)
-            for s, dz in zip(batch, np.split(d_z, splits))
-        ]
-        d_prev = np.concatenate([dz.sum(axis=1) for dz in blocks])
-        d_cur = np.concatenate([dz.sum(axis=0) for dz in blocks])
-        n = len(batch)
-        lr = learning_rate
-        halves = ((self.w_prev, d_prev, prev_x), (self.w_cur, d_cur, cur_x))
-        for half, d_rows, x in halves:
-            # lr / n scales the thin row-sum factor, not the width x D product
-            half -= (d_rows * (lr / n)).T @ x
-        self.b1 -= lr * d_z.sum(axis=0) / n
-        for (W, b), (dW, db) in zip(self.rest, rest_grads):
-            W -= lr * dW / n
-            b -= lr * db / n
-        weights = (self.w_prev, self.w_cur, self.b1, *(a for wb in self.rest for a in wb))
-        if not all(np.isfinite(a).all() for a in weights):
-            raise RuntimeError("training diverged: non-finite weight") from None
-        self.dummy_score = self.dummy_score - lr * d_dummy / n
-        if not np.isfinite(self.dummy_score):
-            raise RuntimeError("training diverged: non-finite dummy score") from None
-        return LossBreakdown(*(sums / n))
-
     def model(self) -> AffinityModel:
-        """The weights as a model; call once, after the last step.
-
-        Only W1 is built anew, from its halves; the other arrays are
-        handed over uncopied.
-        """
+        """The current weights as a model, sharing no array with the state."""
         w1 = np.concatenate((self.w_prev, self.w_cur), axis=1)
-        net = CompressionNet(((w1, self.b1), *self.rest))
+        rest = tuple((W.copy(), b.copy()) for W, b in self.rest)
+        net = CompressionNet(((w1, self.b1.copy()), *rest))
         return AffinityModel(self.pointnet, net, self.dummy_score)
 
 
-def train_step(
-    model: AffinityModel, batch, cfg: TrainConfig
-) -> tuple[AffinityModel, LossBreakdown]:
-    """One descent step over a batch; returns the new model and the pre-step loss.
+def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
+    """Descend state in place over a batch; returns the pre-step batch loss.
 
-    model is left unchanged: the step descends a fresh working copy of its
-    compression weights and dummy score (see _WorkingCopy.step) and
-    returns that copy as a new model.  train() takes the same step on one
-    working copy for all its steps.
+    The first layer is applied to each frame's features separately:
+    pair (i, j) gets the hidden row relu(w_prev prev_i + w_cur cur_j + b1).
+    The batch's previous-frame features are stacked into one matrix and
+    its current-frame features into another, and each stack is
+    projected with one product; a sample's hidden block is built from
+    its slices of the two projections.  The hidden rows of every pair
+    then go through layers 2-5 in one forward and one backward pass.
+    Back at the first layer, the gradient of pair (i, j) is
+    dz_ij [prev_i; cur_j]^T, so each half's gradient is one product of
+    the stacked per-row sums of dz with the stacked features, of rank at
+    most the number of rows, and is subtracted from the half in place.
+    A non-finite weight or dummy score after the update raises
+    RuntimeError and leaves the state unusable.
     """
-    work = _WorkingCopy(model)
-    losses = work.step(batch, cfg.learning_rate)
-    return work.model(), losses
+    batch = tuple(batch)
+    if not batch:
+        raise ValueError("batch must contain at least one pair")
+    width = len(state.b1)
+    prev_x = np.concatenate([s.prev.features for s in batch])
+    cur_x = np.concatenate([s.cur.features for s in batch])
+    prev_splits = np.cumsum([s.prev.count for s in batch])[:-1]
+    cur_splits = np.cumsum([s.cur.count for s in batch])[:-1]
+    prev_h = np.split(prev_x @ state.w_prev.T, prev_splits)
+    cur_h = np.split(cur_x @ state.w_cur.T + state.b1, cur_splits)
+    hidden = np.concatenate([
+        relu(p[:, None, :] + c[None, :, :]).reshape(-1, width)
+        for p, c in zip(prev_h, cur_h)
+    ])
+    out, acts = mlp_forward_cached(hidden, state.rest)
+    if not np.isfinite(out).all():
+        raise RuntimeError("non-finite affinity score")
+    splits = np.cumsum([s.prev.count * s.cur.count for s in batch])[:-1]
+    sums = np.zeros(4)
+    d_scores = []
+    d_dummy = 0.0
+    for s, scores in zip(batch, np.split(out[:, 0], splits)):
+        cp, cc = s.prev.count, s.cur.count
+        a1, a2 = augment_and_softmax(scores.reshape(cp, cc), state.dummy_score)
+        losses = loss_breakdown(a1, a2, s.gt)
+        if not np.isfinite(losses.total):
+            raise RuntimeError("non-finite loss")
+        sums += (losses.l_f, losses.l_b, losses.l_c, losses.l_a)
+        grads = loss_gradients(a1, a2, s.gt)
+        d_scores.append((grads.d_m1[:, :cc] + grads.d_m2[:cp, :]).reshape(-1, 1))
+        d_dummy += grads.d_dummy
+    rest_grads, d_hidden = mlp_backward(acts, state.rest, np.concatenate(d_scores))
+    d_z = d_hidden * (hidden > 0.0)
+    blocks = [
+        dz.reshape(s.prev.count, s.cur.count, width)
+        for s, dz in zip(batch, np.split(d_z, splits))
+    ]
+    d_prev = np.concatenate([dz.sum(axis=1) for dz in blocks])
+    d_cur = np.concatenate([dz.sum(axis=0) for dz in blocks])
+    n = len(batch)
+    lr = learning_rate
+    halves = ((state.w_prev, d_prev, prev_x), (state.w_cur, d_cur, cur_x))
+    for half, d_rows, x in halves:
+        # lr / n scales the thin row-sum factor, not the width x D product
+        half -= (d_rows * (lr / n)).T @ x
+    state.b1 -= lr * d_z.sum(axis=0) / n
+    for (W, b), (dW, db) in zip(state.rest, rest_grads):
+        W -= lr * dW / n
+        b -= lr * db / n
+    weights = (state.w_prev, state.w_cur, state.b1, *(a for wb in state.rest for a in wb))
+    if not all(np.isfinite(a).all() for a in weights):
+        raise RuntimeError("training diverged: non-finite weight") from None
+    state.dummy_score = state.dummy_score - lr * d_dummy / n
+    if not np.isfinite(state.dummy_score):
+        raise RuntimeError("training diverged: non-finite dummy score") from None
+    return LossBreakdown(*(sums / n))
 
 
 def training_pairs(
     src: SequenceSource, model: AffinityModel, cfg: TrainConfig
 ) -> tuple:
-    """All candidate PairSamples for the configured frame gaps.
+    """All PairSamples whose frames lie FRAME_GAPS apart.
 
-    Features are computed once per frame with the frozen featurizer and
-    the same crop call as the tracker, so training sees exactly what the
-    tracker will see.
+    Frames are loaded, cropped and featurized one at a time, with the
+    frozen featurizer and the same crop call as the tracker; only each
+    frame's gt ids and features are kept.  Crops of more than P points
+    are thinned by a draw seeded from cfg.seed, so training sees exactly
+    the features the tracker will see when track runs with the same seed
+    as train.
     """
-    frames = [load_admitted_frame(src, i) for i in range(src.frame_count)]
-    ids = [[det.gt_id for det in f.detections] for f in frames]
+    ids, feats = [], []
+    for i in range(src.frame_count):
+        frame = load_admitted_frame(src, i)
+        ids.append([det.gt_id for det in frame.detections])
+        feats.append(featurize_frame(crop_frame(frame, seed=cfg.seed), model.pointnet))
     if all(gid is None for frame_ids in ids for gid in frame_ids):
         raise ValueError(
             "no admitted detection in any frame has a gt_id; "
             "training needs a labeled sequence"
         )
-    feats = [
-        featurize_frame(crop_frame(f, seed=cfg.seed), model.pointnet) for f in frames
-    ]
-    lo, hi = cfg.frame_gap_range
     samples = []
     for cur in range(src.frame_count):
-        for gap in range(lo, hi + 1):
+        for gap in FRAME_GAPS:
             prev = cur - gap
             if prev < 0:
                 continue
@@ -231,27 +215,25 @@ def training_pairs(
 def train(
     src: SequenceSource,
     cfg: TrainConfig,
-    model: AffinityModel | None = None,
     weights_out=None,
     log_out=None,
 ) -> tuple[AffinityModel, tuple[LossBreakdown, ...]]:
-    """Run the descent loop; optionally write the model and the loss log."""
-    if model is None:
-        model = init_model(cfg.seed)
+    """Descend init_model(cfg.seed), one train_step per step; optionally write."""
+    model = init_model(cfg.seed)
     pool = training_pairs(src, model, cfg)
-    work = _WorkingCopy(model)
-    del model  # the loop keeps only the working copy's weights alive
+    state = TrainState(model)
+    del model  # the loop keeps only the state's weights alive
     rng = np.random.default_rng(cfg.seed)
     log = []
     for step in range(cfg.steps):
         picks = rng.integers(0, len(pool), size=cfg.batch_pairs)
         batch = [pool[int(i)] for i in picks]
         try:
-            log.append(work.step(batch, cfg.learning_rate))
+            log.append(train_step(state, batch, cfg.learning_rate))
         except RuntimeError as exc:
             raise RuntimeError(f"step {step}: {exc}") from None
-    model = work.model()
-    del work  # W1's halves are not needed while the model is saved
+    model = state.model()
+    del state  # its arrays are not needed while the model is saved
     if weights_out is not None:
         save_model(model, weights_out)
     if log_out is not None:

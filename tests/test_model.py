@@ -103,3 +103,17 @@ class TestModelFile:
         pa.write_bytes(pa.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="1 trailing bytes"):
             load_model(pa)
+
+    def test_values_beyond_float32_refused_before_writing(self, tmp_path):
+        # finite in float64, infinite once stored: such a file would not load
+        model = init_model(seed=18, pointnet_widths=(3, 4),
+                           compression_widths=(8, 4, 4, 2, 2, 1))
+        layers = [(W.copy(), b.copy()) for W, b in model.compression.layers]
+        layers[0][0][1, 2] = 1e39
+        path = tmp_path / "model.bin"
+        with pytest.raises(ValueError, match="layer 0: non-finite weight entry"):
+            save_model(replace(model, compression=CompressionNet(layers)), path)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="dummy score outside the float32 range"):
+            save_model(replace(model, dummy_score=-1e39), path)
+        assert not path.exists()

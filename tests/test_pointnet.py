@@ -24,8 +24,8 @@ def random_weights(rng, widths=(3, 8, 16)):
     return PointNetWeights(init_layers(widths, rng))
 
 
-def f32_layers(w):
-    return tuple((W.astype(np.float32), b.astype(np.float32)) for W, b in w.layers)
+def f64_layers(w):
+    return tuple((W.astype(np.float64), b.astype(np.float64)) for W, b in w.layers)
 
 
 def canonical(pts):
@@ -37,7 +37,7 @@ def oracle_row(obj, w):
     if len(obj.points) == 0:
         return np.zeros(w.feature_dim)
     pts = canonical(obj.points).astype(np.float32)
-    return mlp_forward(pts, f32_layers(w)).max(axis=0).astype(np.float64)
+    return mlp_forward(pts, w.layers).max(axis=0).astype(np.float64)
 
 
 def real_crops(tmp_path, points_per_object):
@@ -87,9 +87,8 @@ class TestPointnetForward:
         rng = np.random.default_rng(104)
         w = random_weights(rng, widths=(3, 8, 8, 4))
         pts = rng.uniform(-1.0, 1.0, size=(30, 3))
-        layers = f32_layers(w)
         per_point = np.stack(
-            [mlp_forward(p.reshape(1, 3).astype(np.float32), layers)[0] for p in pts]
+            [mlp_forward(p.reshape(1, 3).astype(np.float32), w.layers)[0] for p in pts]
         )
         oracle = per_point.max(axis=0)
         got = pointnet_forward(ObjectPoints(pts), w)
@@ -101,6 +100,16 @@ class TestPointnetForward:
     def test_rejects_wrong_input_width(self):
         with pytest.raises(ValueError):
             PointNetWeights(((np.zeros((4, 5)), np.zeros(4)),))
+
+    def test_weights_held_as_float32_and_checked_after_the_cast(self):
+        rng = np.random.default_rng(114)
+        layers = [(W.copy(), b) for W, b in init_layers((3, 4, 6), rng)]
+        w = PointNetWeights(tuple(layers))
+        assert all(W.dtype == b.dtype == np.float32 for W, b in w.layers)
+        # finite in float64, infinite in the type the featurizer runs in
+        layers[1][0][2, 1] = 1e39
+        with pytest.raises(ValueError, match="layer 1: non-finite weight entry"):
+            PointNetWeights(tuple(layers))
 
 
 class TestFeaturizeFrame:
@@ -176,7 +185,7 @@ class TestFeaturizeFrame:
         w = PointNetWeights(init_layers(DEFAULT_POINTNET_WIDTHS, rng))
         feats = featurize_frame(crops, w).features
         exact = np.stack([
-            mlp_forward(canonical(obj.points), w.layers).max(axis=0)
+            mlp_forward(canonical(obj.points), f64_layers(w)).max(axis=0)
             for obj in crops
         ])
         assert np.abs(feats - exact).max() <= 1e-6 * np.abs(exact).max()

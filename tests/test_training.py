@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from cloudtrack.training import (
     LOG_HEADER,
     PairSample,
     TrainConfig,
+    TrainState,
     train,
     train_step,
     training_pairs,
@@ -139,7 +141,9 @@ class TestTrainStep:
             for p, c in links
         ]
         lr = 1.0
-        updated, _ = train_step(model, batch, TrainConfig(steps=1, learning_rate=lr))
+        state = TrainState(model)
+        train_step(state, batch, lr)
+        updated = state.model()
         want_layers, want_dummy = explicit_cell_step(model, batch, lr)
         for (W, b), (w_ref, b_ref) in zip(updated.compression.layers, want_layers):
             assert np.abs(W - w_ref).max() < 1e-12
@@ -158,7 +162,9 @@ class TestTrainStep:
         batch = [a, pool[0], b, a]
         snapshot = [(W.copy(), b1.copy()) for W, b1 in model.compression.layers]
         dummy = model.dummy_score
-        updated, _ = train_step(model, batch, cfg)
+        state = TrainState(model)
+        train_step(state, batch, cfg.learning_rate)
+        updated = state.model()
         want_layers, want_dummy = explicit_cell_step(model, batch, cfg.learning_rate)
         for (W, b1), (w_ref, b_ref) in zip(updated.compression.layers, want_layers):
             assert np.abs(W - w_ref).max() < 1e-12
@@ -193,7 +199,9 @@ class TestTrainStep:
             for p, c in links
         ]
         lr = 1.0
-        updated, _ = train_step(model, batch, TrainConfig(steps=1, learning_rate=lr))
+        state = TrainState(model)
+        train_step(state, batch, lr)
+        updated = state.model()
         n = len(batch)
 
         # the step descends the batch mean, so (old - new) * n / lr is the
@@ -231,10 +239,9 @@ class TestTrainStep:
     def test_overflowing_update_raises_divergence(self, scene):
         model = init_model(seed=7)
         batch = batch_from(scene, model, TrainConfig(steps=1))
-        cfg = TrainConfig(steps=1, learning_rate=1e308)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError) as caught:
-                train_step(model, batch, cfg)
+                train_step(TrainState(model), batch, 1e308)
         assert str(caught.value) == "training diverged: non-finite weight"
         assert caught.value.__cause__ is None and caught.value.__suppress_context__
 
@@ -248,16 +255,17 @@ class TestTrainStep:
         model = init_model(seed=7)
         batch = batch_from(scene, model, TrainConfig(steps=1))
         with pytest.raises(RuntimeError, match="training diverged: non-finite dummy"):
-            train_step(model, batch, TrainConfig(steps=1, learning_rate=10.0))
+            train_step(TrainState(model), batch, 10.0)
 
     def test_fixed_batch_descends(self, scene):
         model = init_model(seed=7)
         cfg = TrainConfig(steps=1, learning_rate=1e-4)
         batch = batch_from(scene, model, cfg)
         losses = [batch_loss(model, batch)]
+        state = TrainState(model)
         for _ in range(100):
-            model, reported = train_step(model, batch, cfg)
-            losses.append(batch_loss(model, batch))
+            reported = train_step(state, batch, cfg.learning_rate)
+            losses.append(batch_loss(state.model(), batch))
             assert abs(reported.total - losses[-2]) < 1e-12
         drops = sum(b < a for a, b in zip(losses, losses[1:]))
         assert drops >= 0.95 * (len(losses) - 1)
@@ -267,14 +275,16 @@ class TestTrainStep:
         cfg = TrainConfig(steps=1, learning_rate=0.5)
         batch = batch_from(scene, model, cfg)
         before = batch_loss(model, batch)
-        _, reported = train_step(model, batch, cfg)
+        reported = train_step(TrainState(model), batch, cfg.learning_rate)
         assert abs(reported.total - before) < 1e-12
 
     def test_updates_only_compression_and_dummy(self, scene):
         model = init_model(seed=7)
         cfg = TrainConfig(steps=1, learning_rate=1e-2)
         batch = batch_from(scene, model, cfg)
-        updated, _ = train_step(model, batch, cfg)
+        state = TrainState(model)
+        train_step(state, batch, cfg.learning_rate)
+        updated = state.model()
         for (w0, b0), (w1, b1) in zip(
             model.pointnet.layers, updated.pointnet.layers
         ):
@@ -290,7 +300,26 @@ class TestTrainStep:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            train_step(init_model(seed=1), [], TrainConfig(steps=1))
+            train_step(TrainState(init_model(seed=1)), [], 1e-2)
+
+    def test_models_share_no_array_with_the_state(self, scene):
+        # a model taken from the state keeps its weights through later steps
+        model = init_model(seed=7)
+        batch = batch_from(scene, model, TrainConfig(steps=1))
+        state = TrainState(model)
+        train_step(state, batch, 1e-2)
+        taken = state.model()
+        snapshot = [(W.copy(), b.copy()) for W, b in taken.compression.layers]
+        dummy = taken.dummy_score
+        train_step(state, batch, 1e-2)
+        for (W, b), (w0, b0) in zip(taken.compression.layers, snapshot):
+            assert np.array_equal(W, w0) and np.array_equal(b, b0)
+        assert taken.dummy_score == dummy
+        moved = state.model()
+        assert all(
+            not np.array_equal(W, w0)
+            for (W, _), (w0, _) in zip(moved.compression.layers, snapshot)
+        )
 
 
 def frame_of(pool, scene, model, cfg):
@@ -311,7 +340,7 @@ def frame_of(pool, scene, model, cfg):
 class TestTrainingPairs:
     def test_pool_counts_and_feature_caching(self, scene):
         model = init_model(seed=7)
-        cfg = TrainConfig(steps=1, frame_gap_range=(1, 3))
+        cfg = TrainConfig(steps=1)
         pool = training_pairs(scene, model, cfg)
         n = scene.frame_count
         expected = sum(min(cur, 3) for cur in range(n))
@@ -319,14 +348,21 @@ class TestTrainingPairs:
         # one FeatureSet object per frame, shared by every sample using it
         assert sorted(frame_of(pool, scene, model, cfg).values()) == list(range(n))
 
-    def test_gap_one_only(self, scene):
-        model = init_model(seed=7)
-        cfg = TrainConfig(steps=1, frame_gap_range=(1, 1))
-        pool = training_pairs(scene, model, cfg)
-        assert len(pool) == scene.frame_count - 1
-        frame = frame_of(pool, scene, model, cfg)
-        for sample in pool:
-            assert frame[id(sample.cur)] - frame[id(sample.prev)] == 1
+    def test_loads_one_frame_at_a_time(self, scene, monkeypatch):
+        # each frame is featurized before the next one loads: when it does,
+        # at most the frame just featurized may still be alive
+        refs, alive = [], []
+
+        def load(src, index):
+            alive.append(sum(ref() is not None for ref in refs))
+            frame = load_admitted_frame(src, index)
+            refs.append(weakref.ref(frame))
+            return frame
+
+        monkeypatch.setattr(training, "load_admitted_frame", load)
+        training_pairs(scene, init_model(seed=7), TrainConfig(steps=1))
+        assert len(refs) == scene.frame_count
+        assert max(alive) <= 1
 
     def test_unlabeled_detections_train(self, tmp_path):
         # admitted false detections carry no gt_id; they are leave/enter
@@ -411,9 +447,24 @@ class TestTrain:
         assert caught.value.__cause__ is None and caught.value.__suppress_context__
         assert not weights.exists() and not log.exists()
 
+    def test_steps_through_train_step(self, scene, monkeypatch):
+        cfg = TrainConfig(steps=6, seed=4)
+        _, want = train(scene, cfg)
+        calls = []
+
+        def counted(state, batch, learning_rate):
+            calls.append(learning_rate)
+            return train_step(state, batch, learning_rate)
+
+        monkeypatch.setattr(training, "train_step", counted)
+        _, log = train(scene, cfg)
+        assert calls == [cfg.learning_rate] * cfg.steps
+        assert log == want
+
     def test_matches_folded_train_step(self, scene, tmp_path):
-        # train() descends one working copy in place; folding the pure
-        # train_step over the same batch draws must do the same arithmetic
+        # train() descends one state for all its steps; a fresh state per
+        # step, built from the model the previous one gave, must do the
+        # same arithmetic
         cfg = TrainConfig(steps=6, seed=4)
         trained, log = train(scene, cfg, weights_out=tmp_path / "train.bin")
         model = init_model(cfg.seed)
@@ -422,8 +473,11 @@ class TestTrain:
         folded = []
         for _ in range(cfg.steps):
             picks = rng.integers(0, len(pool), size=cfg.batch_pairs)
-            model, losses = train_step(model, [pool[int(i)] for i in picks], cfg)
-            folded.append(losses)
+            state = TrainState(model)
+            folded.append(
+                train_step(state, [pool[int(i)] for i in picks], cfg.learning_rate)
+            )
+            model = state.model()
         save_model(model, tmp_path / "folded.bin")
         assert log == tuple(folded)
         assert (tmp_path / "train.bin").read_bytes() == (tmp_path / "folded.bin").read_bytes()
