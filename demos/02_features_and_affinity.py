@@ -32,10 +32,11 @@ model = init_model(seed=0)
 prev = load_admitted_frame(src, 0)
 cur = load_admitted_frame(src, 1)
 
-# One box-local crop of at most P points (128 by default) per detection,
-# then one 512-wide feature row per object.
-prev_fs = featurize_frame(crop_frame(prev, seed=0), model.pointnet)
-cur_fs = featurize_frame(crop_frame(cur, seed=0), model.pointnet)
+# One box-local crop of at most CROP_POINTS = 128 points per detection,
+# then one 512-wide feature row per object.  A crop depends on its frame
+# alone, so training and tracking featurize the same points.
+prev_fs = featurize_frame(crop_frame(prev), model.pointnet)
+cur_fs = featurize_frame(crop_frame(cur), model.pointnet)
 print(f"features: {prev_fs.count} objects x {prev_fs.dim} dims")
 
 # The feature of an object never depends on the order of its points.

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from cloudtrack import (
     SynthConfig,
-    TrackerConfig,
     TrainConfig,
     evaluate,
     generate,
@@ -47,7 +46,7 @@ print(
 )
 
 started = time.perf_counter()
-rows = track_sequence(eval_src, model, TrackerConfig(seed=0))
+rows = track_sequence(eval_src, model)
 seconds_per_frame = (time.perf_counter() - started) / eval_src.frame_count
 pred_path = root / "pred.csv"
 write_tracks_csv(pred_path, rows)

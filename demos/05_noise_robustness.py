@@ -13,7 +13,6 @@ from pathlib import Path
 
 from cloudtrack import (
     SynthConfig,
-    TrackerConfig,
     TrainConfig,
     evaluate,
     generate,
@@ -34,7 +33,7 @@ model, _ = train(clean, TrainConfig(steps=400, learning_rate=1e-2, seed=0))
 
 
 def track_to(src, name):
-    rows = track_sequence(src, model, TrackerConfig(seed=0))
+    rows = track_sequence(src, model)
     path = root / f"{name}.csv"
     write_tracks_csv(path, rows)
     return path

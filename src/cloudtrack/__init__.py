@@ -24,7 +24,7 @@ from .association import (
     update_tracks,
     write_tracks_csv,
 )
-from .cropping import ObjectPoints, crop_frame
+from .cropping import CROP_POINTS, ObjectPoints, crop_frame
 from .geometry import (
     Detection,
     Frame,
@@ -84,6 +84,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffinityModel",
     "AssignmentResult",
+    "CROP_POINTS",
     "CompressionNet",
     "Detection",
     "FeatureSet",

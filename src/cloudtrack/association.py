@@ -63,7 +63,6 @@ class AssignmentResult:
 @dataclass(frozen=True)
 class TrackerConfig:
     birth_threshold: float = DEFAULT_BIRTH_THRESHOLD
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.birth_threshold <= 1.0:
@@ -200,7 +199,7 @@ def track_sequence(
     rows = []
     for index in range(src.frame_count):
         frame = load_admitted_frame(src, index)
-        fs = featurize_frame(crop_frame(frame, seed=cfg.seed), model.pointnet)
+        fs = featurize_frame(crop_frame(frame), model.pointnet)
         eligible = motion_gate(
             [d.box.center for d in live.detections],
             [d.box.center for d in frame.detections],

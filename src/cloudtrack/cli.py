@@ -5,14 +5,16 @@ affinity head), track (run the tracker over a sequence), eval (score
 tracks against ground truth), losscheck (gradient and loss-identity
 verification).  Exit codes: 0 success, 1 runtime failure, 2 usage
 error.  stdout carries machine-parseable data only; diagnostics go to
-stderr.  Every subcommand is deterministic given --seed.  train and
-track still accept --threads, but ignore it: the pipeline runs on one
-serial path.
+stderr.  synth, train and losscheck are deterministic given --seed;
+track and eval take no seed, as a crop depends on its frame alone.
+train and track still accept --threads, but ignore it: the pipeline
+runs on one serial path.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -53,15 +55,15 @@ def _rate(text: str) -> float:
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be >= 0 and finite, got {value}")
     return value
 
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {value}")
     return value
 
 
@@ -122,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     trn.add_argument("--steps", type=_nonneg_int, default=500)
     trn.add_argument("--lr", type=_positive_float, default=1e-2)
     trn.add_argument("--batch-pairs", type=_positive_int, default=4)
-    trn.add_argument("--seed", type=int, default=0, help=(
-        "seeds the init, the batches and the thinning of crops over 128 points; "
-        "track computes the features trained on only with the same --seed"))
+    trn.add_argument(
+        "--seed", type=int, default=0, help="seeds the init and the batches"
+    )
     trn.add_argument("--log", default=None, help="optional loss log CSV path")
     _add_threads_flag(trn)
     trn.set_defaults(func=cmd_train)
@@ -137,9 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     trk.add_argument(
         "--conf-threshold", type=_rate, default=DEFAULT_CONFIDENCE_THRESHOLD
     )
-    trk.add_argument("--seed", type=int, default=0, help=(
-        "seeds the thinning of crops over 128 points; the train --seed of the "
-        "weights gives the features they were trained on"))
     _add_threads_flag(trk)
     trk.set_defaults(func=cmd_track)
 
@@ -202,7 +201,7 @@ def cmd_track(args) -> int:
         args.seq, IngestConfig(confidence_threshold=args.conf_threshold)
     )
     model = load_model(args.weights)
-    cfg = TrackerConfig(birth_threshold=args.birth_threshold, seed=args.seed)
+    cfg = TrackerConfig(birth_threshold=args.birth_threshold)
     started = time.perf_counter()
     rows = track_sequence(src, model, cfg)
     elapsed = time.perf_counter() - started

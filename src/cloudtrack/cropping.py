@@ -1,10 +1,11 @@
 """Per-object point extraction.
 
 Each admitted detection gets the cloud points inside its box, expressed
-in the box-local frame (center at origin, yaw removed): at most P points.
-A box with more than P interior points is thinned to P by seeded uniform
-sampling without replacement, keeping source order.  Selection depends
-only on (seed, frame index, slot), so crops are reproducible bit for bit.
+in the box-local frame (center at origin, yaw removed): at most
+CROP_POINTS points.  A box with more interior points is thinned to
+CROP_POINTS by seeded uniform sampling without replacement, keeping
+source order.  The draw depends only on (frame index, slot), so a crop
+is a function of its frame alone: train and track cut the same crops.
 
 All of a frame's boxes are cropped in one pass.  The cloud is sorted by
 x once, and each box takes as candidates the points whose x lies within
@@ -28,7 +29,7 @@ import numpy as np
 
 from .geometry import Frame, OrientedBox3, _box_frame_columns, _inside_columns
 
-DEFAULT_POINTS_PER_OBJECT = 128
+CROP_POINTS = 128
 
 _MASK64 = (1 << 64) - 1
 
@@ -46,7 +47,10 @@ def _mix64(x: int) -> int:
 
 
 def slot_seed(seed: int, frame_index: int, slot: int) -> int:
-    """Derive the per-object crop seed from the run seed, frame, and slot."""
+    """Derive a per-object seed from a stream seed, frame, and slot.
+
+    Crops thin with slot_seed(0, frame, slot); synth salts its own stream.
+    """
     h = _mix64(seed & _MASK64)
     h = _mix64(h ^ (frame_index & _MASK64))
     h = _mix64(h ^ (slot & _MASK64))
@@ -55,7 +59,7 @@ def slot_seed(seed: int, frame_index: int, slot: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ObjectPoints:
-    """One object's crop: its (n, 3) local-frame points, n at most P."""
+    """One object's crop: its (n, 3) local-frame points, n at most CROP_POINTS."""
 
     points: np.ndarray
 
@@ -78,11 +82,7 @@ def _x_reach(box: OrientedBox3) -> float:
     return half_diagonal + _WINDOW_MARGIN * (half_diagonal + abs(box.center[0]))
 
 
-def crop_frame(
-    frame: Frame,
-    P: int = DEFAULT_POINTS_PER_OBJECT,
-    seed: int = 0,
-) -> tuple[ObjectPoints, ...]:
+def crop_frame(frame: Frame) -> tuple[ObjectPoints, ...]:
     """Crop every detection of an admitted frame, in detection order.
 
     All boxes are cropped in one pass: each box's candidates are the points
@@ -90,11 +90,8 @@ def crop_frame(
     candidate is mapped to its box's frame and tested against the closed
     box at once.  A window is a superset of its box's interior, so every
     crop equals the one cropped from the whole cloud; a crop with more
-    than P points is then thinned with its slot's seed.  P below 1 is
-    rejected, whether or not the frame has detections.
+    than CROP_POINTS points is then thinned with its slot's seed.
     """
-    if P < 1:
-        raise ValueError("P must be >= 1")
     boxes = [det.box for det in frame.detections]
     if not boxes:
         return ()
@@ -136,8 +133,8 @@ def crop_frame(
     crops = []
     for slot, (start, stop) in enumerate(zip([0, *ends], ends)):
         crop = kept[start:stop]
-        if len(crop) > P:
-            rng = np.random.default_rng(slot_seed(seed, frame.index, slot))
-            crop = crop[np.sort(rng.permutation(len(crop))[:P])]
+        if len(crop) > CROP_POINTS:
+            rng = np.random.default_rng(slot_seed(0, frame.index, slot))
+            crop = crop[np.sort(rng.permutation(len(crop))[:CROP_POINTS])]
         crops.append(ObjectPoints(crop))
     return tuple(crops)

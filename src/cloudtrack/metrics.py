@@ -119,8 +119,8 @@ def evaluate(
     match_radius: float = DEFAULT_MATCH_RADIUS,
 ) -> MotReport:
     """Score predicted tracks against ground-truth tracks."""
-    if match_radius <= 0.0:
-        raise ValueError("match_radius must be positive")
+    if not 0.0 < match_radius < np.inf:
+        raise ValueError("match_radius must be positive and finite")
     gt_count = sum(len(objs) for objs in gt.values())
     if gt_count == 0:
         raise ValueError("ground truth contains no objects; metrics are undefined")

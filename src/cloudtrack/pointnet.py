@@ -1,11 +1,12 @@
 """Point-set featurizer: shared per-point MLP followed by a max-pool.
 
-Each object's crop, at most P points, runs through the same small MLP
-(default widths 3-64-128-512, ReLU between layers) and the feature is
-the element-wise maximum over its points; an empty crop gives the zero
-row.  Points are canonically ordered before the matrix products, which
-makes the output bitwise identical under any permutation of the input
-points.  A frame's features are one row per object, in detection order.
+Each object's crop, at most CROP_POINTS points, runs through the same
+small MLP (default widths 3-64-128-512, ReLU between layers) and the
+feature is the element-wise maximum over its points; an empty crop
+gives the zero row.  Points are canonically ordered before the matrix
+products, which makes the output bitwise identical under any
+permutation of the input points.  A frame's features are one row per
+object, in detection order.
 
 The MLP runs in float32, and PointNetWeights holds its weights only
 as float32 (model files store float32, so loading is exact); frame

@@ -70,8 +70,8 @@ class SynthConfig:
         lo, hi = self.speed_range
         if not 0.0 <= lo <= hi:
             raise ValueError("speed_range must be 0 <= lo <= hi")
-        if min(self.arena) <= 0.0:
-            raise ValueError("arena half-extents must be positive")
+        if not all(0.0 < a < np.inf for a in self.arena):
+            raise ValueError("arena half-extents must be positive and finite")
         for event in self.events:
             if event[0] == "leave":
                 _, frame, obj = event
@@ -285,8 +285,8 @@ def perturb(
     x/y half-extents (the largest |x| and |y| over its points and
     detection centres).
     """
-    if det_noise_sigma < 0.0:
-        raise ValueError("det_noise_sigma must be >= 0")
+    if not 0.0 <= det_noise_sigma < np.inf:
+        raise ValueError("det_noise_sigma must be >= 0 and finite")
     for name, rate in (("fp_rate", fp_rate), ("fn_rate", fn_rate)):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"{name} must be in [0, 1]")

@@ -4,6 +4,8 @@ The point featurizer stays frozen; only the compression stack and the
 dummy score learn.  training_pairs loads, crops and featurizes the
 sequence one frame at a time, keeping only each frame's gt ids and
 features, and pairs every frame with the frames FRAME_GAPS before it.
+Its crops are the tracker's: they depend on the frame alone, and the
+run seed draws only the initial weights and the batches.
 train() builds one TrainState from init_model(seed): a mutable copy of
 the compression weights and the dummy score, holding the first layer as
 its two contiguous halves, the columns that act on previous-frame
@@ -181,16 +183,15 @@ def training_pairs(
 
     Frames are loaded, cropped and featurized one at a time, with the
     frozen featurizer and the same crop call as the tracker; only each
-    frame's gt ids and features are kept.  Crops of more than P points
-    are thinned by a draw seeded from cfg.seed, so training sees exactly
-    the features the tracker will see when track runs with the same seed
-    as train.
+    frame's gt ids and features are kept.  A crop depends on its frame
+    alone, so training sees exactly the features the tracker will see,
+    whatever cfg.seed is.
     """
     ids, feats = [], []
     for i in range(src.frame_count):
         frame = load_admitted_frame(src, i)
         ids.append([det.gt_id for det in frame.detections])
-        feats.append(featurize_frame(crop_frame(frame, seed=cfg.seed), model.pointnet))
+        feats.append(featurize_frame(crop_frame(frame), model.pointnet))
     if all(gid is None for frame_ids in ids for gid in frame_ids):
         raise ValueError(
             "no admitted detection in any frame has a gt_id; "
@@ -208,7 +209,7 @@ def training_pairs(
                 raise ValueError(f"frames {prev}->{cur}: {exc}") from None
             samples.append(PairSample(feats[prev], feats[cur], gt))
     if not samples:
-        raise ValueError("sequence too short for the configured frame gaps")
+        raise ValueError("sequence too short to pair any two frames")
     return tuple(samples)
 
 

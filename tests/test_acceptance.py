@@ -191,7 +191,7 @@ def trained_setup(tmp_path_factory):
 
 def test_c6_end_to_end_synthetic_tracking(trained_setup):
     root, eval_src, model, steps, train_seconds = trained_setup
-    ts = track_sequence(eval_src, model, TrackerConfig(seed=0))
+    ts = track_sequence(eval_src, model, TrackerConfig())
     pred_path = root / "pred.csv"
     write_tracks_csv(pred_path, ts)
     report = evaluate(
@@ -226,7 +226,7 @@ def test_c7_confidence_filter_contract(trained_setup, tmp_path):
         injected += sum(1 for row in raw.splitlines()[1:] if row.endswith(","))
     paths = []
     for name, src in (("clean", eval_src), ("noisy", noisy_src)):
-        ts = track_sequence(src, model, TrackerConfig(seed=0))
+        ts = track_sequence(src, model, TrackerConfig())
         path = tmp_path / f"{name}.csv"
         write_tracks_csv(path, ts)
         paths.append(path)
@@ -300,7 +300,7 @@ def test_c10_dense_scene_tracking(trained_setup, tmp_path):
         tmp_path / "dense",
     )
     started = time.perf_counter()
-    ts = track_sequence(dense_src, model, TrackerConfig(seed=0))
+    ts = track_sequence(dense_src, model, TrackerConfig())
     elapsed = time.perf_counter() - started
     pred_path = tmp_path / "pred.csv"
     write_tracks_csv(pred_path, ts)
@@ -352,7 +352,7 @@ def test_c9_determinism_across_reruns_and_threads(tmp_path):
         out = tmp_path / f"tracks_{name}.csv"
         assert run([
             "track", "--seq", str(seqs[0]), "--weights", str(weights[0]),
-            "--out", str(out), "--seed", "0", "--threads", threads,
+            "--out", str(out), "--threads", threads,
         ]) == 0
         tracks.append(out)
     track_same = tracks[0].read_bytes() == tracks[1].read_bytes()

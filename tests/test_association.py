@@ -385,7 +385,7 @@ def toy(tmp_path_factory):
 class TestTrackSequence:
     def test_every_slot_lands_in_exactly_one_track(self, toy):
         src, model = toy
-        rows = track_sequence(src, model, TrackerConfig(seed=1))
+        rows = track_sequence(src, model, TrackerConfig())
         seen = set()
         for entries in links(rows).values():
             for entry in entries:
@@ -395,7 +395,7 @@ class TestTrackSequence:
 
     def test_deterministic_across_reruns(self, toy):
         src, model = toy
-        runs = [track_sequence(src, model, TrackerConfig(seed=1)) for _ in range(3)]
+        runs = [track_sequence(src, model, TrackerConfig()) for _ in range(3)]
         assert links(runs[0]) == links(runs[1]) == links(runs[2])
         assert len(runs[0]) == len(runs[1]) == len(runs[2])
 
@@ -409,7 +409,7 @@ class TestTrackSequence:
             [(0.6, 0.0), (8.6, 0.0), (16.0, 0.0)],
             [(0.9, 0.0), (8.9, 0.0), (16.3, 0.0)],
         ], rng)
-        rows = track_sequence(src, init_model(seed=5), TrackerConfig(seed=1))
+        rows = track_sequence(src, init_model(seed=5), TrackerConfig())
         owner = [(e, tid) for tid, entries in links(rows).items() for e in entries]
         assert sorted(entry for entry, _ in owner) == [
             (1, 0), (1, 1), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)
@@ -426,7 +426,7 @@ class TestTrackSequence:
 
     def test_csv_round_trip_and_order(self, toy, tmp_path):
         src, model = toy
-        rows = track_sequence(src, model, TrackerConfig(seed=1))
+        rows = track_sequence(src, model, TrackerConfig())
         out = tmp_path / "tracks.csv"
         write_tracks_csv(out, rows)
         lines = out.read_text().splitlines()
@@ -443,7 +443,7 @@ class TestTrackSequence:
 
     def test_writing_reads_no_frames(self, toy, tmp_path):
         src, model = toy
-        rows = track_sequence(src, model, TrackerConfig(seed=1))
+        rows = track_sequence(src, model, TrackerConfig())
         before = tmp_path / "before.csv"
         write_tracks_csv(before, rows)
         moved = tmp_path / "moved"
@@ -519,7 +519,7 @@ class TestGatedTracking:
         ])
         base = init_model(seed=5)
         model = replace(base, dummy_score=-10.0)
-        rows = track_sequence(src, model, TrackerConfig(seed=1))
+        rows = track_sequence(src, model, TrackerConfig())
         assert links(rows) == {
             0: ((0, 0), (1, 1), (2, 0)),
             1: ((0, 1), (1, 0), (2, 1)),
@@ -534,5 +534,5 @@ class TestGatedTracking:
             [(jump, 0.0), (20.25, 0.0)],
         ])
         model = replace(init_model(seed=5), compression=constant_net(30.0))
-        rows = track_sequence(src, model, TrackerConfig(birth_threshold=0.0, seed=1))
+        rows = track_sequence(src, model, TrackerConfig(birth_threshold=0.0))
         assert links(rows) == {0: ((0, 0),), 1: ((0, 1), (1, 1)), 2: ((1, 0),)}

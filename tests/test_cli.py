@@ -86,6 +86,14 @@ class TestSynthCommand:
         assert "--conf-lo" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_sigma_is_usage_error(self, tmp_path, capsys, sigma):
+        out = tmp_path / "s"
+        extra = ["--det-noise-sigma", sigma, "--fp-rate", "0.5"]
+        assert run(synth_args(out, extra=extra)) == 2
+        assert "--det-noise-sigma" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def tiny_pipeline(tmp_path_factory):
@@ -166,6 +174,16 @@ class TestTrainCommand:
         assert code == 2
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_is_usage_error(self, tmp_path, capsys, lr):
+        weights = tmp_path / "w"
+        code = run([
+            "train", "--seq", str(tmp_path), "--out", str(weights), "--lr", lr,
+        ])
+        assert code == 2
+        assert "--lr" in capsys.readouterr().err
+        assert not weights.exists()
+
 
 class TestTrackCommand:
     def test_tracks_and_reports_timing(self, tiny_pipeline, tmp_path, capsys):
@@ -173,7 +191,7 @@ class TestTrackCommand:
         out = tmp_path / "tracks.csv"
         code = run([
             "track", "--seq", str(seq), "--weights", str(weights),
-            "--out", str(out), "--seed", "0", "--threads", "1",
+            "--out", str(out), "--threads", "1",
         ])
         assert code == 0
         captured = capsys.readouterr()
@@ -189,6 +207,18 @@ class TestTrackCommand:
         assert lines[0] == "frame,track_id,cx,cy,cz,l,w,h,yaw,conf"
         assert len(lines) > 1
         assert int(printed[1]) == len({line.split(",")[1] for line in lines[1:]})
+
+    def test_seed_is_usage_error(self, tiny_pipeline, tmp_path, capsys):
+        # a crop depends on its frame alone, so track takes no seed
+        seq, weights, _ = tiny_pipeline
+        out = tmp_path / "tracks.csv"
+        code = run([
+            "track", "--seq", str(seq), "--weights", str(weights),
+            "--out", str(out), "--seed", "0",
+        ])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_row_count_equals_admitted_detections(self, tiny_pipeline, tmp_path):
         seq, weights, _ = tiny_pipeline
@@ -287,6 +317,15 @@ class TestEvalCommand:
         )
         payload = json.loads(out[out.index("{"):])
         assert abs(payload["mota"] - table_mota) < 1e-6
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "-inf"])
+    def test_non_finite_radius_is_usage_error(self, tiny_pipeline, capsys, radius):
+        seq, _, _ = tiny_pipeline
+        gt = seq / "gt_tracks.csv"
+        code = run(["eval", "--gt", str(gt), "--pred", str(gt), "--radius", radius])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--radius" in captured.err
 
     def test_mismatched_frame_ranges_fail(self, tiny_pipeline, tmp_path, capsys):
         seq, _, _ = tiny_pipeline

@@ -1,4 +1,4 @@
-"""Object cropping: containment filter, local frame, seeded thinning."""
+"""Object cropping: containment filter, local frame, per-frame thinning."""
 
 import itertools
 import math
@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cloudtrack.cropping import ObjectPoints, crop_frame, slot_seed
+from cloudtrack.cropping import CROP_POINTS, ObjectPoints, crop_frame, slot_seed
 from cloudtrack.geometry import (
     Detection,
     Frame,
@@ -19,19 +19,24 @@ from cloudtrack.geometry import (
 )
 
 
-def crop_object(cloud, box, P, seed):
-    """Oracle: test the whole cloud against one box, then thin with seed."""
+def crop_object(cloud, box, frame_index, slot):
+    """Oracle: test the whole cloud against one box, then thin with its slot's seed."""
     local = to_box_frame(box, cloud.points)
     local = local[local_inside(box, local)]
-    if len(local) > P:
-        rng = np.random.default_rng(seed)
-        local = local[np.sort(rng.permutation(len(local))[:P])]
+    if len(local) > CROP_POINTS:
+        rng = np.random.default_rng(slot_seed(0, frame_index, slot))
+        local = local[np.sort(rng.permutation(len(local))[:CROP_POINTS])]
     return ObjectPoints(local)
 
 
-def crop_one(cloud, box, P, seed):
-    """crop_frame on a one-box frame: the box's crop, thinned with seed's slot 0."""
-    return crop_frame(Frame(0, cloud, (Detection(box, 0.9),)), P=P, seed=seed)[0]
+def crop_one(cloud, box, frame_index=0):
+    """crop_frame on a one-box frame: the box's crop, thinned as slot 0."""
+    return crop_frame(Frame(frame_index, cloud, (Detection(box, 0.9),)))[0]
+
+
+def interior_cloud(rng, n):
+    """n points strictly inside unit_box()."""
+    return PointCloud(rng.uniform(-0.49, 0.49, size=(n, 3)))
 
 
 def unit_box(center=(0.0, 0.0, 0.0), yaw=0.0):
@@ -47,40 +52,44 @@ def ulps_from(value, steps):
 
 class TestCropObject:
     def test_empty_cloud(self):
-        out = crop_one(PointCloud(np.empty((0, 3))), unit_box(), P=4, seed=0)
+        out = crop_one(PointCloud(np.empty((0, 3))), unit_box())
         assert out.points.shape == (0, 3)
         assert out.valid_count == 0
 
     def test_identity_frame_keeps_points(self):
-        # fewer than P interior points: the crop is exactly those points
+        # fewer than CROP_POINTS interior points: the crop is exactly those points
         pts = np.array([[0.1, 0.2, 0.3], [-0.4, 0.0, 0.1], [0.0, -0.3, -0.2]])
-        out = crop_one(PointCloud(pts), unit_box(), P=4, seed=9)
+        out = crop_one(PointCloud(pts), unit_box())
         assert out.valid_count == 3
         assert np.array_equal(out.points, pts)
 
     def test_outside_points_dropped(self):
         pts = np.array([[0.1, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        out = crop_one(PointCloud(pts), unit_box(), P=4, seed=0)
+        out = crop_one(PointCloud(pts), unit_box())
         assert np.array_equal(out.points, pts[:1])
 
     def test_seeded_thinning(self):
-        rng = np.random.default_rng(81)
-        pts = rng.uniform(-0.49, 0.49, size=(1000, 3))
-        a = crop_one(PointCloud(pts), unit_box(), P=128, seed=42)
-        b = crop_one(PointCloud(pts), unit_box(), P=128, seed=42)
-        assert a.points.shape == (128, 3)
-        assert a.points.tobytes() == b.points.tobytes()
-        # all 128 selections are distinct source points
-        assert len(np.unique(a.points, axis=0)) == 128
-        c = crop_one(PointCloud(pts), unit_box(), P=128, seed=43)
-        assert a.points.tobytes() != c.points.tobytes()
+        # the draw is the oracle's: slot_seed(0, frame, slot), whatever the frame
+        cloud = interior_cloud(np.random.default_rng(81), 1000)
+        for frame_index in (0, 1, 57):
+            out = crop_one(cloud, unit_box(), frame_index)
+            assert out.points.shape == (CROP_POINTS, 3)
+            # all selections are distinct source points
+            assert len(np.unique(out.points, axis=0)) == CROP_POINTS
+            solo = crop_object(cloud, unit_box(), frame_index, 0)
+            assert out.points.tobytes() == solo.points.tobytes()
+
+    def test_thinning_differs_between_frames(self):
+        cloud = interior_cloud(np.random.default_rng(86), 1000)
+        crops = {crop_one(cloud, unit_box(), f).points.tobytes() for f in range(5)}
+        assert len(crops) == 5
 
     def test_thinning_subset_of_interior(self):
         rng = np.random.default_rng(82)
         pts = rng.uniform(-0.49, 0.49, size=(300, 3))
-        out = crop_one(PointCloud(pts), unit_box(), P=64, seed=5)
+        out = crop_one(PointCloud(pts), unit_box())
         source = {tuple(p) for p in pts}
-        assert out.points.shape == (64, 3)
+        assert out.points.shape == (CROP_POINTS, 3)
         for row in out.points:
             assert tuple(row) in source
 
@@ -94,7 +103,7 @@ class TestCropObject:
             world = from_box_frame(
                 box, rng.uniform(-0.5, 0.5, size=(200, 3)) * [l, w, h]
             )
-            out = crop_one(PointCloud(world), box, P=256, seed=1)
+            out = crop_one(PointCloud(world), box)
             assert np.all(np.abs(out.points) <= box.half_extents + 1e-9)
 
     def test_joint_translation_invariance(self):
@@ -103,8 +112,8 @@ class TestCropObject:
         world = from_box_frame(box, rng.uniform(-0.45, 0.45, size=(50, 3)) * [2, 1, 1.5])
         shift = np.array([10.0, -3.0, 2.0])
         box2 = OrientedBox3(shift, 2.0, 1.0, 1.5, 0.8)
-        a = crop_one(PointCloud(world), box, P=64, seed=7)
-        b = crop_one(PointCloud(world + shift), box2, P=64, seed=7)
+        a = crop_one(PointCloud(world), box)
+        b = crop_one(PointCloud(world + shift), box2)
         assert a.points.shape == b.points.shape
         assert np.allclose(a.points, b.points, atol=1e-9)
 
@@ -120,7 +129,7 @@ class TestCropFrame:
 
     def test_empty_frame(self):
         frame = Frame(0, PointCloud(np.empty((0, 3))), ())
-        assert crop_frame(frame, P=8, seed=0) == ()
+        assert crop_frame(frame) == ()
 
     def _equivalence_frames(self):
         """Frames whose crops must match per-slot crop_object byte for byte."""
@@ -195,9 +204,25 @@ class TestCropFrame:
         ]
         yield "one window", self._frame_of(pts, boxes)
 
+        yield "thinned", self._thinned_frame(rng)
+
+    def _thinned_frame(self, rng):
+        """Frame 7: overlapping boxes over a cloud dense enough that every
+        crop is thinned; two boxes are the same box."""
+        pts = rng.uniform([-4, -4, -1], [4, 4, 1], size=(6000, 3))
+        box = OrientedBox3([-1.0, 0.5, 0.0], 2.5, 2.0, 1.8, 0.4)
+        boxes = [
+            box,
+            OrientedBox3([1.5, -1.0, 0.1], 3.0, 1.5, 1.6, -1.2),
+            box,
+            OrientedBox3([0.0, 0.0, 0.0], 4.0, 3.0, 2.0, 2.9),
+        ]
+        return Frame(7, PointCloud(pts), tuple(Detection(b, 0.9) for b in boxes))
+
     def _shared_points_frame(self, rng):
         """Identical, nested and overlapping boxes over one dense cloud."""
-        pts = rng.uniform(-3, 3, size=(2000, 3))
+        # few enough points that no crop is thinned
+        pts = rng.uniform(-3, 3, size=(1500, 3))
         outer = OrientedBox3([0.1, -0.2, 0.0], 3.0, 2.0, 2.0, 0.3)
         boxes = [
             outer,
@@ -212,20 +237,23 @@ class TestCropFrame:
         return Frame(0, PointCloud(pts), tuple(Detection(b, 0.9) for b in boxes))
 
     def test_slot_order_matches_detections(self):
+        thinned = 0
         for name, frame in self._equivalence_frames():
-            for P in (1, 16, 64):
-                crops = crop_frame(frame, P=P, seed=0)
-                assert len(crops) == len(frame.detections), name
-                for slot, (det, crop) in enumerate(zip(frame.detections, crops)):
-                    solo = crop_object(frame.cloud, det.box, P=P, seed=slot_seed(0, 0, slot))
-                    assert crop.points.shape == solo.points.shape, (name, P, slot)
-                    assert crop.points.tobytes() == solo.points.tobytes(), (name, P, slot)
+            crops = crop_frame(frame)
+            assert len(crops) == len(frame.detections), name
+            for slot, (det, crop) in enumerate(zip(frame.detections, crops)):
+                solo = crop_object(frame.cloud, det.box, frame.index, slot)
+                assert crop.points.shape == solo.points.shape, (name, slot)
+                assert crop.points.tobytes() == solo.points.tobytes(), (name, slot)
+                thinned += box_contains(det.box, frame.cloud.points).sum() > CROP_POINTS
+        assert thinned >= 4
 
     def test_shared_point_in_every_containing_box(self):
         frame = self._shared_points_frame(np.random.default_rng(93))
         points = frame.cloud.points
-        crops = crop_frame(frame, P=len(points), seed=0)
+        crops = crop_frame(frame)
         masks = [box_contains(det.box, points) for det in frame.detections]
+        assert max(mask.sum() for mask in masks) <= CROP_POINTS
         # most points of the nested box lie in four boxes, and some in all five
         assert (np.sum(masks, axis=0) >= 4).sum() > 10
         assert np.all(masks, axis=0).any()
@@ -233,27 +261,22 @@ class TestCropFrame:
             expected = to_box_frame(det.box, points[mask])
             assert crop.points.tobytes() == expected.tobytes()
 
-    def test_rejects_p_below_one(self):
-        rng = np.random.default_rng(94)
-        frames = (
-            Frame(0, PointCloud(np.empty((0, 3))), ()),
-            self._frame(rng, 0),
-            self._frame(rng, 2),
-        )
-        for frame in frames:
-            for P in (0, -1):
-                with pytest.raises(ValueError, match="P must be >= 1"):
-                    crop_frame(frame, P=P)
-
     def test_bitwise_repeatable(self):
-        rng = np.random.default_rng(92)
-        frame = self._frame(rng, 4)
-        a = crop_frame(frame, P=32, seed=123)
-        b = crop_frame(frame, P=32, seed=123)
-        assert len(a) == len(b)
+        # a rebuilt copy of the frame crops to the same bytes
+        frame = self._thinned_frame(np.random.default_rng(92))
+        copy = Frame(frame.index, PointCloud(frame.cloud.points.copy()), frame.detections)
+        a, b = crop_frame(frame), crop_frame(copy)
+        assert len(a) == len(b) == len(frame.detections)
         for x, y in zip(a, b):
-            assert x.points.shape == y.points.shape
+            assert x.points.shape == y.points.shape == (CROP_POINTS, 3)
             assert x.points.tobytes() == y.points.tobytes()
+
+    def test_thinning_differs_between_slots(self):
+        # slots 0 and 2 hold the same box over the same cloud
+        frame = self._thinned_frame(np.random.default_rng(95))
+        crops = crop_frame(frame)
+        assert frame.detections[0].box is frame.detections[2].box
+        assert crops[0].points.tobytes() != crops[2].points.tobytes()
 
     def test_slot_seeds_distinct(self):
         seen = {slot_seed(0, f, s) for f in range(20) for s in range(20)}
@@ -279,7 +302,6 @@ class TestObjectPoints:
 
     def test_crop_over_p_interior_points_has_p_rows(self):
         rng = np.random.default_rng(85)
-        cloud = PointCloud(rng.uniform(-0.49, 0.49, size=(40, 3)))
-        for P in (1, 8, 39, 40, 41, 128):
-            out = crop_one(cloud, unit_box(), P=P, seed=3)
-            assert out.points.shape == (min(P, 40), 3)
+        for n in (1, CROP_POINTS - 1, CROP_POINTS, CROP_POINTS + 1, 1000):
+            out = crop_one(interior_cloud(rng, n), unit_box())
+            assert out.points.shape == (min(n, CROP_POINTS), 3)

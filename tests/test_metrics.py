@@ -110,6 +110,12 @@ class TestEvaluateErrors:
         with pytest.raises(ValueError):
             evaluate(gt, gt, match_radius=0.0)
 
+    def test_non_finite_radius_rejected(self):
+        gt = tracks([(0, 0, 0.0, 0.0, 0.0)])
+        for radius in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(gt, gt, match_radius=radius)
+
 
 def random_scenario(rng, n_objects=6, n_frames=8, drop=0.2, relabel=None):
     gt_rows, pred_rows = [], []

@@ -47,7 +47,7 @@ def real_crops(tmp_path, points_per_object):
         points_per_object=points_per_object,
     )
     src = generate(cfg, tmp_path)
-    crops = crop_frame(load_admitted_frame(src, 1), seed=0)
+    crops = crop_frame(load_admitted_frame(src, 1))
     assert len(crops) >= 20
     return crops
 

@@ -129,6 +129,11 @@ class TestEvents:
         with pytest.raises(ValueError):
             SynthConfig(n_objects=1, n_frames=1, speed_range=(0.3, 0.1))
 
+    def test_non_finite_arena_rejected(self):
+        for arena in ((np.nan, 30.0), (30.0, np.nan), (np.inf, 30.0)):
+            with pytest.raises(ValueError, match="finite"):
+                SynthConfig(n_objects=1, n_frames=1, arena=arena)
+
 
 class TestPerturb:
     def test_zero_rates_change_nothing(self, small_scene, tmp_path):
@@ -261,3 +266,11 @@ class TestPerturb:
             perturb(src, det_noise_sigma=-0.1)
         with pytest.raises(ValueError):
             perturb(src, conf_model=(0.5, 0.2))
+
+    def test_non_finite_noise_sigma_rejected(self, small_scene, tmp_path):
+        cfg, src = small_scene
+        for sigma in (np.nan, np.inf):
+            out = tmp_path / f"n{sigma}"
+            with pytest.raises(ValueError, match="finite"):
+                perturb(src, det_noise_sigma=sigma, fp_rate=0.5, out_dir=out)
+            assert not out.exists()

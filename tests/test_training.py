@@ -8,7 +8,8 @@ from cloudtrack import training
 from cloudtrack.losses import LossGradients, build_gt, loss_breakdown, loss_gradients
 from cloudtrack.model import init_model, load_model, save_model
 from cloudtrack.affinity import CompressionNet, augment_and_softmax
-from cloudtrack.cropping import crop_frame
+from cloudtrack.cropping import CROP_POINTS, crop_frame
+from cloudtrack.geometry import box_contains
 from cloudtrack.pointnet import FeatureSet, featurize_frame
 from cloudtrack.nets import (
     init_layers,
@@ -322,11 +323,10 @@ class TestTrainStep:
         )
 
 
-def frame_of(pool, scene, model, cfg):
+def frame_of(pool, scene, model):
     """id of each FeatureSet in pool -> the frame whose features it holds."""
     ref = [
-        featurize_frame(crop_frame(load_admitted_frame(scene, i), seed=cfg.seed),
-                        model.pointnet).features
+        featurize_frame(crop_frame(load_admitted_frame(scene, i)), model.pointnet).features
         for i in range(scene.frame_count)
     ]
     found = {id(fs): fs for sample in pool for fs in (sample.prev, sample.cur)}
@@ -340,13 +340,39 @@ def frame_of(pool, scene, model, cfg):
 class TestTrainingPairs:
     def test_pool_counts_and_feature_caching(self, scene):
         model = init_model(seed=7)
-        cfg = TrainConfig(steps=1)
-        pool = training_pairs(scene, model, cfg)
+        pool = training_pairs(scene, model, TrainConfig(steps=1))
         n = scene.frame_count
         expected = sum(min(cur, 3) for cur in range(n))
         assert len(pool) == expected
         # one FeatureSet object per frame, shared by every sample using it
-        assert sorted(frame_of(pool, scene, model, cfg).values()) == list(range(n))
+        assert sorted(frame_of(pool, scene, model).values()) == list(range(n))
+
+    def test_features_are_the_trackers_whatever_the_seed(self, tmp_path):
+        # 200 points per object: crops are thinned, and the run seed must not
+        # change which points are kept
+        src = generate(
+            SynthConfig(n_objects=3, n_frames=6, seed=44, points_per_object=200),
+            tmp_path / "seq",
+        )
+        frames = [load_admitted_frame(src, i) for i in range(src.frame_count)]
+        assert any(
+            box_contains(det.box, frame.cloud.points).sum() > CROP_POINTS
+            for frame in frames
+            for det in frame.detections
+        )
+        model = init_model(seed=5)
+        want = [featurize_frame(crop_frame(f), model.pointnet).features for f in frames]
+        pool = training_pairs(src, model, TrainConfig(steps=0, seed=5))
+        pairs = [
+            (cur - gap, cur)
+            for cur in range(src.frame_count)
+            for gap in training.FRAME_GAPS
+            if cur >= gap
+        ]
+        assert len(pool) == len(pairs)
+        for (prev, cur), sample in zip(pairs, pool):
+            assert sample.prev.features.tobytes() == want[prev].tobytes()
+            assert sample.cur.features.tobytes() == want[cur].tobytes()
 
     def test_loads_one_frame_at_a_time(self, scene, monkeypatch):
         # each frame is featurized before the next one loads: when it does,
