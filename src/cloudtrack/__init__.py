@@ -75,7 +75,8 @@ from .sequence_io import (
 )
 from .synth import SynthConfig, generate, perturb
 from .training import (
-    TrainConfig, TrainState, train, train_step, training_pairs, write_loss_log,
+    TrainConfig, TrainState, reduce_pool, train, train_step, training_pairs,
+    write_loss_log,
 )
 from .verification import LosscheckReport, fd_gradient_check, run_losscheck
 
@@ -129,6 +130,7 @@ __all__ = [
     "perturb",
     "pointnet_forward",
     "read_center_tracks",
+    "reduce_pool",
     "report_json",
     "report_table",
     "run_losscheck",

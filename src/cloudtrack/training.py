@@ -6,18 +6,28 @@ sequence one frame at a time, keeping only each frame's gt ids and
 features, and pairs every frame with the frames FRAME_GAPS before it.
 Its crops are the tracker's: they depend on the frame alone, and the
 run seed draws only the initial weights and the batches.
-train() builds one TrainState from init_model(seed): a mutable copy of
-the compression weights and the dummy score, holding the first layer as
-its two contiguous halves, the columns that act on previous-frame
-features and those that act on current-frame features.  Every step is
-one train_step, which descends the state in place over a batch of
-sampled pairs; the model is built from the state once, at the end.  As
-in the tracker, the first layer projects features instead of acting on
-concatenated pairs: the batch's previous-frame features are stacked and
-projected through their half with one product, and so are its
-current-frame features.  Layers 2-5 see the whole batch in one forward
-and one backward pass.  The first layer's gradient is summed per
-feature row, so each half's update is one low-rank product of the
+
+Because the featurizer is frozen, every feature row a step sees is one
+of the pool's R rows, and a first-layer update, a sum of outer products
+with those rows, changes each D-wide half of W1 only inside their span.
+So train() takes an orthonormal basis Q of that span (D x min(R, D),
+reduce_pool), maps the pool's features to x Q, and descends each half
+as w Q instead.  In real arithmetic this is the full-width descent
+exactly; on a 4-object, 40-frame scene (R = 150, D = 512) it makes
+the first layer's products, update and finiteness check about a
+third as wide.  The basis rests on the frozen featurizer: if the
+point MLP ever trains with the head, its features move every step and
+the basis goes with it.
+
+train() builds one TrainState from init_model(seed) and the basis, and
+every step is one train_step, which descends the state in place over a
+batch of sampled pairs; the model is lifted from the state once, at
+the end.  As in the tracker, the first layer projects features instead
+of acting on concatenated pairs: the batch's previous-frame features
+are stacked and projected through their half with one product, and so
+are its current-frame features.  Layers 2-5 see the whole batch in one
+forward and one backward pass.  The first layer's gradient is summed
+per feature row, so each half's update is one low-rank product of the
 stacked row sums with the stacked features, subtracted in place.  Each
 step reports the loss measured before its update, so a shrinking log
 means the updates help.
@@ -76,45 +86,87 @@ class PairSample:
 
 
 class TrainState:
-    """Mutable compression weights and dummy score, descended by train_step.
+    """Compression weights and dummy score, descended in place by train_step.
 
-    Built from a model, whose arrays it copies: W1 as its two contiguous
-    out x D halves, w_prev and w_cur (from split_first_layer), b1 and
-    layers 2-5 as they are.  Neither the model it was built from nor any
-    model it returns changes when a later step descends it.
+    Built from a model and an orthonormal basis Q of the training
+    features' span (D x k, from reduce_pool): W1's halves are held as
+    w_prev = W1_prev Q and w_cur = W1_cur Q, each out x k, and b1 and
+    layers 2-5 as copies.  train_step must see the features as x Q.
+    The state keeps the model's W1, which it never writes, and model()
+    lifts each half back as W1_half + (w - W1_half Q) Q^T: every update
+    lies in the span of Q, so this is the full-width weight.  With
+    Q = I the halves are W1's own columns.  Neither the model it was built
+    from nor any model it returns changes when a later step descends it.
     """
 
-    def __init__(self, model: AffinityModel):
-        w_prev, w_cur, b1 = model.compression.split_first_layer()
+    def __init__(self, model: AffinityModel, basis: np.ndarray):
+        w1, b1 = model.compression.layers[0]
         self.pointnet = model.pointnet
-        self.w_prev = w_prev.T.copy()
-        self.w_cur = w_cur.T.copy()
+        self.w1 = w1
+        self.basis = basis
+        self.w_prev, self.w_cur = (w1[:, cols] @ basis for cols in _halves(w1))
         self.b1 = b1.copy()
         self.rest = tuple((W.copy(), b.copy()) for W, b in model.compression.layers[1:])
         self.dummy_score = model.dummy_score
 
     def model(self) -> AffinityModel:
-        """The current weights as a model, sharing no array with the state."""
-        w1 = np.concatenate((self.w_prev, self.w_cur), axis=1)
+        """The current weights as a model, sharing no array with the state.
+
+        A lift that overflows raises RuntimeError, as a divergent step does.
+        """
+        w1 = self.w1.copy()
+        for cols, half in zip(_halves(w1), (self.w_prev, self.w_cur)):
+            # the product the state was built with, so an undescended
+            # half lifts to exactly the columns it came from
+            start = self.w1[:, cols] @ self.basis
+            w1[:, cols] += (half - start) @ self.basis.T
+        if not np.isfinite(w1).all():
+            raise RuntimeError("training diverged: non-finite weight")
         rest = tuple((W.copy(), b.copy()) for W, b in self.rest)
         net = CompressionNet(((w1, self.b1.copy()), *rest))
         return AffinityModel(self.pointnet, net, self.dummy_score)
 
 
+def _halves(w1: np.ndarray) -> tuple[slice, slice]:
+    """W1's columns acting on previous-frame and on current-frame features."""
+    d = w1.shape[1] // 2
+    return slice(None, d), slice(d, None)
+
+
+def reduce_pool(pool) -> tuple[np.ndarray, tuple]:
+    """(Q, the pool with every feature row x mapped to x Q).
+
+    Q is an orthonormal basis, D x min(R, D), of the span of the pool's
+    R feature rows, with each FeatureSet counted once however many
+    samples share it, and no rank cut-off.  Each FeatureSet is mapped
+    once, and samples that shared one share its image.
+    """
+    sets = {id(fs): fs for s in pool for fs in (s.prev, s.cur)}
+    rows = np.concatenate([fs.features for fs in sets.values()])
+    basis = np.linalg.qr(rows.T)[0]
+    mapped = {key: FeatureSet(fs.features @ basis) for key, fs in sets.items()}
+    return basis, tuple(
+        PairSample(mapped[id(s.prev)], mapped[id(s.cur)], s.gt) for s in pool
+    )
+
+
 def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
     """Descend state in place over a batch; returns the pre-step batch loss.
 
-    The first layer is applied to each frame's features separately:
-    pair (i, j) gets the hidden row relu(w_prev prev_i + w_cur cur_j + b1).
+    The batch's features are in the state's basis (reduce_pool).  The
+    first layer is applied to each frame's features separately: pair
+    (i, j) gets the hidden row relu(w_prev prev_i + w_cur cur_j + b1).
     The batch's previous-frame features are stacked into one matrix and
     its current-frame features into another, and each stack is
     projected with one product; a sample's hidden block is built from
     its slices of the two projections.  The hidden rows of every pair
     then go through layers 2-5 in one forward and one backward pass.
-    Back at the first layer, the gradient of pair (i, j) is
-    dz_ij [prev_i; cur_j]^T, so each half's gradient is one product of
-    the stacked per-row sums of dz with the stacked features, of rank at
-    most the number of rows, and is subtracted from the half in place.
+    The score gradient is scaled by learning_rate / len(batch) before
+    the backward pass, so every gradient it yields is already the step
+    and each weight takes it with one in-place subtraction.  Back at the
+    first layer, the gradient of pair (i, j) is dz_ij [prev_i; cur_j]^T,
+    so each half's step is one product of the stacked per-row sums of
+    dz with the stacked features, of rank at most the number of rows.
     A non-finite weight or dummy score after the update raises
     RuntimeError and leaves the state unusable.
     """
@@ -149,7 +201,10 @@ def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
         grads = loss_gradients(a1, a2, s.gt)
         d_scores.append((grads.d_m1[:, :cc] + grads.d_m2[:cp, :]).reshape(-1, 1))
         d_dummy += grads.d_dummy
-    rest_grads, d_hidden = mlp_backward(acts, state.rest, np.concatenate(d_scores))
+    n = len(batch)
+    lr = learning_rate
+    d_out = np.concatenate(d_scores) * (lr / n)
+    rest_steps, d_hidden = mlp_backward(acts, state.rest, d_out)
     d_z = d_hidden * (hidden > 0.0)
     blocks = [
         dz.reshape(s.prev.count, s.cur.count, width)
@@ -157,16 +212,12 @@ def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
     ]
     d_prev = np.concatenate([dz.sum(axis=1) for dz in blocks])
     d_cur = np.concatenate([dz.sum(axis=0) for dz in blocks])
-    n = len(batch)
-    lr = learning_rate
-    halves = ((state.w_prev, d_prev, prev_x), (state.w_cur, d_cur, cur_x))
-    for half, d_rows, x in halves:
-        # lr / n scales the thin row-sum factor, not the width x D product
-        half -= (d_rows * (lr / n)).T @ x
-    state.b1 -= lr * d_z.sum(axis=0) / n
-    for (W, b), (dW, db) in zip(state.rest, rest_grads):
-        W -= lr * dW / n
-        b -= lr * db / n
+    state.w_prev -= d_prev.T @ prev_x
+    state.w_cur -= d_cur.T @ cur_x
+    state.b1 -= d_z.sum(axis=0)
+    for (W, b), (dW, db) in zip(state.rest, rest_steps):
+        W -= dW
+        b -= db
     weights = (state.w_prev, state.w_cur, state.b1, *(a for wb in state.rest for a in wb))
     if not all(np.isfinite(a).all() for a in weights):
         raise RuntimeError("training diverged: non-finite weight") from None
@@ -176,16 +227,14 @@ def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
     return LossBreakdown(*(sums / n))
 
 
-def training_pairs(
-    src: SequenceSource, model: AffinityModel, cfg: TrainConfig
-) -> tuple:
+def training_pairs(src: SequenceSource, model: AffinityModel) -> tuple:
     """All PairSamples whose frames lie FRAME_GAPS apart.
 
     Frames are loaded, cropped and featurized one at a time, with the
     frozen featurizer and the same crop call as the tracker; only each
     frame's gt ids and features are kept.  A crop depends on its frame
     alone, so training sees exactly the features the tracker will see,
-    whatever cfg.seed is.
+    whatever the run seed is.
     """
     ids, feats = [], []
     for i in range(src.frame_count):
@@ -219,10 +268,13 @@ def train(
     weights_out=None,
     log_out=None,
 ) -> tuple[AffinityModel, tuple[LossBreakdown, ...]]:
-    """Descend init_model(cfg.seed), one train_step per step; optionally write."""
+    """Descend init_model(cfg.seed), one train_step per step; optionally write.
+
+    The steps run in the span of the pool's features (reduce_pool).
+    """
     model = init_model(cfg.seed)
-    pool = training_pairs(src, model, cfg)
-    state = TrainState(model)
+    basis, pool = reduce_pool(training_pairs(src, model))
+    state = TrainState(model, basis)
     del model  # the loop keeps only the state's weights alive
     rng = np.random.default_rng(cfg.seed)
     log = []

@@ -24,6 +24,7 @@ from cloudtrack.training import (
     PairSample,
     TrainConfig,
     TrainState,
+    reduce_pool,
     train,
     train_step,
     training_pairs,
@@ -71,10 +72,13 @@ class TestMlpBackward:
         assert len(acts) == 2 and acts[0] is x
 
 
-def batch_from(src, model, cfg, size=4, seed=0):
-    pool = training_pairs(src, model, cfg)
+def batch_from(src, model, size=4, seed=0):
+    """(basis, batch, the same batch in the basis), drawn as train() draws."""
+    pool = training_pairs(src, model)
+    basis, reduced = reduce_pool(pool)
     rng = np.random.default_rng(seed)
-    return [pool[int(i)] for i in rng.integers(0, len(pool), size=size)]
+    picks = [int(i) for i in rng.integers(0, len(pool), size=size)]
+    return basis, [pool[i] for i in picks], [reduced[i] for i in picks]
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +101,10 @@ def batch_loss(model, batch):
         a1, a2 = augment_and_softmax(m, model.dummy_score)
         totals.append(loss_breakdown(a1, a2, sample.gt).total)
     return float(np.mean(totals))
+
+
+def terms(b):
+    return b.l_f, b.l_b, b.l_c, b.l_a, b.total
 
 
 def explicit_cell_step(model, batch, lr):
@@ -142,8 +150,9 @@ class TestTrainStep:
             for p, c in links
         ]
         lr = 1.0
-        state = TrainState(model)
-        train_step(state, batch, lr)
+        basis, reduced = reduce_pool(batch)
+        state = TrainState(model, basis)
+        train_step(state, reduced, lr)
         updated = state.model()
         want_layers, want_dummy = explicit_cell_step(model, batch, lr)
         for (W, b), (w_ref, b_ref) in zip(updated.compression.layers, want_layers):
@@ -153,20 +162,52 @@ class TestTrainStep:
         changed = updated.compression.layers[0][0] - model.compression.layers[0][0]
         assert np.abs(changed).max() > 1e-3
 
+    def test_matches_explicit_cell_oracle_in_a_square_basis(self):
+        # a pool of five frames holds 12 distinct feature rows in 3
+        # dimensions, so its basis is square; the batch draws from the pool
+        model = init_model(
+            seed=35, pointnet_widths=(3, 4, 3), compression_widths=(6, 5, 4, 3, 2, 1)
+        )
+        model = replace(model, dummy_score=0.1)
+        rng = np.random.default_rng(35)
+        ids = [[1, 2, 3], [2, 3, None, 4], [4, 2], [], [2, 5, 4]]
+        frames = [FeatureSet(rng.normal(size=(len(f), 3))) for f in ids]
+        pool = [
+            PairSample(frames[i], frames[j], build_gt(ids[i], ids[j]))
+            for i, j in ((0, 1), (1, 2), (0, 2), (2, 3), (1, 4), (3, 4), (2, 4))
+        ]
+        basis, reduced = reduce_pool(pool)
+        assert basis.shape == (3, 3)
+        picks = [4, 0, 6, 4, 1]
+        lr = 0.5
+        state = TrainState(model, basis)
+        train_step(state, [reduced[i] for i in picks], lr)
+        updated = state.model()
+        want_layers, want_dummy = explicit_cell_step(model, [pool[i] for i in picks], lr)
+        for (W, b), (w_ref, b_ref) in zip(updated.compression.layers, want_layers):
+            assert np.abs(W - w_ref).max() < 1e-12
+            assert np.abs(b - b_ref).max() < 1e-12
+        assert abs(updated.dummy_score - want_dummy) < 1e-12
+        changed = updated.compression.layers[0][0] - model.compression.layers[0][0]
+        assert np.abs(changed[:, :3]).max() > 1e-3 and np.abs(changed[:, 3:]).max() > 1e-3
+
     def test_matches_explicit_cell_oracle_at_default_widths(self, scene):
         model = init_model(seed=7)
-        cfg = TrainConfig(steps=1, learning_rate=0.5)
-        pool = training_pairs(scene, model, cfg)
+        lr = 0.5
+        pool = training_pairs(scene, model)
+        basis, reduced = reduce_pool(pool)
+        assert basis.shape[1] < basis.shape[0]
         # the pool runs gap by gap within each current frame, so neighbours
         # can hold the very same FeatureSet
-        a, b = next((x, y) for x, y in zip(pool, pool[1:]) if x.cur is y.cur)
-        batch = [a, pool[0], b, a]
+        k = next(i for i in range(len(pool) - 1) if pool[i].cur is pool[i + 1].cur)
+        assert reduced[k].cur is reduced[k + 1].cur
+        picks = [k, 0, k + 1, k]
         snapshot = [(W.copy(), b1.copy()) for W, b1 in model.compression.layers]
         dummy = model.dummy_score
-        state = TrainState(model)
-        train_step(state, batch, cfg.learning_rate)
+        state = TrainState(model, basis)
+        train_step(state, [reduced[i] for i in picks], lr)
         updated = state.model()
-        want_layers, want_dummy = explicit_cell_step(model, batch, cfg.learning_rate)
+        want_layers, want_dummy = explicit_cell_step(model, [pool[i] for i in picks], lr)
         for (W, b1), (w_ref, b_ref) in zip(updated.compression.layers, want_layers):
             assert np.abs(W - w_ref).max() < 1e-12
             assert np.abs(b1 - b_ref).max() < 1e-12
@@ -200,8 +241,9 @@ class TestTrainStep:
             for p, c in links
         ]
         lr = 1.0
-        state = TrainState(model)
-        train_step(state, batch, lr)
+        basis, reduced = reduce_pool(batch)
+        state = TrainState(model, basis)
+        train_step(state, reduced, lr)
         updated = state.model()
         n = len(batch)
 
@@ -239,12 +281,25 @@ class TestTrainStep:
 
     def test_overflowing_update_raises_divergence(self, scene):
         model = init_model(seed=7)
-        batch = batch_from(scene, model, TrainConfig(steps=1))
+        basis, _, batch = batch_from(scene, model)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError) as caught:
-                train_step(TrainState(model), batch, 1e308)
+                train_step(TrainState(model, basis), batch, 1e308)
         assert str(caught.value) == "training diverged: non-finite weight"
         assert caught.value.__cause__ is None and caught.value.__suppress_context__
+
+    def test_overflowing_lift_raises_divergence(self):
+        # every reduced weight is finite, but lifting them through a basis
+        # whose rows sum past 1 overflows: a divergence, not a bad model
+        model = init_model(
+            seed=36, pointnet_widths=(3, 4, 2), compression_widths=(4, 3, 3, 2, 2, 1)
+        )
+        basis = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        state = TrainState(model, basis)
+        state.w_prev[:] = 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="^training diverged: non-finite weight$"):
+                state.model()
 
     def test_non_finite_dummy_raises_divergence(self, scene, monkeypatch):
         # zero score gradients leave every weight finite; only the dummy blows up
@@ -254,18 +309,18 @@ class TestTrainStep:
 
         monkeypatch.setattr(training, "loss_gradients", dummy_only)
         model = init_model(seed=7)
-        batch = batch_from(scene, model, TrainConfig(steps=1))
+        basis, _, batch = batch_from(scene, model)
         with pytest.raises(RuntimeError, match="training diverged: non-finite dummy"):
-            train_step(TrainState(model), batch, 10.0)
+            train_step(TrainState(model, basis), batch, 10.0)
 
     def test_fixed_batch_descends(self, scene):
         model = init_model(seed=7)
-        cfg = TrainConfig(steps=1, learning_rate=1e-4)
-        batch = batch_from(scene, model, cfg)
+        lr = 1e-4
+        basis, batch, reduced = batch_from(scene, model)
         losses = [batch_loss(model, batch)]
-        state = TrainState(model)
+        state = TrainState(model, basis)
         for _ in range(100):
-            reported = train_step(state, batch, cfg.learning_rate)
+            reported = train_step(state, reduced, lr)
             losses.append(batch_loss(state.model(), batch))
             assert abs(reported.total - losses[-2]) < 1e-12
         drops = sum(b < a for a, b in zip(losses, losses[1:]))
@@ -273,18 +328,16 @@ class TestTrainStep:
 
     def test_pre_step_loss_reported(self, scene):
         model = init_model(seed=7)
-        cfg = TrainConfig(steps=1, learning_rate=0.5)
-        batch = batch_from(scene, model, cfg)
+        basis, batch, reduced = batch_from(scene, model)
         before = batch_loss(model, batch)
-        reported = train_step(TrainState(model), batch, cfg.learning_rate)
+        reported = train_step(TrainState(model, basis), reduced, 0.5)
         assert abs(reported.total - before) < 1e-12
 
     def test_updates_only_compression_and_dummy(self, scene):
         model = init_model(seed=7)
-        cfg = TrainConfig(steps=1, learning_rate=1e-2)
-        batch = batch_from(scene, model, cfg)
-        state = TrainState(model)
-        train_step(state, batch, cfg.learning_rate)
+        basis, _, batch = batch_from(scene, model)
+        state = TrainState(model, basis)
+        train_step(state, batch, 1e-2)
         updated = state.model()
         for (w0, b0), (w1, b1) in zip(
             model.pointnet.layers, updated.pointnet.layers
@@ -301,13 +354,13 @@ class TestTrainStep:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            train_step(TrainState(init_model(seed=1)), [], 1e-2)
+            train_step(TrainState(init_model(seed=1), np.eye(512)), [], 1e-2)
 
     def test_models_share_no_array_with_the_state(self, scene):
         # a model taken from the state keeps its weights through later steps
         model = init_model(seed=7)
-        batch = batch_from(scene, model, TrainConfig(steps=1))
-        state = TrainState(model)
+        basis, _, batch = batch_from(scene, model)
+        state = TrainState(model, basis)
         train_step(state, batch, 1e-2)
         taken = state.model()
         snapshot = [(W.copy(), b.copy()) for W, b in taken.compression.layers]
@@ -340,12 +393,29 @@ def frame_of(pool, scene, model):
 class TestTrainingPairs:
     def test_pool_counts_and_feature_caching(self, scene):
         model = init_model(seed=7)
-        pool = training_pairs(scene, model, TrainConfig(steps=1))
+        pool = training_pairs(scene, model)
         n = scene.frame_count
         expected = sum(min(cur, 3) for cur in range(n))
         assert len(pool) == expected
         # one FeatureSet object per frame, shared by every sample using it
         assert sorted(frame_of(pool, scene, model).values()) == list(range(n))
+
+    def test_reduce_pool_spans_each_frame_once(self, scene):
+        model = init_model(seed=7)
+        pool = training_pairs(scene, model)
+        basis, reduced = reduce_pool(pool)
+        frames = {id(fs): fs for sample in pool for fs in (sample.prev, sample.cur)}
+        rows = np.concatenate([fs.features for fs in frames.values()])
+        # R distinct rows under D: a thin basis, not one column per sample row
+        assert basis.shape == (model.pointnet.feature_dim, len(rows))
+        assert np.abs(basis.T @ basis - np.eye(len(rows))).max() < 1e-12
+        assert np.abs(rows @ basis @ basis.T - rows).max() < 1e-12 * np.abs(rows).max()
+        images = {id(fs): fs for sample in reduced for fs in (sample.prev, sample.cur)}
+        assert len(images) == len(frames)
+        for sample, image in zip(pool, reduced):
+            assert image.gt is sample.gt
+            for fs, fs_image in ((sample.prev, image.prev), (sample.cur, image.cur)):
+                assert np.array_equal(fs_image.features, fs.features @ basis)
 
     def test_features_are_the_trackers_whatever_the_seed(self, tmp_path):
         # 200 points per object: crops are thinned, and the run seed must not
@@ -362,7 +432,7 @@ class TestTrainingPairs:
         )
         model = init_model(seed=5)
         want = [featurize_frame(crop_frame(f), model.pointnet).features for f in frames]
-        pool = training_pairs(src, model, TrainConfig(steps=0, seed=5))
+        pool = training_pairs(src, model)
         pairs = [
             (cur - gap, cur)
             for cur in range(src.frame_count)
@@ -386,7 +456,7 @@ class TestTrainingPairs:
             return frame
 
         monkeypatch.setattr(training, "load_admitted_frame", load)
-        training_pairs(scene, init_model(seed=7), TrainConfig(steps=1))
+        training_pairs(scene, init_model(seed=7))
         assert len(refs) == scene.frame_count
         assert max(alive) <= 1
 
@@ -418,13 +488,13 @@ class TestTrainingPairs:
         for i in range(src.frame_count):
             write_detections(src.root, i, load_frame(src, i).detections, with_gt=False)
         with pytest.raises(ValueError, match="no admitted detection in any frame has a gt_id"):
-            training_pairs(src, init_model(seed=1), TrainConfig(steps=1))
+            training_pairs(src, init_model(seed=1))
 
     def test_too_short_sequence_rejected(self, tmp_path):
         cfg = SynthConfig(n_objects=1, n_frames=1, seed=1, points_per_object=20)
         src = generate(cfg, tmp_path)
         with pytest.raises(ValueError, match="too short"):
-            training_pairs(src, init_model(seed=1), TrainConfig(steps=1))
+            training_pairs(src, init_model(seed=1))
 
 
 class TestTrain:
@@ -435,12 +505,42 @@ class TestTrain:
         )
         init = init_model(3)
         assert log == ()
+        # the lift adds an exact zero to W1 when no step has run
         for (w0, b0), (w1, b1) in zip(
             init.compression.layers, model.compression.layers
         ):
             assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
         loaded = load_model(out)
         assert loaded.dummy_score == init.dummy_score
+        save_model(init, tmp_path / "init.bin")
+        assert out.read_bytes() == (tmp_path / "init.bin").read_bytes()
+
+    def test_matches_full_width_descent(self, scene):
+        # train() descends W1 in the span of the pool's features; with the
+        # identity basis the same steps run on the full-width halves
+        cfg = TrainConfig(steps=20, seed=4)
+        trained, log = train(scene, cfg)
+        model = init_model(cfg.seed)
+        pool = training_pairs(scene, model)
+        assert reduce_pool(pool)[0].shape[1] < model.pointnet.feature_dim
+        state = TrainState(model, np.eye(model.pointnet.feature_dim))
+        rng = np.random.default_rng(cfg.seed)
+        full = []
+        for _ in range(cfg.steps):
+            picks = rng.integers(0, len(pool), size=cfg.batch_pairs)
+            full.append(
+                train_step(state, [pool[int(i)] for i in picks], cfg.learning_rate)
+            )
+        assert len(log) == len(full) == cfg.steps
+        for got, want in zip(log, full):
+            for a, b in zip(terms(got), terms(want)):
+                assert abs(a - b) <= 1e-10 * abs(b)
+        wide = state.model()
+        for (w0, b0), (w1, b1) in zip(trained.compression.layers, wide.compression.layers):
+            assert np.abs(w0 - w1).max() < 1e-12 and np.abs(b0 - b1).max() < 1e-12
+        assert abs(trained.dummy_score - wide.dummy_score) < 1e-12
+        moved = trained.compression.layers[0][0] - model.compression.layers[0][0]
+        assert np.abs(moved).max() > 1e-4
 
     def test_deterministic_given_seed(self, scene, tmp_path):
         cfg = TrainConfig(steps=8, seed=5)
@@ -487,29 +587,30 @@ class TestTrain:
         assert calls == [cfg.learning_rate] * cfg.steps
         assert log == want
 
-    def test_matches_folded_train_step(self, scene, tmp_path):
+    def test_matches_folded_train_step(self, scene):
         # train() descends one state for all its steps; a fresh state per
-        # step, built from the model the previous one gave, must do the
-        # same arithmetic
+        # step, built in the same basis from the model the previous one
+        # lifted, must take the same steps.  Each lift and reduction
+        # rounds, so the two agree to rounding, not bitwise
         cfg = TrainConfig(steps=6, seed=4)
-        trained, log = train(scene, cfg, weights_out=tmp_path / "train.bin")
+        trained, log = train(scene, cfg)
         model = init_model(cfg.seed)
-        pool = training_pairs(scene, model, cfg)
+        basis, pool = reduce_pool(training_pairs(scene, model))
         rng = np.random.default_rng(cfg.seed)
         folded = []
         for _ in range(cfg.steps):
             picks = rng.integers(0, len(pool), size=cfg.batch_pairs)
-            state = TrainState(model)
+            state = TrainState(model, basis)
             folded.append(
                 train_step(state, [pool[int(i)] for i in picks], cfg.learning_rate)
             )
             model = state.model()
-        save_model(model, tmp_path / "folded.bin")
-        assert log == tuple(folded)
-        assert (tmp_path / "train.bin").read_bytes() == (tmp_path / "folded.bin").read_bytes()
+        for got, want in zip(log, folded, strict=True):
+            for a, b in zip(terms(got), terms(want)):
+                assert abs(a - b) <= 1e-12 * abs(b)
         for (w0, b0), (w1, b1) in zip(trained.compression.layers, model.compression.layers):
-            assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
-        assert trained.dummy_score == model.dummy_score
+            assert np.abs(w0 - w1).max() < 1e-12 and np.abs(b0 - b1).max() < 1e-12
+        assert abs(trained.dummy_score - model.dummy_score) < 1e-12
 
     def test_five_hundred_steps_reach_low_loss(self, scene):
         model, log = train(scene, TrainConfig(steps=500, seed=11))
