@@ -57,14 +57,15 @@ class CompressionNet:
     def in_dim(self) -> int:
         return self.widths[0]
 
-    def split_first_layer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(w_prev, w_cur, b1) with first-layer output a @ w_prev + b @ w_cur + b1.
 
-        a and b are the previous and current feature of one pair.
-        """
-        W, b = self.layers[0]
-        d = W.shape[1] // 2
-        return W[:, :d].T, W[:, d:].T, b
+def first_layer_halves(w1: np.ndarray) -> tuple[slice, slice]:
+    """W1's columns acting on previous-frame and on current-frame features.
+
+    With (p, c) these slices, one pair (a, b) gives the first-layer output
+    a @ W1[:, p].T + b @ W1[:, c].T + b1.
+    """
+    d = w1.shape[1] // 2
+    return slice(None, d), slice(d, None)
 
 
 def compression_forward(
@@ -107,8 +108,9 @@ def compression_forward(
     key = key.view(np.dtype((np.void, key.shape[1])))[:, 0]
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rows, cols = np.nonzero(eligible[first])
-    w_prev, w_cur, b1 = net.split_first_layer()
-    hidden = relu((prev[first] @ w_prev)[rows] + (cur @ w_cur + b1)[cols])
+    w1, b1 = net.layers[0]
+    p, c = first_layer_halves(w1)
+    hidden = relu((prev[first] @ w1[:, p].T)[rows] + (cur @ w1[:, c].T + b1)[cols])
     m = np.full((len(first), cc), -np.inf)
     m[rows, cols] = mlp_forward(hidden, net.layers[1:])[:, 0]
     return m[inverse]

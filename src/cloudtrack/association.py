@@ -1,22 +1,23 @@
 """Track linking: fuse affinities into scores, assign optimally, grow tracks.
 
-The tracker keeps one table of live tracks: the last frame's slots, each
-with its track id, admitted detection and feature row.  Every
-frame, the first included, takes the same path against it.  A motion
-gate first marks which previous/current pairs are within reach: the xy
-distance between their box centers is at most GATE_RADIUS_M per frame
-of gap.  Only those pairs are scored by the affinity head; the others
-get exactly zero.  The trimmed forward/backward matrices are averaged
-into a score matrix whose extra column holds the leave probability.  A
-previous/current pair may link only when its score beats both that
-leave probability and the birth threshold, so a gated-out pair never
-links; among all ways to keep such pairs, the assignment with the
-highest total score wins (scores of gate-failing pairs are floored to
-zero, which makes the Hungarian optimum equal to the brute-force optimum
-over gated partial matchings).  Unmatched current objects open new
-tracks, unmatched previous objects end theirs; against the empty table
-of frame 0 every object is a birth.  Each frame yields one row per slot,
-(frame, track id, admitted detection): writing them reads no frame.
+The tracker keeps one table of live tracks: for each, the TrackRow where
+it was last seen (frame, track id, admitted detection) and its feature
+row.  Every frame, the first included, takes the same path against it.
+A motion gate first marks which previous/current pairs are within reach:
+the xy distance between their box centers is at most GATE_RADIUS_M per
+frame of that row's gap.  Only those pairs are scored by the affinity
+head; the others get exactly zero.  The trimmed forward/backward
+matrices are averaged into a score matrix whose extra column holds the
+leave probability.  A previous/current pair may link only when its score
+beats both that leave probability and the birth threshold, so a
+gated-out pair never links; among all ways to keep such pairs, the
+assignment with the highest total score wins (scores of gate-failing
+pairs are floored to zero, which makes the Hungarian optimum equal to
+the brute-force optimum over gated partial matchings).  Unmatched
+current objects open new tracks, unmatched previous objects end theirs;
+against the empty table of frame 0 every object is a birth.  Each
+frame's rows are both its output and the next table: writing them reads
+no frame.
 """
 
 from __future__ import annotations
@@ -79,17 +80,15 @@ class TrackRow(NamedTuple):
 
 @dataclass(frozen=True)
 class LiveTracks:
-    """The last frame's slots: the previous side of the next assignment.
+    """The live tracks: the previous side of the next assignment.
 
-    Slot j of frame holds track ids[j], its admitted detection
-    detections[j] and its feature row features.features[j].  next_id is
-    the id the next birth takes.
+    Slot i is rows[i], the TrackRow where that track was last seen, and
+    its feature row is features.features[i].  next_id is the id the next
+    birth takes.
     """
 
-    frame: int
     features: FeatureSet
-    ids: tuple = ()
-    detections: tuple = ()
+    rows: tuple = ()
     next_id: int = 0
 
 
@@ -145,15 +144,17 @@ def solve_assignment(
     )
 
 
-def motion_gate(prev_centers, cur_centers, frame_gap: int) -> np.ndarray:
+def motion_gate(prev_centers, cur_centers, frame_gaps) -> np.ndarray:
     """cp x cc: True where two box centers lie within reach in xy.
 
-    Reach is GATE_RADIUS_M per frame of gap, inclusive; z is ignored.
+    frame_gaps holds one gap per previous center; that row reaches
+    GATE_RADIUS_M per frame of its gap, inclusive.  z is ignored.
     """
     prev_xy = np.asarray(prev_centers, dtype=np.float64).reshape(-1, 3)[:, :2]
     cur_xy = np.asarray(cur_centers, dtype=np.float64).reshape(-1, 3)[:, :2]
+    reach = GATE_RADIUS_M * np.reshape(frame_gaps, (len(prev_xy), 1))
     d = prev_xy[:, None, :] - cur_xy[None, :, :]
-    return np.hypot(d[..., 0], d[..., 1]) <= GATE_RADIUS_M * frame_gap
+    return np.hypot(d[..., 0], d[..., 1]) <= reach
 
 
 def update_tracks(
@@ -163,11 +164,12 @@ def update_tracks(
 
     result must partition the slots of live and of frame's detections,
     and features holds one row per detection of frame.  Matched previous
-    slot i continues track live.ids[i]; births take fresh ids in slot
-    order.  Returns the table of frame's slots and frame's TrackRows in
-    slot order; live itself is left unchanged.
+    slot i continues track live.rows[i].track_id; births take fresh ids
+    in slot order.  Returns (the new table, frame's TrackRows in slot
+    order): the table's rows are that same tuple.  live itself is left
+    unchanged.
     """
-    cp, cc = len(live.ids), len(frame.detections)
+    cp, cc = len(live.rows), len(frame.detections)
     prev_used = {i for i, _ in result.matches} | result.deaths
     cur_used = {j for _, j in result.matches} | result.births
     if prev_used != set(range(cp)) or cur_used != set(range(cc)):
@@ -177,12 +179,13 @@ def update_tracks(
         )
     if features.count != cc:
         raise ValueError(f"{features.count} feature rows for {cc} detections")
-    owner = {j: live.ids[i] for i, j in result.matches}
+    owner = {j: live.rows[i].track_id for i, j in result.matches}
     owner.update((j, live.next_id + k) for k, j in enumerate(sorted(result.births)))
-    ids = tuple(owner[j] for j in range(cc))
-    rows = tuple(TrackRow(frame.index, t, d) for t, d in zip(ids, frame.detections))
+    rows = tuple(
+        TrackRow(frame.index, owner[j], d) for j, d in enumerate(frame.detections)
+    )
     next_id = live.next_id + len(result.births)
-    return LiveTracks(frame.index, features, ids, frame.detections, next_id), rows
+    return LiveTracks(features, rows, next_id), rows
 
 
 def track_sequence(
@@ -194,16 +197,15 @@ def track_sequence(
     an empty table, so frame 0 takes the same path as every later frame
     and all its objects are births.
     """
-    # no slots, so the frame only sets a gap that gates nothing
-    live = LiveTracks(-1, FeatureSet(np.zeros((0, model.pointnet.feature_dim))))
+    live = LiveTracks(FeatureSet(np.zeros((0, model.pointnet.feature_dim))))
     rows = []
     for index in range(src.frame_count):
         frame = load_admitted_frame(src, index)
         fs = featurize_frame(crop_frame(frame), model.pointnet)
         eligible = motion_gate(
-            [d.box.center for d in live.detections],
+            [r.detection.box.center for r in live.rows],
             [d.box.center for d in frame.detections],
-            index - live.frame,
+            [index - r.frame for r in live.rows],
         )
         a1, a2 = affinity_from_features(
             live.features, fs, model.compression, model.dummy_score, eligible=eligible

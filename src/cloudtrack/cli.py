@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", required=True, help="output sequence directory")
     synth.add_argument("--objects", type=_positive_int, default=3)
     synth.add_argument("--frames", type=_positive_int, default=20)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_nonneg_int, default=0)
     synth.add_argument("--points-per-object", type=_positive_int, default=200)
     synth.add_argument(
         "--leave", type=_leave_event, action="append", default=[],
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     trn.add_argument("--lr", type=_positive_float, default=1e-2)
     trn.add_argument("--batch-pairs", type=_positive_int, default=4)
     trn.add_argument(
-        "--seed", type=int, default=0, help="seeds the init and the batches"
+        "--seed", type=_nonneg_int, default=0, help="seeds the init and the batches"
     )
     trn.add_argument("--log", default=None, help="optional loss log CSV path")
     _add_threads_flag(trn)
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lc = subs.add_parser("losscheck", help="gradient and loss-identity verification")
     lc.add_argument("--trials", type=_positive_int, default=20)
-    lc.add_argument("--seed", type=int, default=0)
+    lc.add_argument("--seed", type=_nonneg_int, default=0)
     lc.add_argument(
         "--corrupt-gradient", action="store_true",
         help="fault-injection hook: corrupt one gradient entry; must fail",

@@ -53,7 +53,6 @@ class SynthConfig:
     n_frames: int
     seed: int = 0
     points_per_object: int = 200
-    shape_kinds: tuple = SHAPE_KINDS
     speed_range: tuple = (0.05, 0.2)
     arena: tuple = (30.0, 30.0)
     events: tuple = ()
@@ -63,10 +62,6 @@ class SynthConfig:
             raise ValueError("need at least one object and one frame")
         if self.points_per_object < 1:
             raise ValueError("points_per_object must be >= 1")
-        if not self.shape_kinds or any(
-            k not in SHAPE_KINDS for k in self.shape_kinds
-        ):
-            raise ValueError(f"shape_kinds must be drawn from {SHAPE_KINDS}")
         lo, hi = self.speed_range
         if not 0.0 <= lo <= hi:
             raise ValueError("speed_range must be 0 <= lo <= hi")
@@ -85,7 +80,6 @@ class SynthConfig:
                     raise ValueError(f"enter frame {frame} outside 1..{self.n_frames - 1}")
             else:
                 raise ValueError(f"unknown event kind {event[0]!r}")
-        object.__setattr__(self, "shape_kinds", tuple(self.shape_kinds))
         object.__setattr__(self, "speed_range", tuple(self.speed_range))
         object.__setattr__(self, "arena", tuple(self.arena))
         object.__setattr__(
@@ -185,7 +179,7 @@ def _roster(cfg: SynthConfig, rng: np.random.Generator) -> tuple:
         objects.append(
             _SceneObject(
                 gt_id=k,
-                shape=cfg.shape_kinds[k % len(cfg.shape_kinds)],
+                shape=SHAPE_KINDS[k % len(SHAPE_KINDS)],
                 dims=dims[k],
                 start=placed[k],
                 velocity=velocities[k],

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .affinity import CompressionNet, augment_and_softmax
+from .affinity import CompressionNet, augment_and_softmax, first_layer_halves
 from .cropping import crop_frame
 from .losses import (
     GroundTruthAssignment,
@@ -104,7 +104,9 @@ class TrainState:
         self.pointnet = model.pointnet
         self.w1 = w1
         self.basis = basis
-        self.w_prev, self.w_cur = (w1[:, cols] @ basis for cols in _halves(w1))
+        self.w_prev, self.w_cur = (
+            w1[:, cols] @ basis for cols in first_layer_halves(w1)
+        )
         self.b1 = b1.copy()
         self.rest = tuple((W.copy(), b.copy()) for W, b in model.compression.layers[1:])
         self.dummy_score = model.dummy_score
@@ -115,7 +117,7 @@ class TrainState:
         A lift that overflows raises RuntimeError, as a divergent step does.
         """
         w1 = self.w1.copy()
-        for cols, half in zip(_halves(w1), (self.w_prev, self.w_cur)):
+        for cols, half in zip(first_layer_halves(w1), (self.w_prev, self.w_cur)):
             # the product the state was built with, so an undescended
             # half lifts to exactly the columns it came from
             start = self.w1[:, cols] @ self.basis
@@ -125,12 +127,6 @@ class TrainState:
         rest = tuple((W.copy(), b.copy()) for W, b in self.rest)
         net = CompressionNet(((w1, self.b1.copy()), *rest))
         return AffinityModel(self.pointnet, net, self.dummy_score)
-
-
-def _halves(w1: np.ndarray) -> tuple[slice, slice]:
-    """W1's columns acting on previous-frame and on current-frame features."""
-    d = w1.shape[1] // 2
-    return slice(None, d), slice(d, None)
 
 
 def reduce_pool(pool) -> tuple[np.ndarray, tuple]:

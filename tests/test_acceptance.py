@@ -1,4 +1,4 @@
-"""Acceptance gate: ten pipeline-level criteria at fixed tolerances.
+"""Acceptance gate: eleven pipeline-level criteria at fixed tolerances.
 
 Each test prints exactly one ``criterion N ...: PASS|FAIL`` line (shown
 with ``pytest -s``, or in the captured output of a failing run) and then
@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from cloudtrack import association
 from cloudtrack.affinity import augment_and_softmax
 from cloudtrack.association import (
     TrackerConfig,
@@ -210,6 +211,36 @@ def test_c6_end_to_end_synthetic_tracking(trained_setup):
         ok,
         f"{steps} steps in {train_seconds:.1f}s, MOTA {report.mota:.4f}, "
         f"IDS {report.id_switches}",
+    )
+    assert ok, line
+
+
+def tracked_report(src, model, path):
+    write_tracks_csv(path, track_sequence(src, model, TrackerConfig()))
+    return evaluate(
+        read_center_tracks(src.root / GT_TRACKS_NAME),
+        read_center_tracks(path),
+        match_radius=1.0,
+    )
+
+
+def test_c11_head_links_without_the_motion_gate(trained_setup, monkeypatch):
+    # c6 passes on the gate alone, untrained weights included; with the
+    # gate's reach beyond the arena only the trained head can link
+    root, eval_src, model, _, _ = trained_setup
+    monkeypatch.setattr(association, "GATE_RADIUS_M", 1e6)
+    trained = tracked_report(eval_src, model, root / "gate_off.csv")
+    untrained = tracked_report(eval_src, init_model(0), root / "gate_off_init.csv")
+    ok = (
+        trained.mota >= 0.90
+        and trained.id_switches <= 2
+        and untrained.mota < 0.5
+    )
+    line = verdict(
+        "11 head links without the gate",
+        ok,
+        f"trained MOTA {trained.mota:.4f}, IDS {trained.id_switches}; "
+        f"init_model(0) MOTA {untrained.mota:.4f}, IDS {untrained.id_switches}",
     )
     assert ok, line
 

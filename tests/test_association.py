@@ -192,7 +192,11 @@ def feats(n):
     return FeatureSet(np.zeros((n, 4)))
 
 
-EMPTY = LiveTracks(-1, feats(0))
+EMPTY = LiveTracks(feats(0))
+
+
+def ids(live):
+    return tuple(row.track_id for row in live.rows)
 
 
 def step(live, res, frame):
@@ -216,18 +220,19 @@ class TestUpdateTracks:
         assert links(rows) == {0: ((0, 0),), 1: ((0, 1),)}
         assert live.next_id == 2
         assert rows[1].detection is frame.detections[1]
-        assert live.frame == 0 and live.features is fs
-        assert live.detections == frame.detections
+        assert live.rows is rows and live.features is fs
+        assert tuple(row.detection for row in rows) == frame.detections
+        assert {row.frame for row in rows} == {0}
 
     def test_match_extends_track(self):
         live, first = step(EMPTY, result(births={0}), frame_with(0, 1))
-        assert live.ids == (0,)
+        assert ids(live) == (0,)
         frame = frame_with(1, 2)
         live, second = step(live, result(matches={(0, 1)}, births={0}), frame)
         assert links(first + second) == {0: ((0, 0), (1, 1)), 1: ((1, 0),)}
         assert second == (TrackRow(1, 1, frame.detections[0]),
                           TrackRow(1, 0, frame.detections[1]))
-        assert live.ids == (1, 0)
+        assert ids(live) == (1, 0)
 
     def test_death_then_birth_uses_fresh_id(self):
         live, rows = drive(
@@ -242,37 +247,37 @@ class TestUpdateTracks:
     def test_dead_track_never_reactivates(self):
         # track 0 ends at frame 1; the object on slot 0 of frame 2 is new
         live, rows = step(EMPTY, result(births={0}), frame_with(0, 1))
-        assert live.ids == (0,)
+        assert ids(live) == (0,)
         live, more = step(live, result(deaths={0}), frame_with(1, 0))
-        assert live.ids == () and more == ()
+        assert live.rows == () and more == ()
         rows += more
         live, more = step(live, result(births={0}), frame_with(2, 1))
-        assert live.ids == (1,)
+        assert ids(live) == (1,)
         rows += more
         live, more = step(live, result(matches={(0, 0)}), frame_with(3, 1))
-        assert live.ids == (1,)
+        assert ids(live) == (1,)
         rows += more
         assert links(rows) == {0: ((0, 0),), 1: ((2, 0), (3, 0))}
 
     def test_live_follows_slot_order(self):
         live, _ = step(EMPTY, result(births={0, 1, 2}), frame_with(0, 3))
-        assert live.ids == (0, 1, 2)
+        assert ids(live) == (0, 1, 2)
         frame, fs = frame_with(1, 4), feats(4)
         live, rows = update_tracks(
             live, result(matches={(0, 2), (2, 0)}, births={1, 3}, deaths={1}),
             frame, fs,
         )
-        assert live.ids == (2, 3, 0, 4)
-        assert tuple(row.track_id for row in rows) == live.ids
-        assert live.detections == tuple(row.detection for row in rows)
-        assert live.detections == frame.detections and live.features is fs
-        assert (live.frame, live.next_id) == (1, 5)
+        assert live.rows is rows
+        assert ids(live) == (2, 3, 0, 4)
+        assert tuple(row.detection for row in rows) == frame.detections
+        assert live.features is fs
+        assert ({row.frame for row in rows}, live.next_id) == ({1}, 5)
 
     def test_input_table_unchanged(self):
         live, _ = step(EMPTY, result(births={0}), frame_with(0, 1))
-        before = (live.frame, live.features, live.ids, live.detections, live.next_id)
+        before = (live.features, live.rows, live.next_id)
         step(live, result(matches={(0, 0)}, births={1}), frame_with(1, 2))
-        after = (live.frame, live.features, live.ids, live.detections, live.next_id)
+        after = (live.features, live.rows, live.next_id)
         assert after == before
 
     def test_unassigned_current_slot_rejected(self):
@@ -322,8 +327,9 @@ class TestUpdateTracks:
             (result(births=set(range(5))), frames[0]),
             *((same, frame) for frame in frames[1:]),
         )
-        assert (len(live.ids), len(live.detections), live.features.count) == (5, 5, 5)
-        assert live.ids == (0, 1, 2, 3, 4) and live.next_id == 5
+        assert (len(live.rows), live.features.count) == (5, 5)
+        assert ids(live) == (0, 1, 2, 3, 4) and live.next_id == 5
+        assert {row.frame for row in live.rows} == {1999}
         assert len(rows) == 10_000
         assert {row.track_id for row in rows} == set(range(5))
         assert links(rows)[3] == tuple((f, 3) for f in range(2000))
@@ -463,17 +469,21 @@ class TestMotionGate:
         prev = [[0.0, 0.0, 0.0]]
         cur = [[r, 0.0, 0.0], [np.nextafter(r, 2 * r), 0.0, 0.0],
                [0.0, 1.5 * r, 0.0], [0.0, 2 * r, 0.0]]
-        assert motion_gate(prev, cur, 1).tolist() == [[True, False, False, False]]
-        assert motion_gate(prev, cur, 2).tolist() == [[True, True, True, True]]
+        assert motion_gate(prev, cur, [1]).tolist() == [[True, False, False, False]]
+        assert motion_gate(prev, cur, [2]).tolist() == [[True, True, True, True]]
+        # each previous row reaches as far as its own gap
+        assert motion_gate(prev * 2, cur, [1, 2]).tolist() == [
+            [True, False, False, False], [True, True, True, True]
+        ]
 
     def test_xy_distance_ignores_height(self):
         prev = [[3.0, 4.0, 0.0]]
         cur = [[3.0 + 0.6 * GATE_RADIUS_M, 4.0 + 0.8 * GATE_RADIUS_M, 50.0]]
-        assert motion_gate(prev, cur, 1).tolist() == [[True]]
+        assert motion_gate(prev, cur, [1]).tolist() == [[True]]
 
     def test_shape_follows_counts(self):
-        assert motion_gate([], [[0.0, 0.0, 0.0]] * 3, 1).shape == (0, 3)
-        assert motion_gate([[0.0, 0.0, 0.0]] * 2, [], 1).shape == (2, 0)
+        assert motion_gate([], [[0.0, 0.0, 0.0]] * 3, []).shape == (0, 3)
+        assert motion_gate([[0.0, 0.0, 0.0]] * 2, [], [1, 1]).shape == (2, 0)
 
 
 GRID = np.array(

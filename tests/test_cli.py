@@ -77,6 +77,10 @@ class TestSynthCommand:
         code = run(synth_args(tmp_path / "s", extra=["--fp-rate", "1.5"]))
         assert code == 2
         assert "usage" in capsys.readouterr().err
+        # numpy would reject a negative seed only after parsing, with exit 1
+        assert run(synth_args(tmp_path / "n", seed=-1)) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "n").exists()
 
     @pytest.mark.parametrize("noise", [(), ("--fp-rate", "0.1")])
     def test_inverted_conf_range_is_usage_error(self, tmp_path, capsys, noise):
@@ -173,6 +177,13 @@ class TestTrainCommand:
         ])
         assert code == 2
         assert "usage" in capsys.readouterr().err
+        code = run([
+            "train", "--seq", str(tmp_path), "--out", str(tmp_path / "w"),
+            "--seed", "-1",
+        ])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_lr_is_usage_error(self, tmp_path, capsys, lr):
@@ -350,6 +361,8 @@ class TestLosscheckCommand:
     def test_zero_trials_is_usage_error(self, capsys):
         assert run(["losscheck", "--trials", "0"]) == 2
         assert "usage" in capsys.readouterr().err
+        assert run(["losscheck", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_corrupt_gradient_hook_fails(self, capsys):
         assert run(["losscheck", "--trials", "2", "--corrupt-gradient"]) == 1

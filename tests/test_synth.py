@@ -125,8 +125,6 @@ class TestEvents:
         with pytest.raises(ValueError):
             SynthConfig(n_objects=0, n_frames=5)
         with pytest.raises(ValueError):
-            SynthConfig(n_objects=1, n_frames=1, shape_kinds=("cube",))
-        with pytest.raises(ValueError):
             SynthConfig(n_objects=1, n_frames=1, speed_range=(0.3, 0.1))
 
     def test_non_finite_arena_rejected(self):
