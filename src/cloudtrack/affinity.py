@@ -102,8 +102,6 @@ def compression_forward(
     eligible = np.ascontiguousarray(eligible, dtype=bool)
     if eligible.shape != (cp, cc):
         raise ValueError(f"eligible mask is {eligible.shape}, scores are {(cp, cc)}")
-    if not eligible.any():
-        return np.full((cp, cc), -np.inf)
     key = np.concatenate([prev.view(np.uint8), eligible.view(np.uint8)], axis=1)
     key = key.view(np.dtype((np.void, key.shape[1])))[:, 0]
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)

@@ -124,10 +124,6 @@ def solve_assignment(
     if not 0.0 <= birth_threshold <= 1.0:
         raise ValueError("birth_threshold must be in [0, 1]")
     cp, cc = s.shape[0], s.shape[1] - 1
-    if cp == 0 or cc == 0:
-        return AssignmentResult(
-            frozenset(), frozenset(range(cc)), frozenset(range(cp))
-        )
     real = s[:, :cc]
     gate = (real > s[:, cc:]) & (real > birth_threshold)
     benefit = np.where(gate, real, 0.0)

@@ -151,23 +151,22 @@ def build_parser() -> argparse.ArgumentParser:
     lc = subs.add_parser("losscheck", help="gradient and loss-identity verification")
     lc.add_argument("--trials", type=_positive_int, default=20)
     lc.add_argument("--seed", type=_nonneg_int, default=0)
-    lc.add_argument(
-        "--corrupt-gradient", action="store_true",
-        help="fault-injection hook: corrupt one gradient entry; must fail",
-    )
     lc.set_defaults(func=cmd_losscheck)
     return parser
 
 
-def cmd_synth(args) -> int:
-    events = tuple(args.leave) + tuple(args.enter)
-    cfg = SynthConfig(
+def _synth_config(args) -> SynthConfig:
+    return SynthConfig(
         n_objects=args.objects,
         n_frames=args.frames,
         seed=args.seed,
         points_per_object=args.points_per_object,
-        events=events,
+        events=tuple(args.leave) + tuple(args.enter),
     )
+
+
+def cmd_synth(args) -> int:
+    cfg = _synth_config(args)
     src = generate(cfg, args.out)
     if args.det_noise_sigma > 0.0 or args.fp_rate > 0.0 or args.fn_rate > 0.0:
         perturb(
@@ -224,9 +223,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_losscheck(args) -> int:
-    report = run_losscheck(
-        args.trials, seed=args.seed, corrupt_gradient=args.corrupt_gradient
-    )
+    report = run_losscheck(args.trials, seed=args.seed)
     for line in report.lines:
         print(line)
     return 0 if report.ok else 1
@@ -236,10 +233,17 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand == "synth" and args.conf_lo > args.conf_hi:
-            parser.error(
-                f"synth: --conf-lo {args.conf_lo} exceeds --conf-hi {args.conf_hi}"
-            )
+        if args.subcommand == "synth":
+            if args.conf_lo > args.conf_hi:
+                parser.error(
+                    f"synth: --conf-lo {args.conf_lo} exceeds --conf-hi {args.conf_hi}"
+                )
+            # an event outside the sequence is a usage error, caught
+            # before anything is written
+            try:
+                _synth_config(args)
+            except ValueError as exc:
+                parser.error(f"synth: {exc}")
     except SystemExit as exc:
         # argparse has already written the usage message to stderr
         return 2 if exc.code else 0

@@ -1,7 +1,7 @@
 """Value types for points, oriented boxes, detections, and frames.
 
 All types are immutable values built on numpy arrays; every operation here
-is pure, so instances are safe to share across threads.
+is pure.
 """
 
 from __future__ import annotations

@@ -172,14 +172,10 @@ def loss_gradients(
     d_a2 = np.zeros_like(a2)
 
     # forward and backward cross-entropy terms
-    s1 = gt.g1.sum()
-    if s1 > 0:
-        mask = gt.g1 > 0.5
-        d_a1[mask] += -1.0 / (4.0 * s1 * a1[mask])
-    s2 = gt.g2.sum()
-    if s2 > 0:
-        mask = gt.g2 > 0.5
-        d_a2[mask] += -1.0 / (4.0 * s2 * a2[mask])
+    mask = gt.g1 > 0.5
+    d_a1[mask] += -1.0 / (4.0 * gt.g1.sum() * a1[mask])
+    mask = gt.g2 > 0.5
+    d_a2[mask] += -1.0 / (4.0 * gt.g2.sum() * a2[mask])
 
     # consistency term, sign(0) = 0 at ties
     sgn = np.sign(a1t - a2t)
@@ -187,16 +183,14 @@ def loss_gradients(
     d_a2[:cp, :] += -sgn / 4.0
 
     # assemble term; at ties the backward matrix carries the gradient
-    s3 = gt.g3.sum()
-    if s3 > 0:
-        mask = gt.g3 > 0.5
-        best = np.maximum(a2t, a1t)
-        coef = np.zeros_like(a1t)
-        coef[mask] = -1.0 / (4.0 * s3 * best[mask])
-        forward_wins = mask & (a1t > a2t)
-        d_a1[:, :cc][forward_wins] += coef[forward_wins]
-        backward_wins = mask & ~(a1t > a2t)
-        d_a2[:cp, :][backward_wins] += coef[backward_wins]
+    mask = gt.g3 > 0.5
+    best = np.maximum(a2t, a1t)
+    coef = np.zeros_like(a1t)
+    coef[mask] = -1.0 / (4.0 * gt.g3.sum() * best[mask])
+    forward_wins = mask & (a1t > a2t)
+    d_a1[:, :cc][forward_wins] += coef[forward_wins]
+    backward_wins = mask & ~(a1t > a2t)
+    d_a2[:cp, :][backward_wins] += coef[backward_wins]
 
     # softmax backward: rows of a1, columns of a2
     inner = (a1 * d_a1).sum(axis=1, keepdims=True)

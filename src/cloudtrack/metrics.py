@@ -84,10 +84,8 @@ def _match_frame(gt_objs, pred_objs, last_match, radius):
     """Greedy continuations first, then gated minimum-distance assignment."""
     gt_ids = sorted(gt_objs)
     pred_ids = sorted(pred_objs)
-    if not gt_ids or not pred_ids:
-        return []
-    gt_xyz = np.array([gt_objs[gid] for gid in gt_ids])
-    pred_xyz = np.array([pred_objs[pid] for pid in pred_ids])
+    gt_xyz = np.array([gt_objs[gid] for gid in gt_ids]).reshape(-1, 3)
+    pred_xyz = np.array([pred_objs[pid] for pid in pred_ids]).reshape(-1, 3)
     dist = np.linalg.norm(gt_xyz[:, None, :] - pred_xyz[None, :, :], axis=2)
     column = {pid: b for b, pid in enumerate(pred_ids)}
     pairs = []
@@ -101,15 +99,14 @@ def _match_frame(gt_objs, pred_objs, last_match, radius):
         else:
             remaining_gt.append(a)
     remaining_pred = np.flatnonzero(~used)
-    if remaining_gt and len(remaining_pred):
-        cost = dist[np.ix_(remaining_gt, remaining_pred)]
-        cost[cost > radius] = _UNMATCHABLE
-        rows, cols = linear_sum_assignment(cost)
-        for a, b in zip(rows, cols):
-            if cost[a, b] <= radius:
-                pairs.append(
-                    (gt_ids[remaining_gt[a]], pred_ids[remaining_pred[b]], cost[a, b])
-                )
+    cost = dist[np.ix_(remaining_gt, remaining_pred)]
+    cost[cost > radius] = _UNMATCHABLE
+    rows, cols = linear_sum_assignment(cost)
+    for a, b in zip(rows, cols):
+        if cost[a, b] <= radius:
+            pairs.append(
+                (gt_ids[remaining_gt[a]], pred_ids[remaining_pred[b]], cost[a, b])
+            )
     return pairs
 
 

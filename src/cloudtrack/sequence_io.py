@@ -3,7 +3,7 @@
 A sequence directory looks like::
 
     <root>/
-      sequence.meta        # "frame_count=<n>" plus optional "name=<str>"
+      sequence.meta        # "frame_count=<n>"; other keys (name=...) are ignored
       frames/<i>.xyz       # raw little-endian float32 xyz triples
       detections/<i>.csv   # header: frame,conf,cx,cy,cz,l,w,h,yaw[,gt_id]
 
@@ -47,7 +47,6 @@ class SequenceSource:
 
     root: Path
     frame_count: int
-    name: str = ""
     config: IngestConfig = field(default_factory=IngestConfig)
 
     def point_path(self, index: int) -> Path:
@@ -64,7 +63,6 @@ def open_sequence(root, config: IngestConfig | None = None) -> SequenceSource:
     if not meta.is_file():
         raise FileNotFoundError(f"missing sequence meta file: {meta}")
     frame_count = None
-    name = ""
     for lineno, line in enumerate(meta.read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -77,11 +75,9 @@ def open_sequence(root, config: IngestConfig | None = None) -> SequenceSource:
                 frame_count = int(value)
             except ValueError:
                 raise ValueError(f"{meta}:{lineno}: bad frame_count {value!r}") from None
-        elif key == "name":
-            name = value
     if frame_count is None or frame_count < 0:
         raise ValueError(f"{meta}: missing or invalid frame_count")
-    src = SequenceSource(root, frame_count, name, config or IngestConfig())
+    src = SequenceSource(root, frame_count, config or IngestConfig())
     for i in range(frame_count):
         for path in (src.point_path(i), src.detection_path(i)):
             if not path.is_file():
@@ -96,7 +92,7 @@ def _parse_points(path: Path) -> np.ndarray:
             f"{path}: truncated point record at byte {len(data) - len(data) % 12}"
         )
     pts = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(-1, 3)
-    if pts.size and not np.isfinite(pts).all():
+    if not np.isfinite(pts).all():
         bad = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
         raise ValueError(f"{path}: non-finite coordinate in point {bad}")
     return pts
@@ -204,13 +200,13 @@ def write_detections(root, frame_index: int, detections, with_gt: bool = True) -
     path.write_text("\n".join(rows) + "\n")
 
 
-def write_frame(root, frame: Frame, with_gt: bool = True) -> None:
-    """Write one frame's point and detection files in canonical form."""
+def write_frame(root, frame: Frame) -> None:
+    """Write one frame's point and detection files, gt_id column included."""
     root = Path(root)
     (root / "frames").mkdir(parents=True, exist_ok=True)
     pts = frame.cloud.points.astype("<f4")
     (root / "frames" / f"{frame.index}.xyz").write_bytes(pts.tobytes())
-    write_detections(root, frame.index, frame.detections, with_gt)
+    write_detections(root, frame.index, frame.detections)
 
 
 def write_tracks_file(path, rows) -> None:

@@ -255,7 +255,7 @@ def generate(cfg: SynthConfig, out_dir) -> SequenceSource:
             PointCloud(pts.astype(np.float32).astype(np.float64)),
             tuple(detections),
         )
-        write_frame(root, frame, with_gt=True)
+        write_frame(root, frame)
     write_sequence_meta(root, cfg.n_frames, name=f"synth-{cfg.seed}")
     write_tracks_file(root / GT_TRACKS_NAME, gt_rows)
     return open_sequence(root)
@@ -271,6 +271,9 @@ def perturb(
     out_dir=None,
 ) -> SequenceSource:
     """Corrupt a sequence's detections; points and ground truth stay intact.
+
+    With out_dir, the whole sequence is copied there first and only the
+    copy's detections change.
 
     The random stream advances identically whatever the rates are, so
     raising one rate never reshuffles the noise drawn for another.  Each
@@ -290,13 +293,7 @@ def perturb(
 
     root = src.root if out_dir is None else Path(out_dir)
     if out_dir is not None:
-        (root / "frames").mkdir(parents=True, exist_ok=True)
-        for i in range(src.frame_count):
-            shutil.copyfile(src.point_path(i), root / "frames" / f"{i}.xyz")
-        shutil.copyfile(src.root / "sequence.meta", root / "sequence.meta")
-        gt = src.root / GT_TRACKS_NAME
-        if gt.is_file():
-            shutil.copyfile(gt, root / GT_TRACKS_NAME)
+        shutil.copytree(src.root, root, dirs_exist_ok=True)
 
     rng = np.random.default_rng(seed)
     for frame_index in range(src.frame_count):

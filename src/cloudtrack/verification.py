@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import normalize_pair
-from .losses import (
-    GroundTruthAssignment,
-    LossGradients,
-    build_gt,
-    loss_from_raw,
-    loss_gradients,
-)
+from .losses import GroundTruthAssignment, build_gt, loss_from_raw, loss_gradients
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -100,20 +94,17 @@ def identity_errors(gt: GroundTruthAssignment) -> tuple[float, float]:
 
 
 def fd_gradient_check(
-    m1: np.ndarray,
-    m2: np.ndarray,
-    gt: GroundTruthAssignment,
-    step: float = DEFAULT_STEP,
-    grads: LossGradients | None = None,
+    m1: np.ndarray, m2: np.ndarray, gt: GroundTruthAssignment
 ) -> float:
     """Worst relative error of the analytic gradient over every entry.
 
-    Checks each m1 and m2 entry independently, then the dummy score
-    (which moves the last column of m1 and last row of m2 together).
+    Central differences of step DEFAULT_STEP check each m1 and m2 entry
+    independently, then the dummy score (which moves the last column of
+    m1 and last row of m2 together).
     """
-    if grads is None:
-        grads = loss_gradients(*normalize_pair(m1, m2), gt)
+    grads = loss_gradients(*normalize_pair(m1, m2), gt)
     cp, cc = gt.g3.shape
+    step = DEFAULT_STEP
 
     def total(a, b):
         return loss_from_raw(a, b, gt).total
@@ -143,15 +134,12 @@ def fd_gradient_check(
     return worst
 
 
-def run_losscheck(
-    trials: int,
-    seed: int = 0,
-    max_count: int = 8,
-    tolerance: float = DEFAULT_TOLERANCE,
-    corrupt_gradient: bool = False,
-) -> LosscheckReport:
-    """Run the randomized gradient check; corrupt_gradient injects a fault
-    into the analytic gradient to prove the checker can fail."""
+def run_losscheck(trials: int, seed: int = 0) -> LosscheckReport:
+    """Run the randomized gradient check over trials random instances.
+
+    A trial passes when fd_gradient_check stays under DEFAULT_TOLERANCE
+    and both loss identities hold.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -159,15 +147,10 @@ def run_losscheck(
     failures = 0
     worst_overall = 0.0
     for trial in range(trials):
-        m1, m2, gt, _ = random_instance(rng, max_count)
-        grads = loss_gradients(*normalize_pair(m1, m2), gt)
-        if corrupt_gradient:
-            bad = grads.d_m1.copy()
-            bad[0, 0] += 0.05 * (1.0 + np.abs(bad).max())
-            grads = LossGradients(bad, grads.d_m2, grads.d_dummy)
-        worst = fd_gradient_check(m1, m2, gt, grads=grads)
+        m1, m2, gt, _ = random_instance(rng)
+        worst = fd_gradient_check(m1, m2, gt)
         sharp_err, uniform_err = identity_errors(gt)
-        ok = worst < tolerance and sharp_err < 1e-12 and uniform_err < 1e-9
+        ok = worst < DEFAULT_TOLERANCE and sharp_err < 1e-12 and uniform_err < 1e-9
         failures += 0 if ok else 1
         worst_overall = max(worst_overall, worst)
         lines.append(

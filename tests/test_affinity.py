@@ -69,6 +69,16 @@ class TestCompressionForward:
         net = tiny_net(rng)
         assert compression_forward(np.empty((0, 2)), np.ones((3, 2)), net).shape == (0, 3)
         assert compression_forward(np.ones((2, 2)), np.empty((0, 2)), net).shape == (2, 0)
+        # no eligible pair over non-empty sides: every cell scores -inf,
+        # so every previous object leaves and every current one enters
+        prev, cur = rng.normal(size=(2, 2)), rng.normal(size=(3, 2))
+        none = np.zeros((2, 3), dtype=bool)
+        m = compression_forward(prev, cur, net, eligible=none)
+        assert m.shape == (2, 3) and np.all(m == -np.inf)
+        a1, a2 = affinity_from_features(
+            FeatureSet(prev), FeatureSet(cur), net, 0.5, eligible=none
+        )
+        assert np.all(a1[:, 3] == 1.0) and np.all(a2[2, :] == 1.0)
 
     def test_prev_permutation_permutes_rows_bitwise(self):
         rng = np.random.default_rng(205)

