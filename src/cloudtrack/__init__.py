@@ -43,6 +43,7 @@ from .losses import (
     loss_breakdown,
     loss_from_raw,
     loss_gradients,
+    stack_gt,
 )
 from .metrics import (
     MotReport,
@@ -126,6 +127,7 @@ __all__ = [
     "loss_breakdown",
     "loss_from_raw",
     "loss_gradients",
+    "stack_gt",
     "open_sequence",
     "perturb",
     "pointnet_forward",

@@ -17,10 +17,14 @@ softmax of the cp x (cc+1) matrix M1 gives the forward association A1,
 column softmax of the (cp+1) x cc matrix M2 gives the backward
 association A2.  The pair (A1, A2) is the head's only output: the
 tracker fuses it into assignment scores and the loss reads it as is.
+The trainer normalizes a whole batch of frame pairs at once, as one
+stack padded to its largest pair (stack_masks); each pair's (A1, A2)
+is then its own call's (see normalize_pair).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,29 +118,77 @@ def compression_forward(
     return m[inverse]
 
 
-def _row_softmax(block: np.ndarray) -> np.ndarray:
-    shifted = block - block.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def stack_masks(sizes) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): the rows and columns each sample fills in a padded stack.
+
+    sizes holds each sample's (cp, cc).  The stack is as large as its
+    largest sample.  Each sample's block sits at the stack's bottom
+    right, against the dummy row and column, and padding fills the top
+    and the left: sample s fills the last cp of its previous-side rows
+    (rows[s]) and the last cc of its current-side columns (cols[s]).
+    """
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1, 2)
+    cp, cc = sizes.max(axis=0, initial=0).tolist()
+    # a slot is filled when its distance from the far edge is below the size
+    width = max(cp, cc)
+    filled = np.arange(width)[::-1] < sizes[:, :, None]
+    return filled[:, 0, width - cp:], filled[:, 1, width - cc:]
 
 
-def normalize_pair(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def own_row_sums(x: np.ndarray, sizes=None) -> np.ndarray:
+    """Each row of an A1-shaped array summed over its sample's own entries.
+
+    x is cp x (cc+1), or a stack of them with sizes (see normalize_pair);
+    without sizes, every entry is a row's own.  A row's own entries, its
+    sample's cc columns and the dummy column, are one run at the row's
+    end, and numpy sums a kept run as it sums that run alone (pairwise
+    from zero), so each sum keeps the bits of the sample's unpadded row
+    sum; the padding's zeros would regroup it.
+    """
+    keep = True
+    if sizes is not None:
+        cc = np.asarray(sizes, dtype=np.int64).reshape(-1, 1, 2)[..., 1:]
+        keep = np.arange(x.shape[-1])[::-1] <= cc
+    return x.sum(axis=-1, keepdims=True, where=keep)
+
+
+def _exp_shifted(block: np.ndarray) -> np.ndarray:
+    return np.exp(block - block.max(axis=-1, keepdims=True))
+
+
+def normalize_pair(
+    m1: np.ndarray, m2: np.ndarray, sizes=None
+) -> tuple[np.ndarray, np.ndarray]:
     """(A1, A2): row softmax of m1 and column softmax of m2.
 
     m1 is cp x (cc+1) with the dummy column last; m2 is (cp+1) x cc
-    with the dummy row last.
+    with the dummy row last.  A stack of samples adds a leading batch
+    axis: padded to its largest cp and cc as stack_masks lays out, with
+    the dummy column and row still last, -inf at every padded score, and
+    sizes giving each sample's (cp, cc).  Each sample's (A1, A2) is then
+    its own call's bit for bit, with zero at every padded score.  The
+    one exception is a sample with a single current object, whose lone
+    column numpy sums pairwise: stacked beside other columns or below
+    padding, its A2 may differ from its own call's in the last bit once
+    the column holds eight entries.
     """
     m1 = np.asarray(m1, dtype=np.float64)
     m2 = np.asarray(m2, dtype=np.float64)
-    if m1.ndim != 2 or m1.shape[1] < 1 or m2.shape != (
-        m1.shape[0] + 1, m1.shape[1] - 1
+    if m1.ndim not in (2, 3) or m1.shape[-1] < 1 or m2.shape != (
+        *m1.shape[:-2], m1.shape[-2] + 1, m1.shape[-1] - 1
     ):
         raise ValueError(f"augmented shapes mismatched: {m1.shape}, {m2.shape}")
-    return _row_softmax(m1), _row_softmax(m2.T).T
+    e1 = _exp_shifted(m1)
+    a1 = e1 / own_row_sums(e1, sizes)
+    # numpy sums a column of m2 in order down its rows, so the padded
+    # rows only add zeros
+    e2 = _exp_shifted(m2.swapaxes(-1, -2))
+    a2 = (e2 / e2.sum(axis=-1, keepdims=True)).swapaxes(-1, -2)
+    return a1, a2
 
 
 def augment_and_softmax(
-    m: np.ndarray, dummy_score: float
+    m: np.ndarray, dummy_score: float, sizes=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(A1, A2) of the cp x cc scores, augmented with the dummy score.
 
@@ -145,22 +197,24 @@ def augment_and_softmax(
     its last row the enter probability.  A -inf score marks a pair that
     may not link: it gets exactly zero in A1 and A2.  The finite dummy
     keeps every row and column of the softmax well defined.  NaN, +inf
-    and a non-finite dummy are errors.
+    and a non-finite dummy are errors.  A stack of samples, padded with
+    -inf, adds a leading batch axis and gives each sample's (cp, cc) as
+    sizes (see normalize_pair).
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"m must be 2-D, got {m.shape}")
-    if np.isnan(m).any() or np.isposinf(m).any() or not np.isfinite(dummy_score):
+    if m.ndim not in (2, 3):
+        raise ValueError(f"m must be 2-D or a stack of 2-D, got {m.shape}")
+    if not (m < np.inf).all() or not math.isfinite(dummy_score):
         raise ValueError("NaN or +inf affinity score, or non-finite dummy")
-    cp, cc = m.shape
+    *lead, cp, cc = m.shape
 
-    m1 = np.empty((cp, cc + 1))
-    m1[:, :cc] = m
-    m1[:, cc] = dummy_score
-    m2 = np.empty((cp + 1, cc))
-    m2[:cp, :] = m
-    m2[cp, :] = dummy_score
-    return normalize_pair(m1, m2)
+    m1 = np.empty((*lead, cp, cc + 1))
+    m1[..., :cc] = m
+    m1[..., cc] = dummy_score
+    m2 = np.empty((*lead, cp + 1, cc))
+    m2[..., :cp, :] = m
+    m2[..., cp, :] = dummy_score
+    return normalize_pair(m1, m2, sizes)
 
 
 def affinity_from_features(

@@ -27,7 +27,7 @@ from .association import (
 from .metrics import evaluate, read_center_tracks, report_json, report_table
 from .model import load_model
 from .sequence_io import DEFAULT_CONFIDENCE_THRESHOLD, IngestConfig, open_sequence
-from .synth import SynthConfig, generate, perturb
+from .synth import DEFAULT_ARENA, DEFAULT_SPEED_RANGE, SynthConfig, generate, perturb
 from .training import TrainConfig, train
 from .verification import run_losscheck
 
@@ -111,6 +111,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--enter", type=_enter_event, action="append", default=[],
         metavar="FRAME", help="introduce a new object at this frame",
     )
+    synth.add_argument(
+        "--arena", type=_positive_float, nargs=2, default=DEFAULT_ARENA,
+        metavar=("X", "Y"), help="arena half-extents in metres",
+    )
+    synth.add_argument(
+        "--speed-lo", type=_nonneg_float, default=DEFAULT_SPEED_RANGE[0],
+        help="slowest object speed, metres per frame",
+    )
+    synth.add_argument(
+        "--speed-hi", type=_nonneg_float, default=DEFAULT_SPEED_RANGE[1],
+        help="fastest object speed, metres per frame",
+    )
     synth.add_argument("--det-noise-sigma", type=_nonneg_float, default=0.0)
     synth.add_argument("--fp-rate", type=_rate, default=0.0)
     synth.add_argument("--fn-rate", type=_rate, default=0.0)
@@ -161,6 +173,8 @@ def _synth_config(args) -> SynthConfig:
         n_frames=args.frames,
         seed=args.seed,
         points_per_object=args.points_per_object,
+        speed_range=(args.speed_lo, args.speed_hi),
+        arena=tuple(args.arena),
         events=tuple(args.leave) + tuple(args.enter),
     )
 

@@ -24,6 +24,17 @@ respect to the raw matrices M1 and M2, and the shared dummy score,
 through the row and column softmax.  Ties in the consistency term use
 the sign(0) = 0 subgradient; ties in the assemble max route the
 gradient to the backward matrix.
+
+Both also take a stack of frame pairs, as the trainer hands them one
+batch: A1, A2 and the targets (stack_gt) gain a leading batch axis and
+are padded to the batch's largest cp and cc, each pair's block at the
+bottom right, against the dummy column and row (affinity.stack_masks).
+A padded score is -inf, so A1 and A2 are exactly 0 there, and a padded
+target is 0, so padding counts in no term and gets exactly zero
+gradient; the terms and d_dummy then hold one entry per pair.  Every
+sum runs over each pair's own entries alone, in the order its own call
+sums them, so each pair's terms and gradients are its own call's bit
+for bit (but see normalize_pair for a pair with one current object).
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import normalize_pair
+from .affinity import normalize_pair, own_row_sums, stack_masks
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,37 +53,68 @@ class GroundTruthAssignment:
     g3 is the cp x cc real-match matrix, at most one 1 in each row and
     each column.  g1 = [g3 | leave column] and g2 = [g3 ; enter row] are
     derived from it: every g1 row and every g2 column sums to exactly one.
+    A stack of frame pairs (stack_gt) adds a leading batch axis to all
+    three and gives each pair's (cp, cc) as sizes, padded as
+    affinity.stack_masks lays out; its padded rows and columns hold no
+    target at all.  real_rows and real_cols mark, with a leading batch
+    axis even for one pair, which rows and columns each pair fills.
     """
 
     g3: np.ndarray
+    sizes: np.ndarray | None = None
     g1: np.ndarray = field(init=False, repr=False)
     g2: np.ndarray = field(init=False, repr=False)
+    real_rows: np.ndarray = field(init=False, repr=False)
+    real_cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g3 = np.asarray(self.g3, dtype=np.float64)
-        if g3.ndim != 2:
-            raise ValueError(f"g3 must be 2-D, got {g3.shape}")
-        if not np.isin(g3, (0.0, 1.0)).all():
+        if self.sizes is None:
+            if g3.ndim != 2:
+                raise ValueError(f"g3 must be 2-D, got {g3.shape}")
+            sizes = g3.shape
+        else:
+            sizes = np.asarray(self.sizes, dtype=np.int64).reshape(-1, 2)
+            object.__setattr__(self, "sizes", sizes)
+        filled_rows, filled_cols = stack_masks(sizes)
+        stack = (len(filled_rows), filled_rows.shape[1], filled_cols.shape[1])
+        if self.sizes is not None and g3.shape != stack:
+            raise ValueError(f"stacked g3 {g3.shape} does not fit sizes")
+        if np.any(g3 * (1.0 - g3)):
             raise ValueError("g3 must be zero/one")
-        rows, cols = g3.sum(axis=1), g3.sum(axis=0)
-        if np.any(rows > 1.0):
-            raise ValueError("a g3 row has more than one match")
-        if np.any(cols > 1.0):
-            raise ValueError("a g3 column has more than one match")
+        # a real row or column holds at most one match, a padded one none
+        rows, cols = g3.sum(axis=-1), g3.sum(axis=-2)
+        real_rows = filled_rows.reshape(rows.shape)
+        real_cols = filled_cols.reshape(cols.shape)
+        if np.any(rows > real_rows):
+            raise ValueError(
+                "a g3 row has more than one match, or a padded one has any"
+            )
+        if np.any(cols > real_cols):
+            raise ValueError(
+                "a g3 column has more than one match, or a padded one has any"
+            )
+        leave, enter = real_rows - rows, real_cols - cols
+        g1 = np.concatenate([g3, leave[..., None]], axis=-1)
+        g2 = np.concatenate([g3, enter[..., None, :]], axis=-2)
         object.__setattr__(self, "g3", g3)
-        object.__setattr__(self, "g1", np.column_stack([g3, 1.0 - rows]))
-        object.__setattr__(self, "g2", np.vstack([g3, 1.0 - cols]))
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
+        object.__setattr__(self, "real_rows", filled_rows)
+        object.__setattr__(self, "real_cols", filled_cols)
 
 
 @dataclass(frozen=True)
 class LossBreakdown:
+    """The four loss terms; for a stack, each holds one entry per pair."""
+
     l_f: float
     l_b: float
     l_c: float
     l_a: float
 
     def __post_init__(self):
-        if any(p < 0 for p in (self.l_f, self.l_b, self.l_c, self.l_a)):
+        if np.any(np.array((self.l_f, self.l_b, self.l_c, self.l_a)) < 0):
             raise ValueError("loss terms must be non-negative")
 
     @property
@@ -82,7 +124,10 @@ class LossBreakdown:
 
 @dataclass(frozen=True, eq=False)
 class LossGradients:
-    """d(total)/dM1, d(total)/dM2, d(total)/d(dummy_score)."""
+    """d(total)/dM1, d(total)/dM2, d(total)/d(dummy_score).
+
+    For a stack, d_dummy holds one entry per pair.
+    """
 
     d_m1: np.ndarray
     d_m2: np.ndarray
@@ -110,48 +155,83 @@ def build_gt(prev_ids, cur_ids) -> GroundTruthAssignment:
     return GroundTruthAssignment(g3)
 
 
-def _gated_cross_entropy(g: np.ndarray, p: np.ndarray) -> float:
-    mask = g > 0.5
-    total = float(mask.sum())
-    if total == 0.0:
-        return 0.0
-    # a zero probability at a true cell honestly yields an infinite loss
-    with np.errstate(divide="ignore"):
-        return float(-np.log(p[mask]).sum() / total)
+def stack_gt(gts) -> GroundTruthAssignment:
+    """The targets of several frame pairs as one stack, padded with zeros."""
+    sizes = np.array([gt.g3.shape for gt in gts], dtype=np.int64).reshape(-1, 2)
+    rows, cols = stack_masks(sizes)
+    g3 = np.zeros((len(sizes), rows.shape[1], cols.shape[1]))
+    g3[rows[:, :, None] & cols[:, None, :]] = np.concatenate([gt.g3.ravel() for gt in gts])
+    return GroundTruthAssignment(g3, sizes)
 
 
-def _fitted(a1, a2, gt: GroundTruthAssignment) -> tuple[np.ndarray, np.ndarray]:
-    """a1 and a2 as float arrays, checked against the ground truth's shapes."""
+def _stacked(a1, a2, gt: GroundTruthAssignment):
+    """(a1, a2, g1, g2, g3), each with a leading batch axis, and the sizes.
+
+    a1 and a2 are checked against the ground truth's shapes.
+    """
     a1 = np.asarray(a1, dtype=np.float64)
     a2 = np.asarray(a2, dtype=np.float64)
-    cp, cc = gt.g3.shape
-    if a1.shape != (cp, cc + 1) or a2.shape != (cp + 1, cc):
+    if a1.shape != gt.g1.shape or a2.shape != gt.g2.shape:
         raise ValueError(
-            f"a1/a2 shapes {a1.shape}, {a2.shape} do not fit ground truth {(cp, cc)}"
+            f"a1/a2 shapes {a1.shape}, {a2.shape} do not fit ground truth {gt.g3.shape}"
         )
-    return a1, a2
+    if gt.sizes is None:
+        sizes = np.array([gt.g3.shape])
+        return a1[None], a2[None], gt.g1[None], gt.g2[None], gt.g3[None], sizes
+    return a1, a2, gt.g1, gt.g2, gt.g3, gt.sizes
+
+
+def _run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of each run of values, counts[k] long, as numpy sums it alone.
+
+    Each run goes to the end of a row of its own and is summed as a kept
+    run (see affinity.own_row_sums), which keeps every bit of a pair's
+    sums in any stack.
+    """
+    width = counts.max(initial=0)
+    keep = np.arange(width)[::-1] < counts[:, None]
+    rows = np.zeros(keep.shape)
+    rows[keep] = values
+    return rows.sum(axis=-1, where=keep)
 
 
 def loss_breakdown(
     a1: np.ndarray, a2: np.ndarray, gt: GroundTruthAssignment
 ) -> LossBreakdown:
-    """All four terms for one frame pair, from the head's (A1, A2)."""
-    a1, a2 = _fitted(a1, a2, gt)
-    cp, cc = gt.g3.shape
-    a1t, a2t = a1[:, :cc], a2[:cp, :]
-    return LossBreakdown(
-        _gated_cross_entropy(gt.g1, a1),
-        _gated_cross_entropy(gt.g2, a2),
-        float(np.abs(a1t - a2t).sum()),
-        _gated_cross_entropy(gt.g3, np.maximum(a2t, a1t)),
+    """All four terms for one frame pair, from the head's (A1, A2).
+
+    For a stack, each term holds one entry per pair, that pair's own.
+    """
+    a1, a2, g1, g2, g3, sizes = _stacked(a1, a2, gt)
+    cp, cc = g3.shape[-2:]
+    a1t, a2t = a1[..., :cc], a2[..., :cp, :]
+    matches = g3 > 0.5
+    # the cross-entropy terms' true cells: one per previous object, one
+    # per current object, one per match; a zero probability at a true
+    # cell honestly yields an infinite loss
+    true_cells = (a1[g1 > 0.5], a2[g2 > 0.5], np.maximum(a2t, a1t)[matches])
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.concatenate(true_cells))
+    cells = gt.real_rows[:, :, None] & gt.real_cols[:, None, :]
+    gaps = np.abs(a1t - a2t)[cells]
+    counts = np.stack([*sizes.T, matches.sum(axis=(1, 2)), sizes.prod(axis=1)])
+    sums = _run_sums(np.concatenate([logs, gaps]), counts.ravel()).reshape(counts.shape)
+    # a cross-entropy term is minus the mean log over its true cells, zero
+    # if there are none; the consistency term is the plain sum
+    ce = np.divide(
+        -sums[:3], counts[:3], out=np.zeros((3, len(sizes))), where=counts[:3] > 0
     )
+    terms = (ce[0], ce[1], sums[3], ce[2])
+    if gt.sizes is None:
+        terms = (float(t[0]) for t in terms)
+    return LossBreakdown(*terms)
 
 
 def loss_from_raw(
     m1: np.ndarray, m2: np.ndarray, gt: GroundTruthAssignment
 ) -> LossBreakdown:
     """Losses straight from raw augmented score matrices (gradient-check path)."""
-    return loss_breakdown(*normalize_pair(m1, m2), gt)
+    return loss_breakdown(*normalize_pair(m1, m2, gt.sizes), gt)
 
 
 def loss_gradients(
@@ -162,41 +242,42 @@ def loss_gradients(
     a1 and a2 are the row softmax of M1 and the column softmax of M2
     (the head's output, or normalize_pair's).  The dummy gradient sums
     over M1's last column and M2's last row, the slots that all hold the
-    one dummy score.
+    one dummy score.  For a stack, d_dummy holds one entry per pair, and
+    every padded cell of a pair with a finite gradient gets exactly zero.
     """
-    a1, a2 = _fitted(a1, a2, gt)
-    cp, cc = gt.g3.shape
-    a1t, a2t = a1[:, :cc], a2[:cp, :]
+    a1, a2, g1, g2, g3, sizes = _stacked(a1, a2, gt)
+    cp, cc = g3.shape[-2:]
+    a1t, a2t = a1[..., :cc], a2[..., :cp, :]
 
-    d_a1 = np.zeros_like(a1)
-    d_a2 = np.zeros_like(a2)
-
-    # forward and backward cross-entropy terms
-    mask = gt.g1 > 0.5
-    d_a1[mask] += -1.0 / (4.0 * gt.g1.sum() * a1[mask])
-    mask = gt.g2 > 0.5
-    d_a2[mask] += -1.0 / (4.0 * gt.g2.sum() * a2[mask])
+    # forward and backward cross-entropy terms, over each pair's previous
+    # and current objects
+    weight = 4.0 * sizes[:, :, None, None]
+    d_a1 = np.divide(-1.0, weight[:, 0] * a1, out=np.zeros_like(a1), where=g1 > 0.5)
+    d_a2 = np.divide(-1.0, weight[:, 1] * a2, out=np.zeros_like(a2), where=g2 > 0.5)
 
     # consistency term, sign(0) = 0 at ties
-    sgn = np.sign(a1t - a2t)
-    d_a1[:, :cc] += sgn / 4.0
-    d_a2[:cp, :] += -sgn / 4.0
+    quarter = np.sign(a1t - a2t) / 4.0
+    d_a1[..., :cc] += quarter
+    d_a2[..., :cp, :] -= quarter
 
-    # assemble term; at ties the backward matrix carries the gradient
-    mask = gt.g3 > 0.5
+    # assemble term, zero off the matches; at ties the backward matrix
+    # carries the gradient
+    weight = 4.0 * g3.sum(axis=(1, 2), keepdims=True)
     best = np.maximum(a2t, a1t)
-    coef = np.zeros_like(a1t)
-    coef[mask] = -1.0 / (4.0 * gt.g3.sum() * best[mask])
-    forward_wins = mask & (a1t > a2t)
-    d_a1[:, :cc][forward_wins] += coef[forward_wins]
-    backward_wins = mask & ~(a1t > a2t)
-    d_a2[:cp, :][backward_wins] += coef[backward_wins]
+    coef = np.divide(-1.0, weight * best, out=np.zeros_like(best), where=g3 > 0.5)
+    forward_wins = a1t > a2t
+    np.add(d_a1[..., :cc], coef, out=d_a1[..., :cc], where=forward_wins)
+    np.add(d_a2[..., :cp, :], coef, out=d_a2[..., :cp, :], where=~forward_wins)
 
     # softmax backward: rows of a1, columns of a2
-    inner = (a1 * d_a1).sum(axis=1, keepdims=True)
-    d_m1 = a1 * (d_a1 - inner)
-    inner = (a2 * d_a2).sum(axis=0, keepdims=True)
-    d_m2 = a2 * (d_a2 - inner)
+    d_m1 = a1 * (d_a1 - own_row_sums(a1 * d_a1, sizes))
+    d_m2 = a2 * (d_a2 - (a2 * d_a2).sum(axis=-2, keepdims=True))
 
-    d_dummy = float(d_m1[:, cc].sum() + d_m2[cp, :].sum())
-    return LossGradients(d_m1, d_m2, d_dummy)
+    # each pair's own dummy slots are a run at the end of M1's last
+    # column and of M2's last row (see own_row_sums)
+    d_dummy = d_m1[..., cc].sum(axis=-1, where=gt.real_rows) + d_m2[..., cp, :].sum(
+        axis=-1, where=gt.real_cols
+    )
+    if gt.sizes is not None:
+        return LossGradients(d_m1, d_m2, d_dummy)
+    return LossGradients(d_m1[0], d_m2[0], float(d_dummy[0]))

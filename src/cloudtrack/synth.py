@@ -43,6 +43,8 @@ _BASE_DIMS = np.array([2.4, 1.6, 1.4])
 _SHELL_MARGIN = 0.98  # keeps f32-rounded points strictly inside the box
 _POINT_STREAM_SALT = 0x5B_D1E9_95
 _LAYOUT_TRIES = 4000
+DEFAULT_SPEED_RANGE = (0.05, 0.2)  # metres per frame
+DEFAULT_ARENA = (30.0, 30.0)  # half-extents in x and y, metres
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,8 @@ class SynthConfig:
     n_frames: int
     seed: int = 0
     points_per_object: int = 200
-    speed_range: tuple = (0.05, 0.2)
-    arena: tuple = (30.0, 30.0)
+    speed_range: tuple = DEFAULT_SPEED_RANGE
+    arena: tuple = DEFAULT_ARENA
     events: tuple = ()
 
     def __post_init__(self):
@@ -63,8 +65,8 @@ class SynthConfig:
         if self.points_per_object < 1:
             raise ValueError("points_per_object must be >= 1")
         lo, hi = self.speed_range
-        if not 0.0 <= lo <= hi:
-            raise ValueError("speed_range must be 0 <= lo <= hi")
+        if not 0.0 <= lo <= hi < np.inf:
+            raise ValueError("speed_range must be 0 <= lo <= hi and finite")
         if not all(0.0 < a < np.inf for a in self.arena):
             raise ValueError("arena half-extents must be positive and finite")
         for event in self.events:

@@ -26,11 +26,14 @@ the end.  As in the tracker, the first layer projects features instead
 of acting on concatenated pairs: the batch's previous-frame features
 are stacked and projected through their half with one product, and so
 are its current-frame features.  Layers 2-5 see the whole batch in one
-forward and one backward pass.  The first layer's gradient is summed
-per feature row, so each half's update is one low-rank product of the
-stacked row sums with the stacked features, subtracted in place.  Each
-step reports the loss measured before its update, so a shrinking log
-means the updates help.
+forward and one backward pass, and so does the loss: the batch's
+scores are padded into one stack (affinity.stack_masks), and
+augment_and_softmax, loss_breakdown and loss_gradients each run once
+per step, with no loop over the pairs.  The first layer's gradient is
+summed per feature row, so each half's update is one low-rank product
+of the stacked row sums with the stacked features, subtracted in place.
+Each step reports the loss measured before its update, so a shrinking
+log means the updates help.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ from .losses import (
     build_gt,
     loss_breakdown,
     loss_gradients,
+    stack_gt,
 )
 from .model import AffinityModel, init_model, save_model
-from .nets import mlp_backward, mlp_forward_cached, relu
+from .nets import mlp_backward, mlp_forward_cached
 from .pointnet import FeatureSet, featurize_frame
 from .sequence_io import SequenceSource, format_float, load_admitted_frame
 
@@ -153,11 +157,15 @@ def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
     first layer is applied to each frame's features separately: pair
     (i, j) gets the hidden row relu(w_prev prev_i + w_cur cur_j + b1).
     The batch's previous-frame features are stacked into one matrix and
-    its current-frame features into another, and each stack is
-    projected with one product; a sample's hidden block is built from
-    its slices of the two projections.  The hidden rows of every pair
-    then go through layers 2-5 in one forward and one backward pass.
-    The score gradient is scaled by learning_rate / len(batch) before
+    its current-frame features into another, each stack is projected
+    with one product, and every pair's hidden row is gathered from the
+    two projections.  The hidden rows of every pair then go through
+    layers 2-5 in one forward and one backward pass.  Their scores are
+    padded into one stack as large as the batch's largest pair, -inf in
+    the padding (stack_gt pads the targets with zeros), and the loss and
+    its gradients come from one call each over the stack; each pair's
+    are its own call's, and the batch adds them in batch order.  The
+    score gradient is scaled by learning_rate / len(batch) before
     the backward pass, so every gradient it yields is already the step
     and each weight takes it with one in-place subtraction.  Back at the
     first layer, the gradient of pair (i, j) is dz_ij [prev_i; cur_j]^T,
@@ -170,46 +178,39 @@ def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
     if not batch:
         raise ValueError("batch must contain at least one pair")
     width = len(state.b1)
+    gt = stack_gt([s.gt for s in batch])
     prev_x = np.concatenate([s.prev.features for s in batch])
     cur_x = np.concatenate([s.cur.features for s in batch])
-    prev_splits = np.cumsum([s.prev.count for s in batch])[:-1]
-    cur_splits = np.cumsum([s.cur.count for s in batch])[:-1]
-    prev_h = np.split(prev_x @ state.w_prev.T, prev_splits)
-    cur_h = np.split(cur_x @ state.w_cur.T + state.b1, cur_splits)
-    hidden = np.concatenate([
-        relu(p[:, None, :] + c[None, :, :]).reshape(-1, width)
-        for p, c in zip(prev_h, cur_h)
-    ])
+    cells = gt.real_rows[:, :, None] & gt.real_cols[:, None, :]
+    # the stack's cell (k, i, j), in cell order, pairs the previous row i
+    # and the current row j of sample k, counted from the stack's far
+    # edges: sample k's last feature rows sit at cumsum(sizes)[k] - 1
+    which, i, j = np.nonzero(cells)
+    last = np.cumsum(gt.sizes, axis=0) - cells.shape[1:]
+    hidden = (prev_x @ state.w_prev.T)[last[which, 0] + i]
+    hidden += (cur_x @ state.w_cur.T + state.b1)[last[which, 1] + j]
+    np.maximum(hidden, 0.0, out=hidden)
     out, acts = mlp_forward_cached(hidden, state.rest)
     if not np.isfinite(out).all():
         raise RuntimeError("non-finite affinity score")
-    splits = np.cumsum([s.prev.count * s.cur.count for s in batch])[:-1]
-    sums = np.zeros(4)
-    d_scores = []
-    d_dummy = 0.0
-    for s, scores in zip(batch, np.split(out[:, 0], splits)):
-        cp, cc = s.prev.count, s.cur.count
-        a1, a2 = augment_and_softmax(scores.reshape(cp, cc), state.dummy_score)
-        losses = loss_breakdown(a1, a2, s.gt)
-        if not np.isfinite(losses.total):
-            raise RuntimeError("non-finite loss")
-        sums += (losses.l_f, losses.l_b, losses.l_c, losses.l_a)
-        grads = loss_gradients(a1, a2, s.gt)
-        d_scores.append((grads.d_m1[:, :cc] + grads.d_m2[:cp, :]).reshape(-1, 1))
-        d_dummy += grads.d_dummy
+    scores = np.full(cells.shape, -np.inf)
+    scores[cells] = out[:, 0]
+    a1, a2 = augment_and_softmax(scores, state.dummy_score, gt.sizes)
+    losses = loss_breakdown(a1, a2, gt)
+    if not np.isfinite(losses.total).all():
+        raise RuntimeError("non-finite loss")
+    grads = loss_gradients(a1, a2, gt)
     n = len(batch)
     lr = learning_rate
-    d_out = np.concatenate(d_scores) * (lr / n)
-    rest_steps, d_hidden = mlp_backward(acts, state.rest, d_out)
-    d_z = d_hidden * (hidden > 0.0)
-    blocks = [
-        dz.reshape(s.prev.count, s.cur.count, width)
-        for s, dz in zip(batch, np.split(d_z, splits))
-    ]
-    d_prev = np.concatenate([dz.sum(axis=1) for dz in blocks])
-    d_cur = np.concatenate([dz.sum(axis=0) for dz in blocks])
-    state.w_prev -= d_prev.T @ prev_x
-    state.w_cur -= d_cur.T @ cur_x
+    cp, cc = cells.shape[1:]
+    d_scores = (grads.d_m1[..., :cc] + grads.d_m2[..., :cp, :])[cells]
+    rest_steps, d_hidden = mlp_backward(acts, state.rest, d_scores[:, None] * (lr / n))
+    d_z = np.multiply(d_hidden, hidden > 0.0, out=d_hidden)
+    # per-row sums over each row's pairs, in pair order; padding adds zeros
+    d_pairs = np.zeros((*cells.shape, width))
+    d_pairs[cells] = d_z
+    state.w_prev -= d_pairs.sum(axis=2)[gt.real_rows].T @ prev_x
+    state.w_cur -= d_pairs.sum(axis=1)[gt.real_cols].T @ cur_x
     state.b1 -= d_z.sum(axis=0)
     for (W, b), (dW, db) in zip(state.rest, rest_steps):
         W -= dW
@@ -217,10 +218,15 @@ def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
     weights = (state.w_prev, state.w_cur, state.b1, *(a for wb in state.rest for a in wb))
     if not all(np.isfinite(a).all() for a in weights):
         raise RuntimeError("training diverged: non-finite weight") from None
+    # the samples' dummy gradients and loss terms are added from zero in
+    # batch order; like Python floats, the sums overflow without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_dummy = 0.0 + float(np.cumsum(grads.d_dummy)[-1])
+        sums = 0.0 + np.cumsum([losses.l_f, losses.l_b, losses.l_c, losses.l_a], axis=1)
     state.dummy_score = state.dummy_score - lr * d_dummy / n
     if not np.isfinite(state.dummy_score):
         raise RuntimeError("training diverged: non-finite dummy score") from None
-    return LossBreakdown(*(sums / n))
+    return LossBreakdown(*(sums[:, -1] / n).tolist())
 
 
 def training_pairs(src: SequenceSource, model: AffinityModel) -> tuple:

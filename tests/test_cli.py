@@ -108,6 +108,51 @@ class TestSynthCommand:
         assert "usage" in err and f"synth: {message}" in err
         assert not out.exists()
 
+    def test_arena_and_speed_flags(self, tmp_path):
+        # the defaults write the same bytes as no flags at all
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(synth_args(a)) == 0
+        defaults = ["--arena", "30", "30", "--speed-lo", "0.05", "--speed-hi", "0.2"]
+        assert run(synth_args(b, extra=defaults)) == 0
+        assert tree_bytes(a) == tree_bytes(b)
+        # objects at speed zero stay where they start
+        still = tmp_path / "still"
+        assert run(synth_args(still, extra=["--speed-lo", "0", "--speed-hi", "0"])) == 0
+        src = open_sequence(still)
+        first, last = load_frame(src, 0), load_frame(src, src.frame_count - 1)
+        centers = [
+            np.array([d.box.center for d in frame.detections]) for frame in (first, last)
+        ]
+        assert np.array_equal(*centers)
+
+    def test_crowded_layout_advice_can_be_followed(self, tmp_path, capsys):
+        # nine objects over 60 frames do not fit the default arena at this
+        # seed; a larger arena or slower objects make room
+        crowded = ["--objects", "9", "--frames", "60", "--seed", "1", "--points-per-object", "20"]
+        assert run(["synth", "--out", str(tmp_path / "c"), *crowded]) == 1
+        assert "enlarge the arena or slow the objects" in capsys.readouterr().err
+        assert run(["synth", "--out", str(tmp_path / "w"), *crowded, "--arena", "45", "45"]) == 0
+        assert run(["synth", "--out", str(tmp_path / "s"), *crowded, "--speed-hi", "0.1"]) == 0
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (("--arena", "nan", "30"), "--arena"),
+            (("--arena", "30", "inf"), "--arena"),
+            (("--arena", "0", "30"), "--arena"),
+            (("--speed-lo", "nan"), "--speed-lo"),
+            (("--speed-hi", "inf"), "--speed-hi"),
+            (("--speed-lo", "-0.1"), "--speed-lo"),
+            (("--speed-lo", "0.3", "--speed-hi", "0.1"), "speed_range"),
+        ],
+    )
+    def test_bad_arena_or_speed_is_usage_error(self, tmp_path, capsys, extra, flag):
+        out = tmp_path / "s"
+        assert run(synth_args(out, extra=extra)) == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and flag in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_noise_sigma_is_usage_error(self, tmp_path, capsys, sigma):
         out = tmp_path / "s"

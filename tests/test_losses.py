@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cloudtrack.affinity import augment_and_softmax, normalize_pair
+from cloudtrack.affinity import augment_and_softmax, normalize_pair, stack_masks
 from cloudtrack.losses import (
     GroundTruthAssignment,
     LossBreakdown,
@@ -13,8 +13,16 @@ from cloudtrack.losses import (
     loss_breakdown,
     loss_from_raw,
     loss_gradients,
+    stack_gt,
 )
-from cloudtrack.verification import fd_gradient_check, random_ids, random_instance
+from cloudtrack.verification import (
+    DEFAULT_STEP,
+    DEFAULT_TOLERANCE,
+    fd_gradient_check,
+    random_ids,
+    random_instance,
+    relative_error,
+)
 
 
 def random_gt(rng, n_prev, n_cur):
@@ -289,6 +297,183 @@ class TestGradients:
             assert fd_gradient_check(head_m1, head_m2, gt) < 1e-4
 
 
+def ragged_pairs():
+    """(scores, targets, dummy) of frame pairs of different sizes.
+
+    Among them: an empty previous side, an empty current side, a pair
+    with no label at all, one with gated -inf scores (off its true
+    cells), and one nine columns wide, whose A1 rows numpy sums pairwise.
+    """
+    rng = np.random.default_rng(330)
+    gated = rng.normal(size=(4, 3))
+    gated[3, :] = gated[0, 2] = gated[1, 0] = -np.inf
+    links = [
+        random_ids(rng, 3, 5),
+        ([], [1, 2, 3, 4]),
+        ([1, 2, 3, 4, 5], []),
+        ([None] * 4, [None] * 4),
+        ([1, 2, 3, 4], [3, 1, 9]),
+        random_ids(rng, 6, 9),
+    ]
+    gts = [build_gt(*ids) for ids in links]
+    ms = [rng.normal(size=gt.g3.shape) * 3.0 for gt in gts]
+    ms[4] = gated
+    return ms, gts, 0.3
+
+
+def stack_scores(ms):
+    """The pairs' scores as one stack, padded with -inf as stack_masks lays out."""
+    rows, cols = stack_masks([m.shape for m in ms])
+    stack = np.full((len(ms), rows.shape[1], cols.shape[1]), -np.inf)
+    stack[rows[:, :, None] & cols[:, None, :]] = np.concatenate([m.ravel() for m in ms])
+    return stack
+
+
+def own(x, k, shape):
+    """Pair k's own block of a stacked A1, A2, M1 or M2 (its bottom right)."""
+    rows, cols = shape
+    return x[k, x.shape[1] - rows:, x.shape[2] - cols:]
+
+
+class TestStacks:
+    """A stack of pairs gives each pair exactly its own call's results."""
+
+    def test_each_pair_gets_its_own_calls_results(self):
+        ms, gts, dummy = ragged_pairs()
+        gt = stack_gt(gts)
+        a1, a2 = augment_and_softmax(stack_scores(ms), dummy, gt.sizes)
+        assert a1.shape == (6, 6, 10) and a2.shape == (6, 7, 9)
+        losses = loss_breakdown(a1, a2, gt)
+        grads = loss_gradients(a1, a2, gt)
+        for k, (m, pair_gt) in enumerate(zip(ms, gts)):
+            cp, cc = m.shape
+            b1, b2 = augment_and_softmax(m, dummy)
+            assert np.array_equal(own(a1, k, (cp, cc + 1)), b1)
+            assert np.array_equal(own(a2, k, (cp + 1, cc)), b2)
+            # the terms keep every bit too, so a loss log does
+            single = loss_breakdown(b1, b2, pair_gt)
+            for stacked, alone in zip(
+                (losses.l_f, losses.l_b, losses.l_c, losses.l_a),
+                (single.l_f, single.l_b, single.l_c, single.l_a),
+            ):
+                assert stacked[k] == alone
+            g = loss_gradients(b1, b2, pair_gt)
+            assert np.array_equal(own(grads.d_m1, k, (cp, cc + 1)), g.d_m1)
+            assert np.array_equal(own(grads.d_m2, k, (cp + 1, cc)), g.d_m2)
+            assert grads.d_dummy[k] == g.d_dummy
+
+    def test_random_stacks_match_each_pairs_own_call(self):
+        # numpy sums a lone column (one current object) pairwise but a
+        # stack's columns in order, so only such a pair may differ from
+        # its own call, in the last bit of A2 and its gradients
+        rng = np.random.default_rng(332)
+        for _ in range(40):
+            sizes = rng.integers(0, 13, size=(int(rng.integers(1, 7)), 2))
+            gts = [build_gt(*random_ids(rng, cp, cc)) for cp, cc in sizes]
+            ms = [rng.normal(size=(cp, cc)) * rng.uniform(0.1, 20.0) for cp, cc in sizes]
+            dummy = float(rng.normal())
+            gt = stack_gt(gts)
+            a1, a2 = augment_and_softmax(stack_scores(ms), dummy, gt.sizes)
+            losses = loss_breakdown(a1, a2, gt)
+            grads = loss_gradients(a1, a2, gt)
+            for k, (m, pair_gt) in enumerate(zip(ms, gts)):
+                cp, cc = m.shape
+                b1, b2 = augment_and_softmax(m, dummy)
+                single = loss_breakdown(b1, b2, pair_gt)
+                g = loss_gradients(b1, b2, pair_gt)
+                got = (
+                    own(a1, k, (cp, cc + 1)), own(a2, k, (cp + 1, cc)),
+                    np.array([t[k] for t in (losses.l_f, losses.l_b, losses.l_c, losses.l_a)]),
+                    own(grads.d_m1, k, (cp, cc + 1)), own(grads.d_m2, k, (cp + 1, cc)),
+                    grads.d_dummy[k],
+                )
+                want = (
+                    b1, b2, np.array([single.l_f, single.l_b, single.l_c, single.l_a]),
+                    g.d_m1, g.d_m2, g.d_dummy,
+                )
+                for x, y in zip(got, want):
+                    if cc == 1:
+                        np.testing.assert_allclose(x, y, rtol=1e-13, atol=1e-15)
+                    else:
+                        assert np.array_equal(x, y)
+
+    def test_padding_is_zero_and_gets_zero_gradient(self):
+        ms, gts, dummy = ragged_pairs()
+        gt = stack_gt(gts)
+        a1, a2 = augment_and_softmax(stack_scores(ms), dummy, gt.sizes)
+        grads = loss_gradients(a1, a2, gt)
+
+        def outside(x, k, shape):
+            rest = x[k].copy()
+            rest[rest.shape[0] - shape[0]:, rest.shape[1] - shape[1]:] = 0.0
+            return rest
+
+        for k, m in enumerate(ms):
+            cp, cc = m.shape
+            for x in (gt.g1, grads.d_m1):
+                assert not outside(x, k, (cp, cc + 1)).any()
+            for x in (gt.g2, grads.d_m2):
+                assert not outside(x, k, (cp + 1, cc)).any()
+            # a padded row leaves for certain and a padded column enters
+            assert np.array_equal(outside(a1, k, (cp, cc + 1))[:, -1] > 0, ~gt.real_rows[k])
+            assert not outside(a1, k, (cp, cc + 1))[:, :-1].any()
+            assert np.array_equal(outside(a2, k, (cp + 1, cc))[-1] > 0, ~gt.real_cols[k])
+            assert not outside(a2, k, (cp + 1, cc))[:-1].any()
+
+    def test_stack_gradients_match_finite_differences(self):
+        # every pair's own cells of M1 and M2 and the shared dummy, through
+        # the stack; gated -inf cells stay gated
+        ms, gts, dummy = ragged_pairs()
+        gt = stack_gt(gts)
+        rows, cols = gt.real_rows, gt.real_cols
+        noise = np.random.default_rng(331).normal(size=(len(ms), 7, 10)) * 0.5
+        m1 = np.full(gt.g1.shape, -np.inf)
+        m1[..., -1] = dummy
+        m1[..., :-1][rows[:, :, None] & cols[:, None, :]] = stack_scores(ms)[
+            rows[:, :, None] & cols[:, None, :]
+        ]
+        m2 = np.full(gt.g2.shape, -np.inf)
+        m2[:, -1, :] = dummy
+        m2[:, :-1] = m1[..., :-1] + noise[:, :6, :9]
+        grads = loss_gradients(*normalize_pair(m1, m2, gt.sizes), gt)
+        h = DEFAULT_STEP
+
+        def totals(a, b):
+            return loss_from_raw(a, b, gt).total
+
+        worst = 0.0
+        checked = 0
+        for mat, d_mat, first in ((m1, grads.d_m1, True), (m2, grads.d_m2, False)):
+            for idx in zip(*np.nonzero(np.isfinite(mat))):
+                k = idx[0]
+                cp, cc = gt.sizes[k]
+                shape = (cp, cc + 1) if first else (cp + 1, cc)
+                if idx[1] < mat.shape[1] - shape[0] or idx[2] < mat.shape[2] - shape[1]:
+                    continue  # a padded row's or column's dummy slot
+                bumped = mat.copy()
+                bumped[idx] += h
+                hi = totals(bumped, m2) if first else totals(m1, bumped)
+                bumped[idx] -= 2 * h
+                lo = totals(bumped, m2) if first else totals(m1, bumped)
+                fd = (hi[k] - lo[k]) / (2 * h)
+                worst = max(worst, relative_error(float(d_mat[idx]), fd))
+                checked += 1
+        assert checked == sum(
+            cp * (cc + 1) + (cp + 1) * cc for cp, cc in gt.sizes
+        ) - 2 * 5  # the gated pair's five -inf cells, in M1 and M2
+
+        def with_dummy(value):
+            a, b = m1.copy(), m2.copy()
+            a[..., -1] = value
+            b[:, -1, :] = value
+            return totals(a, b)
+
+        fd = (with_dummy(dummy + h) - with_dummy(dummy - h)) / (2 * h)
+        for k in range(len(ms)):
+            worst = max(worst, relative_error(float(grads.d_dummy[k]), float(fd[k])))
+        assert worst < DEFAULT_TOLERANCE
+
+
 class TestGroundTruthType:
     def test_targets_derive_from_the_match_matrix(self):
         # over random identities, unlabeled ones and empty sides included,
@@ -334,3 +519,28 @@ class TestGroundTruthType:
                 GroundTruthAssignment(g3)
         with pytest.raises(ValueError, match="2-D"):
             GroundTruthAssignment(np.zeros(3))
+
+    def test_stacked_targets_pad_with_zeros(self):
+        # each pair's targets sit at the stack's bottom right, next to the
+        # leave column and the enter row; the padding holds no target
+        _, gts, _ = ragged_pairs()
+        gt = stack_gt(gts)
+        assert gt.g3.shape == (6, 6, 9)
+        for k, pair in enumerate(gts):
+            cp, cc = pair.g3.shape
+            assert np.array_equal(own(gt.g1, k, (cp, cc + 1)), pair.g1)
+            assert np.array_equal(own(gt.g2, k, (cp + 1, cc)), pair.g2)
+            assert gt.g1[k].sum() == cp and gt.g2[k].sum() == cc
+        # a match in a padded row or column is rejected
+        sizes = [(1, 2), (2, 2)]
+        g3 = np.zeros((2, 2, 2))
+        g3[0, 0, 1] = 1.0
+        with pytest.raises(ValueError, match="row"):
+            GroundTruthAssignment(g3, sizes)
+        g3 = np.zeros((2, 2, 2))
+        g3[0, 1, 0] = 1.0
+        GroundTruthAssignment(g3, sizes)
+        with pytest.raises(ValueError, match="column"):
+            GroundTruthAssignment(g3, [(1, 1), (2, 2)])
+        with pytest.raises(ValueError, match="does not fit"):
+            GroundTruthAssignment(np.zeros((2, 2, 2)), [(1, 1)])

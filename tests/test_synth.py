@@ -132,6 +132,11 @@ class TestEvents:
             with pytest.raises(ValueError, match="finite"):
                 SynthConfig(n_objects=1, n_frames=1, arena=arena)
 
+    def test_non_finite_speed_rejected(self):
+        for speeds in ((0.0, np.inf), (0.0, np.nan), (np.nan, 0.2), (np.inf, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                SynthConfig(n_objects=1, n_frames=1, speed_range=speeds)
+
 
 class TestPerturb:
     def test_zero_rates_change_nothing(self, small_scene, tmp_path):
