@@ -156,12 +156,29 @@ def build_gt(prev_ids, cur_ids) -> GroundTruthAssignment:
 
 
 def stack_gt(gts) -> GroundTruthAssignment:
-    """The targets of several frame pairs as one stack, padded with zeros."""
+    """The targets of several frame pairs as one stack, padded with zeros.
+
+    Each pair was checked when it was built, so the stack is laid out
+    from the pairs' own g1 and g2 and not checked again.  The pairs'
+    blocks, dummy column and row included, fill the stack's bottom right.
+    """
     sizes = np.array([gt.g3.shape for gt in gts], dtype=np.int64).reshape(-1, 2)
     rows, cols = stack_masks(sizes)
-    g3 = np.zeros((len(sizes), rows.shape[1], cols.shape[1]))
-    g3[rows[:, :, None] & cols[:, None, :]] = np.concatenate([gt.g3.ravel() for gt in gts])
-    return GroundTruthAssignment(g3, sizes)
+    dummy = np.ones((len(sizes), 1), dtype=bool)
+    targets = []
+    for name, r, c in (("g1", rows, np.hstack([cols, dummy])),
+                       ("g2", np.hstack([rows, dummy]), cols)):
+        stacked = np.zeros((len(sizes), r.shape[1], c.shape[1]))
+        stacked[r[:, :, None] & c[:, None, :]] = np.concatenate(
+            [getattr(gt, name).ravel() for gt in gts]
+        )
+        targets.append(stacked)
+    g1, g2 = targets
+    gt = object.__new__(GroundTruthAssignment)
+    fields = dict(g3=g2[:, :-1], sizes=sizes, g1=g1, g2=g2, real_rows=rows, real_cols=cols)
+    for name, value in fields.items():
+        object.__setattr__(gt, name, value)
+    return gt
 
 
 def _stacked(a1, a2, gt: GroundTruthAssignment):

@@ -66,7 +66,9 @@ def mlp_forward_cached(x: np.ndarray, layers: Layers):
     """Forward pass keeping each layer's input; returns (output, inputs)."""
     inputs = [x]
     for W, b in layers[:-1]:
-        x = relu(x @ W.T + b)
+        x = x @ W.T
+        x += b
+        np.maximum(x, 0.0, out=x)
         inputs.append(x)
     W, b = layers[-1]
     return x @ W.T + b, inputs
@@ -88,7 +90,7 @@ def mlp_backward(inputs, layers: Layers, d_out: np.ndarray):
         grads[k] = (dz.T @ a, dz.sum(axis=0))
         dz = dz @ W
         if k:
-            dz = dz * (a > 0.0)
+            np.multiply(dz, a > 0.0, out=dz)
     return tuple(grads), dz
 
 

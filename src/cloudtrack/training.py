@@ -114,6 +114,22 @@ class TrainState:
         self.b1 = b1.copy()
         self.rest = tuple((W.copy(), b.copy()) for W, b in model.compression.layers[1:])
         self.dummy_score = model.dummy_score
+        self.zeros = np.zeros(max(a.size for a in self.weights()))
+
+    def weights(self) -> tuple:
+        """Every array train_step descends."""
+        return (self.w_prev, self.w_cur, self.b1, *(a for wb in self.rest for a in wb))
+
+    def weights_finite(self) -> bool:
+        """Whether every weight is finite, by one dot with zeros per array.
+
+        A finite entry times zero is zero and a non-finite one is NaN,
+        which the dot's sum carries; this reads each array once and
+        builds no mask.
+        """
+        with np.errstate(invalid="ignore"):
+            dots = [a.ravel() @ self.zeros[: a.size] for a in self.weights()]
+        return not np.isnan(sum(dots))
 
     def model(self) -> AffinityModel:
         """The current weights as a model, sharing no array with the state.
@@ -205,6 +221,11 @@ def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
     cp, cc = cells.shape[1:]
     d_scores = (grads.d_m1[..., :cc] + grads.d_m2[..., :cp, :])[cells]
     rest_steps, d_hidden = mlp_backward(acts, state.rest, d_scores[:, None] * (lr / n))
+    # layers 2-5 take their steps while the steps are still in cache
+    for (W, b), (dW, db) in zip(state.rest, rest_steps):
+        W -= dW
+        b -= db
+    del rest_steps
     d_z = np.multiply(d_hidden, hidden > 0.0, out=d_hidden)
     # per-row sums over each row's pairs, in pair order; padding adds zeros
     d_pairs = np.zeros((*cells.shape, width))
@@ -212,11 +233,7 @@ def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
     state.w_prev -= d_pairs.sum(axis=2)[gt.real_rows].T @ prev_x
     state.w_cur -= d_pairs.sum(axis=1)[gt.real_cols].T @ cur_x
     state.b1 -= d_z.sum(axis=0)
-    for (W, b), (dW, db) in zip(state.rest, rest_steps):
-        W -= dW
-        b -= db
-    weights = (state.w_prev, state.w_cur, state.b1, *(a for wb in state.rest for a in wb))
-    if not all(np.isfinite(a).all() for a in weights):
+    if not state.weights_finite():
         raise RuntimeError("training diverged: non-finite weight") from None
     # the samples' dummy gradients and loss terms are added from zero in
     # batch order; like Python floats, the sums overflow without a warning

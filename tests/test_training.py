@@ -288,6 +288,23 @@ class TestTrainStep:
         assert str(caught.value) == "training diverged: non-finite weight"
         assert caught.value.__cause__ is None and caught.value.__suppress_context__
 
+    def test_weights_finite_finds_each_non_finite_entry(self):
+        model = init_model(
+            seed=36, pointnet_widths=(3, 4, 2), compression_widths=(4, 3, 3, 2, 2, 1)
+        )
+        state = TrainState(model, np.eye(2))
+        for a in state.weights():
+            a[...] = 1.7e308
+        assert state.weights_finite()
+        for a in state.weights():
+            for index in (0, a.size - 1):
+                for bad in (np.inf, -np.inf, np.nan):
+                    kept = a.flat[index]
+                    a.flat[index] = bad
+                    assert not state.weights_finite()
+                    a.flat[index] = kept
+        assert state.weights_finite()
+
     def test_overflowing_lift_raises_divergence(self):
         # every reduced weight is finite, but lifting them through a basis
         # whose rows sum past 1 overflows: a divergence, not a bad model
