@@ -36,6 +36,7 @@ from .geometry import (
     yaw_normalize,
 )
 from .losses import (
+    BatchTargets,
     GroundTruthAssignment,
     LossBreakdown,
     LossGradients,
@@ -128,6 +129,7 @@ __all__ = [
     "loss_from_raw",
     "loss_gradients",
     "stack_gt",
+    "BatchTargets",
     "open_sequence",
     "perturb",
     "pointnet_forward",

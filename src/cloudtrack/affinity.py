@@ -152,8 +152,13 @@ def own_row_sums(x: np.ndarray, sizes=None) -> np.ndarray:
     return x.sum(axis=-1, keepdims=True, where=keep)
 
 
-def _exp_shifted(block: np.ndarray) -> np.ndarray:
-    return np.exp(block - block.max(axis=-1, keepdims=True))
+def column_sums(x: np.ndarray) -> np.ndarray:
+    """The column sums of x, or of each array in a stack, added in row order.
+
+    numpy's sum adds a lone column pairwise but several in order, so a
+    pair's column sums would depend on the width of its stack.
+    """
+    return np.add.accumulate(x, axis=-2)[..., -1:, :]
 
 
 def normalize_pair(
@@ -166,11 +171,8 @@ def normalize_pair(
     axis: padded to its largest cp and cc as stack_masks lays out, with
     the dummy column and row still last, -inf at every padded score, and
     sizes giving each sample's (cp, cc).  Each sample's (A1, A2) is then
-    its own call's bit for bit, with zero at every padded score.  The
-    one exception is a sample with a single current object, whose lone
-    column numpy sums pairwise: stacked beside other columns or below
-    padding, its A2 may differ from its own call's in the last bit once
-    the column holds eight entries.
+    its own call's bit for bit, with zero at every padded score: a
+    column's padded rows only add zeros to its in-order sum.
     """
     m1 = np.asarray(m1, dtype=np.float64)
     m2 = np.asarray(m2, dtype=np.float64)
@@ -178,13 +180,9 @@ def normalize_pair(
         *m1.shape[:-2], m1.shape[-2] + 1, m1.shape[-1] - 1
     ):
         raise ValueError(f"augmented shapes mismatched: {m1.shape}, {m2.shape}")
-    e1 = _exp_shifted(m1)
-    a1 = e1 / own_row_sums(e1, sizes)
-    # numpy sums a column of m2 in order down its rows, so the padded
-    # rows only add zeros
-    e2 = _exp_shifted(m2.swapaxes(-1, -2))
-    a2 = (e2 / e2.sum(axis=-1, keepdims=True)).swapaxes(-1, -2)
-    return a1, a2
+    e1 = np.exp(m1 - m1.max(axis=-1, keepdims=True))
+    e2 = np.exp(m2 - m2.max(axis=-2, keepdims=True))
+    return e1 / own_row_sums(e1, sizes), e2 / column_sums(e2)
 
 
 def augment_and_softmax(

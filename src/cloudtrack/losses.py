@@ -34,7 +34,7 @@ target is 0, so padding counts in no term and gets exactly zero
 gradient; the terms and d_dummy then hold one entry per pair.  Every
 sum runs over each pair's own entries alone, in the order its own call
 sums them, so each pair's terms and gradients are its own call's bit
-for bit (but see normalize_pair for a pair with one current object).
+for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import normalize_pair, own_row_sums, stack_masks
+from .affinity import column_sums, normalize_pair, own_row_sums, stack_masks
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,55 +53,52 @@ class GroundTruthAssignment:
     g3 is the cp x cc real-match matrix, at most one 1 in each row and
     each column.  g1 = [g3 | leave column] and g2 = [g3 ; enter row] are
     derived from it: every g1 row and every g2 column sums to exactly one.
-    A stack of frame pairs (stack_gt) adds a leading batch axis to all
-    three and gives each pair's (cp, cc) as sizes, padded as
-    affinity.stack_masks lays out; its padded rows and columns hold no
-    target at all.  real_rows and real_cols mark, with a leading batch
-    axis even for one pair, which rows and columns each pair fills.
     """
 
     g3: np.ndarray
-    sizes: np.ndarray | None = None
     g1: np.ndarray = field(init=False, repr=False)
     g2: np.ndarray = field(init=False, repr=False)
-    real_rows: np.ndarray = field(init=False, repr=False)
-    real_cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g3 = np.asarray(self.g3, dtype=np.float64)
-        if self.sizes is None:
-            if g3.ndim != 2:
-                raise ValueError(f"g3 must be 2-D, got {g3.shape}")
-            sizes = g3.shape
-        else:
-            sizes = np.asarray(self.sizes, dtype=np.int64).reshape(-1, 2)
-            object.__setattr__(self, "sizes", sizes)
-        filled_rows, filled_cols = stack_masks(sizes)
-        stack = (len(filled_rows), filled_rows.shape[1], filled_cols.shape[1])
-        if self.sizes is not None and g3.shape != stack:
-            raise ValueError(f"stacked g3 {g3.shape} does not fit sizes")
+        if g3.ndim != 2:
+            raise ValueError(f"g3 must be 2-D, got {g3.shape}")
         if np.any(g3 * (1.0 - g3)):
             raise ValueError("g3 must be zero/one")
-        # a real row or column holds at most one match, a padded one none
-        rows, cols = g3.sum(axis=-1), g3.sum(axis=-2)
-        real_rows = filled_rows.reshape(rows.shape)
-        real_cols = filled_cols.reshape(cols.shape)
-        if np.any(rows > real_rows):
-            raise ValueError(
-                "a g3 row has more than one match, or a padded one has any"
-            )
-        if np.any(cols > real_cols):
-            raise ValueError(
-                "a g3 column has more than one match, or a padded one has any"
-            )
-        leave, enter = real_rows - rows, real_cols - cols
-        g1 = np.concatenate([g3, leave[..., None]], axis=-1)
-        g2 = np.concatenate([g3, enter[..., None, :]], axis=-2)
+        leave, enter = 1.0 - g3.sum(axis=1), 1.0 - g3.sum(axis=0)
+        if np.any(leave < 0):
+            raise ValueError("a g3 row has more than one match")
+        if np.any(enter < 0):
+            raise ValueError("a g3 column has more than one match")
         object.__setattr__(self, "g3", g3)
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
-        object.__setattr__(self, "real_rows", filled_rows)
-        object.__setattr__(self, "real_cols", filled_cols)
+        object.__setattr__(self, "g1", np.column_stack([g3, leave]))
+        object.__setattr__(self, "g2", np.vstack([g3, enter]))
+
+
+@dataclass(frozen=True, eq=False)
+class BatchTargets:
+    """The targets of a batch of frame pairs, as one padded stack (stack_gt).
+
+    g1 and g2 stack the pairs' own with a leading batch axis, padded to
+    the batch's largest cp and cc as affinity.stack_masks lays out, and
+    zero in the padding.  sizes holds each pair's (cp, cc); real_rows and
+    real_cols mark the rows and columns each pair fills.
+    """
+
+    g1: np.ndarray
+    g2: np.ndarray
+    sizes: np.ndarray
+    real_rows: np.ndarray
+    real_cols: np.ndarray
+
+    @property
+    def g3(self) -> np.ndarray:
+        return self.g2[:, :-1]
+
+    @property
+    def cells(self) -> np.ndarray:
+        """The score cells (pair, row, column) each pair fills."""
+        return self.real_rows[:, :, None] & self.real_cols[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -155,7 +152,7 @@ def build_gt(prev_ids, cur_ids) -> GroundTruthAssignment:
     return GroundTruthAssignment(g3)
 
 
-def stack_gt(gts) -> GroundTruthAssignment:
+def stack_gt(gts) -> BatchTargets:
     """The targets of several frame pairs as one stack, padded with zeros.
 
     Each pair was checked when it was built, so the stack is laid out
@@ -173,18 +170,14 @@ def stack_gt(gts) -> GroundTruthAssignment:
             [getattr(gt, name).ravel() for gt in gts]
         )
         targets.append(stacked)
-    g1, g2 = targets
-    gt = object.__new__(GroundTruthAssignment)
-    fields = dict(g3=g2[:, :-1], sizes=sizes, g1=g1, g2=g2, real_rows=rows, real_cols=cols)
-    for name, value in fields.items():
-        object.__setattr__(gt, name, value)
-    return gt
+    return BatchTargets(*targets, sizes, rows, cols)
 
 
-def _stacked(a1, a2, gt: GroundTruthAssignment):
-    """(a1, a2, g1, g2, g3), each with a leading batch axis, and the sizes.
+def _stacked(a1, a2, gt: GroundTruthAssignment | BatchTargets):
+    """(a1, a2, targets), a1 and a2 checked against the targets' shapes.
 
-    a1 and a2 are checked against the ground truth's shapes.
+    A single pair becomes a stack of one: views with a leading batch
+    axis, and every row and column real.
     """
     a1 = np.asarray(a1, dtype=np.float64)
     a2 = np.asarray(a2, dtype=np.float64)
@@ -192,10 +185,14 @@ def _stacked(a1, a2, gt: GroundTruthAssignment):
         raise ValueError(
             f"a1/a2 shapes {a1.shape}, {a2.shape} do not fit ground truth {gt.g3.shape}"
         )
-    if gt.sizes is None:
-        sizes = np.array([gt.g3.shape])
-        return a1[None], a2[None], gt.g1[None], gt.g2[None], gt.g3[None], sizes
-    return a1, a2, gt.g1, gt.g2, gt.g3, gt.sizes
+    if isinstance(gt, BatchTargets):
+        return a1, a2, gt
+    cp, cc = gt.g3.shape
+    one = BatchTargets(
+        gt.g1[None], gt.g2[None], np.array([[cp, cc]]),
+        np.ones((1, cp), dtype=bool), np.ones((1, cc), dtype=bool),
+    )
+    return a1[None], a2[None], one
 
 
 def _run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -213,13 +210,14 @@ def _run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def loss_breakdown(
-    a1: np.ndarray, a2: np.ndarray, gt: GroundTruthAssignment
+    a1: np.ndarray, a2: np.ndarray, gt: GroundTruthAssignment | BatchTargets
 ) -> LossBreakdown:
     """All four terms for one frame pair, from the head's (A1, A2).
 
     For a stack, each term holds one entry per pair, that pair's own.
     """
-    a1, a2, g1, g2, g3, sizes = _stacked(a1, a2, gt)
+    a1, a2, stack = _stacked(a1, a2, gt)
+    g1, g2, g3, sizes = stack.g1, stack.g2, stack.g3, stack.sizes
     cp, cc = g3.shape[-2:]
     a1t, a2t = a1[..., :cc], a2[..., :cp, :]
     matches = g3 > 0.5
@@ -229,8 +227,7 @@ def loss_breakdown(
     true_cells = (a1[g1 > 0.5], a2[g2 > 0.5], np.maximum(a2t, a1t)[matches])
     with np.errstate(divide="ignore"):
         logs = np.log(np.concatenate(true_cells))
-    cells = gt.real_rows[:, :, None] & gt.real_cols[:, None, :]
-    gaps = np.abs(a1t - a2t)[cells]
+    gaps = np.abs(a1t - a2t)[stack.cells]
     counts = np.stack([*sizes.T, matches.sum(axis=(1, 2)), sizes.prod(axis=1)])
     sums = _run_sums(np.concatenate([logs, gaps]), counts.ravel()).reshape(counts.shape)
     # a cross-entropy term is minus the mean log over its true cells, zero
@@ -239,20 +236,21 @@ def loss_breakdown(
         -sums[:3], counts[:3], out=np.zeros((3, len(sizes))), where=counts[:3] > 0
     )
     terms = (ce[0], ce[1], sums[3], ce[2])
-    if gt.sizes is None:
+    if stack is not gt:
         terms = (float(t[0]) for t in terms)
     return LossBreakdown(*terms)
 
 
 def loss_from_raw(
-    m1: np.ndarray, m2: np.ndarray, gt: GroundTruthAssignment
+    m1: np.ndarray, m2: np.ndarray, gt: GroundTruthAssignment | BatchTargets
 ) -> LossBreakdown:
     """Losses straight from raw augmented score matrices (gradient-check path)."""
-    return loss_breakdown(*normalize_pair(m1, m2, gt.sizes), gt)
+    sizes = gt.sizes if isinstance(gt, BatchTargets) else None
+    return loss_breakdown(*normalize_pair(m1, m2, sizes), gt)
 
 
 def loss_gradients(
-    a1: np.ndarray, a2: np.ndarray, gt: GroundTruthAssignment
+    a1: np.ndarray, a2: np.ndarray, gt: GroundTruthAssignment | BatchTargets
 ) -> LossGradients:
     """Analytic d(total)/dM1, d(total)/dM2 and the dummy-score gradient.
 
@@ -262,7 +260,8 @@ def loss_gradients(
     one dummy score.  For a stack, d_dummy holds one entry per pair, and
     every padded cell of a pair with a finite gradient gets exactly zero.
     """
-    a1, a2, g1, g2, g3, sizes = _stacked(a1, a2, gt)
+    a1, a2, stack = _stacked(a1, a2, gt)
+    g1, g2, g3, sizes = stack.g1, stack.g2, stack.g3, stack.sizes
     cp, cc = g3.shape[-2:]
     a1t, a2t = a1[..., :cc], a2[..., :cp, :]
 
@@ -288,13 +287,13 @@ def loss_gradients(
 
     # softmax backward: rows of a1, columns of a2
     d_m1 = a1 * (d_a1 - own_row_sums(a1 * d_a1, sizes))
-    d_m2 = a2 * (d_a2 - (a2 * d_a2).sum(axis=-2, keepdims=True))
+    d_m2 = a2 * (d_a2 - column_sums(a2 * d_a2))
 
     # each pair's own dummy slots are a run at the end of M1's last
     # column and of M2's last row (see own_row_sums)
-    d_dummy = d_m1[..., cc].sum(axis=-1, where=gt.real_rows) + d_m2[..., cp, :].sum(
-        axis=-1, where=gt.real_cols
+    d_dummy = d_m1[..., cc].sum(axis=-1, where=stack.real_rows) + d_m2[..., cp, :].sum(
+        axis=-1, where=stack.real_cols
     )
-    if gt.sizes is not None:
+    if stack is gt:
         return LossGradients(d_m1, d_m2, d_dummy)
     return LossGradients(d_m1[0], d_m2[0], float(d_dummy[0]))

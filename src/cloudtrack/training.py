@@ -197,7 +197,7 @@ def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
     gt = stack_gt([s.gt for s in batch])
     prev_x = np.concatenate([s.prev.features for s in batch])
     cur_x = np.concatenate([s.cur.features for s in batch])
-    cells = gt.real_rows[:, :, None] & gt.real_cols[:, None, :]
+    cells = gt.cells
     # the stack's cell (k, i, j), in cell order, pairs the previous row i
     # and the current row j of sample k, counted from the stack's far
     # edges: sample k's last feature rows sit at cumsum(sizes)[k] - 1

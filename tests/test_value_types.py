@@ -5,7 +5,7 @@ import pytest
 
 from cloudtrack.cropping import ObjectPoints
 from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
-from cloudtrack.losses import GroundTruthAssignment, LossGradients
+from cloudtrack.losses import GroundTruthAssignment, LossGradients, stack_gt
 from cloudtrack.model import init_model
 from cloudtrack.pointnet import FeatureSet
 
@@ -24,6 +24,7 @@ MAKERS = {
     "Frame": lambda: Frame(0, PointCloud(np.ones((2, 3))), (Detection(box(), 0.9),)),
     "ObjectPoints": lambda: ObjectPoints(np.ones((2, 3))),
     "GroundTruthAssignment": lambda: GroundTruthAssignment(np.eye(2)),
+    "BatchTargets": lambda: stack_gt([GroundTruthAssignment(np.eye(2))]),
     "FeatureSet": lambda: FeatureSet(np.ones((2, 4))),
     "PointNetWeights": lambda: init_model(0, **SMALL_MODEL).pointnet,
     "CompressionNet": lambda: init_model(0, **SMALL_MODEL).compression,
