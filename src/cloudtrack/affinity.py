@@ -17,9 +17,12 @@ softmax of the cp x (cc+1) matrix M1 gives the forward association A1,
 column softmax of the (cp+1) x cc matrix M2 gives the backward
 association A2.  The pair (A1, A2) is the head's only output: the
 tracker fuses it into assignment scores and the loss reads it as is.
+Both softmaxes add their sums in index order (row_sums, column_sums),
+where numpy's sum picks pairwise or in-order adds by the array's shape.
 The trainer normalizes a whole batch of frame pairs at once, as one
-stack padded to its largest pair (stack_masks); each pair's (A1, A2)
-is then its own call's (see normalize_pair).
+stack padded at the top and the left to its largest pair, so the
+padding's zeros come first in each sum and each pair's (A1, A2) is its
+own call's (see normalize_pair).
 """
 
 from __future__ import annotations
@@ -118,61 +121,27 @@ def compression_forward(
     return m[inverse]
 
 
-def stack_masks(sizes) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols): the rows and columns each sample fills in a padded stack.
-
-    sizes holds each sample's (cp, cc).  The stack is as large as its
-    largest sample.  Each sample's block sits at the stack's bottom
-    right, against the dummy row and column, and padding fills the top
-    and the left: sample s fills the last cp of its previous-side rows
-    (rows[s]) and the last cc of its current-side columns (cols[s]).
-    """
-    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1, 2)
-    cp, cc = sizes.max(axis=0, initial=0).tolist()
-    # a slot is filled when its distance from the far edge is below the size
-    width = max(cp, cc)
-    filled = np.arange(width)[::-1] < sizes[:, :, None]
-    return filled[:, 0, width - cp:], filled[:, 1, width - cc:]
-
-
-def own_row_sums(x: np.ndarray, sizes=None) -> np.ndarray:
-    """Each row of an A1-shaped array summed over its sample's own entries.
-
-    x is cp x (cc+1), or a stack of them with sizes (see normalize_pair);
-    without sizes, every entry is a row's own.  A row's own entries, its
-    sample's cc columns and the dummy column, are one run at the row's
-    end, and numpy sums a kept run as it sums that run alone (pairwise
-    from zero), so each sum keeps the bits of the sample's unpadded row
-    sum; the padding's zeros would regroup it.
-    """
-    keep = True
-    if sizes is not None:
-        cc = np.asarray(sizes, dtype=np.int64).reshape(-1, 1, 2)[..., 1:]
-        keep = np.arange(x.shape[-1])[::-1] <= cc
-    return x.sum(axis=-1, keepdims=True, where=keep)
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """The row sums of x, or of each array in a stack, added in column order."""
+    return np.add.accumulate(x, axis=-1)[..., -1:]
 
 
 def column_sums(x: np.ndarray) -> np.ndarray:
-    """The column sums of x, or of each array in a stack, added in row order.
-
-    numpy's sum adds a lone column pairwise but several in order, so a
-    pair's column sums would depend on the width of its stack.
-    """
+    """The column sums of x, or of each array in a stack, added in row order."""
     return np.add.accumulate(x, axis=-2)[..., -1:, :]
 
 
-def normalize_pair(
-    m1: np.ndarray, m2: np.ndarray, sizes=None
-) -> tuple[np.ndarray, np.ndarray]:
+def normalize_pair(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A1, A2): row softmax of m1 and column softmax of m2.
 
     m1 is cp x (cc+1) with the dummy column last; m2 is (cp+1) x cc
     with the dummy row last.  A stack of samples adds a leading batch
-    axis: padded to its largest cp and cc as stack_masks lays out, with
-    the dummy column and row still last, -inf at every padded score, and
-    sizes giving each sample's (cp, cc).  Each sample's (A1, A2) is then
-    its own call's bit for bit, with zero at every padded score: a
-    column's padded rows only add zeros to its in-order sum.
+    axis: each sample padded at the top and the left to the stack's
+    largest cp and cc, with the dummy column and row still last and
+    -inf at every padded score.  A padded score's exponential is exactly
+    zero and comes before the sample's own in every in-order sum, so
+    each sample's (A1, A2) is its own call's bit for bit, with zero at
+    every padded score.
     """
     m1 = np.asarray(m1, dtype=np.float64)
     m2 = np.asarray(m2, dtype=np.float64)
@@ -182,11 +151,11 @@ def normalize_pair(
         raise ValueError(f"augmented shapes mismatched: {m1.shape}, {m2.shape}")
     e1 = np.exp(m1 - m1.max(axis=-1, keepdims=True))
     e2 = np.exp(m2 - m2.max(axis=-2, keepdims=True))
-    return e1 / own_row_sums(e1, sizes), e2 / column_sums(e2)
+    return e1 / row_sums(e1), e2 / column_sums(e2)
 
 
 def augment_and_softmax(
-    m: np.ndarray, dummy_score: float, sizes=None
+    m: np.ndarray, dummy_score: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(A1, A2) of the cp x cc scores, augmented with the dummy score.
 
@@ -196,8 +165,7 @@ def augment_and_softmax(
     may not link: it gets exactly zero in A1 and A2.  The finite dummy
     keeps every row and column of the softmax well defined.  NaN, +inf
     and a non-finite dummy are errors.  A stack of samples, padded with
-    -inf, adds a leading batch axis and gives each sample's (cp, cc) as
-    sizes (see normalize_pair).
+    -inf, adds a leading batch axis (see normalize_pair).
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim not in (2, 3):
@@ -212,7 +180,7 @@ def augment_and_softmax(
     m2 = np.empty((*lead, cp + 1, cc))
     m2[..., :cp, :] = m
     m2[..., cp, :] = dummy_score
-    return normalize_pair(m1, m2, sizes)
+    return normalize_pair(m1, m2)
 
 
 def affinity_from_features(

@@ -28,13 +28,12 @@ gradient to the backward matrix.
 Both also take a stack of frame pairs, as the trainer hands them one
 batch: A1, A2 and the targets (stack_gt) gain a leading batch axis and
 are padded to the batch's largest cp and cc, each pair's block at the
-bottom right, against the dummy column and row (affinity.stack_masks).
-A padded score is -inf, so A1 and A2 are exactly 0 there, and a padded
-target is 0, so padding counts in no term and gets exactly zero
-gradient; the terms and d_dummy then hold one entry per pair.  Every
-sum runs over each pair's own entries alone, in the order its own call
-sums them, so each pair's terms and gradients are its own call's bit
-for bit.
+bottom right, against the dummy column and row (stack_masks).  A padded
+score is -inf, so A1 and A2 are exactly 0 there, and a padded target is
+0, so padding counts in no term and gets exactly zero gradient; the
+terms and d_dummy then hold one entry per pair.  Every sum adds in index
+order, and the padding adds only exact zeros to a pair's sums, so each
+pair's terms and gradients are its own call's bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import column_sums, normalize_pair, own_row_sums, stack_masks
+from .affinity import column_sums, normalize_pair, row_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +79,7 @@ class BatchTargets:
     """The targets of a batch of frame pairs, as one padded stack (stack_gt).
 
     g1 and g2 stack the pairs' own with a leading batch axis, padded to
-    the batch's largest cp and cc as affinity.stack_masks lays out, and
+    the batch's largest cp and cc as stack_masks lays out, and
     zero in the padding.  sizes holds each pair's (cp, cc); real_rows and
     real_cols mark the rows and columns each pair fills.
     """
@@ -152,6 +151,23 @@ def build_gt(prev_ids, cur_ids) -> GroundTruthAssignment:
     return GroundTruthAssignment(g3)
 
 
+def stack_masks(sizes) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): the rows and columns each sample fills in a padded stack.
+
+    sizes holds each sample's (cp, cc).  The stack is as large as its
+    largest sample.  Each sample's block sits at the stack's bottom
+    right, against the dummy row and column, and padding fills the top
+    and the left: sample s fills the last cp of its previous-side rows
+    (rows[s]) and the last cc of its current-side columns (cols[s]).
+    """
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1, 2)
+    cp, cc = sizes.max(axis=0, initial=0).tolist()
+    # a slot is filled when its distance from the far edge is below the size
+    width = max(cp, cc)
+    filled = np.arange(width)[::-1] < sizes[:, :, None]
+    return filled[:, 0, width - cp:], filled[:, 1, width - cc:]
+
+
 def stack_gt(gts) -> BatchTargets:
     """The targets of several frame pairs as one stack, padded with zeros.
 
@@ -173,40 +189,22 @@ def stack_gt(gts) -> BatchTargets:
     return BatchTargets(*targets, sizes, rows, cols)
 
 
-def _stacked(a1, a2, gt: GroundTruthAssignment | BatchTargets):
-    """(a1, a2, targets), a1 and a2 checked against the targets' shapes.
-
-    A single pair becomes a stack of one: views with a leading batch
-    axis, and every row and column real.
-    """
+def _checked(a1, a2, gt: GroundTruthAssignment | BatchTargets):
+    """(a1, a2) as float arrays, checked against the targets' shapes."""
     a1 = np.asarray(a1, dtype=np.float64)
     a2 = np.asarray(a2, dtype=np.float64)
     if a1.shape != gt.g1.shape or a2.shape != gt.g2.shape:
         raise ValueError(
             f"a1/a2 shapes {a1.shape}, {a2.shape} do not fit ground truth {gt.g3.shape}"
         )
-    if isinstance(gt, BatchTargets):
-        return a1, a2, gt
-    cp, cc = gt.g3.shape
-    one = BatchTargets(
-        gt.g1[None], gt.g2[None], np.array([[cp, cc]]),
-        np.ones((1, cp), dtype=bool), np.ones((1, cc), dtype=bool),
-    )
-    return a1[None], a2[None], one
+    return a1, a2
 
 
-def _run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The sum of each run of values, counts[k] long, as numpy sums it alone.
-
-    Each run goes to the end of a row of its own and is summed as a kept
-    run (see affinity.own_row_sums), which keeps every bit of a pair's
-    sums in any stack.
-    """
-    width = counts.max(initial=0)
-    keep = np.arange(width)[::-1] < counts[:, None]
-    rows = np.zeros(keep.shape)
-    rows[keep] = values
-    return rows.sum(axis=-1, where=keep)
+def _ordered_sums(x: np.ndarray) -> np.ndarray:
+    """x summed over its last axis in index order, zero where that axis is empty."""
+    if not x.shape[-1]:
+        return x.sum(axis=-1)
+    return np.add.accumulate(x, axis=-1).take(-1, axis=-1)
 
 
 def loss_breakdown(
@@ -216,37 +214,35 @@ def loss_breakdown(
 
     For a stack, each term holds one entry per pair, that pair's own.
     """
-    a1, a2, stack = _stacked(a1, a2, gt)
-    g1, g2, g3, sizes = stack.g1, stack.g2, stack.g3, stack.sizes
+    a1, a2 = _checked(a1, a2, gt)
+    g1, g2, g3 = gt.g1, gt.g2, gt.g3
     cp, cc = g3.shape[-2:]
     a1t, a2t = a1[..., :cc], a2[..., :cp, :]
-    matches = g3 > 0.5
     # the cross-entropy terms' true cells: one per previous object, one
     # per current object, one per match; a zero probability at a true
     # cell honestly yields an infinite loss
-    true_cells = (a1[g1 > 0.5], a2[g2 > 0.5], np.maximum(a2t, a1t)[matches])
     with np.errstate(divide="ignore"):
-        logs = np.log(np.concatenate(true_cells))
-    gaps = np.abs(a1t - a2t)[stack.cells]
-    counts = np.stack([*sizes.T, matches.sum(axis=(1, 2)), sizes.prod(axis=1)])
-    sums = _run_sums(np.concatenate([logs, gaps]), counts.ravel()).reshape(counts.shape)
+        logs = [
+            np.log(a, out=np.zeros_like(a), where=g > 0.5)
+            for a, g in ((a1, g1), (a2, g2), (np.maximum(a2t, a1t), g3))
+        ]
+    sums = [
+        _ordered_sums(x.reshape(*x.shape[:-2], -1)) for x in (*logs, np.abs(a1t - a2t))
+    ]
     # a cross-entropy term is minus the mean log over its true cells, zero
     # if there are none; the consistency term is the plain sum
-    ce = np.divide(
-        -sums[:3], counts[:3], out=np.zeros((3, len(sizes))), where=counts[:3] > 0
+    l_f, l_b, l_a = (
+        -total / np.maximum(g.sum(axis=(-2, -1)), 1.0)
+        for total, g in zip(sums, (g1, g2, g3))
     )
-    terms = (ce[0], ce[1], sums[3], ce[2])
-    if stack is not gt:
-        terms = (float(t[0]) for t in terms)
-    return LossBreakdown(*terms)
+    return LossBreakdown(l_f, l_b, sums[3], l_a)
 
 
 def loss_from_raw(
     m1: np.ndarray, m2: np.ndarray, gt: GroundTruthAssignment | BatchTargets
 ) -> LossBreakdown:
     """Losses straight from raw augmented score matrices (gradient-check path)."""
-    sizes = gt.sizes if isinstance(gt, BatchTargets) else None
-    return loss_breakdown(*normalize_pair(m1, m2, sizes), gt)
+    return loss_breakdown(*normalize_pair(m1, m2), gt)
 
 
 def loss_gradients(
@@ -260,16 +256,20 @@ def loss_gradients(
     one dummy score.  For a stack, d_dummy holds one entry per pair, and
     every padded cell of a pair with a finite gradient gets exactly zero.
     """
-    a1, a2, stack = _stacked(a1, a2, gt)
-    g1, g2, g3, sizes = stack.g1, stack.g2, stack.g3, stack.sizes
+    a1, a2 = _checked(a1, a2, gt)
+    g1, g2, g3 = gt.g1, gt.g2, gt.g3
     cp, cc = g3.shape[-2:]
     a1t, a2t = a1[..., :cc], a2[..., :cp, :]
 
     # forward and backward cross-entropy terms, over each pair's previous
     # and current objects
-    weight = 4.0 * sizes[:, :, None, None]
-    d_a1 = np.divide(-1.0, weight[:, 0] * a1, out=np.zeros_like(a1), where=g1 > 0.5)
-    d_a2 = np.divide(-1.0, weight[:, 1] * a2, out=np.zeros_like(a2), where=g2 > 0.5)
+    d_a1, d_a2 = (
+        np.divide(
+            -1.0, 4.0 * g.sum(axis=(-2, -1), keepdims=True) * a,
+            out=np.zeros_like(a), where=g > 0.5,
+        )
+        for a, g in ((a1, g1), (a2, g2))
+    )
 
     # consistency term, sign(0) = 0 at ties
     quarter = np.sign(a1t - a2t) / 4.0
@@ -278,7 +278,7 @@ def loss_gradients(
 
     # assemble term, zero off the matches; at ties the backward matrix
     # carries the gradient
-    weight = 4.0 * g3.sum(axis=(1, 2), keepdims=True)
+    weight = 4.0 * g3.sum(axis=(-2, -1), keepdims=True)
     best = np.maximum(a2t, a1t)
     coef = np.divide(-1.0, weight * best, out=np.zeros_like(best), where=g3 > 0.5)
     forward_wins = a1t > a2t
@@ -286,14 +286,8 @@ def loss_gradients(
     np.add(d_a2[..., :cp, :], coef, out=d_a2[..., :cp, :], where=~forward_wins)
 
     # softmax backward: rows of a1, columns of a2
-    d_m1 = a1 * (d_a1 - own_row_sums(a1 * d_a1, sizes))
+    d_m1 = a1 * (d_a1 - row_sums(a1 * d_a1))
     d_m2 = a2 * (d_a2 - column_sums(a2 * d_a2))
 
-    # each pair's own dummy slots are a run at the end of M1's last
-    # column and of M2's last row (see own_row_sums)
-    d_dummy = d_m1[..., cc].sum(axis=-1, where=stack.real_rows) + d_m2[..., cp, :].sum(
-        axis=-1, where=stack.real_cols
-    )
-    if stack is gt:
-        return LossGradients(d_m1, d_m2, d_dummy)
-    return LossGradients(d_m1[0], d_m2[0], float(d_dummy[0]))
+    d_dummy = _ordered_sums(np.concatenate([d_m1[..., cc], d_m2[..., cp, :]], axis=-1))
+    return LossGradients(d_m1, d_m2, d_dummy)

@@ -74,9 +74,11 @@ def open_sequence(root, config: IngestConfig | None = None) -> SequenceSource:
             try:
                 frame_count = int(value)
             except ValueError:
-                raise ValueError(f"{meta}:{lineno}: bad frame_count {value!r}") from None
-    if frame_count is None or frame_count < 0:
-        raise ValueError(f"{meta}: missing or invalid frame_count")
+                frame_count = -1
+            if frame_count < 0:
+                raise ValueError(f"{meta}:{lineno}: bad frame_count {value!r}")
+    if frame_count is None:
+        raise ValueError(f"{meta}: missing frame_count")
     src = SequenceSource(root, frame_count, config or IngestConfig())
     for i in range(frame_count):
         for path in (src.point_path(i), src.detection_path(i)):

@@ -27,11 +27,13 @@ of acting on concatenated pairs: the batch's previous-frame features
 are stacked and projected through their half with one product, and so
 are its current-frame features.  Layers 2-5 see the whole batch in one
 forward and one backward pass, and so does the loss: the batch's
-scores are padded into one stack (affinity.stack_masks), and
+scores are padded into one stack (losses.stack_masks), and
 augment_and_softmax, loss_breakdown and loss_gradients each run once
-per step, with no loop over the pairs.  The first layer's gradient is
-summed per feature row, so each half's update is one low-rank product
-of the stacked row sums with the stacked features, subtracted in place.
+per step, with no loop over the pairs.  Their sums add in index order,
+and the padding adds only zeros, so each pair's loss and gradients are
+its own call's.  The first layer's gradient is summed per feature row,
+so each half's update is one low-rank product of the stacked row sums
+with the stacked features, subtracted in place.
 Each step reports the loss measured before its update, so a shrinking
 log means the updates help.
 """
@@ -211,7 +213,7 @@ def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
         raise RuntimeError("non-finite affinity score")
     scores = np.full(cells.shape, -np.inf)
     scores[cells] = out[:, 0]
-    a1, a2 = augment_and_softmax(scores, state.dummy_score, gt.sizes)
+    a1, a2 = augment_and_softmax(scores, state.dummy_score)
     losses = loss_breakdown(a1, a2, gt)
     if not np.isfinite(losses.total).all():
         raise RuntimeError("non-finite loss")

@@ -343,15 +343,17 @@ class TestTrackCommand:
     def test_bad_frame_count_names_meta_file(self, tmp_path, capsys):
         seq = tmp_path / "seq"
         seq.mkdir()
-        (seq / "sequence.meta").write_text("frame_count=two\n")
         weights = tmp_path / "w.bin"
         save_model(init_model(seed=0), weights)
-        code = run([
-            "track", "--seq", str(seq), "--weights", str(weights),
-            "--out", str(tmp_path / "t.csv"),
-        ])
-        assert code == 1
-        assert f"{seq / 'sequence.meta'}:1: bad frame_count 'two'" in capsys.readouterr().err
+        for value in ("two", "-3"):
+            (seq / "sequence.meta").write_text(f"frame_count={value}\n")
+            code = run([
+                "track", "--seq", str(seq), "--weights", str(weights),
+                "--out", str(tmp_path / "t.csv"),
+            ])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"{seq / 'sequence.meta'}:1: bad frame_count {value!r}" in err
 
     def test_missing_weights_is_runtime_error(self, tiny_pipeline, tmp_path, capsys):
         seq, _, _ = tiny_pipeline

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cloudtrack.affinity import augment_and_softmax, normalize_pair, stack_masks
+from cloudtrack.affinity import augment_and_softmax, normalize_pair
 from cloudtrack.losses import (
     GroundTruthAssignment,
     LossBreakdown,
@@ -14,6 +14,7 @@ from cloudtrack.losses import (
     loss_from_raw,
     loss_gradients,
     stack_gt,
+    stack_masks,
 )
 from cloudtrack.verification import (
     DEFAULT_STEP,
@@ -341,7 +342,7 @@ def assert_each_pair_gets_its_own_calls_results(ms, gts, dummy):
     A1, A2, the four terms, both gradients and d_dummy must keep every bit.
     """
     gt = stack_gt(gts)
-    a1, a2 = augment_and_softmax(stack_scores(ms), dummy, gt.sizes)
+    a1, a2 = augment_and_softmax(stack_scores(ms), dummy)
     losses = loss_breakdown(a1, a2, gt)
     grads = loss_gradients(a1, a2, gt)
     for k, (m, pair_gt) in enumerate(zip(ms, gts)):
@@ -372,9 +373,13 @@ class TestStacks:
         assert a1.shape == (6, 6, 10) and a2.shape == (6, 7, 9)
 
     def test_random_stacks_match_each_pairs_own_call(self):
+        # up to 40 wide, where numpy's pairwise sums and in-order sums
+        # differ, and one pair wider than numpy's 128-entry pairwise block
         rng = np.random.default_rng(332)
-        for _ in range(40):
-            sizes = rng.integers(0, 13, size=(int(rng.integers(1, 7)), 2))
+        for trial in range(40):
+            sizes = rng.integers(0, 41, size=(int(rng.integers(1, 7)), 2))
+            if trial == 0:
+                sizes = np.vstack([sizes, [[6, 150]]])
             gts = [build_gt(*random_ids(rng, cp, cc)) for cp, cc in sizes]
             ms = [rng.normal(size=(cp, cc)) * rng.uniform(0.1, 20.0) for cp, cc in sizes]
             assert_each_pair_gets_its_own_calls_results(ms, gts, float(rng.normal()))
@@ -392,7 +397,7 @@ class TestStacks:
     def test_padding_is_zero_and_gets_zero_gradient(self):
         ms, gts, dummy = ragged_pairs()
         gt = stack_gt(gts)
-        a1, a2 = augment_and_softmax(stack_scores(ms), dummy, gt.sizes)
+        a1, a2 = augment_and_softmax(stack_scores(ms), dummy)
         grads = loss_gradients(a1, a2, gt)
 
         def outside(x, k, shape):
@@ -424,7 +429,7 @@ class TestStacks:
         m2 = np.full(gt.g2.shape, -np.inf)
         m2[:, -1, :] = dummy
         m2[:, :-1] = m1[..., :-1] + noise[:, :6, :9]
-        grads = loss_gradients(*normalize_pair(m1, m2, gt.sizes), gt)
+        grads = loss_gradients(*normalize_pair(m1, m2), gt)
         h = DEFAULT_STEP
 
         def totals(a, b):

@@ -255,7 +255,12 @@ class TestRoundTrip:
 
     def test_non_integer_frame_count_reports_line(self, tmp_path):
         meta = tmp_path / "sequence.meta"
-        meta.write_text("name=val-07\nframe_count=two\n")
+        for value in ("two", "-3"):
+            meta.write_text(f"name=val-07\nframe_count={value}\n")
+            with pytest.raises(ValueError) as info:
+                open_sequence(tmp_path)
+            assert str(info.value) == f"{meta}:2: bad frame_count {value!r}"
+        meta.write_text("name=val-07\n")
         with pytest.raises(ValueError) as info:
             open_sequence(tmp_path)
-        assert str(info.value) == f"{meta}:2: bad frame_count 'two'"
+        assert str(info.value) == f"{meta}: missing frame_count"
