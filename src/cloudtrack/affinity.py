@@ -10,7 +10,9 @@ stack's first layer acts on the concatenated pair [a; b], but it is
 linear, so W1 [a; b] + b1 = W1[:, :D] a + (W1[:, D:] b + b1): each
 frame's features are projected once, the 2D-wide concatenated cell is
 never built, and the eligible pairs run through the stack as one batch
-in a canonical previous-row order (see compression_forward).  M is
+with both frames' rows in a canonical order (see compression_forward).
+The stack runs in float32, the type of its weights and of the feature
+rows; M is float64, and so is everything after it.  M is
 augmented with a learned dummy score (an extra column for objects
 that leave, an extra row for objects that enter) and normalized: row
 softmax of the cp x (cc+1) matrix M1 gives the forward association A1,
@@ -32,7 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import Layers, layer_widths, mlp_forward, relu, validate_layers
+from .nets import (
+    Layers,
+    distinct_rows,
+    layer_widths,
+    mlp_forward,
+    relu,
+    validate_layers,
+)
 from .pointnet import FeatureSet
 
 DEFAULT_COMPRESSION_WIDTHS = (1024, 512, 256, 128, 64, 1)
@@ -41,7 +50,12 @@ COMPRESSION_LAYER_COUNT = 5
 
 @dataclass(frozen=True, eq=False)
 class CompressionNet:
-    """Five pointwise layers mapping a feature pair to one raw affinity score."""
+    """Five pointwise layers mapping a feature pair to one raw affinity score.
+
+    layers is cast once to float32, the type the head runs in, and
+    validated after the cast: a weight that overflows float32 is refused
+    here, not when a pair is scored.
+    """
 
     layers: Layers
 
@@ -83,19 +97,29 @@ def compression_forward(
 ) -> np.ndarray:
     """Score the (previous row, current row) feature pairs; cp x cc.
 
+    prev and cur are float32 rows, as FeatureSet holds them (other types
+    are rounded to float32), and the net runs in float32; M is float64.
     eligible is a cp x cc boolean mask (default: every pair).  Only
     eligible cells run through the net, all in one batch; the others
-    score -inf.  As the featurizer orders points, the batch orders the
-    previous rows canonically: by the bytes of the feature row, then of
-    its mask row, one entry per distinct key.  Any permutation of the
-    previous rows and their mask rows thus gives the matrix products the
-    same inputs and permutes M's rows bitwise.  The mask is in the key
-    because equal features can carry different masks (every empty crop
-    has the zero feature); keyed on features alone, those rows' input
-    order would move their cells within the batch.
+    score -inf.  As the featurizer orders points, the batch orders both
+    sides canonically: the previous rows by the bytes of the feature row,
+    then of its mask row, and the current rows by the bytes of the
+    feature row, then of its mask column in that previous order, one
+    entry per distinct key.  Any permutation of the previous rows and of
+    the current rows, with the mask's rows and columns, thus gives the
+    matrix products the same inputs and permutes M's rows and columns
+    bitwise, whatever kernels BLAS picks for a product of a few rows.
+    The mask is in the key because equal features can carry different
+    masks (every empty crop has the zero feature); keyed on features
+    alone, those rows' input order would move their cells within the
+    batch.  A cell's score does depend on the batch it runs in, as BLAS
+    rounds a row differently in products of other sizes: measured at the
+    default widths over batches of 1 to 9 cells, a cell's own one-cell
+    call differed from its batched score in the last bits for 1260 of
+    1350 cells.  The two agree to float32 rounding.
     """
-    prev = np.ascontiguousarray(prev, dtype=np.float64)
-    cur = np.asarray(cur, dtype=np.float64)
+    prev = np.asarray(prev, dtype=np.float32)
+    cur = np.asarray(cur, dtype=np.float32)
     if prev.ndim != 2 or cur.ndim != 2:
         raise ValueError(f"features must be 2-D, got {prev.shape} and {cur.shape}")
     d = prev.shape[1]
@@ -106,19 +130,20 @@ def compression_forward(
     cp, cc = len(prev), len(cur)
     if eligible is None:
         eligible = np.ones((cp, cc), dtype=bool)
-    eligible = np.ascontiguousarray(eligible, dtype=bool)
+    eligible = np.asarray(eligible, dtype=bool)
     if eligible.shape != (cp, cc):
         raise ValueError(f"eligible mask is {eligible.shape}, scores are {(cp, cc)}")
-    key = np.concatenate([prev.view(np.uint8), eligible.view(np.uint8)], axis=1)
-    key = key.view(np.dtype((np.void, key.shape[1])))[:, 0]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    rows, cols = np.nonzero(eligible[first])
+    first_p, inverse_p = distinct_rows(prev, eligible)
+    first_c, inverse_c = distinct_rows(cur, eligible[first_p].T)
+    rows, cols = np.nonzero(eligible[np.ix_(first_p, first_c)])
     w1, b1 = net.layers[0]
     p, c = first_layer_halves(w1)
-    hidden = relu((prev[first] @ w1[:, p].T)[rows] + (cur @ w1[:, c].T + b1)[cols])
-    m = np.full((len(first), cc), -np.inf)
+    hidden = relu(
+        (prev[first_p] @ w1[:, p].T)[rows] + (cur[first_c] @ w1[:, c].T + b1)[cols]
+    )
+    m = np.full((len(first_p), len(first_c)), -np.inf)
     m[rows, cols] = mlp_forward(hidden, net.layers[1:])[:, 0]
-    return m[inverse]
+    return m[np.ix_(inverse_p, inverse_c)]
 
 
 def row_sums(x: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 One file holds two sections back to back: the point-feature MLP (magic
 ``PNW1``) and the compression net (magic ``CMP1``), followed by a single
 f32 dummy score.  Sections use the layer
-codec from nets.py; everything is little-endian f32, so a save/load
-cycle of a freshly initialized model is bit-exact.
+codec from nets.py; everything is little-endian f32, the type both
+networks hold, so a save/load cycle is bit-exact and loading reads the
+weights in place.
 """
 
 from __future__ import annotations
@@ -68,19 +69,27 @@ def save_model(model: AffinityModel, path) -> None:
 
 
 def load_model(path) -> AffinityModel:
-    """Read a full model file (both sections required, nothing after)."""
+    """Read a full model file (both sections required, nothing after).
+
+    The weights are float32 views of the file's bytes, validated once,
+    by the network that holds them, before the next section is read.
+    """
     buf = Path(path).read_bytes()
     origin = str(path)
-    pn_layers, offset = unpack_layers(buf, 0, MAGIC_POINTNET, origin)
-    cmp_layers, offset = unpack_layers(buf, offset, MAGIC_COMPRESSION, origin)
+
+    def network(kind, magic, offset):
+        layers, offset = unpack_layers(buf, offset, magic, origin)
+        try:
+            return kind(layers), offset
+        except ValueError as exc:
+            raise ValueError(f"{origin}: {exc}") from None
+
+    pointnet, offset = network(PointNetWeights, MAGIC_POINTNET, 0)
+    compression, offset = network(CompressionNet, MAGIC_COMPRESSION, offset)
     if offset + 4 > len(buf):
         raise ValueError(f"{origin}: truncated at byte {offset}")
     (dummy,) = struct.unpack_from("<f", buf, offset)
     extra = len(buf) - (offset + 4)
     if extra:
         raise ValueError(f"{origin}: {extra} trailing bytes after the dummy score")
-    return AffinityModel(
-        pointnet=PointNetWeights(pn_layers),
-        compression=CompressionNet(cmp_layers),
-        dummy_score=float(dummy),
-    )
+    return AffinityModel(pointnet, compression, float(dummy))

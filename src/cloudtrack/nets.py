@@ -6,12 +6,12 @@ Weight matrices are out_dim x in_dim, applied as x @ W.T + b.
 
 On disk a stack is one section: a 4-byte magic, a u32 layer count, then
 per layer u32 out_dim, u32 in_dim, row-major f32 weights, f32 biases.
-Everything is little-endian.  In memory the compression net's weights
-are float64 and the point featurizer's are float32, the type it runs in
-(see pointnet.py); files are float32, so freshly initialized weights
-are generated on the f32 grid to make save/load round trips bit-exact.
-A weight that float32 cannot hold is refused when it is packed, so
-every file written loads again.
+Everything is little-endian.  In memory every network's weights are
+float32, the type files store and both networks run in: a file loads
+straight into its layers, and freshly initialized weights are drawn on
+the f32 grid.  A weight that float32 cannot hold is refused when the
+layers are validated, so every network held in memory can be written
+and loads again bit for bit.
 """
 
 from __future__ import annotations
@@ -28,16 +28,16 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def validate_layers(layers, in_dim: int | None = None, dtype=np.float64) -> Layers:
-    """Cast to dtype, then check the chain and finiteness (overflow is inf)."""
+def validate_layers(layers, in_dim: int | None = None) -> Layers:
+    """Cast to float32, then check the chain and finiteness (overflow is inf)."""
     if not layers:
         raise ValueError("network needs at least one layer")
     prev = in_dim
     out = []
     for k, (W, b) in enumerate(layers):
         with np.errstate(over="ignore"):
-            W = np.ascontiguousarray(W, dtype=dtype)
-            b = np.ascontiguousarray(b, dtype=dtype)
+            W = np.ascontiguousarray(W, dtype=np.float32)
+            b = np.ascontiguousarray(b, dtype=np.float32)
         if W.ndim != 2:
             raise ValueError(f"layer {k}: weight must be 2-D, got {W.shape}")
         if b.shape != (W.shape[0],):
@@ -51,6 +51,19 @@ def validate_layers(layers, in_dim: int | None = None, dtype=np.float64) -> Laye
         prev = W.shape[0]
         out.append((W, b))
     return tuple(out)
+
+
+def distinct_rows(*parts) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical batch order: np.unique's (first, inverse) over the rows' bytes.
+
+    Each row's key is its bytes in every part, in turn, so the order of
+    the distinct rows depends on their values alone, not on where they
+    stood in the input.
+    """
+    key = np.concatenate([np.ascontiguousarray(a).view(np.uint8) for a in parts], axis=1)
+    key = key.view(np.dtype((np.void, key.shape[1])))[:, 0]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def layer_widths(layers: Layers) -> tuple[int, ...]:
@@ -79,11 +92,11 @@ def mlp_backward(inputs, layers: Layers, d_out: np.ndarray):
 
     inputs comes from mlp_forward_cached; d_out is the objective's
     gradient at the stack's output.  Returns (layer gradients, gradient
-    at the stack's input).  The ReLU derivative at exactly zero is taken
-    as zero.
+    at the stack's input), in d_out's type when the layers and inputs
+    share it.  The ReLU derivative at exactly zero is taken as zero.
     """
     grads: list = [None] * len(layers)
-    dz = np.asarray(d_out, dtype=np.float64)
+    dz = np.asarray(d_out)
     for k in reversed(range(len(layers))):
         W, _ = layers[k]
         a = inputs[k]
@@ -95,53 +108,50 @@ def mlp_backward(inputs, layers: Layers, d_out: np.ndarray):
 
 
 def init_layers(widths, rng: np.random.Generator) -> Layers:
-    """He-style uniform init, zero biases, values exactly on the f32 grid."""
+    """He-style uniform init rounded to float32, zero biases."""
     out = []
     for fan_in, fan_out in zip(widths, widths[1:]):
         limit = math.sqrt(6.0 / fan_in)
-        W = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        W = W.astype(np.float32).astype(np.float64)
-        out.append((W, np.zeros(fan_out)))
+        W = rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(np.float32)
+        out.append((W, np.zeros(fan_out, dtype=np.float32)))
     return tuple(out)
 
 
 def pack_layers(magic: bytes, layers: Layers) -> bytes:
     """One file section; a weight outside the float32 range raises ValueError."""
     parts = [magic, struct.pack("<I", len(layers))]
-    for W, b in validate_layers(layers, dtype="<f4"):
+    for W, b in validate_layers(layers):
         parts.append(struct.pack("<II", W.shape[0], W.shape[1]))
-        parts.append(W.tobytes())
-        parts.append(b.tobytes())
+        parts.append(W.astype("<f4", copy=False).tobytes())
+        parts.append(b.astype("<f4", copy=False).tobytes())
     return b"".join(parts)
 
 
 def unpack_layers(buf: bytes, offset: int, magic: bytes, origin: str):
-    """Parse one section starting at offset; returns (layers, next offset)."""
+    """Parse one section starting at offset; returns (layers, next offset).
 
-    def need(n):
-        if offset_box[0] + n > len(buf):
-            raise ValueError(f"{origin}: truncated at byte {offset_box[0]}")
-        start = offset_box[0]
-        offset_box[0] += n
-        return buf[start : start + n]
+    The layers are float32 views of buf, neither copied nor validated:
+    the network built from them validates them once.
+    """
+    view = memoryview(buf)
 
-    offset_box = [offset]
-    got = need(4)
+    def take(n):
+        nonlocal offset
+        if offset + n > len(view):
+            raise ValueError(f"{origin}: truncated at byte {offset}")
+        offset += n
+        return offset - n
+
+    start = take(4)
+    got = bytes(view[start:offset])
     if got != magic:
         raise ValueError(f"{origin}: bad magic {got!r}, expected {magic!r}")
-    (count,) = struct.unpack("<I", need(4))
+    (count,) = struct.unpack_from("<I", view, take(4))
     layers = []
     for _ in range(count):
-        out_dim, in_dim = struct.unpack("<II", need(8))
-        W = np.frombuffer(need(4 * out_dim * in_dim), dtype="<f4")
-        b = np.frombuffer(need(4 * out_dim), dtype="<f4")
-        layers.append(
-            (
-                W.astype(np.float64).reshape(out_dim, in_dim),
-                b.astype(np.float64),
-            )
-        )
-    try:
-        return validate_layers(layers), offset_box[0]
-    except ValueError as exc:
-        raise ValueError(f"{origin}: {exc}") from None
+        out_dim, in_dim = struct.unpack_from("<II", view, take(8))
+        size = out_dim * in_dim
+        W = np.frombuffer(view, "<f4", size, take(4 * size)).reshape(out_dim, in_dim)
+        b = np.frombuffer(view, "<f4", out_dim, take(4 * out_dim))
+        layers.append((W, b))
+    return tuple(layers), offset

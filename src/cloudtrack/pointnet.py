@@ -13,8 +13,9 @@ as float32 (model files store float32, so loading is exact); frame
 points are float32 on disk too.  The box-local crop coordinates round
 once to float32, and the products round more coarsely than in float64.
 Features stay within 1e-6 of the largest feature of a float64 MLP on
-the same crops (the tests bound it).  Crop geometry before the MLP and
-the rows it returns are float64.
+the same crops (the tests bound it).  Crop geometry before the MLP is
+float64; the rows it returns are float32, as FeatureSet holds them and
+the affinity head reads them.
 
 A frame's crops run as one batch in a canonical crop order, through the
 MLP in chunks of a few crops (see featurize_frame), so the rows permute
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cropping import ObjectPoints
-from .nets import Layers, layer_widths, validate_layers
+from .nets import Layers, distinct_rows, layer_widths, validate_layers
 
 DEFAULT_POINTNET_WIDTHS = (3, 64, 128, 512)
 
@@ -48,7 +49,7 @@ class PointNetWeights:
     layers: Layers
 
     def __post_init__(self):
-        layers = validate_layers(self.layers, in_dim=3, dtype=np.float32)
+        layers = validate_layers(self.layers, in_dim=3)
         object.__setattr__(self, "layers", layers)
 
     @property
@@ -62,12 +63,17 @@ class PointNetWeights:
 
 @dataclass(frozen=True, eq=False)
 class FeatureSet:
-    """One feature row per object of a frame."""
+    """One float32 feature row per object of a frame.
+
+    features is cast once to float32, the type the featurizer returns
+    and the affinity head reads; a value that overflows it is refused.
+    """
 
     features: np.ndarray
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            feats = np.asarray(self.features, dtype=np.float32)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
         if not np.isfinite(feats).all():
@@ -114,9 +120,7 @@ def _pool_crops(crops, layers: Layers) -> np.ndarray:
     for row, pts in zip(padded, crops):
         row[: len(pts)] = pts
         row[len(pts) :] = pts[-1]
-    key = padded.reshape(len(crops), -1).view(np.uint8)
-    key = key.view(np.dtype((np.void, key.shape[1])))[:, 0]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    first, inverse = distinct_rows(padded.reshape(len(crops), -1))
     batch = padded[first].reshape(-1, 3)
     k = len(first)
     rows = min(k, _CHUNK_CROPS) * width
@@ -147,7 +151,7 @@ def featurize_frame(objs, w: PointNetWeights) -> FeatureSet:
     """Featurize each object into its own row, in input order.
 
     Each non-empty crop's points are canonically ordered and cast to
-    float32, the type the MLP runs in; the rows are returned as float64.
+    float32, the type the MLP runs in and the rows are returned in.
     The crops of at least _BATCH_MIN_POINTS points run as one batch: padded
     to the longest by repeating their last point (a duplicate row leaves
     the max unchanged), ordered by their bytes, and put through the MLP
@@ -159,7 +163,7 @@ def featurize_frame(objs, w: PointNetWeights) -> FeatureSet:
     check it, the construction does not guarantee it.
     """
     objs = tuple(objs)
-    feats = np.zeros((len(objs), w.feature_dim))
+    feats = np.zeros((len(objs), w.feature_dim), dtype=np.float32)
     crops = {
         slot: _canonical_order(obj.points)
         for slot, obj in enumerate(objs)

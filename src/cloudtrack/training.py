@@ -36,6 +36,13 @@ so each half's update is one low-rank product of the stacked row sums
 with the stacked features, subtracted in place.
 Each step reports the loss measured before its update, so a shrinking
 log means the updates help.
+
+The compression stack trains in float32, the type the tracker runs it
+in and model files store: the mapped features, the reduced halves, b1
+and layers 2-5 are float32, and each step casts its scaled score
+gradient to float32 once.  The scores, softmaxes, losses, their
+gradients and the dummy score stay float64, and the model is lifted
+from the state in float64 and rounded to float32 once.
 """
 
 from __future__ import annotations
@@ -97,12 +104,16 @@ class TrainState:
     Built from a model and an orthonormal basis Q of the training
     features' span (D x k, from reduce_pool): W1's halves are held as
     w_prev = W1_prev Q and w_cur = W1_cur Q, each out x k, and b1 and
-    layers 2-5 as copies.  train_step must see the features as x Q.
-    The state keeps the model's W1, which it never writes, and model()
-    lifts each half back as W1_half + (w - W1_half Q) Q^T: every update
-    lies in the span of Q, so this is the full-width weight.  With
-    Q = I the halves are W1's own columns.  Neither the model it was built
-    from nor any model it returns changes when a later step descends it.
+    layers 2-5 as copies, all float32 with reduce_pool's float32 Q (the
+    halves take the product's type).  train_step must see the features
+    as x Q.  The state keeps the model's W1, which it never writes, and
+    model() lifts each half back in float64 as
+    W1_half + (w - W1_half Q) Q^T, with W1_half Q the product the half
+    started from: every update lies in the span of Q, so this is the
+    full-width weight, and a half no step has moved lifts to exactly the
+    columns it came from.  With Q = I the halves are W1's own columns.
+    Neither the model it was built from nor any model it returns
+    changes when a later step descends it.
     """
 
     def __init__(self, model: AffinityModel, basis: np.ndarray):
@@ -116,7 +127,7 @@ class TrainState:
         self.b1 = b1.copy()
         self.rest = tuple((W.copy(), b.copy()) for W, b in model.compression.layers[1:])
         self.dummy_score = model.dummy_score
-        self.zeros = np.zeros(max(a.size for a in self.weights()))
+        self.zeros = np.zeros(max(a.size for a in self.weights()), dtype=b1.dtype)
 
     def weights(self) -> tuple:
         """Every array train_step descends."""
@@ -136,14 +147,18 @@ class TrainState:
     def model(self) -> AffinityModel:
         """The current weights as a model, sharing no array with the state.
 
-        A lift that overflows raises RuntimeError, as a divergent step does.
+        A lift that overflows float32 raises RuntimeError, as a divergent
+        step does.
         """
-        w1 = self.w1.copy()
+        w1 = self.w1.astype(np.float64)
+        basis = self.basis.astype(np.float64)
         for cols, half in zip(first_layer_halves(w1), (self.w_prev, self.w_cur)):
-            # the product the state was built with, so an undescended
-            # half lifts to exactly the columns it came from
+            # the float32 product the state was built with, so an
+            # undescended half lifts to exactly the columns it came from
             start = self.w1[:, cols] @ self.basis
-            w1[:, cols] += (half - start) @ self.basis.T
+            w1[:, cols] += (half.astype(np.float64) - start) @ basis.T
+        with np.errstate(over="ignore"):
+            w1 = w1.astype(np.float32)
         if not np.isfinite(w1).all():
             raise RuntimeError("training diverged: non-finite weight")
         rest = tuple((W.copy(), b.copy()) for W, b in self.rest)
@@ -152,18 +167,20 @@ class TrainState:
 
 
 def reduce_pool(pool) -> tuple[np.ndarray, tuple]:
-    """(Q, the pool with every feature row x mapped to x Q).
+    """(Q, the pool with every feature row x mapped to x Q), in float32.
 
     Q is an orthonormal basis, D x min(R, D), of the span of the pool's
     R feature rows, with each FeatureSet counted once however many
-    samples share it, and no rank cut-off.  Each FeatureSet is mapped
-    once, and samples that shared one share its image.
+    samples share it, and no rank cut-off.  The QR and the map run in
+    float64, and Q and each mapped row are rounded to float32 once.
+    Each FeatureSet is mapped once, and samples that shared one share
+    its image.
     """
     sets = {id(fs): fs for s in pool for fs in (s.prev, s.cur)}
-    rows = np.concatenate([fs.features for fs in sets.values()])
+    rows = np.concatenate([fs.features for fs in sets.values()]).astype(np.float64)
     basis = np.linalg.qr(rows.T)[0]
     mapped = {key: FeatureSet(fs.features @ basis) for key, fs in sets.items()}
-    return basis, tuple(
+    return basis.astype(np.float32), tuple(
         PairSample(mapped[id(s.prev)], mapped[id(s.cur)], s.gt) for s in pool
     )
 
@@ -222,7 +239,8 @@ def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
     lr = learning_rate
     cp, cc = cells.shape[1:]
     d_scores = (grads.d_m1[..., :cc] + grads.d_m2[..., :cp, :])[cells]
-    rest_steps, d_hidden = mlp_backward(acts, state.rest, d_scores[:, None] * (lr / n))
+    d_out = (d_scores[:, None] * (lr / n)).astype(hidden.dtype)
+    rest_steps, d_hidden = mlp_backward(acts, state.rest, d_out)
     # layers 2-5 take their steps while the steps are still in cache
     for (W, b), (dW, db) in zip(state.rest, rest_steps):
         W -= dW
@@ -230,7 +248,7 @@ def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
     del rest_steps
     d_z = np.multiply(d_hidden, hidden > 0.0, out=d_hidden)
     # per-row sums over each row's pairs, in pair order; padding adds zeros
-    d_pairs = np.zeros((*cells.shape, width))
+    d_pairs = np.zeros((*cells.shape, width), dtype=d_z.dtype)
     d_pairs[cells] = d_z
     state.w_prev -= d_pairs.sum(axis=2)[gt.real_rows].T @ prev_x
     state.w_cur -= d_pairs.sum(axis=1)[gt.real_cols].T @ cur_x

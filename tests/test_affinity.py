@@ -25,11 +25,22 @@ def real_net():
 
 
 def cell_score(net, cell):
-    x = np.asarray(cell, dtype=float).copy()
+    """One cell's score in float64, from the net's float32 weights."""
+    x = np.asarray(cell, dtype=np.float64)
     for W, b in net.layers[:-1]:
-        x = relu(W @ x + b)
+        x = relu(W.astype(np.float64) @ x + b)
     W, b = net.layers[-1]
-    return (W @ x + b)[0]
+    return (W.astype(np.float64) @ x + b)[0]
+
+
+# the head runs in float32: a score is held to this many float32 epsilons
+# of the float64 oracle on the same float32 features and weights (the
+# default widths measured 14)
+F32_TOL = 64 * np.finfo(np.float32).eps
+
+
+def features(rng, size):
+    return rng.normal(size=size).astype(np.float32)
 
 
 class TestCompressionForward:
@@ -55,14 +66,14 @@ class TestCompressionForward:
     def test_matches_per_cell_oracle(self):
         rng = np.random.default_rng(204)
         net = tiny_net(rng)
-        prev = rng.normal(size=(3, 2))
-        cur = rng.normal(size=(4, 2))
+        prev = features(rng, (3, 2))
+        cur = features(rng, (4, 2))
         m = compression_forward(prev, cur, net)
-        assert m.shape == (3, 4)
+        assert m.shape == (3, 4) and m.dtype == np.float64
         for i in range(3):
             for j in range(4):
-                cell = np.concatenate([prev[i], cur[j]])
-                assert abs(m[i, j] - cell_score(net, cell)) < 1e-12
+                want = cell_score(net, np.concatenate([prev[i], cur[j]]))
+                assert abs(m[i, j] - want) <= F32_TOL * max(1.0, abs(want))
 
     def test_empty_side_gives_empty_matrix(self):
         rng = np.random.default_rng(209)
@@ -113,19 +124,48 @@ class TestCompressionForward:
                 assert mp.tobytes() == m[perm].tobytes()
                 assert np.isneginf(m[~mask]).all() and np.isfinite(m[mask]).all()
 
+    def test_small_batches_permute_bitwise_both_ways(self):
+        # BLAS runs products of a few rows with other kernels (see
+        # pointnet._BATCH_MIN_POINTS), which round a row by its position;
+        # both sides enter the batch in a canonical order, so permuting the
+        # previous rows and the current columns permutes M bitwise at every
+        # eligible-cell count, with one previous row or several, and with
+        # tied current features whose mask columns differ
+        rng = np.random.default_rng(222)
+        net = real_net()
+        for n_cells in range(1, 10):
+            for cp, cc in ((1, n_cells + 1), (3, 4)):
+                prev, cur = features(rng, (cp, 512)), features(rng, (cc, 512))
+                if cc > 2:
+                    cur[2] = cur[0]
+                eligible = np.zeros(cp * cc, dtype=bool)
+                eligible[rng.choice(cp * cc, n_cells, replace=False)] = True
+                eligible = eligible.reshape(cp, cc)
+                m = compression_forward(prev, cur, net, eligible)
+                assert np.isfinite(m[eligible]).all() and np.isneginf(m[~eligible]).all()
+                for _ in range(3):
+                    pr, pc = rng.permutation(cp), rng.permutation(cc)
+                    mp = compression_forward(prev[pr], cur[pc], net, eligible[pr][:, pc])
+                    assert mp.tobytes() == m[pr][:, pc].tobytes(), n_cells
+                # a cell's own one-cell call runs other products, so it agrees
+                # with its batched score to float32 rounding, not bitwise
+                for i, j in zip(*np.nonzero(eligible)):
+                    own = compression_forward(prev[i : i + 1], cur[j : j + 1], net)
+                    assert abs(own[0, 0] - m[i, j]) <= F32_TOL * max(1.0, abs(m[i, j]))
+
     def test_masked_cells_match_oracle(self):
         rng = np.random.default_rng(219)
         for net, d in ((tiny_net(rng), 2), (real_net(), 512)):
-            prev = rng.normal(size=(4, d))
-            cur = rng.normal(size=(5, d))
+            prev = features(rng, (4, d))
+            cur = features(rng, (5, d))
             eligible = rng.uniform(size=(4, 5)) < 0.5
             eligible[2] = False
             m = compression_forward(prev, cur, net, eligible)
             for i in range(4):
                 for j in range(5):
                     if eligible[i, j]:
-                        cell = np.concatenate([prev[i], cur[j]])
-                        assert abs(m[i, j] - cell_score(net, cell)) < 1e-12
+                        want = cell_score(net, np.concatenate([prev[i], cur[j]]))
+                        assert abs(m[i, j] - want) <= F32_TOL * max(1.0, abs(want))
                     else:
                         assert m[i, j] == -np.inf
 

@@ -105,15 +105,36 @@ class TestModelFile:
             load_model(pa)
 
     def test_values_beyond_float32_refused_before_writing(self, tmp_path):
-        # finite in float64, infinite once stored: such a file would not load
+        # finite in float64, infinite in float32: the compression net refuses
+        # it when built, as PointNetWeights does, so no model holds a weight
+        # its file could not
         model = init_model(seed=18, pointnet_widths=(3, 4),
                            compression_widths=(8, 4, 4, 2, 2, 1))
-        layers = [(W.copy(), b.copy()) for W, b in model.compression.layers]
+        assert all(W.dtype == b.dtype == np.float32 for W, b in model.compression.layers)
+        layers = [(W.astype(np.float64), b) for W, b in model.compression.layers]
         layers[0][0][1, 2] = 1e39
-        path = tmp_path / "model.bin"
         with pytest.raises(ValueError, match="layer 0: non-finite weight entry"):
-            save_model(replace(model, compression=CompressionNet(layers)), path)
-        assert not path.exists()
+            CompressionNet(layers)
+        path = tmp_path / "model.bin"
         with pytest.raises(ValueError, match="dummy score outside the float32 range"):
             save_model(replace(model, dummy_score=-1e39), path)
         assert not path.exists()
+
+    def test_loads_float32_views_and_names_the_file_of_a_bad_weight(self, tmp_path):
+        model = init_model(seed=19, pointnet_widths=(3, 4),
+                           compression_widths=(8, 4, 4, 2, 2, 1))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        for W, b in (*loaded.pointnet.layers, *loaded.compression.layers):
+            assert W.dtype == b.dtype == np.float32
+            assert W.flags.c_contiguous and not W.flags.writeable
+        # the compression section's layer 1 weight starts after its magic,
+        # count, layer 0 (8 header bytes, 4x8 weights, 4 biases) and header
+        pn = len(pack_layers(b"PNW1", model.pointnet.layers))
+        at = pn + 8 + 8 + 4 * (32 + 4) + 8
+        blob = bytearray(path.read_bytes())
+        blob[at : at + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"model\.bin: layer 1: non-finite weight"):
+            load_model(path)

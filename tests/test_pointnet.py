@@ -35,9 +35,9 @@ def canonical(pts):
 def oracle_row(obj, w):
     """One object's feature as a lone float32 MLP over its canonical points."""
     if len(obj.points) == 0:
-        return np.zeros(w.feature_dim)
+        return np.zeros(w.feature_dim, dtype=np.float32)
     pts = canonical(obj.points).astype(np.float32)
-    return mlp_forward(pts, w.layers).max(axis=0).astype(np.float64)
+    return mlp_forward(pts, w.layers).max(axis=0)
 
 
 def real_crops(tmp_path, points_per_object):
@@ -103,7 +103,7 @@ class TestPointnetForward:
 
     def test_weights_held_as_float32_and_checked_after_the_cast(self):
         rng = np.random.default_rng(114)
-        layers = [(W.copy(), b) for W, b in init_layers((3, 4, 6), rng)]
+        layers = [(W.astype(np.float64), b) for W, b in init_layers((3, 4, 6), rng)]
         w = PointNetWeights(tuple(layers))
         assert all(W.dtype == b.dtype == np.float32 for W, b in w.layers)
         # finite in float64, infinite in the type the featurizer runs in
@@ -260,5 +260,5 @@ class TestWeightsFile:
         blob += struct.pack("<II", 2, 9) + np.zeros(20, "<f4").tobytes()
         path = tmp_path / "bad.bin"
         path.write_bytes(blob)
-        with pytest.raises(ValueError, match="chain"):
+        with pytest.raises(ValueError, match="does not chain"):
             load_model(path)
