@@ -11,13 +11,12 @@ matrices are averaged into a score matrix whose extra column holds the
 leave probability.  A previous/current pair may link only when its score
 beats both that leave probability and the birth threshold, so a
 gated-out pair never links; among all ways to keep such pairs, the
-assignment with the highest total score wins (scores of gate-failing
-pairs are floored to zero, which makes the Hungarian optimum equal to
-the brute-force optimum over gated partial matchings).  Unmatched
-current objects open new tracks, unmatched previous objects end theirs;
-against the empty table of frame 0 every object is a birth.  Each
-frame's rows are both its output and the next table: writing them reads
-no frame.
+matching with the highest total score wins (matching.match: exact over
+the gated pairs alone, so it equals the brute-force optimum over gated
+partial matchings).  Unmatched current objects open new tracks,
+unmatched previous objects end theirs; against the empty table of frame
+0 every object is a birth.  Each frame's rows are both its output and
+the next table: writing them reads no frame.
 """
 
 from __future__ import annotations
@@ -26,11 +25,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .affinity import affinity_from_features
 from .cropping import crop_frame
 from .geometry import Detection, Frame
+from .matching import match
 from .model import AffinityModel
 from .pointnet import FeatureSet, featurize_frame
 from .sequence_io import SequenceSource, load_admitted_frame, write_tracks_file
@@ -111,10 +110,9 @@ def solve_assignment(
     """Best gated assignment for one score matrix.
 
     A pair is eligible only when its score strictly beats both the
-    row's leave score and the birth threshold.  Ineligible pairs score
-    zero in the benefit matrix, exactly like leaving both slots
-    unmatched, so the solver's total equals the best achievable total
-    over all gate-respecting partial matchings.
+    row's leave score and the birth threshold.  Only eligible pairs are
+    edges of the matching, whose total is the best achievable over all
+    gate-respecting partial matchings.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[1] < 1:
@@ -126,11 +124,8 @@ def solve_assignment(
     cp, cc = s.shape[0], s.shape[1] - 1
     real = s[:, :cc]
     gate = (real > s[:, cc:]) & (real > birth_threshold)
-    benefit = np.where(gate, real, 0.0)
-    rows, cols = linear_sum_assignment(benefit, maximize=True)
-    matches = frozenset(
-        (int(i), int(j)) for i, j in zip(rows, cols) if gate[i, j]
-    )
+    rows, cols = match(real, gate)
+    matches = frozenset(zip(rows.tolist(), cols.tolist()))
     prev_used = {i for i, _ in matches}
     cur_used = {j for _, j in matches}
     return AssignmentResult(

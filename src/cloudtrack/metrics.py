@@ -2,8 +2,9 @@
 
 Ground truth and predictions are both frame-indexed maps of object id
 to box center.  Matching per frame prefers continuing last frame's
-pairings when they are still within the match radius, then resolves
-the remainder with a minimum-distance assignment gated at the radius.
+pairings when they are still within the match radius, then matches
+the remainder over the pairs within the radius: the most pairs, then the
+least total distance (matching.match).
 MOTA counts misses, false positives, and identity switches against the
 total ground-truth object count; MOTP is the mean matched distance.
 """
@@ -14,10 +15,10 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+
+from .matching import match
 
 DEFAULT_MATCH_RADIUS = 1.0
-_UNMATCHABLE = 1e9
 
 # frame index -> object id -> center (3,)
 CenterTracks = dict
@@ -81,7 +82,7 @@ def read_center_tracks(path) -> CenterTracks:
 
 
 def _match_frame(gt_objs, pred_objs, last_match, radius):
-    """Greedy continuations first, then gated minimum-distance assignment."""
+    """Greedy continuations first, then the most pairs in reach at least distance."""
     gt_ids = sorted(gt_objs)
     pred_ids = sorted(pred_objs)
     gt_xyz = np.array([gt_objs[gid] for gid in gt_ids]).reshape(-1, 3)
@@ -100,13 +101,11 @@ def _match_frame(gt_objs, pred_objs, last_match, radius):
             remaining_gt.append(a)
     remaining_pred = np.flatnonzero(~used)
     cost = dist[np.ix_(remaining_gt, remaining_pred)]
-    cost[cost > radius] = _UNMATCHABLE
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = match(-cost, cost <= radius, max_cardinality=True)
     for a, b in zip(rows, cols):
-        if cost[a, b] <= radius:
-            pairs.append(
-                (gt_ids[remaining_gt[a]], pred_ids[remaining_pred[b]], cost[a, b])
-            )
+        pairs.append(
+            (gt_ids[remaining_gt[a]], pred_ids[remaining_pred[b]], cost[a, b])
+        )
     return pairs
 
 

@@ -76,6 +76,19 @@ class TestEvaluateBasics:
         pred = tracks([(0, 9, 1.0, 0.0, 0.0)])
         assert evaluate(gt, pred, match_radius=1.0).matches == 1
 
+    def test_every_gated_pair_matches_at_any_scale(self):
+        # all three pairs within a 5e8 radius can match at once, although
+        # their distances sum past 1e9: the most pairs comes first
+        gt = tracks(
+            [(0, k, x, 0.0, 0.0) for k, x in enumerate((0.0, 4.9e8, 9.8e8 + 1))]
+        )
+        pred = tracks(
+            [(0, 10 + k, x, 0.0, 0.0) for k, x in enumerate((-4.9e8, 1.0, 4.9e8 + 1))]
+        )
+        report = evaluate(gt, pred, match_radius=5e8)
+        assert report.matches == 3
+        assert report.false_neg == 0 and report.false_pos == 0
+
     def test_continuation_preferred_over_closer_newcomer(self):
         # track 7 matched gt 0 in frame 0; in frame 1 a new id sits a
         # little closer but the continuation is still inside the radius
@@ -187,11 +200,14 @@ def match_frame_loop(gt_objs, pred_objs, last_match, radius):
         remaining_gt.append(gid)
     remaining_pred = [pid for pid in sorted(pred_objs) if pid not in used_pred]
     if remaining_gt and remaining_pred:
+        # a pair out of reach costs more than any matching's gated pairs
+        # can sum to, so scipy's full assignment keeps the most pairs
+        unmatchable = (min(len(remaining_gt), len(remaining_pred)) + 1) * radius
         cost = np.empty((len(remaining_gt), len(remaining_pred)))
         for a, gid in enumerate(remaining_gt):
             for b, pid in enumerate(remaining_pred):
                 d = float(np.linalg.norm(gt_objs[gid] - pred_objs[pid]))
-                cost[a, b] = d if d <= radius else 1e9
+                cost[a, b] = d if d <= radius else unmatchable
         rows, cols = linear_sum_assignment(cost)
         for a, b in zip(rows, cols):
             if cost[a, b] <= radius:
