@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .affinity import DEFAULT_COMPRESSION_WIDTHS, CompressionNet
-from .nets import init_layers, pack_layers, unpack_layers
+from .nets import init_layers, unpack_layers, validate_layers, write_layers
 from .pointnet import DEFAULT_POINTNET_WIDTHS, PointNetWeights
 
 MAGIC_POINTNET = b"PNW1"
@@ -57,15 +57,23 @@ def init_model(
 
 
 def save_model(model: AffinityModel, path) -> None:
-    """Write both sections and the dummy score; refuse what float32 cannot hold."""
-    blob = pack_layers(MAGIC_POINTNET, model.pointnet.layers)
-    blob += pack_layers(MAGIC_COMPRESSION, model.compression.layers)
+    """Write both sections and the dummy score; refuse what float32 cannot hold.
+
+    Everything is validated before the file is opened, and the file is
+    written array by array, without building it in memory.
+    """
+    sections = (
+        (MAGIC_POINTNET, validate_layers(model.pointnet.layers)),
+        (MAGIC_COMPRESSION, validate_layers(model.compression.layers)),
+    )
     with np.errstate(over="ignore"):
         dummy = np.float32(model.dummy_score)
     if not np.isfinite(dummy):
         raise ValueError("dummy score outside the float32 range")
-    blob += struct.pack("<f", dummy)
-    Path(path).write_bytes(blob)
+    with open(path, "wb") as file:
+        for magic, layers in sections:
+            write_layers(file, magic, layers)
+        file.write(struct.pack("<f", dummy))
 
 
 def load_model(path) -> AffinityModel:

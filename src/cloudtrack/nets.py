@@ -16,6 +16,7 @@ and loads again bit for bit.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 
@@ -117,14 +118,24 @@ def init_layers(widths, rng: np.random.Generator) -> Layers:
     return tuple(out)
 
 
+def write_layers(file, magic: bytes, layers: Layers) -> None:
+    """Write one file section of validated layers, array by array.
+
+    Each float32 array is written from its own buffer (a copy only on a
+    big-endian machine), so no section is built in memory.
+    """
+    file.write(magic + struct.pack("<I", len(layers)))
+    for W, b in layers:
+        file.write(struct.pack("<II", W.shape[0], W.shape[1]))
+        file.write(W.astype("<f4", copy=False).data)
+        file.write(b.astype("<f4", copy=False).data)
+
+
 def pack_layers(magic: bytes, layers: Layers) -> bytes:
     """One file section; a weight outside the float32 range raises ValueError."""
-    parts = [magic, struct.pack("<I", len(layers))]
-    for W, b in validate_layers(layers):
-        parts.append(struct.pack("<II", W.shape[0], W.shape[1]))
-        parts.append(W.astype("<f4", copy=False).tobytes())
-        parts.append(b.astype("<f4", copy=False).tobytes())
-    return b"".join(parts)
+    buf = io.BytesIO()
+    write_layers(buf, magic, validate_layers(layers))
+    return buf.getvalue()
 
 
 def unpack_layers(buf: bytes, offset: int, magic: bytes, origin: str):

@@ -72,6 +72,9 @@ LOG_HEADER = "step,l_f,l_b,l_c,l_a,total"
 # Each frame is paired with the frames this many steps before it.
 FRAME_GAPS = range(1, 4)
 
+# TrainState.model() lifts W1 this many rows at a time.
+LIFT_ROWS = 64
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -147,18 +150,23 @@ class TrainState:
     def model(self) -> AffinityModel:
         """The current weights as a model, sharing no array with the state.
 
-        A lift that overflows float32 raises RuntimeError, as a divergent
-        step does.
+        W1 is lifted LIFT_ROWS rows at a time: each block is lifted in
+        float64 and rounded into one float32 W1, so no full-size float64
+        copy is made.  A lift that overflows float32 raises RuntimeError,
+        as a divergent step does.
         """
-        w1 = self.w1.astype(np.float64)
+        w1 = np.empty_like(self.w1)
         basis = self.basis.astype(np.float64)
         for cols, half in zip(first_layer_halves(w1), (self.w_prev, self.w_cur)):
             # the float32 product the state was built with, so an
             # undescended half lifts to exactly the columns it came from
             start = self.w1[:, cols] @ self.basis
-            w1[:, cols] += (half.astype(np.float64) - start) @ basis.T
-        with np.errstate(over="ignore"):
-            w1 = w1.astype(np.float32)
+            for top in range(0, len(w1), LIFT_ROWS):
+                rows = slice(top, top + LIFT_ROWS)
+                lifted = self.w1[rows, cols].astype(np.float64)
+                lifted += (half[rows].astype(np.float64) - start[rows]) @ basis.T
+                with np.errstate(over="ignore"):
+                    w1[rows, cols] = lifted
         if not np.isfinite(w1).all():
             raise RuntimeError("training diverged: non-finite weight")
         rest = tuple((W.copy(), b.copy()) for W, b in self.rest)

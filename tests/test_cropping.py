@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cloudtrack import cropping
 from cloudtrack.cropping import CROP_POINTS, ObjectPoints, crop_frame, slot_seed
 from cloudtrack.geometry import (
     Detection,
@@ -188,6 +189,8 @@ class TestCropFrame:
             boxes.append(box)
         yield "window edges", self._frame_of(np.array(pts), boxes)
 
+        yield "y window edges", self._y_window_edges_frame(np.random.default_rng(97))
+
         # a box far from every point has an empty window
         pts = rng.uniform(-6, 6, size=(500, 3))
         yield "empty window", self._frame_of(pts, [unit_box(), unit_box((500.0, 0.0, 0.0))])
@@ -205,6 +208,31 @@ class TestCropFrame:
         yield "one window", self._frame_of(pts, boxes)
 
         yield "thinned", self._thinned_frame(rng)
+
+    def _y_window_edges_frame(self, rng):
+        """"window edges" mirrored along y: points around the two y-extreme
+        corners, stepped a few ulps outward in y and to either side in x.
+        Half the boxes put a diagonal along y."""
+        boxes, pts = [], []
+        for k in range(40):
+            l, w, h = rng.uniform(0.5, 5.0, size=3)
+            if k < 20:
+                yaw = (math.pi / 2 - math.atan2(w, l)) * (-1) ** k
+            else:
+                yaw = rng.uniform(-math.pi, math.pi)
+            box = OrientedBox3([20.0 * k, rng.uniform(-10, 10), 0.0], l, w, h, yaw)
+            corners = from_box_frame(box, [[a * l / 2, b * w / 2, 0.0] for a in (-1, 1) for b in (-1, 1)])
+            extent = abs(l / 2 * math.sin(box.yaw)) + abs(w / 2 * math.cos(box.yaw))
+            for side in (-1, 1):
+                corner_x = corners[np.argmax(side * corners[:, 1]), 0]
+                for i, j in itertools.product(range(5), range(-8, 9)):
+                    y = ulps_from(box.center[1] + side * extent, i * side)
+                    pts.append([ulps_from(corner_x, j), y, 0.0])
+            r = math.hypot(l, w) / 2.0
+            for side, rel in itertools.product((-1, 1), (-1e-9, 0.0, 1e-9)):
+                pts.append([box.center[0], box.center[1] + side * r * (1.0 + rel), 0.0])
+            boxes.append(box)
+        return self._frame_of(np.array(pts), boxes)
 
     def _thinned_frame(self, rng):
         """Frame 7: overlapping boxes over a cloud dense enough that every
@@ -247,6 +275,29 @@ class TestCropFrame:
                 assert crop.points.tobytes() == solo.points.tobytes(), (name, slot)
                 thinned += box_contains(det.box, frame.cloud.points).sum() > CROP_POINTS
         assert thinned >= 4
+
+    def test_maps_only_the_points_near_each_box(self, monkeypatch):
+        # 25 boxes share one x-strip of the cloud; each maps and tests only
+        # the points within its half-diagonal (plus slack) in y as well
+        frame = dict(self._equivalence_frames())["one window"]
+        mapped = []
+        box_frame_columns = cropping._box_frame_columns
+
+        def counting(columns, *args):
+            mapped.append(len(columns[0]))
+            return box_frame_columns(columns, *args)
+
+        monkeypatch.setattr(cropping, "_box_frame_columns", counting)
+        crop_frame(frame)
+        points = frame.cloud.points
+        in_strips = in_windows = 0
+        for det in frame.detections:
+            reach = 1.001 * math.hypot(det.box.length, det.box.width) / 2.0
+            near = np.abs(points[:, :2] - det.box.center[:2]) <= reach
+            in_strips += near[:, 0].sum()
+            in_windows += near.all(axis=1).sum()
+        assert in_windows < in_strips / 10
+        assert sum(mapped) <= in_windows
 
     def test_shared_point_in_every_containing_box(self):
         frame = self._shared_points_frame(np.random.default_rng(93))

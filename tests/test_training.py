@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from cloudtrack import training
 from cloudtrack.losses import LossGradients, build_gt, loss_breakdown, loss_gradients
 from cloudtrack.model import init_model, load_model, save_model
-from cloudtrack.affinity import augment_and_softmax
+from cloudtrack.affinity import augment_and_softmax, first_layer_halves
 from cloudtrack.cropping import CROP_POINTS, crop_frame
 from cloudtrack.geometry import box_contains
 from cloudtrack.pointnet import FeatureSet, featurize_frame
@@ -438,6 +439,55 @@ class TestTrainStep:
         assert all(
             not np.array_equal(W, w0)
             for (W, _), (w0, _) in zip(moved.compression.layers, snapshot)
+        )
+
+
+def descended_state(seed, k):
+    """A default-width TrainState in a random k-wide basis, both halves moved."""
+    rng = np.random.default_rng(seed)
+    model = init_model(seed=seed)
+    d = model.pointnet.feature_dim
+    basis = np.linalg.qr(rng.standard_normal((d, k)))[0].astype(np.float32)
+    state = TrainState(model, basis)
+    for half in (state.w_prev, state.w_cur):
+        half += rng.standard_normal(half.shape).astype(np.float32) * 1e-2
+    return state
+
+
+class TestLift:
+    def test_blocked_lift_matches_the_full_lift(self):
+        # the full-size float64 lift, rounded once, is the oracle; the
+        # widths straddle the block size and the basis widths the pool's
+        for k in (1, 7, 64, 150, 512):
+            state = descended_state(40 + k, k)
+            w1 = state.w1.astype(np.float64)
+            basis = state.basis.astype(np.float64)
+            for cols, half in zip(first_layer_halves(w1), (state.w_prev, state.w_cur)):
+                start = state.w1[:, cols] @ state.basis
+                w1[:, cols] += (half.astype(np.float64) - start) @ basis.T
+            lifted = state.model().compression.layers[0][0]
+            assert len(lifted) > training.LIFT_ROWS
+            assert lifted.tobytes() == w1.astype(np.float32).tobytes(), k
+
+    def test_lift_and_save_allocate_little(self, tmp_path):
+        # NumPy reports its buffers to tracemalloc: the lift makes no
+        # full-size float64 copy of W1, and the file is not built in memory
+        state = descended_state(41, 150)
+        tracemalloc.start()
+        try:
+            lifted = state.model()
+            lift_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            save_model(lifted, tmp_path / "w.bin")
+            save_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        net_bytes = sum(W.nbytes + b.nbytes for W, b in lifted.compression.layers)
+        assert lift_peak <= 2 * net_bytes
+        assert save_peak <= 1 << 20
+        assert load_model(tmp_path / "w.bin").compression.layers[0][0].tobytes() == (
+            lifted.compression.layers[0][0].tobytes()
         )
 
 

@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# Check that a change keeps the program's outputs byte for byte.
+#
+#   tools/same_bytes.sh REV
+#
+# Runs the same recipes with the source of REV (checked out in a git
+# worktree under .same_bytes/) and with the working tree's source, then
+# compares their outputs with cmp.  Exits 0 when every output is the same,
+# 1 when any differs.
+#
+# The recipes:
+#   - synth the c6 scene (4 objects, 40 frames, seed 800, object 1 leaves
+#     at frame 15, one enters at 25) and train on it: 500 steps, batch 4,
+#     trainer seed 0.  Compared: the model file and the loss log.
+#   - track, with that model, one paper5_noisy-recipe scene and one
+#     dense80-recipe scene (the bench's first scenes at run seed 1).
+#     Compared: the tracks CSVs.
+#
+# Model files and loss logs depend on the BLAS summation order, so they
+# are compared between two trees on one machine, not pinned in tests.
+# Set PYTHON to choose the interpreter (default: python3).
+set -euo pipefail
+
+rev=${1:?usage: tools/same_bytes.sh REV}
+root=$(git rev-parse --show-toplevel)
+work=$root/.same_bytes
+python=${PYTHON:-python3}
+outputs=(model.bin loss.csv tracks-paper5.csv tracks-dense80.csv)
+
+rm -rf "$work"
+git -C "$root" worktree prune
+mkdir -p "$work"
+git -C "$root" worktree add --detach --quiet "$work/rev" "$rev"
+trap 'git -C "$root" worktree remove --force "$work/rev" || true; rm -rf "$work"' EXIT
+
+# run_recipes SRC OUT: every recipe with the package under SRC, outputs in OUT
+run_recipes() {
+    local src=$1 out=$2
+    mkdir -p "$out"
+    cloudtrack() { PYTHONPATH="$src" "$python" -m cloudtrack.cli "$@" > /dev/null; }
+    cloudtrack synth --out "$out/c6" --objects 4 --frames 40 --seed 800 \
+        --leave 15:1 --enter 25
+    cloudtrack train --seq "$out/c6" --out "$out/model.bin" --log "$out/loss.csv" \
+        --steps 500 --batch-pairs 4 --seed 0
+    cloudtrack synth --out "$out/paper5" --objects 5 --frames 30 --seed 1189033389 \
+        --leave 10:2 --enter 18 --det-noise-sigma 0.05 --fn-rate 0.1 --fp-rate 0.3 \
+        --conf-lo 0.0 --conf-hi 0.4
+    cloudtrack synth --out "$out/dense80" --objects 80 --frames 20 --seed 1596810411 \
+        --arena 100 100
+    for scene in paper5 dense80; do
+        cloudtrack track --seq "$out/$scene" --weights "$out/model.bin" \
+            --out "$out/tracks-$scene.csv"
+    done
+}
+
+echo "running the recipes at $rev"
+run_recipes "$work/rev/src" "$work/out-rev"
+echo "running the recipes in the working tree"
+run_recipes "$root/src" "$work/out-tree"
+
+status=0
+for name in "${outputs[@]}"; do
+    if cmp -s "$work/out-rev/$name" "$work/out-tree/$name"; then
+        echo "same     $name  $(sha256sum < "$work/out-tree/$name" | cut -c1-16)"
+    else
+        echo "DIFFERS  $name"
+        status=1
+    fi
+done
+exit $status
