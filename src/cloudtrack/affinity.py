@@ -7,18 +7,24 @@ raw score matrix M.  By default every pair is eligible; the tracker
 passes a motion gate that keeps only the pairs within reach, and every
 other pair scores -inf, so both softmaxes give it exactly zero.  The
 stack's first layer acts on the concatenated pair [a; b], but it is
-linear, so W1 [a; b] + b1 = W1[:, :D] a + (W1[:, D:] b + b1): each
-frame's features are projected once, the 2D-wide concatenated cell is
-never built, and the eligible pairs run through the stack as one batch
-with both frames' rows in a canonical order (see compression_forward).
-The stack runs in float32, the type of its weights and of the feature
-rows; M is float64, and so is everything after it.  M is
-augmented with a learned dummy score (an extra column for objects
-that leave, an extra row for objects that enter) and normalized: row
-softmax of the cp x (cc+1) matrix M1 gives the forward association A1,
-column softmax of the (cp+1) x cc matrix M2 gives the backward
-association A2.  The pair (A1, A2) is the head's only output: the
-tracker fuses it into assignment scores and the loss reads it as is.
+linear, so W1 [a; b] + b1 = W1[:, :D] a + (W1[:, D:] b + b1), and the
+head splits there.  project takes feature rows, of any number of
+frames, through both halves of the first layer in one canonical batch;
+score_projected adds each eligible pair's previous and current halves
+and runs ReLU and layers 2-5 on those cells as one batch, again in a
+canonical order.  compression_forward is the two in turn over one frame
+pair.  The tracker projects a window of frames in one call and keeps
+each live row's previous half, so no row is projected twice, and the
+2D-wide concatenated cell is never built.  A projection's last bits
+depend on the other rows of its batch.  The stack runs in float32, the
+type of its weights and of the feature rows; M is float64, and so is
+everything after it.  M is augmented with a learned dummy score (an
+extra column for objects that leave, an extra row for objects that
+enter) and normalized: row softmax of the cp x (cc+1) matrix M1 gives
+the forward association A1, column softmax of the (cp+1) x cc matrix M2
+gives the backward association A2.  The pair (A1, A2) is the head's only
+output: the tracker fuses it into assignment scores and the loss reads
+it as is.
 Both softmaxes add their sums in index order (row_sums, column_sums),
 where numpy's sum picks pairwise or in-order adds by the array's shape.
 The trainer normalizes a whole batch of frame pairs at once, as one
@@ -89,6 +95,86 @@ def first_layer_halves(w1: np.ndarray) -> tuple[slice, slice]:
     return slice(None, d), slice(d, None)
 
 
+def project(features: np.ndarray, net: CompressionNet) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature row through both halves of the first layer; (prev, cur).
+
+    prev[i] is row i's first-layer part as a previous-frame object,
+    row @ W1[:, p].T, and cur[i] its part as a current-frame object,
+    row @ W1[:, c].T + b1 (see first_layer_halves); both float32, one row
+    per input row.  The rows run as one batch in a canonical order, the
+    distinct rows by their bytes, so any permutation of the input rows
+    permutes both outputs bitwise and equal rows project alike.  A row's
+    last bits still depend on the other rows of its batch: BLAS rounds a
+    row differently in products of other sizes.
+    """
+    features = np.asarray(features, dtype=np.float32)
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-D, got {features.shape}")
+    if net.in_dim != 2 * features.shape[1]:
+        raise ValueError(
+            f"net input width {net.in_dim} != pair width {2 * features.shape[1]}"
+        )
+    first, inverse = distinct_rows(features)
+    rows = features[first]
+    w1, b1 = net.layers[0]
+    p, c = first_layer_halves(w1)
+    return (rows @ w1[:, p].T)[inverse], (rows @ w1[:, c].T + b1)[inverse]
+
+
+def score_projected(
+    prev: np.ndarray,
+    cur: np.ndarray,
+    net: CompressionNet,
+    eligible: np.ndarray | None = None,
+) -> np.ndarray:
+    """Raw scores M, cp x cc, from projected rows: the net after its first layer.
+
+    prev holds the previous objects' prev rows from project and cur the
+    current objects' cur rows, float32 as project returns them.  eligible
+    is a cp x cc boolean mask (default: every pair).  Only eligible cells
+    run through ReLU and layers 2-5, all in one batch; the others score
+    -inf.  As the featurizer orders points, the batch orders both sides
+    canonically: the previous rows by the bytes of the projected row,
+    then of its mask row, and the current rows by the bytes of the
+    projected row, then of its mask column in that previous order, one
+    entry per distinct key.  Any permutation of the previous rows and of
+    the current rows, with the mask's rows and columns, thus gives the
+    matrix products the same inputs and permutes M's rows and columns
+    bitwise, whatever kernels BLAS picks for a product of a few rows.
+    The mask is in the key because equal rows can carry different masks
+    (every empty crop has the zero feature); keyed on the rows alone,
+    those rows' input order would move their cells within the batch.  A
+    cell's score does depend on the batch it runs in, as BLAS rounds a
+    row differently in products of other sizes: measured at the default
+    widths over batches of 1 to 9 cells, a cell's own one-cell call
+    differed from its batched score in the last bits for 1260 of 1350
+    cells.  The two agree to float32 rounding.
+    """
+    prev = np.asarray(prev, dtype=np.float32)
+    cur = np.asarray(cur, dtype=np.float32)
+    hidden_dim = net.widths[1]
+    if prev.ndim != 2 or cur.ndim != 2:
+        raise ValueError(f"projections must be 2-D, got {prev.shape} and {cur.shape}")
+    if prev.shape[1] != hidden_dim or cur.shape[1] != hidden_dim:
+        raise ValueError(
+            f"projection widths {prev.shape[1]} and {cur.shape[1]} "
+            f"!= first layer width {hidden_dim}"
+        )
+    cp, cc = len(prev), len(cur)
+    if eligible is None:
+        eligible = np.ones((cp, cc), dtype=bool)
+    eligible = np.asarray(eligible, dtype=bool)
+    if eligible.shape != (cp, cc):
+        raise ValueError(f"eligible mask is {eligible.shape}, scores are {(cp, cc)}")
+    first_p, inverse_p = distinct_rows(prev, eligible)
+    first_c, inverse_c = distinct_rows(cur, eligible[first_p].T)
+    rows, cols = np.nonzero(eligible[np.ix_(first_p, first_c)])
+    hidden = relu(prev[first_p[rows]] + cur[first_c[cols]])
+    m = np.full((len(first_p), len(first_c)), -np.inf)
+    m[rows, cols] = mlp_forward(hidden, net.layers[1:])[:, 0]
+    return m[np.ix_(inverse_p, inverse_c)]
+
+
 def compression_forward(
     prev: np.ndarray,
     cur: np.ndarray,
@@ -99,51 +185,19 @@ def compression_forward(
 
     prev and cur are float32 rows, as FeatureSet holds them (other types
     are rounded to float32), and the net runs in float32; M is float64.
-    eligible is a cp x cc boolean mask (default: every pair).  Only
-    eligible cells run through the net, all in one batch; the others
-    score -inf.  As the featurizer orders points, the batch orders both
-    sides canonically: the previous rows by the bytes of the feature row,
-    then of its mask row, and the current rows by the bytes of the
-    feature row, then of its mask column in that previous order, one
-    entry per distinct key.  Any permutation of the previous rows and of
-    the current rows, with the mask's rows and columns, thus gives the
-    matrix products the same inputs and permutes M's rows and columns
-    bitwise, whatever kernels BLAS picks for a product of a few rows.
-    The mask is in the key because equal features can carry different
-    masks (every empty crop has the zero feature); keyed on features
-    alone, those rows' input order would move their cells within the
-    batch.  A cell's score does depend on the batch it runs in, as BLAS
-    rounds a row differently in products of other sizes: measured at the
-    default widths over batches of 1 to 9 cells, a cell's own one-cell
-    call differed from its batched score in the last bits for 1260 of
-    1350 cells.  The two agree to float32 rounding.
+    Both frames' rows are projected as one batch (project), then the
+    eligible cells are scored (score_projected): M's rows and columns
+    permute bitwise with the previous and current rows and the mask.
     """
     prev = np.asarray(prev, dtype=np.float32)
     cur = np.asarray(cur, dtype=np.float32)
     if prev.ndim != 2 or cur.ndim != 2:
         raise ValueError(f"features must be 2-D, got {prev.shape} and {cur.shape}")
-    d = prev.shape[1]
-    if cur.shape[1] != d:
-        raise ValueError(f"feature widths differ: {d} vs {cur.shape[1]}")
-    if net.in_dim != 2 * d:
-        raise ValueError(f"net input width {net.in_dim} != pair width {2 * d}")
-    cp, cc = len(prev), len(cur)
-    if eligible is None:
-        eligible = np.ones((cp, cc), dtype=bool)
-    eligible = np.asarray(eligible, dtype=bool)
-    if eligible.shape != (cp, cc):
-        raise ValueError(f"eligible mask is {eligible.shape}, scores are {(cp, cc)}")
-    first_p, inverse_p = distinct_rows(prev, eligible)
-    first_c, inverse_c = distinct_rows(cur, eligible[first_p].T)
-    rows, cols = np.nonzero(eligible[np.ix_(first_p, first_c)])
-    w1, b1 = net.layers[0]
-    p, c = first_layer_halves(w1)
-    hidden = relu(
-        (prev[first_p] @ w1[:, p].T)[rows] + (cur[first_c] @ w1[:, c].T + b1)[cols]
-    )
-    m = np.full((len(first_p), len(first_c)), -np.inf)
-    m[rows, cols] = mlp_forward(hidden, net.layers[1:])[:, 0]
-    return m[np.ix_(inverse_p, inverse_c)]
+    if cur.shape[1] != prev.shape[1]:
+        raise ValueError(f"feature widths differ: {prev.shape[1]} vs {cur.shape[1]}")
+    as_prev, as_cur = project(np.concatenate([prev, cur]), net)
+    cp = len(prev)
+    return score_projected(as_prev[:cp], as_cur[cp:], net, eligible)
 
 
 def row_sums(x: np.ndarray) -> np.ndarray:
@@ -206,6 +260,20 @@ def augment_and_softmax(
     m2[..., :cp, :] = m
     m2[..., cp, :] = dummy_score
     return normalize_pair(m1, m2)
+
+
+def affinity_from_projected(
+    prev: np.ndarray,
+    cur: np.ndarray,
+    net: CompressionNet,
+    dummy_score: float,
+    eligible: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The head after its first layer: (A1, A2) from projected rows.
+
+    prev and cur are as score_projected takes them.
+    """
+    return augment_and_softmax(score_projected(prev, cur, net, eligible), dummy_score)
 
 
 def affinity_from_features(

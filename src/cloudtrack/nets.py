@@ -16,7 +16,6 @@ and loads again bit for bit.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 
@@ -129,13 +128,6 @@ def write_layers(file, magic: bytes, layers: Layers) -> None:
         file.write(struct.pack("<II", W.shape[0], W.shape[1]))
         file.write(W.astype("<f4", copy=False).data)
         file.write(b.astype("<f4", copy=False).data)
-
-
-def pack_layers(magic: bytes, layers: Layers) -> bytes:
-    """One file section; a weight outside the float32 range raises ValueError."""
-    buf = io.BytesIO()
-    write_layers(buf, magic, validate_layers(layers))
-    return buf.getvalue()
 
 
 def unpack_layers(buf: bytes, offset: int, magic: bytes, origin: str):

@@ -6,9 +6,12 @@ import pytest
 from cloudtrack.affinity import (
     CompressionNet,
     affinity_from_features,
+    affinity_from_projected,
     augment_and_softmax,
     compression_forward,
     normalize_pair,
+    project,
+    score_projected,
 )
 from cloudtrack.model import init_model
 from cloudtrack.nets import init_layers, relu
@@ -187,6 +190,92 @@ class TestCompressionForward:
         net = tiny_net(rng, in_dim=5)
         with pytest.raises(ValueError, match="feature widths differ"):
             compression_forward(np.ones((1, 2)), np.ones((1, 3)), net)
+
+
+class TestSplitHead:
+    """project, then score_projected: the head split at its first layer."""
+
+    def test_project_permutes_bitwise_with_ties(self):
+        rng = np.random.default_rng(230)
+        net = real_net()
+        for n in (1, 2, 5, 9, 16, 40, 70):
+            rows = features(rng, (n, 512))
+            # tied rows: a duplicated feature and two empty crops' zero rows
+            if n > 4:
+                rows[3] = rows[0]
+                rows[[1, 4]] = 0.0
+            prev, cur = project(rows, net)
+            assert prev.dtype == cur.dtype == np.float32
+            assert prev.shape == cur.shape == (n, 512)
+            if n > 4:
+                assert prev[3].tobytes() == prev[0].tobytes()
+                assert cur[1].tobytes() == cur[4].tobytes()
+            for _ in range(3):
+                perm = rng.permutation(n)
+                pp, pc = project(rows[perm], net)
+                assert pp.tobytes() == prev[perm].tobytes(), n
+                assert pc.tobytes() == cur[perm].tobytes(), n
+
+    def test_project_is_the_first_layer(self):
+        rng = np.random.default_rng(231)
+        net = real_net()
+        rows = features(rng, (7, 512))
+        prev, cur = project(rows, net)
+        w1, b1 = (a.astype(np.float64) for a in net.layers[0])
+        x = rows.astype(np.float64)
+        for got, w, b in ((prev, w1[:, :512], 0.0), (cur, w1[:, 512:], b1)):
+            scale = np.abs(x) @ np.abs(w).T + np.abs(b)
+            assert (np.abs(got - (x @ w.T + b)) <= F32_TOL * scale).all()
+        # the zero row projects to exactly 0 and b1
+        prev, cur = project(np.zeros((2, 512)), net)
+        assert not prev.any() and (cur == net.layers[0][1]).all()
+
+    def test_compression_forward_is_project_then_score(self):
+        rng = np.random.default_rng(232)
+        for net, d in ((tiny_net(rng), 2), (real_net(), 512)):
+            for cp, cc in ((1, 1), (3, 4), (9, 6), (0, 3), (2, 0)):
+                prev, cur = features(rng, (cp, d)), features(rng, (cc, d))
+                if cp > 2 and cc > 2:
+                    prev[2] = cur[1] = 0.0
+                for eligible in (None, rng.uniform(size=(cp, cc)) < 0.5):
+                    m = compression_forward(prev, cur, net, eligible)
+                    as_prev, as_cur = project(np.concatenate([prev, cur]), net)
+                    split = score_projected(as_prev[:cp], as_cur[cp:], net, eligible)
+                    assert split.tobytes() == m.tobytes()
+                    a = affinity_from_features(
+                        FeatureSet(prev), FeatureSet(cur), net, 0.3, eligible
+                    )
+                    b = affinity_from_projected(
+                        as_prev[:cp], as_cur[cp:], net, 0.3, eligible
+                    )
+                    assert a[0].tobytes() == b[0].tobytes()
+                    assert a[1].tobytes() == b[1].tobytes()
+
+    def test_score_projected_permutes_bitwise(self):
+        # projections from two different batches, as the tracker pairs a
+        # live row's previous half with a later window's current half
+        rng = np.random.default_rng(233)
+        net = real_net()
+        prev, _ = project(features(rng, (6, 512)), net)
+        _, cur = project(features(rng, (11, 512)), net)
+        eligible = rng.uniform(size=(6, 11)) < 0.4
+        m = score_projected(prev, cur, net, eligible)
+        for _ in range(3):
+            pr, pc = rng.permutation(6), rng.permutation(11)
+            mp = score_projected(prev[pr], cur[pc], net, eligible[pr][:, pc])
+            assert mp.tobytes() == m[pr][:, pc].tobytes()
+
+    def test_bad_shapes_rejected(self):
+        rng = np.random.default_rng(234)
+        net = tiny_net(rng)
+        with pytest.raises(ValueError, match="2-D"):
+            project(np.ones(2), net)
+        with pytest.raises(ValueError, match="net input width"):
+            project(np.ones((1, 3)), net)
+        with pytest.raises(ValueError, match="first layer width"):
+            score_projected(np.ones((1, 3)), np.ones((1, 2)), net)
+        with pytest.raises(ValueError, match="eligible mask"):
+            score_projected(np.ones((1, 3)), np.ones((2, 3)), net, np.ones((2, 1), bool))
 
 
 class TestAugmentAndSoftmax:

@@ -20,9 +20,22 @@ from cloudtrack import (
     write_sequence_meta,
     write_tracks_csv,
 )
-from cloudtrack.affinity import CompressionNet, augment_and_softmax
-from cloudtrack.association import GATE_RADIUS_M, motion_gate
+from cloudtrack import association
+from cloudtrack.affinity import (
+    CompressionNet,
+    affinity_from_features,
+    augment_and_softmax,
+    project,
+)
+from cloudtrack.association import (
+    GATE_RADIUS_M,
+    WINDOW_DETECTIONS,
+    centers_xy,
+    motion_gate,
+)
+from cloudtrack.cropping import crop_frame
 from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
+from cloudtrack.pointnet import featurize_frame
 from cloudtrack.sequence_io import load_admitted_frame
 from cloudtrack.synth import SynthConfig, generate, perturb
 
@@ -190,11 +203,11 @@ def result(matches=(), births=(), deaths=()):
     return AssignmentResult(frozenset(matches), frozenset(births), frozenset(deaths))
 
 
-def feats(n):
-    return FeatureSet(np.zeros((n, 4)))
+def proj(n):
+    return np.zeros((n, 4), dtype=np.float32)
 
 
-EMPTY = LiveTracks(feats(0))
+EMPTY = LiveTracks(proj(0))
 
 
 def ids(live):
@@ -202,7 +215,9 @@ def ids(live):
 
 
 def step(live, res, frame):
-    return update_tracks(live, res, frame, feats(len(frame.detections)))
+    return update_tracks(
+        live, res, frame, proj(len(frame.detections)), centers_xy(frame.detections)
+    )
 
 
 def drive(*steps):
@@ -217,12 +232,14 @@ def drive(*steps):
 class TestUpdateTracks:
     def test_initial_births(self):
         frame = frame_with(0, 2)
-        fs = feats(2)
-        live, rows = update_tracks(EMPTY, result(births={0, 1}), frame, fs)
+        p, xy = proj(2), centers_xy(frame.detections)
+        live, rows = update_tracks(EMPTY, result(births={0, 1}), frame, p, xy)
         assert links(rows) == {0: ((0, 0),), 1: ((0, 1),)}
         assert live.next_id == 2
         assert rows[1].detection is frame.detections[1]
-        assert live.rows is rows and live.features is fs
+        assert live.rows is rows and live.projected is p and live.xy is xy
+        assert xy.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+        assert live.frames.tolist() == [0, 0]
         assert tuple(row.detection for row in rows) == frame.detections
         assert {row.frame for row in rows} == {0}
 
@@ -264,22 +281,22 @@ class TestUpdateTracks:
     def test_live_follows_slot_order(self):
         live, _ = step(EMPTY, result(births={0, 1, 2}), frame_with(0, 3))
         assert ids(live) == (0, 1, 2)
-        frame, fs = frame_with(1, 4), feats(4)
+        frame, p = frame_with(1, 4), proj(4)
         live, rows = update_tracks(
             live, result(matches={(0, 2), (2, 0)}, births={1, 3}, deaths={1}),
-            frame, fs,
+            frame, p, centers_xy(frame.detections),
         )
         assert live.rows is rows
         assert ids(live) == (2, 3, 0, 4)
         assert tuple(row.detection for row in rows) == frame.detections
-        assert live.features is fs
+        assert live.projected is p
         assert ({row.frame for row in rows}, live.next_id) == ({1}, 5)
 
     def test_input_table_unchanged(self):
         live, _ = step(EMPTY, result(births={0}), frame_with(0, 1))
-        before = (live.features, live.rows, live.next_id)
+        before = (live.projected, live.rows, live.next_id, live.xy, live.frames)
         step(live, result(matches={(0, 0)}, births={1}), frame_with(1, 2))
-        after = (live.features, live.rows, live.next_id)
+        after = (live.projected, live.rows, live.next_id, live.xy, live.frames)
         assert after == before
 
     def test_unassigned_current_slot_rejected(self):
@@ -307,8 +324,12 @@ class TestUpdateTracks:
             step(live, result(matches={(0, 0)}), frame_with(1, 1))
 
     def test_feature_rows_must_match_detections(self):
-        with pytest.raises(ValueError, match="feature rows"):
-            update_tracks(EMPTY, result(births={0, 1}), frame_with(0, 2), feats(1))
+        frame = frame_with(0, 2)
+        with pytest.raises(ValueError, match="projected rows"):
+            update_tracks(
+                EMPTY, result(births={0, 1}), frame, proj(1),
+                centers_xy(frame.detections),
+            )
 
     def test_ten_frame_lineage(self):
         # one object tracked 0..4, replaced by a newcomer from frame 5 on
@@ -329,7 +350,7 @@ class TestUpdateTracks:
             (result(births=set(range(5))), frames[0]),
             *((same, frame) for frame in frames[1:]),
         )
-        assert (len(live.rows), live.features.count) == (5, 5)
+        assert (len(live.rows), len(live.projected), len(live.xy)) == (5, 5, 5)
         assert ids(live) == (0, 1, 2, 3, 4) and live.next_id == 5
         assert {row.frame for row in live.rows} == {1999}
         assert len(rows) == 10_000
@@ -573,3 +594,119 @@ class TestGatedTracking:
         model = replace(init_model(seed=5), compression=constant_net(30.0))
         rows = track_sequence(src, model, TrackerConfig(birth_threshold=0.0))
         assert links(rows) == {0: ((0, 0),), 1: ((0, 1), (1, 1)), 2: ((1, 0),)}
+
+
+def per_frame_reference(src, model, cfg):
+    """The tracker as one affinity_from_features call per frame.
+
+    Features are kept per frame and the head runs on each frame pair as
+    a whole; ids are handed out here.  Returns (rows, score matrices).
+    """
+    feats = FeatureSet(np.zeros((0, model.pointnet.feature_dim)))
+    live, next_id, rows, scores = (), 0, [], []
+    for index in range(src.frame_count):
+        frame = load_admitted_frame(src, index)
+        fs = featurize_frame(crop_frame(frame), model.pointnet)
+        eligible = motion_gate(
+            [r.detection.box.center for r in live],
+            [d.box.center for d in frame.detections],
+            [index - r.frame for r in live],
+        )
+        a1, a2 = affinity_from_features(
+            feats, fs, model.compression, model.dummy_score, eligible
+        )
+        s = score_matrix(a1, a2)
+        res = solve_assignment(s, cfg.birth_threshold)
+        owner = {j: live[i].track_id for i, j in res.matches}
+        for j in sorted(res.births):
+            owner[j], next_id = next_id, next_id + 1
+        live = tuple(
+            TrackRow(index, owner[j], d) for j, d in enumerate(frame.detections)
+        )
+        rows.extend(live)
+        scores.append(s)
+        feats = fs
+    return tuple(rows), scores
+
+
+def windows(counts, budget):
+    """Detections per window; a frame that would pass the budget starts one."""
+    out = []
+    for n in counts:
+        if out and out[-1] + n > budget:
+            out.append(n)
+        elif out:
+            out[-1] += n
+        else:
+            out.append(n)
+    return out
+
+
+def grid_positions(counts, step=0.3):
+    """Frame f holds objects 0..counts[f]-1, object k at its grid spot + f * step."""
+    return [
+        [(8.0 * (k % 10) + step * f, 6.0 * (k // 10)) for k in range(n)]
+        for f, n in enumerate(counts)
+    ]
+
+
+class TestProjectionWindows:
+    @pytest.fixture(params=["empty_frame", "large_frame", "noisy"])
+    def scene(self, request, tmp_path):
+        rng = np.random.default_rng(79)
+        if request.param == "empty_frame":
+            # four-object frames: at a budget of 64 the first window takes
+            # frames 0-16, the empty frame 12 among them, and is full
+            counts = [0 if f == 12 else 4 for f in range(40)]
+            return write_toy_sequence(tmp_path / "seq", grid_positions(counts), rng)
+        if request.param == "large_frame":
+            # a frame past the budget and a frame at it: each is a window
+            # by itself, or with the empty frame after it
+            counts = [5, WINDOW_DETECTIONS + 6, 5, 0, WINDOW_DETECTIONS, 0, 3]
+            return write_toy_sequence(tmp_path / "seq", grid_positions(counts), rng)
+        src = generate(
+            SynthConfig(5, 30, seed=902, events=(("leave", 10, 2), ("enter", 18))),
+            tmp_path / "clean",
+        )
+        return perturb(
+            src, det_noise_sigma=0.05, fn_rate=0.1, fp_rate=0.3,
+            conf_model=(0.0, 0.4), seed=902, out_dir=tmp_path / "noisy",
+        )
+
+    def test_windows_track_as_the_per_frame_head(self, scene, monkeypatch):
+        model, cfg = init_model(0), TrackerConfig()
+        projected, scores = [], []
+
+        def recording_project(features, net):
+            projected.append(len(features))
+            return project(features, net)
+
+        def recording_scores(a1, a2):
+            scores.append(score_matrix(a1, a2))
+            return scores[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(association, "project", recording_project)
+            patch.setattr(association, "score_matrix", recording_scores)
+            rows = track_sequence(scene, model, cfg)
+        want_rows, want_scores = per_frame_reference(scene, model, cfg)
+
+        counts = [len(load_admitted_frame(scene, f).detections)
+                  for f in range(scene.frame_count)]
+        assert projected == windows(counts, WINDOW_DETECTIONS)
+        assert len(projected) < scene.frame_count
+        def key(row):
+            det = row.detection
+            return row.frame, row.track_id, det.box.center.tobytes(), det.confidence
+
+        assert [key(r) for r in rows] == [key(r) for r in want_rows]
+        assert len({r.track_id for r in rows}) < len(rows)
+        assert len(scores) == len(want_scores) == scene.frame_count
+        for got, want in zip(scores, want_scores):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-5)
+
+    def test_a_sequence_of_empty_frames_tracks_nothing(self, tmp_path):
+        rng = np.random.default_rng(80)
+        src = write_toy_sequence(tmp_path / "seq", [[], [], []], rng)
+        assert track_sequence(src, init_model(0), TrackerConfig()) == ()

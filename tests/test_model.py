@@ -1,5 +1,6 @@
 """Model container and the two-section weights file."""
 
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,15 @@ from cloudtrack.model import (
     load_model,
     save_model,
 )
-from cloudtrack.nets import init_layers, pack_layers
+from cloudtrack.nets import init_layers, write_layers
 from cloudtrack.pointnet import PointNetWeights
+
+
+def file_section(magic, layers):
+    """One model-file section of float32 layers, as save_model writes it."""
+    buf = io.BytesIO()
+    write_layers(buf, magic, layers)
+    return buf.getvalue()
 
 
 def layers_equal(a, b):
@@ -73,7 +81,7 @@ class TestModelFile:
         model = init_model(seed=14, pointnet_widths=(3, 4),
                            compression_widths=(8, 4, 4, 2, 2, 1))
         path = tmp_path / "only_pn.bin"
-        path.write_bytes(pack_layers(b"PNW1", model.pointnet.layers))
+        path.write_bytes(file_section(b"PNW1", model.pointnet.layers))
         with pytest.raises(ValueError, match="truncated"):
             load_model(path)
 
@@ -131,7 +139,7 @@ class TestModelFile:
             assert W.flags.c_contiguous and not W.flags.writeable
         # the compression section's layer 1 weight starts after its magic,
         # count, layer 0 (8 header bytes, 4x8 weights, 4 biases) and header
-        pn = len(pack_layers(b"PNW1", model.pointnet.layers))
+        pn = len(file_section(b"PNW1", model.pointnet.layers))
         at = pn + 8 + 8 + 4 * (32 + 4) + 8
         blob = bytearray(path.read_bytes())
         blob[at : at + 4] = np.float32(np.nan).tobytes()

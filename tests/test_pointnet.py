@@ -1,5 +1,6 @@
 """Featurizer: shared MLP, max-pool, the featurizer section of model files."""
 
+import io
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from cloudtrack.affinity import CompressionNet
 from cloudtrack.cropping import ObjectPoints, crop_frame
 from cloudtrack.model import AffinityModel, load_model, save_model
-from cloudtrack.nets import init_layers, mlp_forward, pack_layers
+from cloudtrack.nets import init_layers, mlp_forward, write_layers
 from cloudtrack.pointnet import (
     DEFAULT_POINTNET_WIDTHS,
     FeatureSet,
@@ -18,6 +19,13 @@ from cloudtrack.pointnet import (
 )
 from cloudtrack.sequence_io import load_admitted_frame
 from cloudtrack.synth import SynthConfig, generate
+
+
+def file_section(magic, layers):
+    """One model-file section of float32 layers, as save_model writes it."""
+    buf = io.BytesIO()
+    write_layers(buf, magic, layers)
+    return buf.getvalue()
 
 
 def random_weights(rng, widths=(3, 8, 16)):
@@ -232,7 +240,7 @@ class TestWeightsFile:
         path = tmp_path / "w.bin"
         save_model(model_with_pointnet(w), path)
         # cut inside the featurizer section, the first one in the file
-        section = len(pack_layers(b"PNW1", w.layers))
+        section = len(file_section(b"PNW1", w.layers))
         path.write_bytes(path.read_bytes()[: section - 10])
         with pytest.raises(ValueError, match="truncated"):
             load_model(path)
@@ -245,7 +253,7 @@ class TestWeightsFile:
         blob += struct.pack("<II", 4, 3) + w1.tobytes() + np.zeros(4, "<f4").tobytes()
         blob += struct.pack("<II", 512, 4) + w2.tobytes() + np.zeros(512, "<f4").tobytes()
         cmp_layers = init_layers((1024, 4, 4, 2, 2, 1), rng)
-        blob += pack_layers(b"CMP1", cmp_layers) + struct.pack("<f", 0.5)
+        blob += file_section(b"CMP1", cmp_layers) + struct.pack("<f", 0.5)
         path = tmp_path / "hand.bin"
         path.write_bytes(blob)
         loaded = load_model(path)
