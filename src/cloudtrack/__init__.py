@@ -14,7 +14,6 @@ from .affinity import (
     compression_forward,
 )
 from .association import (
-    AssignmentResult,
     LiveTracks,
     TrackerConfig,
     TrackRow,
@@ -86,7 +85,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffinityModel",
-    "AssignmentResult",
     "CROP_POINTS",
     "CompressionNet",
     "Detection",

@@ -1,24 +1,26 @@
 """Track linking: fuse affinities into scores, assign optimally, grow tracks.
 
-The tracker keeps one table of live tracks (LiveTracks): for each, the
-TrackRow where it was last seen (frame, track id, admitted detection),
-its feature row projected through the previous half of the affinity
-head's first layer, and, as arrays, its box center in xy and its frame.
-Every frame, the first included, takes the same path against it.  A
-motion gate first marks which previous/current pairs are within reach:
-the xy distance between their box centers is at most GATE_RADIUS_M per
-frame of that row's gap.  Only those pairs are scored by the affinity
-head; the others get exactly zero.  The trimmed forward/backward
-matrices are averaged into a score matrix whose extra column holds the
-leave probability.  A previous/current pair may link only when its score
-beats both that leave probability and the birth threshold, so a
-gated-out pair never links; among all ways to keep such pairs, the
-matching with the highest total score wins (matching.match: exact over
-the gated pairs alone, so it equals the brute-force optimum over gated
-partial matchings).  Unmatched current objects open new tracks,
-unmatched previous objects end theirs; against the empty table of frame
-0 every object is a birth.  Each frame's rows are both its output and
-the next table: writing them reads no frame.
+The tracker keeps one table of live tracks (LiveTracks): arrays with one
+entry per live track, holding its id, its feature row projected through
+the previous half of the affinity head's first layer, its box center in
+xy and the frame it was last seen at.  Every frame, the first included,
+takes the same path against it.  A motion gate first marks which
+previous/current pairs are within reach: the xy distance between their
+box centers is at most GATE_RADIUS_M per frame of that row's gap.  Only
+those pairs are scored by the affinity head; the others get exactly
+zero.  The trimmed forward/backward matrices are averaged into a score
+matrix whose extra column holds the leave probability.  A previous/
+current pair may link only when its score beats both that leave
+probability and the birth threshold, so a gated-out pair never links;
+among all ways to keep such pairs, the matching with the highest total
+score wins (matching.match: exact over the gated pairs alone, so it
+equals the brute-force optimum over gated partial matchings).  The
+matching stays two index arrays (rows, cols), the matched previous and
+current slots: a matched current slot continues its row's id, unmatched
+current slots open new tracks in slot order, and unmatched previous
+slots end theirs; against the empty table of frame 0 every object is a
+birth.  Each frame's TrackRows are its output: writing them reads no
+frame.
 
 Frames are loaded, cropped and featurized one at a time, ahead of the
 association, in windows of up to WINDOW_DETECTIONS detections; a window
@@ -57,23 +59,6 @@ GATE_RADIUS_M = 1.0
 
 
 @dataclass(frozen=True)
-class AssignmentResult:
-    """Partition of one frame pair's slots into links, births, deaths."""
-
-    matches: frozenset
-    births: frozenset
-    deaths: frozenset
-
-    def __post_init__(self):
-        prev_used = [i for i, _ in self.matches]
-        cur_used = [j for _, j in self.matches]
-        if len(set(prev_used)) != len(prev_used) or len(set(cur_used)) != len(cur_used):
-            raise ValueError("a slot appears in more than one match")
-        if set(prev_used) & self.deaths or set(cur_used) & self.births:
-            raise ValueError("matched slots cannot also be births/deaths")
-
-
-@dataclass(frozen=True)
 class TrackerConfig:
     birth_threshold: float = DEFAULT_BIRTH_THRESHOLD
 
@@ -94,25 +79,25 @@ class TrackRow(NamedTuple):
 class LiveTracks:
     """The live tracks: the previous side of the next assignment.
 
-    Slot i is rows[i], the TrackRow where that track was last seen.
-    projected[i] is its feature row through the previous half of the
-    head's first layer (affinity.project), computed once, in the window
-    its frame was featurized in; xy[i] is its box center in x and y and
-    frames[i] the frame it was seen at, the arrays the motion gate
-    reads.  next_id is the id the next birth takes.
+    Slot i is one live track in every array: ids[i] is its track id
+    (int64).  projected[i] is its feature row through the previous half
+    of the head's first layer (affinity.project), computed once, in the
+    window its frame was featurized in; xy[i] is its box center in x and
+    y and frames[i] the frame it was last seen at, the arrays the motion
+    gate reads.  next_id is the id the next birth takes.
     """
 
     projected: np.ndarray
-    rows: tuple = ()
+    ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     next_id: int = 0
     xy: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
     frames: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
-        n = len(self.rows)
+        n = len(self.ids)
         if (len(self.projected), self.xy.shape, self.frames.shape) != (n, (n, 2), (n,)):
             raise ValueError(
-                f"{n} rows with {len(self.projected)} projections, centers "
+                f"{n} ids with {len(self.projected)} projections, centers "
                 f"{self.xy.shape} and frames {self.frames.shape}"
             )
 
@@ -132,13 +117,15 @@ def score_matrix(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
 
 def solve_assignment(
     s: np.ndarray, birth_threshold: float = DEFAULT_BIRTH_THRESHOLD
-) -> AssignmentResult:
-    """Best gated assignment for one score matrix.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best gated assignment for one score matrix, as (rows, cols).
 
-    A pair is eligible only when its score strictly beats both the
-    row's leave score and the birth threshold.  Only eligible pairs are
-    edges of the matching, whose total is the best achievable over all
-    gate-respecting partial matchings.
+    rows[k] is the previous slot matched to current slot cols[k]; every
+    other slot is unmatched (a death or a birth).  A pair is eligible
+    only when its score strictly beats both the row's leave score and
+    the birth threshold.  Only eligible pairs are edges of the matching,
+    whose total is the best achievable over all gate-respecting partial
+    matchings.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[1] < 1:
@@ -147,18 +134,10 @@ def solve_assignment(
         raise ValueError("non-finite score")
     if not 0.0 <= birth_threshold <= 1.0:
         raise ValueError("birth_threshold must be in [0, 1]")
-    cp, cc = s.shape[0], s.shape[1] - 1
+    cc = s.shape[1] - 1
     real = s[:, :cc]
     gate = (real > s[:, cc:]) & (real > birth_threshold)
-    rows, cols = match(real, gate)
-    matches = frozenset(zip(rows.tolist(), cols.tolist()))
-    prev_used = {i for i, _ in matches}
-    cur_used = {j for _, j in matches}
-    return AssignmentResult(
-        matches,
-        frozenset(j for j in range(cc) if j not in cur_used),
-        frozenset(i for i in range(cp) if i not in prev_used),
-    )
+    return match(real, gate)
 
 
 def motion_gate(prev_centers, cur_centers, frame_gaps) -> np.ndarray:
@@ -183,39 +162,40 @@ def centers_xy(detections) -> np.ndarray:
 
 
 def update_tracks(
-    live: LiveTracks,
-    result: AssignmentResult,
-    frame: Frame,
-    projected: np.ndarray,
-    xy: np.ndarray,
+    live: LiveTracks, frame: Frame, rows, cols, projected, xy
 ) -> tuple[LiveTracks, tuple]:
     """Extend matched tracks, open tracks for births; deaths just stop.
 
-    result must partition the slots of live and of frame's detections.
-    projected and xy hold one row per detection of frame: its previous
-    half projection and its centers_xy row.  Matched previous slot i
-    continues track live.rows[i].track_id; births take fresh ids in slot
-    order.  Returns (the new table, frame's TrackRows in slot order): the
-    table's rows are that same tuple.  live itself is left unchanged.
+    rows and cols are a matching, as solve_assignment returns it: current
+    slot cols[k] continues the track of previous slot rows[k].  Unmatched
+    current slots are births and take fresh ids from live.next_id in slot
+    order; unmatched previous slots end.  projected and xy hold frame's
+    previous half projections and centers_xy rows.  Returns (the new
+    table, frame's TrackRows in slot order); live is left unchanged.
     """
-    cp, cc = len(live.rows), len(frame.detections)
-    prev_used = {i for i, _ in result.matches} | result.deaths
-    cur_used = {j for _, j in result.matches} | result.births
-    if prev_used != set(range(cp)) or cur_used != set(range(cc)):
+    cp, cc = len(live.ids), len(frame.detections)
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    prev, cur = set(rows.tolist()), set(cols.tolist())
+    if not (len(rows) == len(cols) == len(prev) == len(cur)
+            and prev <= set(range(cp)) and cur <= set(range(cc))):
         raise ValueError(
-            f"assignment does not partition the {cp} previous and {cc} "
-            f"current slots of frame {frame.index}"
+            f"rows {rows.tolist()} and cols {cols.tolist()} are not a matching "
+            f"of the {cp} previous and {cc} current slots of frame {frame.index}"
         )
     if len(projected) != cc:
         raise ValueError(f"{len(projected)} projected rows for {cc} detections")
-    owner = {j: live.rows[i].track_id for i, j in result.matches}
-    owner.update((j, live.next_id + k) for k, j in enumerate(sorted(result.births)))
-    rows = tuple(
-        TrackRow(frame.index, owner[j], d) for j, d in enumerate(frame.detections)
+    ids = np.empty(cc, dtype=np.int64)
+    ids[cols] = live.ids[rows]
+    born = np.ones(cc, dtype=bool)
+    born[cols] = False
+    births = cc - len(cols)
+    ids[born] = live.next_id + np.arange(births)
+    out = tuple(
+        TrackRow(frame.index, track_id, d)
+        for track_id, d in zip(ids.tolist(), frame.detections)
     )
-    next_id = live.next_id + len(result.births)
     frames = np.full(cc, frame.index, dtype=np.int64)
-    return LiveTracks(projected, rows, next_id, xy, frames), rows
+    return LiveTracks(projected, ids, live.next_id + births, xy, frames), out
 
 
 # Admitted detections featurized ahead of the association.  Frames are
@@ -255,8 +235,10 @@ def _associate(live, window, model, cfg, out) -> LiveTracks:
             live.projected, as_cur[start:stop], model.compression,
             model.dummy_score, eligible=eligible,
         )
-        result = solve_assignment(score_matrix(a1, a2), cfg.birth_threshold)
-        live, frame_rows = update_tracks(live, result, frame, as_prev[start:stop], xy)
+        rows, cols = solve_assignment(score_matrix(a1, a2), cfg.birth_threshold)
+        live, frame_rows = update_tracks(
+            live, frame, rows, cols, as_prev[start:stop], xy
+        )
         out.extend(frame_rows)
         start = stop
     return live

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cloudtrack import (
-    AssignmentResult,
     FeatureSet,
     LiveTracks,
     TrackerConfig,
@@ -68,34 +67,46 @@ def random_scores(rng, cp, cc):
     return s
 
 
-def matched_total(s, result):
-    return sum(s[i, j] for i, j in result.matches)
+def pairs(matching):
+    """(rows, cols) as a set of (previous slot, current slot) pairs."""
+    rows, cols = matching
+    return frozenset(zip(rows.tolist(), cols.tolist()))
+
+
+def unmatched(matching, cp, cc):
+    """(previous slots that end, current slots that are born)."""
+    rows, cols = matching
+    return set(range(cp)) - set(rows.tolist()), set(range(cc)) - set(cols.tolist())
+
+
+def matched_total(s, matching):
+    return sum(s[i, j] for i, j in pairs(matching))
 
 
 class TestSolveAssignment:
     def test_single_pair_above_gate(self):
         s = np.array([[0.9, 0.1]])
         r = solve_assignment(s, 0.3)
-        assert r.matches == frozenset({(0, 0)})
-        assert r.births == frozenset() and r.deaths == frozenset()
+        assert pairs(r) == {(0, 0)}
+        assert unmatched(r, 1, 1) == (set(), set())
 
     def test_leave_score_blocks_match(self):
         # real score never beats the leave column, so the object dies
         s = np.array([[0.4, 0.6]])
         r = solve_assignment(s, 0.3)
-        assert r.matches == frozenset()
-        assert r.deaths == frozenset({0}) and r.births == frozenset({0})
+        assert pairs(r) == frozenset()
+        assert unmatched(r, 1, 1) == ({0}, {0})
 
     def test_birth_threshold_blocks_match(self):
         s = np.array([[0.25, 0.1]])
         r = solve_assignment(s, 0.3)
-        assert r.matches == frozenset()
+        assert pairs(r) == frozenset()
 
     def test_threshold_is_strict(self):
         s = np.array([[0.3, 0.1]])
-        assert solve_assignment(s, 0.3).matches == frozenset()
+        assert pairs(solve_assignment(s, 0.3)) == frozenset()
         s = np.array([[0.30000001, 0.1]])
-        assert solve_assignment(s, 0.3).matches == frozenset({(0, 0)})
+        assert pairs(solve_assignment(s, 0.3)) == {(0, 0)}
 
     def test_greedy_would_lose(self):
         # row 0 prefers column 0, but the global optimum routes it to
@@ -105,14 +116,14 @@ class TestSolveAssignment:
             [0.59, 0.05, 0.01],
         ])
         r = solve_assignment(s, 0.3)
-        assert r.matches == frozenset({(0, 1), (1, 0)})
+        assert pairs(r) == {(0, 1), (1, 0)}
 
     def test_empty_sides(self):
         r = solve_assignment(np.empty((0, 4)), 0.3)
-        assert r.matches == frozenset()
-        assert r.births == frozenset({0, 1, 2})
+        assert pairs(r) == frozenset()
+        assert unmatched(r, 0, 3) == (set(), {0, 1, 2})
         r = solve_assignment(np.array([[0.5], [0.5]]), 0.3)
-        assert r.deaths == frozenset({0, 1})
+        assert unmatched(r, 2, 0) == ({0, 1}, set())
 
     def test_matches_brute_force_totals(self):
         rng = np.random.default_rng(11)
@@ -125,18 +136,19 @@ class TestSolveAssignment:
             assert abs(matched_total(s, r) - expect) < 1e-12
 
     def test_partition_property(self):
+        # (rows, cols) pair each matched slot once, within both sides,
+        # and only across a gate-passing cell
         rng = np.random.default_rng(12)
         for _ in range(60):
             cp = int(rng.integers(0, 8))
             cc = int(rng.integers(0, 8))
             s = random_scores(rng, cp, cc) if cp else np.empty((0, cc + 1))
-            r = solve_assignment(s, 0.25)
-            prev_used = {i for i, _ in r.matches}
-            cur_used = {j for _, j in r.matches}
-            assert prev_used | r.deaths == set(range(cp))
-            assert prev_used & r.deaths == set()
-            assert cur_used | r.births == set(range(cc))
-            assert cur_used & r.births == set()
+            rows, cols = solve_assignment(s, 0.25)
+            assert rows.shape == cols.shape == (len(rows),)
+            assert len(set(rows.tolist())) == len(set(cols.tolist())) == len(rows)
+            assert set(rows.tolist()) <= set(range(cp))
+            assert set(cols.tolist()) <= set(range(cc))
+            assert ((s[rows, cols] > s[rows, cc]) & (s[rows, cols] > 0.25)).all()
 
     def test_column_permutation_equivariance(self):
         rng = np.random.default_rng(13)
@@ -150,8 +162,8 @@ class TestSolveAssignment:
             base = solve_assignment(s, 0.1)
             moved = solve_assignment(sp, 0.1)
             inverse = np.argsort(perm)
-            assert moved.matches == frozenset(
-                (i, int(inverse[j])) for i, j in base.matches
+            assert pairs(moved) == frozenset(
+                (i, int(inverse[j])) for i, j in pairs(base)
             )
 
     def test_rejects_bad_input(self):
@@ -199,8 +211,10 @@ def links(rows):
     return {tid: tuple(entries) for tid, entries in out.items()}
 
 
-def result(matches=(), births=(), deaths=()):
-    return AssignmentResult(frozenset(matches), frozenset(births), frozenset(deaths))
+def matching(*links):
+    """(rows, cols) for the given (previous slot, current slot) links."""
+    rows = np.array([i for i, _ in links], dtype=np.intp)
+    return rows, np.array([j for _, j in links], dtype=np.intp)
 
 
 def proj(n):
@@ -211,20 +225,21 @@ EMPTY = LiveTracks(proj(0))
 
 
 def ids(live):
-    return tuple(row.track_id for row in live.rows)
+    return tuple(live.ids.tolist())
 
 
-def step(live, res, frame):
+def step(live, matched, frame):
     return update_tracks(
-        live, res, frame, proj(len(frame.detections)), centers_xy(frame.detections)
+        live, frame, *matching(*matched), proj(len(frame.detections)),
+        centers_xy(frame.detections),
     )
 
 
 def drive(*steps):
-    """Run (result, frame) steps from the empty table: (last table, all rows)."""
+    """Run (matched, frame) steps from the empty table: (last table, all rows)."""
     live, rows = EMPTY, []
-    for res, frame in steps:
-        live, new = step(live, res, frame)
+    for matched, frame in steps:
+        live, new = step(live, matched, frame)
         rows.extend(new)
     return live, rows
 
@@ -233,21 +248,22 @@ class TestUpdateTracks:
     def test_initial_births(self):
         frame = frame_with(0, 2)
         p, xy = proj(2), centers_xy(frame.detections)
-        live, rows = update_tracks(EMPTY, result(births={0, 1}), frame, p, xy)
+        live, rows = update_tracks(EMPTY, frame, [], [], p, xy)
         assert links(rows) == {0: ((0, 0),), 1: ((0, 1),)}
         assert live.next_id == 2
         assert rows[1].detection is frame.detections[1]
-        assert live.rows is rows and live.projected is p and live.xy is xy
+        assert ids(live) == (0, 1) and live.ids.dtype == np.int64
+        assert live.projected is p and live.xy is xy
         assert xy.tolist() == [[0.0, 0.0], [1.0, 0.0]]
         assert live.frames.tolist() == [0, 0]
         assert tuple(row.detection for row in rows) == frame.detections
         assert {row.frame for row in rows} == {0}
 
     def test_match_extends_track(self):
-        live, first = step(EMPTY, result(births={0}), frame_with(0, 1))
+        live, first = step(EMPTY, (), frame_with(0, 1))
         assert ids(live) == (0,)
         frame = frame_with(1, 2)
-        live, second = step(live, result(matches={(0, 1)}, births={0}), frame)
+        live, second = step(live, [(0, 1)], frame)
         assert links(first + second) == {0: ((0, 0), (1, 1)), 1: ((1, 0),)}
         assert second == (TrackRow(1, 1, frame.detections[0]),
                           TrackRow(1, 0, frame.detections[1]))
@@ -255,9 +271,9 @@ class TestUpdateTracks:
 
     def test_death_then_birth_uses_fresh_id(self):
         live, rows = drive(
-            (result(births={0}), frame_with(0, 1)),
-            (result(deaths={0}), frame_with(1, 0)),
-            (result(births={0}), frame_with(2, 1)),
+            ((), frame_with(0, 1)),
+            ((), frame_with(1, 0)),
+            ((), frame_with(2, 1)),
         )
         assert set(links(rows)) == {0, 1}
         assert links(rows)[1] == ((2, 0),)
@@ -265,79 +281,85 @@ class TestUpdateTracks:
 
     def test_dead_track_never_reactivates(self):
         # track 0 ends at frame 1; the object on slot 0 of frame 2 is new
-        live, rows = step(EMPTY, result(births={0}), frame_with(0, 1))
+        live, rows = step(EMPTY, (), frame_with(0, 1))
         assert ids(live) == (0,)
-        live, more = step(live, result(deaths={0}), frame_with(1, 0))
-        assert live.rows == () and more == ()
+        live, more = step(live, (), frame_with(1, 0))
+        assert ids(live) == () and more == ()
         rows += more
-        live, more = step(live, result(births={0}), frame_with(2, 1))
+        live, more = step(live, (), frame_with(2, 1))
         assert ids(live) == (1,)
         rows += more
-        live, more = step(live, result(matches={(0, 0)}), frame_with(3, 1))
+        live, more = step(live, [(0, 0)], frame_with(3, 1))
         assert ids(live) == (1,)
         rows += more
         assert links(rows) == {0: ((0, 0),), 1: ((2, 0), (3, 0))}
 
     def test_live_follows_slot_order(self):
-        live, _ = step(EMPTY, result(births={0, 1, 2}), frame_with(0, 3))
+        # previous slot 1 ends; current slots 1 and 3 are born
+        live, _ = step(EMPTY, (), frame_with(0, 3))
         assert ids(live) == (0, 1, 2)
         frame, p = frame_with(1, 4), proj(4)
         live, rows = update_tracks(
-            live, result(matches={(0, 2), (2, 0)}, births={1, 3}, deaths={1}),
-            frame, p, centers_xy(frame.detections),
+            live, frame, *matching((0, 2), (2, 0)), p, centers_xy(frame.detections)
         )
-        assert live.rows is rows
         assert ids(live) == (2, 3, 0, 4)
+        assert tuple(row.track_id for row in rows) == ids(live)
         assert tuple(row.detection for row in rows) == frame.detections
         assert live.projected is p
         assert ({row.frame for row in rows}, live.next_id) == ({1}, 5)
 
     def test_input_table_unchanged(self):
-        live, _ = step(EMPTY, result(births={0}), frame_with(0, 1))
-        before = (live.projected, live.rows, live.next_id, live.xy, live.frames)
-        step(live, result(matches={(0, 0)}, births={1}), frame_with(1, 2))
-        after = (live.projected, live.rows, live.next_id, live.xy, live.frames)
-        assert after == before
+        live, _ = step(EMPTY, (), frame_with(0, 1))
+        fields = ("projected", "ids", "xy", "frames")
+        before = {name: getattr(live, name).copy() for name in fields}
+        step(live, [(0, 0)], frame_with(1, 2))
+        assert live.next_id == 1
+        for name in fields:
+            assert np.array_equal(getattr(live, name), before[name])
 
-    def test_unassigned_current_slot_rejected(self):
-        # slot 0 of frame 1 is neither matched nor born
-        live, _ = step(EMPTY, result(births={0}), frame_with(0, 1))
-        with pytest.raises(ValueError, match="does not partition"):
-            step(live, result(matches={(0, 1)}), frame_with(1, 2))
+    def test_unmatched_current_slot_is_born(self):
+        # slot 0 of frame 1 is unmatched, so it opens track 1
+        live, _ = step(EMPTY, (), frame_with(0, 1))
+        live, rows = step(live, [(0, 1)], frame_with(1, 2))
+        assert tuple(row.track_id for row in rows) == (1, 0)
+        assert live.next_id == 2
 
     def test_match_beyond_live_table_rejected(self):
-        live, _ = step(EMPTY, result(births={0}), frame_with(0, 1))
-        with pytest.raises(ValueError, match="does not partition"):
-            step(live, result(matches={(1, 0)}, deaths={0}), frame_with(1, 1))
-        with pytest.raises(ValueError, match="does not partition"):
-            step(EMPTY, result(matches={(0, 0)}), frame_with(0, 1))
+        live, _ = step(EMPTY, (), frame_with(0, 1))
+        with pytest.raises(ValueError, match="not a matching"):
+            step(live, [(1, 0)], frame_with(1, 1))
+        with pytest.raises(ValueError, match="not a matching"):
+            step(live, [(-1, 0)], frame_with(1, 1))
+        with pytest.raises(ValueError, match="not a matching"):
+            step(EMPTY, [(0, 0)], frame_with(0, 1))
 
-    def test_death_outside_live_table_rejected(self):
-        live, _ = step(EMPTY, result(births={0}), frame_with(0, 1))
-        with pytest.raises(ValueError, match="does not partition"):
-            step(live, result(matches={(0, 0)}, deaths={7}), frame_with(1, 1))
+    def test_match_beyond_frame_rejected(self):
+        live, _ = step(EMPTY, (), frame_with(0, 1))
+        with pytest.raises(ValueError, match="not a matching"):
+            step(live, [(0, 7)], frame_with(1, 1))
+        with pytest.raises(ValueError, match="not a matching"):
+            step(live, [(0, -1)], frame_with(1, 1))
 
-    def test_unended_live_track_rejected(self):
-        # previous slot 1 is neither matched nor dead
-        live, _ = step(EMPTY, result(births={0, 1}), frame_with(0, 2))
-        with pytest.raises(ValueError, match="does not partition"):
-            step(live, result(matches={(0, 0)}), frame_with(1, 1))
+    def test_unmatched_live_track_ends(self):
+        # previous slot 1 is unmatched: track 1 ends, and never returns
+        live, _ = step(EMPTY, (), frame_with(0, 2))
+        live, _ = step(live, [(0, 0)], frame_with(1, 1))
+        assert ids(live) == (0,) and live.next_id == 2
+        live, _ = step(live, [(0, 0)], frame_with(2, 2))
+        assert ids(live) == (0, 2)
 
     def test_feature_rows_must_match_detections(self):
         frame = frame_with(0, 2)
         with pytest.raises(ValueError, match="projected rows"):
-            update_tracks(
-                EMPTY, result(births={0, 1}), frame, proj(1),
-                centers_xy(frame.detections),
-            )
+            update_tracks(EMPTY, frame, [], [], proj(1), centers_xy(frame.detections))
 
     def test_ten_frame_lineage(self):
         # one object tracked 0..4, replaced by a newcomer from frame 5 on
         _, rows = drive(
-            (result(births={0}), frame_with(0, 1)),
-            *((result(matches={(0, 0)}), frame_with(f, 1)) for f in range(1, 5)),
-            (result(births={0}, deaths={0}), frame_with(5, 1)),
-            *((result(matches={(0, 0)}), frame_with(f, 1)) for f in range(6, 10)),
+            ((), frame_with(0, 1)),
+            *(([(0, 0)], frame_with(f, 1)) for f in range(1, 5)),
+            ((), frame_with(5, 1)),
+            *(([(0, 0)], frame_with(f, 1)) for f in range(6, 10)),
         )
         assert links(rows)[0] == tuple((f, 0) for f in range(5))
         assert links(rows)[1] == tuple((f, 0) for f in range(5, 10))
@@ -345,23 +367,56 @@ class TestUpdateTracks:
     def test_long_run_keeps_only_the_live_slots(self):
         # 5 objects matched for 2 000 frames: the table never grows
         frames = [frame_with(f, 5) for f in range(2000)]
-        same = result(matches={(k, k) for k in range(5)})
+        same = [(k, k) for k in range(5)]
         live, rows = drive(
-            (result(births=set(range(5))), frames[0]),
+            ((), frames[0]),
             *((same, frame) for frame in frames[1:]),
         )
-        assert (len(live.rows), len(live.projected), len(live.xy)) == (5, 5, 5)
+        assert (len(live.ids), len(live.projected), len(live.xy)) == (5, 5, 5)
         assert ids(live) == (0, 1, 2, 3, 4) and live.next_id == 5
-        assert {row.frame for row in live.rows} == {1999}
+        assert set(live.frames.tolist()) == {1999}
         assert len(rows) == 10_000
         assert {row.track_id for row in rows} == set(range(5))
         assert links(rows)[3] == tuple((f, 3) for f in range(2000))
 
     def test_result_validation(self):
-        with pytest.raises(ValueError):
-            AssignmentResult(frozenset({(0, 0), (0, 1)}), frozenset(), frozenset())
-        with pytest.raises(ValueError):
-            AssignmentResult(frozenset({(0, 0)}), frozenset({0}), frozenset())
+        # a matching pairs each slot at most once, rows and cols alike
+        live, _ = step(EMPTY, (), frame_with(0, 2))
+        frame = frame_with(1, 2)
+        with pytest.raises(ValueError, match="not a matching"):
+            step(live, [(0, 0), (0, 1)], frame)
+        with pytest.raises(ValueError, match="not a matching"):
+            step(live, [(0, 0), (1, 0)], frame)
+        with pytest.raises(ValueError, match="not a matching"):
+            update_tracks(
+                live, frame, [0, 1], [0], proj(2), centers_xy(frame.detections)
+            )
+
+    def test_random_matchings_keep_ids_consistent(self):
+        # 200 frames of random scores through the solver: what a partition
+        # check used to guard holds on every frame
+        rng = np.random.default_rng(17)
+        live, ended = EMPTY, set()
+        for f in range(200):
+            cc = int(rng.integers(0, 8))
+            s = rng.uniform(0.0, 1.0, size=(len(live.ids), cc + 1))
+            rows, cols = solve_assignment(s, 0.3)
+            frame = frame_with(f, cc)
+            new, out = update_tracks(
+                live, frame, rows, cols, proj(cc), centers_xy(frame.detections)
+            )
+            got = [row.track_id for row in out]
+            assert all(type(track_id) is int for track_id in got)
+            assert len(set(got)) == cc and got == new.ids.tolist()
+            for i, j in zip(rows.tolist(), cols.tolist()):
+                assert got[j] == live.ids[i]
+            born = [got[j] for j in range(cc) if j not in set(cols.tolist())]
+            assert born == list(range(live.next_id, live.next_id + len(born)))
+            assert new.next_id == live.next_id + len(born)
+            assert not ended & set(got)
+            ended |= set(live.ids.tolist()) - set(got)
+            live = new
+        assert ended and live.next_id > 200
 
 
 def box_at(x, y):
@@ -616,10 +671,11 @@ def per_frame_reference(src, model, cfg):
             feats, fs, model.compression, model.dummy_score, eligible
         )
         s = score_matrix(a1, a2)
-        res = solve_assignment(s, cfg.birth_threshold)
-        owner = {j: live[i].track_id for i, j in res.matches}
-        for j in sorted(res.births):
-            owner[j], next_id = next_id, next_id + 1
+        prev, cur = solve_assignment(s, cfg.birth_threshold)
+        owner = {j: live[i].track_id for i, j in zip(prev.tolist(), cur.tolist())}
+        for j in range(len(frame.detections)):
+            if j not in owner:
+                owner[j], next_id = next_id, next_id + 1
         live = tuple(
             TrackRow(index, owner[j], d) for j, d in enumerate(frame.detections)
         )

@@ -3,8 +3,8 @@
 #
 #   tools/same_bytes.sh REV
 #
-# Runs the same recipes with the source of REV (checked out in a git
-# worktree under .same_bytes/) and with the working tree's source, then
+# Runs the same recipes with the source of REV (REV's src/, unpacked with
+# git archive under .same_bytes/) and with the working tree's source, then
 # compares their outputs with cmp.  Exits 0 when every output is the same,
 # 1 when any differs.
 #
@@ -28,10 +28,9 @@ python=${PYTHON:-python3}
 outputs=(model.bin loss.csv tracks-paper5.csv tracks-dense80.csv)
 
 rm -rf "$work"
-git -C "$root" worktree prune
-mkdir -p "$work"
-git -C "$root" worktree add --detach --quiet "$work/rev" "$rev"
-trap 'git -C "$root" worktree remove --force "$work/rev" || true; rm -rf "$work"' EXIT
+mkdir -p "$work/rev"
+trap 'rm -rf "$work"' EXIT
+git -C "$root" archive "$rev" src | tar -x -C "$work/rev"
 
 # run_recipes SRC OUT: every recipe with the package under SRC, outputs in OUT
 run_recipes() {
