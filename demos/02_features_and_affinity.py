@@ -15,7 +15,7 @@ import numpy as np
 
 from cloudtrack import (
     SynthConfig,
-    affinity_from_features,
+    augment_and_softmax,
     compression_forward,
     crop_frame,
     featurize_frame,
@@ -33,11 +33,12 @@ prev = load_admitted_frame(src, 0)
 cur = load_admitted_frame(src, 1)
 
 # One box-local crop of at most CROP_POINTS = 128 points per detection,
-# then one 512-wide feature row per object.  A crop depends on its frame
-# alone, so training and tracking featurize the same points.
-prev_fs = featurize_frame(crop_frame(prev), model.pointnet)
-cur_fs = featurize_frame(crop_frame(cur), model.pointnet)
-print(f"features: {prev_fs.count} objects x {prev_fs.dim} dims")
+# then one 512-wide float32 feature row per object: a frame's features
+# are one (objects x 512) array.  A crop depends on its frame alone, so
+# training and tracking featurize the same points.
+prev_x = featurize_frame(crop_frame(prev), model.pointnet)
+cur_x = featurize_frame(crop_frame(cur), model.pointnet)
+print(f"features: {prev_x.shape[0]} objects x {prev_x.shape[1]} dims, {prev_x.dtype}")
 
 # The feature of an object never depends on the order of its points.
 rng = np.random.default_rng(3)
@@ -46,7 +47,7 @@ a = pointnet_forward(ObjectPoints(pts), model.pointnet)
 b = pointnet_forward(ObjectPoints(pts[rng.permutation(100)]), model.pointnet)
 print(f"permutation changes feature bytes: {a.tobytes() != b.tobytes()}")
 
-m = compression_forward(prev_fs.features, cur_fs.features, model.compression)
+m = compression_forward(prev_x, cur_x, model.compression)
 cp, cc = m.shape
 print(f"\nraw scores M ({cp} previous x {cc} current):")
 print(np.array2string(m, precision=3))
@@ -54,9 +55,8 @@ print(np.array2string(m, precision=3))
 # The head's output is the pair (A1, A2).  A1 appends a leave column
 # and normalizes each row; A2 appends an enter row and normalizes each
 # column.  Every row of A1 and every column of A2 is a probability
-# distribution.  affinity_from_features runs M and the softmaxes in one
-# call.
-a1, a2 = affinity_from_features(prev_fs, cur_fs, model.compression, model.dummy_score)
+# distribution.  The learned dummy score fills the extra column and row.
+a1, a2 = augment_and_softmax(m, model.dummy_score)
 print("\nrow-normalized A1 (last column = leave):")
 print(np.array2string(a1, precision=3))
 print("row sums:", np.array2string(a1.sum(axis=1), precision=6))

@@ -9,7 +9,6 @@ with standard multi-object tracking metrics.
 
 from .affinity import (
     CompressionNet,
-    affinity_from_features,
     augment_and_softmax,
     compression_forward,
 )
@@ -59,7 +58,6 @@ from .model import (
     save_model,
 )
 from .pointnet import (
-    FeatureSet,
     PointNetWeights,
     featurize_frame,
     pointnet_forward,
@@ -88,7 +86,6 @@ __all__ = [
     "CROP_POINTS",
     "CompressionNet",
     "Detection",
-    "FeatureSet",
     "Frame",
     "GroundTruthAssignment",
     "IngestConfig",
@@ -108,7 +105,6 @@ __all__ = [
     "TrainConfig",
     "TrainState",
     "admit_detections",
-    "affinity_from_features",
     "augment_and_softmax",
     "box_contains",
     "build_gt",

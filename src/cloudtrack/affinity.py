@@ -48,7 +48,6 @@ from .nets import (
     relu,
     validate_layers,
 )
-from .pointnet import FeatureSet
 
 DEFAULT_COMPRESSION_WIDTHS = (1024, 512, 256, 128, 64, 1)
 COMPRESSION_LAYER_COUNT = 5
@@ -148,7 +147,9 @@ def score_projected(
     row differently in products of other sizes: measured at the default
     widths over batches of 1 to 9 cells, a cell's own one-cell call
     differed from its batched score in the last bits for 1260 of 1350
-    cells.  The two agree to float32 rounding.
+    cells.  The two agree to float32 rounding.  Finite weights can still
+    overflow float32: an eligible cell that does not score a finite
+    value raises ValueError, as -inf would silently bar its pair.
     """
     prev = np.asarray(prev, dtype=np.float32)
     cur = np.asarray(cur, dtype=np.float32)
@@ -169,9 +170,13 @@ def score_projected(
     first_p, inverse_p = distinct_rows(prev, eligible)
     first_c, inverse_c = distinct_rows(cur, eligible[first_p].T)
     rows, cols = np.nonzero(eligible[np.ix_(first_p, first_c)])
-    hidden = relu(prev[first_p[rows]] + cur[first_c[cols]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        hidden = relu(prev[first_p[rows]] + cur[first_c[cols]])
+        scores = mlp_forward(hidden, net.layers[1:])[:, 0]
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite affinity score on an eligible pair")
     m = np.full((len(first_p), len(first_c)), -np.inf)
-    m[rows, cols] = mlp_forward(hidden, net.layers[1:])[:, 0]
+    m[rows, cols] = scores
     return m[np.ix_(inverse_p, inverse_c)]
 
 
@@ -183,8 +188,9 @@ def compression_forward(
 ) -> np.ndarray:
     """Score the (previous row, current row) feature pairs; cp x cc.
 
-    prev and cur are float32 rows, as FeatureSet holds them (other types
-    are rounded to float32), and the net runs in float32; M is float64.
+    prev and cur are float32 rows, as featurize_frame returns them (other
+    types are rounded to float32), and the net runs in float32; M is
+    float64.
     Both frames' rows are projected as one batch (project), then the
     eligible cells are scored (score_projected): M's rows and columns
     permute bitwise with the previous and current rows and the mask.
@@ -275,15 +281,3 @@ def affinity_from_projected(
     """
     return augment_and_softmax(score_projected(prev, cur, net, eligible), dummy_score)
 
-
-def affinity_from_features(
-    prev: FeatureSet,
-    cur: FeatureSet,
-    net: CompressionNet,
-    dummy_score: float,
-    eligible: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full affinity head for one frame pair: (A1, A2) over the eligible pairs."""
-    return augment_and_softmax(
-        compression_forward(prev.features, cur.features, net, eligible), dummy_score
-    )

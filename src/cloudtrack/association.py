@@ -259,7 +259,7 @@ def track_sequence(
     rows, window, pending = [], [], 0
     for index in range(src.frame_count):
         frame = load_admitted_frame(src, index)
-        features = featurize_frame(crop_frame(frame), model.pointnet).features
+        features = featurize_frame(crop_frame(frame), model.pointnet)
         frame = Frame(frame.index, _NO_POINTS, frame.detections)
         count = len(frame.detections)
         # after this frame's featurize, not before its crop: between its

@@ -14,8 +14,8 @@ points are float32 on disk too.  The box-local crop coordinates round
 once to float32, and the products round more coarsely than in float64.
 Features stay within 1e-6 of the largest feature of a float64 MLP on
 the same crops (the tests bound it).  Crop geometry before the MLP is
-float64; the rows it returns are float32, as FeatureSet holds them and
-the affinity head reads them.
+float64; the rows it returns are one float32 array, the type the
+affinity head reads.
 
 A frame's crops run as one batch in a canonical crop order, through the
 MLP in chunks of a few crops (see featurize_frame), so the rows permute
@@ -59,34 +59,6 @@ class PointNetWeights:
     @property
     def feature_dim(self) -> int:
         return self.widths[-1]
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureSet:
-    """One float32 feature row per object of a frame.
-
-    features is cast once to float32, the type the featurizer returns
-    and the affinity head reads; a value that overflows it is refused.
-    """
-
-    features: np.ndarray
-
-    def __post_init__(self):
-        with np.errstate(over="ignore"):
-            feats = np.asarray(self.features, dtype=np.float32)
-        if feats.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {feats.shape}")
-        if not np.isfinite(feats).all():
-            raise ValueError("non-finite feature value")
-        object.__setattr__(self, "features", feats)
-
-    @property
-    def count(self) -> int:
-        return len(self.features)
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
 
 
 # Crops per MLP chunk.  The activations are allocated once per call at
@@ -144,11 +116,11 @@ def _pool_crops(crops, layers: Layers) -> np.ndarray:
 
 def pointnet_forward(obj: ObjectPoints, w: PointNetWeights) -> np.ndarray:
     """Feature vector for one object; the zero vector when it has no points."""
-    return featurize_frame((obj,), w).features[0]
+    return featurize_frame((obj,), w)[0]
 
 
-def featurize_frame(objs, w: PointNetWeights) -> FeatureSet:
-    """Featurize each object into its own row, in input order.
+def featurize_frame(objs, w: PointNetWeights) -> np.ndarray:
+    """Featurize each object into its own row, in input order; (n, D) float32.
 
     Each non-empty crop's points are canonically ordered and cast to
     float32, the type the MLP runs in and the rows are returned in.
@@ -160,7 +132,9 @@ def featurize_frame(objs, w: PointNetWeights) -> FeatureSet:
     Shorter crops run alone; empty ones keep the zero row.  That a
     batched row equals its own object's pointnet_forward rests on BLAS
     computing a row alike at any position of a long product: the tests
-    check it, the construction does not guarantee it.
+    check it, the construction does not guarantee it.  Finite weights
+    can still overflow float32 on the way: a non-finite feature raises
+    ValueError.
     """
     objs = tuple(objs)
     feats = np.zeros((len(objs), w.feature_dim), dtype=np.float32)
@@ -173,6 +147,9 @@ def featurize_frame(objs, w: PointNetWeights) -> FeatureSet:
     batched = [slot for slot, pts in crops.items() if len(pts) >= _BATCH_MIN_POINTS]
     if batched:
         groups.append(batched)
-    for group in groups:
-        feats[group] = _pool_crops([crops[slot] for slot in group], w.layers)
-    return FeatureSet(feats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in groups:
+            feats[group] = _pool_crops([crops[slot] for slot in group], w.layers)
+    if not np.isfinite(feats).all():
+        raise ValueError("non-finite feature value")
+    return feats

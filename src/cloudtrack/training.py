@@ -64,7 +64,7 @@ from .losses import (
 )
 from .model import AffinityModel, init_model, save_model
 from .nets import mlp_backward, mlp_forward_cached
-from .pointnet import FeatureSet, featurize_frame
+from .pointnet import featurize_frame
 from .sequence_io import SequenceSource, format_float, load_admitted_frame
 
 LOG_HEADER = "step,l_f,l_b,l_c,l_a,total"
@@ -92,12 +92,12 @@ class TrainConfig:
             raise ValueError("batch_pairs must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairSample:
-    """One training example: features of both frames plus the true links."""
+    """One training example: both frames' float32 features plus the true links."""
 
-    prev: FeatureSet
-    cur: FeatureSet
+    prev: np.ndarray
+    cur: np.ndarray
     gt: GroundTruthAssignment
 
 
@@ -178,16 +178,16 @@ def reduce_pool(pool) -> tuple[np.ndarray, tuple]:
     """(Q, the pool with every feature row x mapped to x Q), in float32.
 
     Q is an orthonormal basis, D x min(R, D), of the span of the pool's
-    R feature rows, with each FeatureSet counted once however many
+    R feature rows, with each features array counted once however many
     samples share it, and no rank cut-off.  The QR and the map run in
     float64, and Q and each mapped row are rounded to float32 once.
-    Each FeatureSet is mapped once, and samples that shared one share
-    its image.
+    Each array is mapped once, and samples that shared one share its
+    image.
     """
-    sets = {id(fs): fs for s in pool for fs in (s.prev, s.cur)}
-    rows = np.concatenate([fs.features for fs in sets.values()]).astype(np.float64)
+    arrays = {id(x): x for s in pool for x in (s.prev, s.cur)}
+    rows = np.concatenate(list(arrays.values())).astype(np.float64)
     basis = np.linalg.qr(rows.T)[0]
-    mapped = {key: FeatureSet(fs.features @ basis) for key, fs in sets.items()}
+    mapped = {key: (x @ basis).astype(np.float32) for key, x in arrays.items()}
     return basis.astype(np.float32), tuple(
         PairSample(mapped[id(s.prev)], mapped[id(s.cur)], s.gt) for s in pool
     )
@@ -222,8 +222,8 @@ def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
         raise ValueError("batch must contain at least one pair")
     width = len(state.b1)
     gt = stack_gt([s.gt for s in batch])
-    prev_x = np.concatenate([s.prev.features for s in batch])
-    cur_x = np.concatenate([s.cur.features for s in batch])
+    prev_x = np.concatenate([s.prev for s in batch])
+    cur_x = np.concatenate([s.cur for s in batch])
     cells = gt.cells
     # the stack's cell (k, i, j), in cell order, pairs the previous row i
     # and the current row j of sample k, counted from the stack's far

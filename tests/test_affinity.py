@@ -5,7 +5,6 @@ import pytest
 
 from cloudtrack.affinity import (
     CompressionNet,
-    affinity_from_features,
     affinity_from_projected,
     augment_and_softmax,
     compression_forward,
@@ -15,7 +14,6 @@ from cloudtrack.affinity import (
 )
 from cloudtrack.model import init_model
 from cloudtrack.nets import init_layers, relu
-from cloudtrack.pointnet import FeatureSet
 
 
 def tiny_net(rng, in_dim=4):
@@ -89,9 +87,7 @@ class TestCompressionForward:
         none = np.zeros((2, 3), dtype=bool)
         m = compression_forward(prev, cur, net, eligible=none)
         assert m.shape == (2, 3) and np.all(m == -np.inf)
-        a1, a2 = affinity_from_features(
-            FeatureSet(prev), FeatureSet(cur), net, 0.5, eligible=none
-        )
+        a1, a2 = augment_and_softmax(m, 0.5)
         assert np.all(a1[:, 3] == 1.0) and np.all(a2[2, :] == 1.0)
 
     def test_prev_permutation_permutes_rows_bitwise(self):
@@ -242,9 +238,7 @@ class TestSplitHead:
                     as_prev, as_cur = project(np.concatenate([prev, cur]), net)
                     split = score_projected(as_prev[:cp], as_cur[cp:], net, eligible)
                     assert split.tobytes() == m.tobytes()
-                    a = affinity_from_features(
-                        FeatureSet(prev), FeatureSet(cur), net, 0.3, eligible
-                    )
+                    a = augment_and_softmax(m, 0.3)
                     b = affinity_from_projected(
                         as_prev[:cp], as_cur[cp:], net, 0.3, eligible
                     )
@@ -264,6 +258,25 @@ class TestSplitHead:
             pr, pc = rng.permutation(6), rng.permutation(11)
             mp = score_projected(prev[pr], cur[pc], net, eligible[pr][:, pc])
             assert mp.tobytes() == m[pr][:, pc].tobytes()
+
+    def test_overflowing_score_raises(self):
+        # every weight is finite in float32, but the last layer overflows
+        # to -inf, which would mark an eligible pair as one that may not
+        # link: the head raises instead, with no overflow warning first
+        rng = np.random.default_rng(235)
+        *layers, (w5, b5) = real_net().layers
+        net = CompressionNet((*layers, (np.full_like(w5, -3e37), b5)))
+        prev, cur = features(rng, (4, 512)), features(rng, (3, 512))
+        eligible = np.zeros((4, 3), dtype=bool)
+        # no eligible cell runs, so there is nothing to refuse
+        assert np.all(compression_forward(prev, cur, net, eligible) == -np.inf)
+        eligible[2, 1] = True
+        for mask in (eligible, None):
+            with pytest.raises(ValueError, match="non-finite affinity score"):
+                compression_forward(prev, cur, net, mask)
+        as_prev, as_cur = project(np.concatenate([prev, cur]), net)
+        with pytest.raises(ValueError, match="non-finite affinity score"):
+            affinity_from_projected(as_prev[:4], as_cur[4:], net, 0.0, eligible)
 
     def test_bad_shapes_rejected(self):
         rng = np.random.default_rng(234)
@@ -327,23 +340,12 @@ class TestAugmentAndSoftmax:
         rng = np.random.default_rng(214)
         net = tiny_net(rng)
         rows = rng.normal(size=(4, 2))
-        cur = FeatureSet(rng.normal(size=(3, 2)))
+        cur = rng.normal(size=(3, 2))
         perm = np.array([3, 1, 0, 2])
-        a1, a2 = affinity_from_features(FeatureSet(rows), cur, net, 0.2)
-        b1, b2 = affinity_from_features(FeatureSet(rows[perm]), cur, net, 0.2)
+        a1, a2 = augment_and_softmax(compression_forward(rows, cur, net), 0.2)
+        b1, b2 = augment_and_softmax(compression_forward(rows[perm], cur, net), 0.2)
         assert np.allclose(b1, a1[perm], atol=1e-15)
         assert np.allclose(b2[:4], a2[perm], atol=1e-15)
-
-    def test_composed_path_matches_pieces(self):
-        rng = np.random.default_rng(215)
-        net = tiny_net(rng)
-        prev = FeatureSet(rng.normal(size=(3, 2)))
-        cur = FeatureSet(rng.normal(size=(2, 2)))
-        d1, d2 = affinity_from_features(prev, cur, net, 0.4)
-        m = compression_forward(prev.features, cur.features, net)
-        c1, c2 = augment_and_softmax(m, 0.4)
-        assert d1.tobytes() == c1.tobytes()
-        assert d2.tobytes() == c2.tobytes()
 
     def test_rejects_non_finite(self):
         for bad in (np.inf, np.nan):

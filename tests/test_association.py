@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cloudtrack import (
-    FeatureSet,
     LiveTracks,
     TrackerConfig,
     TrackRow,
@@ -22,8 +21,8 @@ from cloudtrack import (
 from cloudtrack import association
 from cloudtrack.affinity import (
     CompressionNet,
-    affinity_from_features,
     augment_and_softmax,
+    compression_forward,
     project,
 )
 from cloudtrack.association import (
@@ -34,7 +33,7 @@ from cloudtrack.association import (
 )
 from cloudtrack.cropping import crop_frame
 from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
-from cloudtrack.pointnet import featurize_frame
+from cloudtrack.pointnet import PointNetWeights, featurize_frame
 from cloudtrack.sequence_io import load_admitted_frame
 from cloudtrack.synth import SynthConfig, generate, perturb
 
@@ -466,6 +465,22 @@ def toy(tmp_path_factory):
     return src, init_model(seed=5)
 
 
+def overflowing_model(model, part):
+    """model with finite float32 weights whose part overflows float32.
+
+    part "pointnet" scales the featurizer's layers 0 and 2, so its
+    features overflow; part "compression" sets every weight of the head's
+    last layer to -3e37, so every score it gives overflows to -inf.
+    """
+    if part == "pointnet":
+        scale = (1e30, 1.0, 1e10)
+        layers = tuple((W * k, b) for (W, b), k in zip(model.pointnet.layers, scale))
+        return replace(model, pointnet=PointNetWeights(layers))
+    *layers, (w5, b5) = model.compression.layers
+    net = CompressionNet((*layers, (np.full_like(w5, -3e37), b5)))
+    return replace(model, compression=net)
+
+
 class TestTrackSequence:
     def test_every_slot_lands_in_exactly_one_track(self, toy):
         src, model = toy
@@ -539,6 +554,18 @@ class TestTrackSequence:
             moved.rename(src.root)
         assert after.read_bytes() == before.read_bytes()
         assert after.read_text().count("\n") == 1 + len(rows)
+
+    @pytest.mark.parametrize("part", ["pointnet", "compression"])
+    def test_overflowing_model_raises(self, tmp_path, part):
+        # every weight is finite in float32, but the featurizer's or the
+        # head's products overflow it.  A head score of -inf would bar
+        # every link and turn each detection into a birth; both raise
+        src = generate(
+            SynthConfig(3, 6, seed=3, points_per_object=60), tmp_path / "seq"
+        )
+        model = overflowing_model(init_model(0), part)
+        with pytest.raises(ValueError, match="non-finite"):
+            track_sequence(src, model, TrackerConfig())
 
     @pytest.mark.parametrize("noisy, digest", [
         (False, "0967833a28370ce74071a51021ab93ceb7bb3ecf5a39901fd221d7d50c026ac1"),
@@ -652,24 +679,23 @@ class TestGatedTracking:
 
 
 def per_frame_reference(src, model, cfg):
-    """The tracker as one affinity_from_features call per frame.
+    """The tracker as one compression_forward call per frame pair.
 
     Features are kept per frame and the head runs on each frame pair as
     a whole; ids are handed out here.  Returns (rows, score matrices).
     """
-    feats = FeatureSet(np.zeros((0, model.pointnet.feature_dim)))
+    feats = np.zeros((0, model.pointnet.feature_dim), dtype=np.float32)
     live, next_id, rows, scores = (), 0, [], []
     for index in range(src.frame_count):
         frame = load_admitted_frame(src, index)
-        fs = featurize_frame(crop_frame(frame), model.pointnet)
+        current = featurize_frame(crop_frame(frame), model.pointnet)
         eligible = motion_gate(
             [r.detection.box.center for r in live],
             [d.box.center for d in frame.detections],
             [index - r.frame for r in live],
         )
-        a1, a2 = affinity_from_features(
-            feats, fs, model.compression, model.dummy_score, eligible
-        )
+        m = compression_forward(feats, current, model.compression, eligible)
+        a1, a2 = augment_and_softmax(m, model.dummy_score)
         s = score_matrix(a1, a2)
         prev, cur = solve_assignment(s, cfg.birth_threshold)
         owner = {j: live[i].track_id for i, j in zip(prev.tolist(), cur.tolist())}
@@ -681,7 +707,7 @@ def per_frame_reference(src, model, cfg):
         )
         rows.extend(live)
         scores.append(s)
-        feats = fs
+        feats = current
     return tuple(rows), scores
 
 

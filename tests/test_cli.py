@@ -2,15 +2,18 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cloudtrack import verification
+from cloudtrack.affinity import CompressionNet
 from cloudtrack.association import TrackerConfig
 from cloudtrack.cli import build_parser, run
 from cloudtrack.losses import LossGradients, loss_gradients
 from cloudtrack.model import init_model, save_model
+from cloudtrack.pointnet import PointNetWeights
 from cloudtrack.sequence_io import (
     IngestConfig,
     load_frame,
@@ -364,6 +367,32 @@ class TestTrackCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("part", ["pointnet", "compression"])
+    def test_overflowing_model_is_runtime_error(
+        self, tiny_pipeline, tmp_path, capsys, part
+    ):
+        # finite float32 weights whose featurizer or head overflows float32:
+        # a runtime error (exit 1), and no tracks CSV
+        seq, _, _ = tiny_pipeline
+        model = init_model(0)
+        if part == "pointnet":
+            scale = (1e30, 1.0, 1e10)
+            layers = [(W * k, b) for (W, b), k in zip(model.pointnet.layers, scale)]
+            model = replace(model, pointnet=PointNetWeights(tuple(layers)))
+        else:
+            *layers, (w5, b5) = model.compression.layers
+            net = CompressionNet((*layers, (np.full_like(w5, -3e37), b5)))
+            model = replace(model, compression=net)
+        save_model(model, tmp_path / "m.bin")
+        out = tmp_path / "t.csv"
+        code = run([
+            "track", "--seq", str(seq), "--weights", str(tmp_path / "m.bin"),
+            "--out", str(out), "--threads", "1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 class TestEvalCommand:
     def test_ground_truth_against_itself(self, tiny_pipeline, capsys):

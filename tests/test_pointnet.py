@@ -12,7 +12,6 @@ from cloudtrack.model import AffinityModel, load_model, save_model
 from cloudtrack.nets import init_layers, mlp_forward, write_layers
 from cloudtrack.pointnet import (
     DEFAULT_POINTNET_WIDTHS,
-    FeatureSet,
     PointNetWeights,
     featurize_frame,
     pointnet_forward,
@@ -61,7 +60,7 @@ def real_crops(tmp_path, points_per_object):
 
 
 def assert_rows_match_oracle(objs, w):
-    feats = featurize_frame(objs, w).features
+    feats = featurize_frame(objs, w)
     assert feats.shape == (len(objs), w.feature_dim)
     for slot, obj in enumerate(objs):
         assert feats[slot].tobytes() == oracle_row(obj, w).tobytes(), slot
@@ -123,9 +122,8 @@ class TestPointnetForward:
 class TestFeaturizeFrame:
     def test_empty(self):
         rng = np.random.default_rng(105)
-        fs = featurize_frame((), random_weights(rng))
-        assert fs.count == 0
-        assert fs.features.shape == (0, 16)
+        feats = featurize_frame((), random_weights(rng))
+        assert feats.shape == (0, 16) and feats.dtype == np.float32
 
     def test_slots_filled_in_order(self):
         # frames around and across the MLP's chunk of eight crops.  The last
@@ -154,7 +152,7 @@ class TestFeaturizeFrame:
                 assert feats[slot].tobytes() == pointnet_forward(obj, w).tobytes()
             for _ in range(5):
                 perm = rng.permutation(len(objs))
-                got = featurize_frame([objs[i] for i in perm], w).features
+                got = featurize_frame([objs[i] for i in perm], w)
                 assert got.tobytes() == feats[perm].tobytes()
 
     def test_last_bias_added_after_max(self):
@@ -191,20 +189,26 @@ class TestFeaturizeFrame:
         crops = real_crops(tmp_path, 200)
         rng = np.random.default_rng(113)
         w = PointNetWeights(init_layers(DEFAULT_POINTNET_WIDTHS, rng))
-        feats = featurize_frame(crops, w).features
+        feats = featurize_frame(crops, w)
         exact = np.stack([
             mlp_forward(canonical(obj.points), f64_layers(w)).max(axis=0)
             for obj in crops
         ])
         assert np.abs(feats - exact).max() <= 1e-6 * np.abs(exact).max()
 
-    def test_feature_set_rejects_bad_rows(self):
-        with pytest.raises(ValueError, match="2-D"):
-            FeatureSet(np.ones(8))
-        feats = np.ones((2, 8))
-        feats[1, 3] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            FeatureSet(feats)
+    def test_overflowing_products_raise(self):
+        # every weight is finite in float32, but the products are not:
+        # the featurizer raises ValueError, with no overflow warning first
+        rng = np.random.default_rng(115)
+        layers = init_layers(DEFAULT_POINTNET_WIDTHS, rng)
+        scale = (1e30, 1.0, 1e10)
+        w = PointNetWeights(tuple((W * k, b) for (W, b), k in zip(layers, scale)))
+        for counts in ((40, 0, 20), (5,), (3, 60)):
+            objs = [ObjectPoints(rng.uniform(-1, 1, size=(n, 3))) for n in counts]
+            with pytest.raises(ValueError, match="non-finite feature"):
+                featurize_frame(objs, w)
+        with pytest.raises(ValueError, match="non-finite feature"):
+            pointnet_forward(objs[0], w)
 
 
 def model_with_pointnet(w):

@@ -11,7 +11,7 @@ from cloudtrack.model import init_model, load_model, save_model
 from cloudtrack.affinity import augment_and_softmax, first_layer_halves
 from cloudtrack.cropping import CROP_POINTS, crop_frame
 from cloudtrack.geometry import box_contains
-from cloudtrack.pointnet import FeatureSet, featurize_frame
+from cloudtrack.pointnet import featurize_frame
 from cloudtrack.nets import (
     init_layers,
     mlp_backward,
@@ -106,6 +106,11 @@ class TestMlpBackward:
         assert len(acts) == 2 and acts[0] is x
 
 
+def feature_rows(rng, n, dim=3):
+    """n random float32 feature rows, as featurize_frame returns a frame's."""
+    return rng.normal(size=(n, dim)).astype(np.float32)
+
+
 def batch_from(src, model, size=4, seed=0):
     """(basis, batch, the same batch in the basis), drawn as train() draws."""
     pool = training_pairs(src, model)
@@ -123,7 +128,7 @@ def scene(tmp_path_factory):
 
 def pair_cells(sample):
     """Every (previous, current) feature pair concatenated, row-major."""
-    prev, cur = sample.prev.features, sample.cur.features
+    prev, cur = sample.prev, sample.cur
     return np.hstack([np.repeat(prev, len(cur), axis=0), np.tile(cur, (len(prev), 1))])
 
 
@@ -135,7 +140,7 @@ def batch_loss64(layers, dummy_score, batch):
     """batch_loss in float64, through float64 layers, of the widened features."""
     totals = []
     for sample in batch:
-        cp, cc = sample.prev.count, sample.cur.count
+        cp, cc = len(sample.prev), len(sample.cur)
         cells = pair_cells(sample).astype(np.float64)
         a1, a2 = augment_and_softmax(mlp_forward(cells, layers).reshape(cp, cc), dummy_score)
         totals.append(loss_breakdown(a1, a2, sample.gt).total)
@@ -152,7 +157,7 @@ def explicit_cell_step(model, batch, lr):
     acc = [(np.zeros_like(W), np.zeros_like(b)) for W, b in layers]
     d_dummy = 0.0
     for sample in batch:
-        cp, cc = sample.prev.count, sample.cur.count
+        cp, cc = len(sample.prev), len(sample.cur)
         out, acts = mlp_forward_cached(pair_cells(sample).astype(np.float64), layers)
         a1, a2 = augment_and_softmax(out.reshape(cp, cc), model.dummy_score)
         g = loss_gradients(a1, a2, sample.gt)
@@ -182,8 +187,8 @@ class TestTrainStep:
         ]
         batch = [
             PairSample(
-                FeatureSet(rng.normal(size=(len(p), 3))),
-                FeatureSet(rng.normal(size=(len(c), 3))),
+                feature_rows(rng, len(p)),
+                feature_rows(rng, len(c)),
                 build_gt(p, c),
             )
             for p, c in links
@@ -210,7 +215,7 @@ class TestTrainStep:
         model = replace(model, dummy_score=0.1)
         rng = np.random.default_rng(35)
         ids = [[1, 2, 3], [2, 3, None, 4], [4, 2], [], [2, 5, 4]]
-        frames = [FeatureSet(rng.normal(size=(len(f), 3))) for f in ids]
+        frames = [feature_rows(rng, len(f)) for f in ids]
         pool = [
             PairSample(frames[i], frames[j], build_gt(ids[i], ids[j]))
             for i, j in ((0, 1), (1, 2), (0, 2), (2, 3), (1, 4), (3, 4), (2, 4))
@@ -237,7 +242,7 @@ class TestTrainStep:
         basis, reduced = reduce_pool(pool)
         assert basis.shape[1] < basis.shape[0]
         # the pool runs gap by gap within each current frame, so neighbours
-        # can hold the very same FeatureSet
+        # can hold the very same features array
         k = next(i for i in range(len(pool) - 1) if pool[i].cur is pool[i + 1].cur)
         assert reduced[k].cur is reduced[k + 1].cur
         picks = [k, 0, k + 1, k]
@@ -276,8 +281,8 @@ class TestTrainStep:
         ]
         batch = [
             PairSample(
-                FeatureSet(rng.normal(size=(len(p), 3))),
-                FeatureSet(rng.normal(size=(len(c), 3))),
+                feature_rows(rng, len(p)),
+                feature_rows(rng, len(c)),
                 build_gt(p, c),
             )
             for p, c in links
@@ -492,15 +497,15 @@ class TestLift:
 
 
 def frame_of(pool, scene, model):
-    """id of each FeatureSet in pool -> the frame whose features it holds."""
+    """id of each features array in pool -> the frame whose features it holds."""
     ref = [
-        featurize_frame(crop_frame(load_admitted_frame(scene, i)), model.pointnet).features
+        featurize_frame(crop_frame(load_admitted_frame(scene, i)), model.pointnet)
         for i in range(scene.frame_count)
     ]
-    found = {id(fs): fs for sample in pool for fs in (sample.prev, sample.cur)}
+    found = {id(x): x for sample in pool for x in (sample.prev, sample.cur)}
     out = {}
-    for key, fs in found.items():
-        [index] = [i for i, r in enumerate(ref) if np.array_equal(fs.features, r)]
+    for key, x in found.items():
+        [index] = [i for i, r in enumerate(ref) if np.array_equal(x, r)]
         out[key] = index
     return out
 
@@ -512,15 +517,15 @@ class TestTrainingPairs:
         n = scene.frame_count
         expected = sum(min(cur, 3) for cur in range(n))
         assert len(pool) == expected
-        # one FeatureSet object per frame, shared by every sample using it
+        # one features array per frame, shared by every sample using it
         assert sorted(frame_of(pool, scene, model).values()) == list(range(n))
 
     def test_reduce_pool_spans_each_frame_once(self, scene):
         model = init_model(seed=7)
         pool = training_pairs(scene, model)
         basis, reduced = reduce_pool(pool)
-        frames = {id(fs): fs for sample in pool for fs in (sample.prev, sample.cur)}
-        rows = np.concatenate([fs.features for fs in frames.values()]).astype(np.float64)
+        frames = {id(x): x for sample in pool for x in (sample.prev, sample.cur)}
+        rows = np.concatenate(list(frames.values())).astype(np.float64)
         # R distinct rows under D: a thin basis, not one column per sample row.
         # The QR runs in float64, and Q is rounded to float32 once
         q = np.linalg.qr(rows.T)[0]
@@ -530,13 +535,13 @@ class TestTrainingPairs:
         assert np.abs(q.T @ q - np.eye(len(rows))).max() < 1e-12
         assert np.abs(rows @ q @ q.T - rows).max() < 1e-12 * np.abs(rows).max()
         # so is each mapped row, after a float64 product
-        images = {id(fs): fs for sample in reduced for fs in (sample.prev, sample.cur)}
+        images = {id(x): x for sample in reduced for x in (sample.prev, sample.cur)}
         assert len(images) == len(frames)
         for sample, image in zip(pool, reduced):
             assert image.gt is sample.gt
-            for fs, fs_image in ((sample.prev, image.prev), (sample.cur, image.cur)):
-                want = (fs.features @ q).astype(np.float32)
-                assert fs_image.features.tobytes() == want.tobytes()
+            for x, x_image in ((sample.prev, image.prev), (sample.cur, image.cur)):
+                want = (x @ q).astype(np.float32)
+                assert x_image.tobytes() == want.tobytes()
 
     def test_features_are_the_trackers_whatever_the_seed(self, tmp_path):
         # 200 points per object: crops are thinned, and the run seed must not
@@ -552,7 +557,7 @@ class TestTrainingPairs:
             for det in frame.detections
         )
         model = init_model(seed=5)
-        want = [featurize_frame(crop_frame(f), model.pointnet).features for f in frames]
+        want = [featurize_frame(crop_frame(f), model.pointnet) for f in frames]
         pool = training_pairs(src, model)
         pairs = [
             (cur - gap, cur)
@@ -562,8 +567,8 @@ class TestTrainingPairs:
         ]
         assert len(pool) == len(pairs)
         for (prev, cur), sample in zip(pairs, pool):
-            assert sample.prev.features.tobytes() == want[prev].tobytes()
-            assert sample.cur.features.tobytes() == want[cur].tobytes()
+            assert sample.prev.tobytes() == want[prev].tobytes()
+            assert sample.cur.tobytes() == want[cur].tobytes()
 
     def test_loads_one_frame_at_a_time(self, scene, monkeypatch):
         # each frame is featurized before the next one loads: when it does,

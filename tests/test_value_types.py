@@ -7,7 +7,7 @@ from cloudtrack.cropping import ObjectPoints
 from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
 from cloudtrack.losses import GroundTruthAssignment, LossGradients, stack_gt
 from cloudtrack.model import init_model
-from cloudtrack.pointnet import FeatureSet
+from cloudtrack.training import PairSample
 
 # small widths keep the model makers cheap
 SMALL_MODEL = dict(pointnet_widths=(3, 4, 4), compression_widths=(8, 4, 4, 4, 4, 1))
@@ -25,7 +25,10 @@ MAKERS = {
     "ObjectPoints": lambda: ObjectPoints(np.ones((2, 3))),
     "GroundTruthAssignment": lambda: GroundTruthAssignment(np.eye(2)),
     "BatchTargets": lambda: stack_gt([GroundTruthAssignment(np.eye(2))]),
-    "FeatureSet": lambda: FeatureSet(np.ones((2, 4))),
+    "PairSample": lambda: PairSample(
+        np.ones((2, 4), np.float32), np.ones((2, 4), np.float32),
+        GroundTruthAssignment(np.eye(2)),
+    ),
     "PointNetWeights": lambda: init_model(0, **SMALL_MODEL).pointnet,
     "CompressionNet": lambda: init_model(0, **SMALL_MODEL).compression,
     "AffinityModel": lambda: init_model(0, **SMALL_MODEL),
