@@ -104,7 +104,8 @@ def project(features: np.ndarray, net: CompressionNet) -> tuple[np.ndarray, np.n
     distinct rows by their bytes, so any permutation of the input rows
     permutes both outputs bitwise and equal rows project alike.  A row's
     last bits still depend on the other rows of its batch: BLAS rounds a
-    row differently in products of other sizes.
+    row differently in products of other sizes.  Finite weights can still
+    overflow float32: a non-finite projection raises ValueError.
     """
     features = np.asarray(features, dtype=np.float32)
     if features.ndim != 2:
@@ -117,7 +118,11 @@ def project(features: np.ndarray, net: CompressionNet) -> tuple[np.ndarray, np.n
     rows = features[first]
     w1, b1 = net.layers[0]
     p, c = first_layer_halves(w1)
-    return (rows @ w1[:, p].T)[inverse], (rows @ w1[:, c].T + b1)[inverse]
+    with np.errstate(over="ignore", invalid="ignore"):
+        prev, cur = rows @ w1[:, p].T, rows @ w1[:, c].T + b1
+    if not (np.isfinite(prev).all() and np.isfinite(cur).all()):
+        raise ValueError("non-finite first-layer projection")
+    return prev[inverse], cur[inverse]
 
 
 def score_projected(

@@ -22,16 +22,19 @@ slots end theirs; against the empty table of frame 0 every object is a
 birth.  Each frame's TrackRows are its output: writing them reads no
 frame.
 
-Frames are loaded, cropped and featurized one at a time, ahead of the
-association, in windows of up to WINDOW_DETECTIONS detections; a window
-keeps each frame's detections and features, not its cloud.  Each
-window's features are projected through both halves of the head's first
-layer in one call (affinity.project), and its frames are then linked in
-order, so each detection is projected once, as a current object, and
-its previous half waits in the table.  A projection's last bits depend
-on the other rows of its window, as BLAS rounds a row differently in
-products of other sizes; the decisions do not, unless a score sits
-within float32 rounding of a bar.
+Frames are loaded and cropped one at a time, ahead of the association,
+in windows of up to WINDOW_DETECTIONS detections; a window keeps each
+frame's detections and crops, not its cloud.  Each window's crops are
+featurized in one call (pointnet.featurize_frame), its features are
+projected through both halves of the head's first layer in one call
+(affinity.project), and its frames are then linked in order, so each
+detection is featurized and projected once, as a current object, and
+its previous half waits in the table.  A feature row does not depend on
+its window: the featurizer computes each crop alike in any batch (see
+pointnet).  A projection's last bits depend on the other rows of its
+window, as BLAS rounds a row differently in products of other sizes;
+the decisions do not, unless a score sits within float32 rounding of a
+bar.
 """
 
 from __future__ import annotations
@@ -198,16 +201,17 @@ def update_tracks(
     return LiveTracks(projected, ids, live.next_id + births, xy, frames), out
 
 
-# Admitted detections featurized ahead of the association.  Frames are
-# loaded, cropped and featurized one at a time until the next one would
-# take the pending frames past this many detections; then the pending
-# frames' features go through the head's first layer as one product pair
-# (affinity.project) and the frames are associated in order.  A frame of
+# Admitted detections per window.  Frames are loaded and cropped one at a
+# time until the next one would take the pending frames past this many
+# detections; then the pending frames' crops are featurized in one call,
+# their features go through the head's first layer as one product pair
+# (affinity.project), and the frames are associated in order.  A frame of
 # at least this many detections shares its window with empty frames only.
 # A product costs about the same from a few rows to a few dozen: project
 # at the default widths took a median 490 us for 5 rows, 560 for 16, 870
 # for 64 and 2480 for 128 (2-core box, threaded OpenBLAS 0.3.31), so 64
-# rows cost the least per row.
+# rows cost the least per row.  The featurizer's chunks of a few crops
+# bound its scratch at any window size.
 WINDOW_DETECTIONS = 64
 
 
@@ -215,21 +219,22 @@ _NO_POINTS = PointCloud(np.empty((0, 3)))
 
 
 class _Pending(NamedTuple):
-    """A featurized frame waiting for its window: its cloud is dropped."""
+    """A cropped frame waiting for its window: its cloud is dropped."""
 
     frame: Frame
     xy: np.ndarray
-    features: np.ndarray
+    crops: tuple
 
 
 def _associate(live, window, model, cfg, out) -> LiveTracks:
-    """Project the window's features once, then link its frames in order."""
-    as_prev, as_cur = project(
-        np.concatenate([p.features for p in window]), model.compression
+    """Featurize and project the window's crops once; link its frames in order."""
+    features = featurize_frame(
+        [crop for pending in window for crop in pending.crops], model.pointnet
     )
+    as_prev, as_cur = project(features, model.compression)
     start = 0
-    for frame, xy, features in window:
-        stop = start + len(features)
+    for frame, xy, crops in window:
+        stop = start + len(crops)
         eligible = motion_gate(live.xy, xy, frame.index - live.frames)
         a1, a2 = affinity_from_projected(
             live.projected, as_cur[start:stop], model.compression,
@@ -251,24 +256,25 @@ def track_sequence(
 
     Returns every TrackRow, frame by frame.  The previous side starts as
     an empty table, so frame 0 takes the same path as every later frame
-    and all its objects are births.  Frames are featurized ahead of the
-    association in windows of up to WINDOW_DETECTIONS detections.
+    and all its objects are births.  Frames are cropped ahead of the
+    association in windows of up to WINDOW_DETECTIONS detections, and
+    each window is featurized in one call.
     """
     hidden_dim = model.compression.widths[1]
     live = LiveTracks(np.zeros((0, hidden_dim), dtype=np.float32))
     rows, window, pending = [], [], 0
     for index in range(src.frame_count):
         frame = load_admitted_frame(src, index)
-        features = featurize_frame(crop_frame(frame), model.pointnet)
+        crops = crop_frame(frame)
         frame = Frame(frame.index, _NO_POINTS, frame.detections)
         count = len(frame.detections)
-        # after this frame's featurize, not before its crop: between its
-        # load and its crop, the association ran dense80 about 5% slower
-        # (16 of 20 in-process rounds)
+        # after this frame's crop, not before it: between its load and its
+        # crop, the association ran dense80 about 5% slower (16 of 20
+        # in-process rounds)
         if window and pending + count > WINDOW_DETECTIONS:
             live = _associate(live, window, model, cfg, rows)
             window, pending = [], 0
-        window.append(_Pending(frame, centers_xy(frame.detections), features))
+        window.append(_Pending(frame, centers_xy(frame.detections), crops))
         pending += count
     if window:
         _associate(live, window, model, cfg, rows)

@@ -17,9 +17,11 @@ the same crops (the tests bound it).  Crop geometry before the MLP is
 float64; the rows it returns are one float32 array, the type the
 affinity head reads.
 
-A frame's crops run as one batch in a canonical crop order, through the
-MLP in chunks of a few crops (see featurize_frame), so the rows permute
-bitwise with the objects by construction.  That a row equals its own
+The crops of one call run as one batch in a canonical crop order, through
+the MLP in chunks of a few crops (see featurize_frame), so the rows permute
+bitwise with the objects by construction.  The tracker passes the crops
+of a window of frames in one call and the trainer one frame's; the
+chunks bound the scratch at any crop count.  That a row equals its own
 object's pointnet_forward is checked by the tests, not guaranteed by
 construction: it rests on BLAS rounding a row alike wherever it sits in
 a product.
@@ -61,11 +63,15 @@ class PointNetWeights:
         return self.widths[-1]
 
 
-# Crops per MLP chunk.  The activations are allocated once per call at
-# this size: 8 float32 crops of 128 points take 2.9 MB of buffers.  (16
-# crops per chunk lifted dense80's peak RSS past its bound when the MLP
-# ran in float64.)
-_CHUNK_CROPS = 8
+# Crops per MLP chunk: the fewest whose rows keep the widest product in
+# threaded OpenBLAS's two-thread range.  Per row of the default 128->512
+# layer, the product took 830-1019 ns at 512 rows, 645-871 at 640, 623-629
+# at 768 and 601-626 at 1024 (two runs; 2-core box, OpenBLAS 0.3.31), so
+# 6 crops of 128 points, 768 rows, run about as fast as more.  The chunk
+# bounds the scratch whatever the call's crop count: at the default
+# widths, 6 crops of 128 points take 2.0 MB (16 crops per chunk lifted
+# dense80's peak RSS past its bound when the MLP ran in float64).
+_CHUNK_CROPS = 6
 
 # Crops with fewer points run alone, at their own size.  BLAS
 # multiplies such short inputs with other float32 kernels (OpenBLAS:
@@ -77,39 +83,49 @@ _BATCH_MIN_POINTS = 16
 
 def _canonical_order(pts: np.ndarray) -> np.ndarray:
     # sort by x, then y, then z so the gemm input is order-independent
-    return pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
+    return np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
 
 
 def _pool_crops(crops, layers: Layers) -> np.ndarray:
-    """Max-pooled MLP output of each canonically ordered crop; one row each.
+    """Max-pooled MLP output of each non-empty crop; one float32 row each.
 
-    Runs in float32; layers are float32 (PointNetWeights.layers).
-    Equal crops run once.  The last bias is added after the max:
-    rounding is monotone, so max_p fl(y_p + b) == fl(max_p y_p + b).
+    Each crop's points are written in canonical order straight into one
+    float32 batch, padded to the longest crop by repeating the last point
+    (a duplicate row leaves the max unchanged).  Equal crops run once, in
+    the order of their bytes, _CHUNK_CROPS at a time.  Layer i writes into
+    scratch buffer i % 2 and reads the other, so the scratch is two
+    buffers of one chunk's rows at any layer count.  Runs in float32;
+    layers are float32 (PointNetWeights.layers).  The last bias is added
+    after the max: rounding is monotone, so max_p fl(y_p + b) ==
+    fl(max_p y_p + b).
     """
     width = max(len(pts) for pts in crops)
     padded = np.empty((len(crops), width, 3), dtype=np.float32)
     for row, pts in zip(padded, crops):
-        row[: len(pts)] = pts
-        row[len(pts) :] = pts[-1]
+        n = len(pts)
+        row[:n] = pts[_canonical_order(pts)]
+        row[n:] = row[n - 1]
     first, inverse = distinct_rows(padded.reshape(len(crops), -1))
     batch = padded[first].reshape(-1, 3)
     k = len(first)
     rows = min(k, _CHUNK_CROPS) * width
-    bufs = [np.empty((rows, W.shape[0]), dtype=np.float32) for W, _ in layers]
-    pooled = np.empty((k, layers[-1][0].shape[0]), dtype=np.float32)
+    outs = [W.shape[0] for W, _ in layers]
+    scratch = [
+        np.empty(rows * max(outs[i::2]), dtype=np.float32)
+        for i in range(min(2, len(outs)))
+    ]
+    pooled = np.empty((k, outs[-1]), dtype=np.float32)
     for start in range(0, k, _CHUNK_CROPS):
         stop = min(start + _CHUNK_CROPS, k)
         x = batch[start * width : stop * width]
-        for (W, b), buf in zip(layers[:-1], bufs):
-            h = buf[: len(x)]
+        for i, (W, b) in enumerate(layers):
+            h = scratch[i % 2][: len(x) * len(W)].reshape(len(x), len(W))
             np.matmul(x, W.T, out=h)
-            h += b
-            np.maximum(h, 0.0, out=h)
+            if i < len(layers) - 1:
+                h += b
+                np.maximum(h, 0.0, out=h)
             x = h
-        y = bufs[-1][: len(x)]
-        np.matmul(x, layers[-1][0].T, out=y)
-        y.reshape(stop - start, width, -1).max(axis=1, out=pooled[start:stop])
+        x.reshape(stop - start, width, -1).max(axis=1, out=pooled[start:stop])
     pooled += layers[-1][1]
     return pooled[inverse]
 
@@ -127,8 +143,9 @@ def featurize_frame(objs, w: PointNetWeights) -> np.ndarray:
     The crops of at least _BATCH_MIN_POINTS points run as one batch: padded
     to the longest by repeating their last point (a duplicate row leaves
     the max unchanged), ordered by their bytes, and put through the MLP
-    in chunks of a few crops.  Any permutation of objs thus gives the
-    matrix products the same inputs and permutes the rows bitwise.
+    in chunks of _CHUNK_CROPS crops (see _pool_crops).  Any permutation
+    of objs thus gives the matrix products the same inputs and permutes
+    the rows bitwise.
     Shorter crops run alone; empty ones keep the zero row.  That a
     batched row equals its own object's pointnet_forward rests on BLAS
     computing a row alike at any position of a long product: the tests
@@ -136,16 +153,13 @@ def featurize_frame(objs, w: PointNetWeights) -> np.ndarray:
     can still overflow float32 on the way: a non-finite feature raises
     ValueError.
     """
-    objs = tuple(objs)
-    feats = np.zeros((len(objs), w.feature_dim), dtype=np.float32)
-    crops = {
-        slot: _canonical_order(obj.points)
-        for slot, obj in enumerate(objs)
-        if len(obj.points)
-    }
-    groups = [[slot] for slot, pts in crops.items() if len(pts) < _BATCH_MIN_POINTS]
-    batched = [slot for slot, pts in crops.items() if len(pts) >= _BATCH_MIN_POINTS]
-    if batched:
+    crops = [obj.points for obj in objs]
+    feats = np.zeros((len(crops), w.feature_dim), dtype=np.float32)
+    sizes = np.array([len(pts) for pts in crops], dtype=np.intp)
+    short = (sizes > 0) & (sizes < _BATCH_MIN_POINTS)
+    groups = [[slot] for slot in np.flatnonzero(short)]
+    batched = np.flatnonzero(sizes >= _BATCH_MIN_POINTS)
+    if len(batched):
         groups.append(batched)
     with np.errstate(over="ignore", invalid="ignore"):
         for group in groups:

@@ -278,6 +278,25 @@ class TestSplitHead:
         with pytest.raises(ValueError, match="non-finite affinity score"):
             affinity_from_projected(as_prev[:4], as_cur[4:], net, 0.0, eligible)
 
+    @pytest.mark.parametrize("half", [slice(None, 512), slice(512, None)])
+    def test_overflowing_projection_raises(self, half):
+        # every weight is finite in float32, but one half of the first
+        # layer overflows it on non-negative features: project raises
+        # ValueError, with no overflow warning first
+        rng = np.random.default_rng(236)
+        (w1, b1), *layers = real_net().layers
+        w1 = w1.copy()
+        w1[:, half] = 3e36
+        net = CompressionNet(((w1, b1), *layers))
+        rows = np.abs(features(rng, (5, 512)))
+        with pytest.raises(ValueError, match="non-finite first-layer projection"):
+            project(rows, net)
+        with pytest.raises(ValueError, match="non-finite first-layer projection"):
+            compression_forward(rows[:2], rows[2:], net)
+        # the zero row, an empty crop's feature, still projects
+        prev, cur = project(np.zeros((2, 512)), net)
+        assert not prev.any() and (cur == b1).all()
+
     def test_bad_shapes_rejected(self):
         rng = np.random.default_rng(234)
         net = tiny_net(rng)

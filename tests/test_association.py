@@ -33,7 +33,7 @@ from cloudtrack.association import (
 )
 from cloudtrack.cropping import crop_frame
 from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
-from cloudtrack.pointnet import PointNetWeights, featurize_frame
+from cloudtrack.pointnet import _BATCH_MIN_POINTS, PointNetWeights, featurize_frame
 from cloudtrack.sequence_io import load_admitted_frame
 from cloudtrack.synth import SynthConfig, generate, perturb
 
@@ -432,13 +432,18 @@ def shell_points(rng, box, n=60):
     return local + box.center
 
 
-def write_toy_sequence(root, positions, rng):
-    """positions[f] is a list of (x, y) object centers."""
+def write_toy_sequence(root, positions, rng, points=None):
+    """positions[f] is a list of (x, y) object centers.
+
+    points[f][k], when given, is the number of points on object k's box
+    in frame f (default 60).
+    """
     root.mkdir(parents=True, exist_ok=True)
     for f, centers in enumerate(positions):
         boxes = [box_at(x, y) for x, y in centers]
+        counts = points[f] if points is not None else [60] * len(boxes)
         pts = (
-            np.vstack([shell_points(rng, b) for b in boxes])
+            np.vstack([shell_points(rng, b, n) for b, n in zip(boxes, counts)])
             if boxes
             else np.empty((0, 3))
         )
@@ -469,13 +474,20 @@ def overflowing_model(model, part):
     """model with finite float32 weights whose part overflows float32.
 
     part "pointnet" scales the featurizer's layers 0 and 2, so its
-    features overflow; part "compression" sets every weight of the head's
-    last layer to -3e37, so every score it gives overflows to -inf.
+    features overflow; part "first_layer" sets the previous half of the
+    head's first layer to 3e36, so projecting the (mostly non-negative)
+    features overflows; part "compression" sets every weight of the
+    head's last layer to -3e37, so every score it gives overflows to -inf.
     """
     if part == "pointnet":
         scale = (1e30, 1.0, 1e10)
         layers = tuple((W * k, b) for (W, b), k in zip(model.pointnet.layers, scale))
         return replace(model, pointnet=PointNetWeights(layers))
+    if part == "first_layer":
+        (w1, b1), *layers = model.compression.layers
+        w1 = w1.copy()
+        w1[:, : w1.shape[1] // 2] = 3e36
+        return replace(model, compression=CompressionNet(((w1, b1), *layers)))
     *layers, (w5, b5) = model.compression.layers
     net = CompressionNet((*layers, (np.full_like(w5, -3e37), b5)))
     return replace(model, compression=net)
@@ -555,11 +567,11 @@ class TestTrackSequence:
         assert after.read_bytes() == before.read_bytes()
         assert after.read_text().count("\n") == 1 + len(rows)
 
-    @pytest.mark.parametrize("part", ["pointnet", "compression"])
+    @pytest.mark.parametrize("part", ["pointnet", "first_layer", "compression"])
     def test_overflowing_model_raises(self, tmp_path, part):
         # every weight is finite in float32, but the featurizer's or the
         # head's products overflow it.  A head score of -inf would bar
-        # every link and turn each detection into a birth; both raise
+        # every link and turn each detection into a birth; all raise
         src = generate(
             SynthConfig(3, 6, seed=3, points_per_object=60), tmp_path / "seq"
         )
@@ -732,10 +744,32 @@ def grid_positions(counts, step=0.3):
     ]
 
 
+# points on an object's box: an empty crop, crops under the featurizer's
+# batch minimum (_BATCH_MIN_POINTS = 16), which run alone, and batched ones
+MIXED_CROP_POINTS = (0, 5, 12, 16, 60)
+
+
+def write_mixed_crop_sequence(root, rng):
+    """Five objects over 30 frames whose crops cycle through MIXED_CROP_POINTS.
+
+    Object k holds MIXED_CROP_POINTS[(f + k) % 5] points in frame f, so
+    every frame, and so every window, mixes the featurizer's three kinds
+    of crop.
+    """
+    counts = [5] * 30
+    points = [
+        [MIXED_CROP_POINTS[(f + k) % len(MIXED_CROP_POINTS)] for k in range(n)]
+        for f, n in enumerate(counts)
+    ]
+    return write_toy_sequence(root, grid_positions(counts), rng, points)
+
+
 class TestProjectionWindows:
-    @pytest.fixture(params=["empty_frame", "large_frame", "noisy"])
+    @pytest.fixture(params=["empty_frame", "large_frame", "noisy", "mixed_crops"])
     def scene(self, request, tmp_path):
         rng = np.random.default_rng(79)
+        if request.param == "mixed_crops":
+            return write_mixed_crop_sequence(tmp_path / "seq", rng)
         if request.param == "empty_frame":
             # four-object frames: at a budget of 64 the first window takes
             # frames 0-16, the empty frame 12 among them, and is full
@@ -757,7 +791,11 @@ class TestProjectionWindows:
 
     def test_windows_track_as_the_per_frame_head(self, scene, monkeypatch):
         model, cfg = init_model(0), TrackerConfig()
-        projected, scores = [], []
+        featurized, projected, scores = [], [], []
+
+        def recording_featurize(objs, w):
+            featurized.append(featurize_frame(objs, w))
+            return featurized[-1]
 
         def recording_project(features, net):
             projected.append(len(features))
@@ -768,6 +806,7 @@ class TestProjectionWindows:
             return scores[-1]
 
         with monkeypatch.context() as patch:
+            patch.setattr(association, "featurize_frame", recording_featurize)
             patch.setattr(association, "project", recording_project)
             patch.setattr(association, "score_matrix", recording_scores)
             rows = track_sequence(scene, model, cfg)
@@ -775,8 +814,17 @@ class TestProjectionWindows:
 
         counts = [len(load_admitted_frame(scene, f).detections)
                   for f in range(scene.frame_count)]
+        # one featurizer call and one projection per window, and a window's
+        # feature rows are its frames' own, bit for bit
+        assert [len(f) for f in featurized] == windows(counts, WINDOW_DETECTIONS)
         assert projected == windows(counts, WINDOW_DETECTIONS)
         assert len(projected) < scene.frame_count
+        per_frame = [
+            featurize_frame(crop_frame(load_admitted_frame(scene, f)), model.pointnet)
+            for f in range(scene.frame_count)
+        ]
+        got = np.concatenate(featurized)
+        assert got.tobytes() == np.concatenate(per_frame).tobytes()
         def key(row):
             det = row.detection
             return row.frame, row.track_id, det.box.center.tobytes(), det.confidence
@@ -787,6 +835,20 @@ class TestProjectionWindows:
         for got, want in zip(scores, want_scores):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-5)
+
+    def test_mixed_windows_hold_every_kind_of_crop(self, tmp_path):
+        src = write_mixed_crop_sequence(tmp_path / "seq", np.random.default_rng(79))
+        sizes = [
+            [len(c.points) for c in crop_frame(load_admitted_frame(src, f))]
+            for f in range(src.frame_count)
+        ]
+        stop = np.cumsum(windows([len(s) for s in sizes], WINDOW_DETECTIONS))
+        flat = np.concatenate(sizes)
+        assert len(stop) > 1
+        for window in np.split(flat, stop[:-1]):
+            assert (window == 0).any()
+            assert ((0 < window) & (window < _BATCH_MIN_POINTS)).any()
+            assert (window >= _BATCH_MIN_POINTS).any()
 
     def test_a_sequence_of_empty_frames_tracks_nothing(self, tmp_path):
         rng = np.random.default_rng(80)

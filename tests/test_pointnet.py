@@ -11,6 +11,7 @@ from cloudtrack.cropping import ObjectPoints, crop_frame
 from cloudtrack.model import AffinityModel, load_model, save_model
 from cloudtrack.nets import init_layers, mlp_forward, write_layers
 from cloudtrack.pointnet import (
+    _CHUNK_CROPS,
     DEFAULT_POINTNET_WIDTHS,
     PointNetWeights,
     featurize_frame,
@@ -126,22 +127,23 @@ class TestFeaturizeFrame:
         assert feats.shape == (0, 16) and feats.dtype == np.float32
 
     def test_slots_filled_in_order(self):
-        # frames around and across the MLP's chunk of eight crops.  The last
+        # frames around and across the MLP's chunk of C crops.  The last
         # crop of each frame of four or more repeats the first, so two batch
         # keys tie and run once: n batched crops give n - 1 distinct ones,
-        # and 9, 10, 17 and 18 of them fill one chunk, spill one crop into a
-        # second, fill two, and spill one into a third
+        # and C + 1, C + 2, 2C + 1 and 2C + 2 of them fill one chunk, spill
+        # one crop into a second, fill two, and spill one into a third
         rng = np.random.default_rng(106)
         w = PointNetWeights(init_layers(DEFAULT_POINTNET_WIDTHS, rng))
-        P = 128
+        P, C = 128, _CHUNK_CROPS
+        batched = (C, C + 1, C + 2, 2 * C, 2 * C + 1, 2 * C + 2)
         frames = (
             [P],
             [0, 1, P],
             [P, 17, 15, P],
             [40, 0, 9, 100, 40],
             [P, 1, 2, 16, 64, 10, P - 1, 0, P],
-            *([P, *range(20, 20 + 6 * (n - 2), 6), P] for n in (8, 9, 10, 16, 17, 18)),
-            [P, 3, *range(20, 20 + 6 * 15, 6), 0, 16, P],
+            *([P, *np.linspace(20, P, n - 2, dtype=int), P] for n in batched),
+            [P, 3, *np.linspace(20, P, 2 * C - 1, dtype=int), 0, 16, P],
         )
         for counts in frames:
             objs = [ObjectPoints(rng.uniform(-1, 1, size=(n, 3))) for n in counts]

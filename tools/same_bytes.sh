@@ -13,8 +13,14 @@
 #     at frame 15, one enters at 25) and train on it: 500 steps, batch 4,
 #     trainer seed 0.  Compared: the model file and the loss log.
 #   - track, with that model, one paper5_noisy-recipe scene and one
-#     dense80-recipe scene (the bench's first scenes at run seed 1).
-#     Compared: the tracks CSVs.
+#     dense80-recipe scene (the bench's first scenes at run seed 1), and
+#     three of CI's recipes: short (12 points per object, so every crop
+#     runs alone through the featurizer), empty (admitted clutter whose
+#     boxes hold no points, next to batched crops) and mix (each window
+#     holds empty crops, crops under the batch minimum and batched ones).
+#     The tracker featurizes a window of frames per call, so these compare
+#     the featurizer's three kinds of crop within one call.  Compared: the
+#     tracks CSVs.
 #
 # Model files and loss logs depend on the BLAS summation order, so they
 # are compared between two trees on one machine, not pinned in tests.
@@ -25,7 +31,9 @@ rev=${1:?usage: tools/same_bytes.sh REV}
 root=$(git rev-parse --show-toplevel)
 work=$root/.same_bytes
 python=${PYTHON:-python3}
-outputs=(model.bin loss.csv tracks-paper5.csv tracks-dense80.csv)
+scenes=(paper5 dense80 short empty mix)
+outputs=(model.bin loss.csv tracks-paper5.csv tracks-dense80.csv tracks-short.csv
+    tracks-empty.csv tracks-mix.csv)
 
 rm -rf "$work"
 mkdir -p "$work/rev"
@@ -46,7 +54,14 @@ run_recipes() {
         --conf-lo 0.0 --conf-hi 0.4
     cloudtrack synth --out "$out/dense80" --objects 80 --frames 20 --seed 1596810411 \
         --arena 100 100
-    for scene in paper5 dense80; do
+    cloudtrack synth --out "$out/short" --objects 6 --frames 10 --seed 5 \
+        --points-per-object 12
+    cloudtrack synth --out "$out/empty" --objects 6 --frames 12 --seed 6 \
+        --points-per-object 60 --fn-rate 0.1 --fp-rate 0.3 --conf-lo 0.5 --conf-hi 0.9
+    cloudtrack synth --out "$out/mix" --objects 6 --frames 20 --seed 10 \
+        --points-per-object 20 --det-noise-sigma 0.1 --fp-rate 0.3 --conf-lo 0.5 \
+        --conf-hi 0.9
+    for scene in "${scenes[@]}"; do
         cloudtrack track --seq "$out/$scene" --weights "$out/model.bin" \
             --out "$out/tracks-$scene.csv"
     done
