@@ -24,7 +24,6 @@ from cloudtrack import (
     load_admitted_frame,
     pointnet_forward,
 )
-from cloudtrack.cropping import ObjectPoints
 
 src = generate(SynthConfig(n_objects=3, n_frames=4, seed=11), Path(tempfile.mkdtemp()) / "s")
 model = init_model(seed=0)
@@ -32,9 +31,10 @@ model = init_model(seed=0)
 prev = load_admitted_frame(src, 0)
 cur = load_admitted_frame(src, 1)
 
-# One box-local crop of at most CROP_POINTS = 128 points per detection,
-# then one 512-wide float32 feature row per object: a frame's features
-# are one (objects x 512) array.  A crop depends on its frame alone, so
+# One box-local crop per detection, a float64 (n, 3) array of at most
+# CROP_POINTS = 128 points, then one 512-wide float32 feature row per
+# object: a frame's features are one (objects x 512) array.  Crops of
+# every size, short ones too, run through the featurizer in one batch.  A crop depends on its frame alone, so
 # training and tracking featurize the same points.
 prev_x = featurize_frame(crop_frame(prev), model.pointnet)
 cur_x = featurize_frame(crop_frame(cur), model.pointnet)
@@ -43,8 +43,8 @@ print(f"features: {prev_x.shape[0]} objects x {prev_x.shape[1]} dims, {prev_x.dt
 # The feature of an object never depends on the order of its points.
 rng = np.random.default_rng(3)
 pts = rng.normal(size=(100, 3))
-a = pointnet_forward(ObjectPoints(pts), model.pointnet)
-b = pointnet_forward(ObjectPoints(pts[rng.permutation(100)]), model.pointnet)
+a = pointnet_forward(pts, model.pointnet)
+b = pointnet_forward(pts[rng.permutation(100)], model.pointnet)
 print(f"permutation changes feature bytes: {a.tobytes() != b.tobytes()}")
 
 m = compression_forward(prev_x, cur_x, model.compression)

@@ -22,7 +22,7 @@ from .association import (
     update_tracks,
     write_tracks_csv,
 )
-from .cropping import CROP_POINTS, ObjectPoints, crop_frame
+from .cropping import CROP_POINTS, crop_frame
 from .geometry import (
     Detection,
     Frame,
@@ -94,7 +94,6 @@ __all__ = [
     "LossGradients",
     "LosscheckReport",
     "MotReport",
-    "ObjectPoints",
     "OrientedBox3",
     "PointCloud",
     "PointNetWeights",

@@ -14,6 +14,7 @@ runs on one serial path.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -167,6 +168,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """run's parser, built once per process.
+
+    Parsing leaves it unchanged: each call fills a fresh namespace, and
+    the --leave/--enter append actions copy their default list before
+    appending.
+    """
+    return build_parser()
+
+
 def _synth_config(args) -> SynthConfig:
     return SynthConfig(
         n_objects=args.objects,
@@ -244,7 +256,7 @@ def cmd_losscheck(args) -> int:
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.subcommand == "synth":

@@ -1,8 +1,8 @@
 """Per-object point extraction.
 
 Each admitted detection gets the cloud points inside its box, expressed
-in the box-local frame (center at origin, yaw removed): at most
-CROP_POINTS points.  A box with more interior points is thinned to
+in the box-local frame (center at origin, yaw removed): its crop, a
+float64 (n, 3) array of at most CROP_POINTS points.  A box with more interior points is thinned to
 CROP_POINTS by seeded uniform sampling without replacement, keeping
 source order.  The draw depends only on (frame index, slot), so a crop
 is a function of its frame alone: train and track cut the same crops.
@@ -26,7 +26,6 @@ the seeded thinning runs box by box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,25 +60,6 @@ def slot_seed(seed: int, frame_index: int, slot: int) -> int:
     return h
 
 
-@dataclass(frozen=True, eq=False)
-class ObjectPoints:
-    """One object's crop: its (n, 3) local-frame points, n at most CROP_POINTS."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must be (n, 3), got {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise ValueError("non-finite point coordinate")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def valid_count(self) -> int:
-        return len(self.points)
-
-
 def _reach(box: OrientedBox3, axis: int) -> float:
     """Half-width of a window along axis (0 is x, 1 is y) around box.center
     that holds its interior."""
@@ -87,7 +67,7 @@ def _reach(box: OrientedBox3, axis: int) -> float:
     return half_diagonal + _WINDOW_MARGIN * (half_diagonal + abs(box.center[axis]))
 
 
-def crop_frame(frame: Frame) -> tuple[ObjectPoints, ...]:
+def crop_frame(frame: Frame) -> tuple[np.ndarray, ...]:
     """Crop every detection of an admitted frame, in detection order.
 
     All boxes are cropped in one pass: each box's candidates are the points
@@ -96,7 +76,7 @@ def crop_frame(frame: Frame) -> tuple[ObjectPoints, ...]:
     and tested against the closed box at once.  A window is a superset of
     its box's interior, so every crop equals the one cropped from the whole
     cloud; a crop with more than CROP_POINTS points is then thinned with
-    its slot's seed.
+    its slot's seed.  Each crop is a float64 (n, 3) array.
     """
     boxes = [det.box for det in frame.detections]
     if not boxes:
@@ -147,5 +127,5 @@ def crop_frame(frame: Frame) -> tuple[ObjectPoints, ...]:
         if len(crop) > CROP_POINTS:
             rng = np.random.default_rng(slot_seed(0, frame.index, slot))
             crop = crop[np.sort(rng.permutation(len(crop))[:CROP_POINTS])]
-        crops.append(ObjectPoints(crop))
+        crops.append(crop)
     return tuple(crops)

@@ -1,12 +1,12 @@
 """Point-set featurizer: shared per-point MLP followed by a max-pool.
 
-Each object's crop, at most CROP_POINTS points, runs through the same
-small MLP (default widths 3-64-128-512, ReLU between layers) and the
-feature is the element-wise maximum over its points; an empty crop
-gives the zero row.  Points are canonically ordered before the matrix
-products, which makes the output bitwise identical under any
-permutation of the input points.  A frame's features are one row per
-object, in detection order.
+Each object's crop, a float64 (n, 3) array of at most CROP_POINTS
+points, runs through the same small MLP (default widths 3-64-128-512,
+ReLU between layers) and the feature is the element-wise maximum over
+its points; an empty crop gives the zero row.  Points are canonically
+ordered before the matrix products, which makes the output bitwise
+identical under any permutation of the input points.  A frame's
+features are one row per object, in detection order.
 
 The MLP runs in float32, and PointNetWeights holds its weights only
 as float32 (model files store float32, so loading is exact); frame
@@ -17,14 +17,14 @@ the same crops (the tests bound it).  Crop geometry before the MLP is
 float64; the rows it returns are one float32 array, the type the
 affinity head reads.
 
-The crops of one call run as one batch in a canonical crop order, through
-the MLP in chunks of a few crops (see featurize_frame), so the rows permute
-bitwise with the objects by construction.  The tracker passes the crops
-of a window of frames in one call and the trainer one frame's; the
-chunks bound the scratch at any crop count.  That a row equals its own
-object's pointnet_forward is checked by the tests, not guaranteed by
-construction: it rests on BLAS rounding a row alike wherever it sits in
-a product.
+The crops of one call, short or long, run as one batch in a canonical
+crop order, through the MLP in chunks of a few crops (see
+featurize_frame), so the rows permute bitwise with the objects by
+construction.  The tracker passes the crops of a window of frames in
+one call and the trainer one frame's; the chunks bound the scratch at
+any crop count.  That a row equals its own object's pointnet_forward is
+checked by the tests, not guaranteed by construction: it rests on BLAS
+rounding a row alike wherever it sits in a product.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cropping import ObjectPoints
 from .nets import Layers, distinct_rows, layer_widths, validate_layers
 
 DEFAULT_POINTNET_WIDTHS = (3, 64, 128, 512)
@@ -73,12 +72,12 @@ class PointNetWeights:
 # dense80's peak RSS past its bound when the MLP ran in float64).
 _CHUNK_CROPS = 6
 
-# Crops with fewer points run alone, at their own size.  BLAS
-# multiplies such short inputs with other float32 kernels (OpenBLAS:
-# small-matrix sgemm kernels up to 9 rows of the 64->128 layer and up to
-# 2 rows of the 128->512 layer), whose rows round differently from the
-# same rows inside a longer product; from 10 points on they match.
-_BATCH_MIN_POINTS = 16
+# Shorter crops are padded to this many points.  BLAS multiplies such
+# short inputs with other float32 kernels (OpenBLAS: small-matrix sgemm
+# kernels up to 9 rows of the 64->128 layer and up to 2 rows of the
+# 128->512 layer), whose rows round differently from the same rows inside
+# a longer product; from 10 points on they match.
+_PAD_MIN_POINTS = 16
 
 
 def _canonical_order(pts: np.ndarray) -> np.ndarray:
@@ -90,23 +89,27 @@ def _pool_crops(crops, layers: Layers) -> np.ndarray:
     """Max-pooled MLP output of each non-empty crop; one float32 row each.
 
     Each crop's points are written in canonical order straight into one
-    float32 batch, padded to the longest crop by repeating the last point
-    (a duplicate row leaves the max unchanged).  Equal crops run once, in
-    the order of their bytes, _CHUNK_CROPS at a time.  Layer i writes into
-    scratch buffer i % 2 and reads the other, so the scratch is two
-    buffers of one chunk's rows at any layer count.  Runs in float32;
-    layers are float32 (PointNetWeights.layers).  The last bias is added
-    after the max: rounding is monotone, so max_p fl(y_p + b) ==
-    fl(max_p y_p + b).
+    float32 batch, padded to the longest crop, and to at least
+    _PAD_MIN_POINTS points, by repeating the last point (a duplicate row
+    leaves the max unchanged).  Equal crops run once, in the order of
+    their lengths, then of their bytes, _CHUNK_CROPS at a time, each chunk
+    cut to its own longest crop.  Layer i writes into scratch buffer
+    i % 2 and reads the other, so the scratch is two buffers of one
+    chunk's rows at any layer count.  Runs in float32; layers are float32
+    (PointNetWeights.layers).  The last bias is added after the max:
+    rounding is monotone, so max_p fl(y_p + b) == fl(max_p y_p + b).
     """
-    width = max(len(pts) for pts in crops)
+    lengths = np.array([len(pts) for pts in crops])
+    width = max(lengths.max(), _PAD_MIN_POINTS)
     padded = np.empty((len(crops), width, 3), dtype=np.float32)
-    for row, pts in zip(padded, crops):
-        n = len(pts)
+    for row, pts, n in zip(padded, crops, lengths):
         row[:n] = pts[_canonical_order(pts)]
         row[n:] = row[n - 1]
-    first, inverse = distinct_rows(padded.reshape(len(crops), -1))
-    batch = padded[first].reshape(-1, 3)
+    if not np.isfinite(padded).all():
+        raise ValueError("non-finite point coordinate")
+    first, inverse = distinct_rows(
+        lengths.astype(">i8")[:, None], padded.reshape(len(crops), -1)
+    )
     k = len(first)
     rows = min(k, _CHUNK_CROPS) * width
     outs = [W.shape[0] for W, _ in layers]
@@ -117,7 +120,8 @@ def _pool_crops(crops, layers: Layers) -> np.ndarray:
     pooled = np.empty((k, outs[-1]), dtype=np.float32)
     for start in range(0, k, _CHUNK_CROPS):
         stop = min(start + _CHUNK_CROPS, k)
-        x = batch[start * width : stop * width]
+        chunk_width = max(lengths[first[stop - 1]], _PAD_MIN_POINTS)
+        x = padded[first[start:stop], :chunk_width].reshape(-1, 3)
         for i, (W, b) in enumerate(layers):
             h = scratch[i % 2][: len(x) * len(W)].reshape(len(x), len(W))
             np.matmul(x, W.T, out=h)
@@ -125,45 +129,38 @@ def _pool_crops(crops, layers: Layers) -> np.ndarray:
                 h += b
                 np.maximum(h, 0.0, out=h)
             x = h
-        x.reshape(stop - start, width, -1).max(axis=1, out=pooled[start:stop])
+        x.reshape(stop - start, chunk_width, -1).max(axis=1, out=pooled[start:stop])
     pooled += layers[-1][1]
     return pooled[inverse]
 
 
-def pointnet_forward(obj: ObjectPoints, w: PointNetWeights) -> np.ndarray:
-    """Feature vector for one object; the zero vector when it has no points."""
-    return featurize_frame((obj,), w)[0]
+def pointnet_forward(points: np.ndarray, w: PointNetWeights) -> np.ndarray:
+    """Feature vector for one (n, 3) crop; the zero vector when it has no points."""
+    return featurize_frame((points,), w)[0]
 
 
-def featurize_frame(objs, w: PointNetWeights) -> np.ndarray:
-    """Featurize each object into its own row, in input order; (n, D) float32.
+def featurize_frame(crops, w: PointNetWeights) -> np.ndarray:
+    """Featurize each (n, 3) crop into its own row, in input order; (n, D) float32.
 
-    Each non-empty crop's points are canonically ordered and cast to
-    float32, the type the MLP runs in and the rows are returned in.
-    The crops of at least _BATCH_MIN_POINTS points run as one batch: padded
-    to the longest by repeating their last point (a duplicate row leaves
-    the max unchanged), ordered by their bytes, and put through the MLP
-    in chunks of _CHUNK_CROPS crops (see _pool_crops).  Any permutation
-    of objs thus gives the matrix products the same inputs and permutes
-    the rows bitwise.
-    Shorter crops run alone; empty ones keep the zero row.  That a
-    batched row equals its own object's pointnet_forward rests on BLAS
-    computing a row alike at any position of a long product: the tests
-    check it, the construction does not guarantee it.  Finite weights
-    can still overflow float32 on the way: a non-finite feature raises
-    ValueError.
+    Every non-empty crop, short or long, runs in one batch (see
+    _pool_crops) in a canonical order, by length, then bytes: any
+    permutation of crops gives the matrix products the same inputs and
+    permutes the rows bitwise.  Empty crops keep the zero row.  That a
+    row equals its own crop's pointnet_forward rests on BLAS computing a
+    row alike at any position of a product of at least _PAD_MIN_POINTS
+    rows: the tests check it, the construction does not guarantee it.  A
+    crop that is not (n, 3), or has a coordinate that is not finite in
+    float32, raises ValueError; so does a non-finite feature, which
+    finite weights still give when their products overflow float32.
     """
-    crops = [obj.points for obj in objs]
+    for pts in crops:
+        if np.ndim(pts) != 2 or np.shape(pts)[1] != 3:
+            raise ValueError(f"points must be (n, 3), got {np.shape(pts)}")
     feats = np.zeros((len(crops), w.feature_dim), dtype=np.float32)
-    sizes = np.array([len(pts) for pts in crops], dtype=np.intp)
-    short = (sizes > 0) & (sizes < _BATCH_MIN_POINTS)
-    groups = [[slot] for slot in np.flatnonzero(short)]
-    batched = np.flatnonzero(sizes >= _BATCH_MIN_POINTS)
-    if len(batched):
-        groups.append(batched)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for group in groups:
-            feats[group] = _pool_crops([crops[slot] for slot in group], w.layers)
+    full = [slot for slot, pts in enumerate(crops) if len(pts)]
+    if full:
+        with np.errstate(over="ignore", invalid="ignore"):
+            feats[full] = _pool_crops([crops[slot] for slot in full], w.layers)
     if not np.isfinite(feats).all():
         raise ValueError("non-finite feature value")
     return feats

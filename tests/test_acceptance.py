@@ -22,7 +22,6 @@ from cloudtrack.association import (
     write_tracks_csv,
 )
 from cloudtrack.cli import run
-from cloudtrack.cropping import ObjectPoints
 from cloudtrack.losses import GroundTruthAssignment, loss_from_raw
 from cloudtrack.metrics import evaluate, read_center_tracks
 from cloudtrack.model import init_model
@@ -149,11 +148,11 @@ def test_c5_feature_permutation_invariance():
         n = int(rng.integers(4, 129))
         pts = np.zeros((128, 3))
         pts[:n] = rng.normal(size=(n, 3)) * 2.0
-        base = pointnet_forward(ObjectPoints(pts[:n]), weights)
+        base = pointnet_forward(pts[:n], weights)
         for _ in range(10):
             shuffled = np.zeros_like(pts)
             shuffled[:n] = pts[:n][rng.permutation(n)]
-            other = pointnet_forward(ObjectPoints(shuffled[:n]), weights)
+            other = pointnet_forward(shuffled[:n], weights)
             if base.tobytes() != other.tobytes():
                 mismatches += 1
     ok = mismatches == 0

@@ -125,7 +125,7 @@ class TestCompressionForward:
 
     def test_small_batches_permute_bitwise_both_ways(self):
         # BLAS runs products of a few rows with other kernels (see
-        # pointnet._BATCH_MIN_POINTS), which round a row by its position;
+        # pointnet._PAD_MIN_POINTS), which round a row by its position;
         # both sides enter the batch in a canonical order, so permuting the
         # previous rows and the current columns permutes M bitwise at every
         # eligible-cell count, with one previous row or several, and with

@@ -33,7 +33,7 @@ from cloudtrack.association import (
 )
 from cloudtrack.cropping import crop_frame
 from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
-from cloudtrack.pointnet import _BATCH_MIN_POINTS, PointNetWeights, featurize_frame
+from cloudtrack.pointnet import PointNetWeights, featurize_frame
 from cloudtrack.sequence_io import load_admitted_frame
 from cloudtrack.synth import SynthConfig, generate, perturb
 
@@ -744,8 +744,10 @@ def grid_positions(counts, step=0.3):
     ]
 
 
-# points on an object's box: an empty crop, crops under the featurizer's
-# batch minimum (_BATCH_MIN_POINTS = 16), which run alone, and batched ones
+# points on an object's box: an empty crop, which keeps the zero row; a
+# crop of 1-9 points, which BLAS would multiply with its small-matrix
+# kernels were it not padded to 16 points; a crop of 10-15 points, padded
+# too; and crops of 16 points or more, padded only to their chunk's longest
 MIXED_CROP_POINTS = (0, 5, 12, 16, 60)
 
 
@@ -753,8 +755,7 @@ def write_mixed_crop_sequence(root, rng):
     """Five objects over 30 frames whose crops cycle through MIXED_CROP_POINTS.
 
     Object k holds MIXED_CROP_POINTS[(f + k) % 5] points in frame f, so
-    every frame, and so every window, mixes the featurizer's three kinds
-    of crop.
+    every frame, and so every window, mixes the four kinds of crop.
     """
     counts = [5] * 30
     points = [
@@ -839,16 +840,16 @@ class TestProjectionWindows:
     def test_mixed_windows_hold_every_kind_of_crop(self, tmp_path):
         src = write_mixed_crop_sequence(tmp_path / "seq", np.random.default_rng(79))
         sizes = [
-            [len(c.points) for c in crop_frame(load_admitted_frame(src, f))]
+            [len(c) for c in crop_frame(load_admitted_frame(src, f))]
             for f in range(src.frame_count)
         ]
         stop = np.cumsum(windows([len(s) for s in sizes], WINDOW_DETECTIONS))
         flat = np.concatenate(sizes)
         assert len(stop) > 1
         for window in np.split(flat, stop[:-1]):
-            assert (window == 0).any()
-            assert ((0 < window) & (window < _BATCH_MIN_POINTS)).any()
-            assert (window >= _BATCH_MIN_POINTS).any()
+            # empty, 1-9, 10-15 and 16+ points
+            kinds = np.bincount(np.searchsorted([1, 10, 16], window, side="right"))
+            assert len(kinds) == 4 and kinds.all(), kinds
 
     def test_a_sequence_of_empty_frames_tracks_nothing(self, tmp_path):
         rng = np.random.default_rng(80)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cloudtrack import verification
+from cloudtrack import cli, verification
 from cloudtrack.affinity import CompressionNet
 from cloudtrack.association import TrackerConfig
 from cloudtrack.cli import build_parser, run
@@ -484,6 +484,32 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "1/1 trials passed" in proc.stdout
+
+    def test_runs_share_one_parser_but_no_events(self, tmp_path, capsys, monkeypatch):
+        # run builds its parser once per process; a later call must not see
+        # an earlier call's --leave/--enter lists, and a usage error still
+        # exits 2
+        assert run(["losscheck", "--trials", "0"]) == 2
+
+        def rebuilt():
+            raise AssertionError("run rebuilt its parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        runs = (
+            (["--leave", "4:1", "--enter", "6"], [3, 3, 3, 3, 2, 2, 3, 3]),
+            ([], [3] * 8),
+            (["--enter", "6"], [3] * 6 + [4, 4]),
+        )
+        for i, (extra, want) in enumerate(runs):
+            out = tmp_path / str(i)
+            assert run(synth_args(out, extra=extra)) == 0
+            src = open_sequence(out)
+            assert [len(load_frame(src, f).detections) for f in range(8)] == want
+        capsys.readouterr()
+        assert run(synth_args(tmp_path / "late", extra=["--leave", "9:0"])) == 2
+        assert "usage" in capsys.readouterr().err
+        assert not (tmp_path / "late").exists()
+        assert run(["synth", "--objects", "2"]) == 2
 
     def test_track_defaults_match_the_configs(self):
         args = build_parser().parse_args(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cloudtrack import cropping
-from cloudtrack.cropping import CROP_POINTS, ObjectPoints, crop_frame, slot_seed
+from cloudtrack.cropping import CROP_POINTS, crop_frame, slot_seed
 from cloudtrack.geometry import (
     Detection,
     Frame,
@@ -18,6 +18,8 @@ from cloudtrack.geometry import (
     local_inside,
     to_box_frame,
 )
+from cloudtrack.nets import init_layers
+from cloudtrack.pointnet import PointNetWeights, featurize_frame, pointnet_forward
 
 
 def crop_object(cloud, box, frame_index, slot):
@@ -27,7 +29,7 @@ def crop_object(cloud, box, frame_index, slot):
     if len(local) > CROP_POINTS:
         rng = np.random.default_rng(slot_seed(0, frame_index, slot))
         local = local[np.sort(rng.permutation(len(local))[:CROP_POINTS])]
-    return ObjectPoints(local)
+    return local
 
 
 def crop_one(cloud, box, frame_index=0):
@@ -54,35 +56,33 @@ def ulps_from(value, steps):
 class TestCropObject:
     def test_empty_cloud(self):
         out = crop_one(PointCloud(np.empty((0, 3))), unit_box())
-        assert out.points.shape == (0, 3)
-        assert out.valid_count == 0
+        assert out.shape == (0, 3)
 
     def test_identity_frame_keeps_points(self):
         # fewer than CROP_POINTS interior points: the crop is exactly those points
         pts = np.array([[0.1, 0.2, 0.3], [-0.4, 0.0, 0.1], [0.0, -0.3, -0.2]])
         out = crop_one(PointCloud(pts), unit_box())
-        assert out.valid_count == 3
-        assert np.array_equal(out.points, pts)
+        assert np.array_equal(out, pts)
 
     def test_outside_points_dropped(self):
         pts = np.array([[0.1, 0.0, 0.0], [2.0, 0.0, 0.0]])
         out = crop_one(PointCloud(pts), unit_box())
-        assert np.array_equal(out.points, pts[:1])
+        assert np.array_equal(out, pts[:1])
 
     def test_seeded_thinning(self):
         # the draw is the oracle's: slot_seed(0, frame, slot), whatever the frame
         cloud = interior_cloud(np.random.default_rng(81), 1000)
         for frame_index in (0, 1, 57):
             out = crop_one(cloud, unit_box(), frame_index)
-            assert out.points.shape == (CROP_POINTS, 3)
+            assert out.shape == (CROP_POINTS, 3)
             # all selections are distinct source points
-            assert len(np.unique(out.points, axis=0)) == CROP_POINTS
+            assert len(np.unique(out, axis=0)) == CROP_POINTS
             solo = crop_object(cloud, unit_box(), frame_index, 0)
-            assert out.points.tobytes() == solo.points.tobytes()
+            assert out.tobytes() == solo.tobytes()
 
     def test_thinning_differs_between_frames(self):
         cloud = interior_cloud(np.random.default_rng(86), 1000)
-        crops = {crop_one(cloud, unit_box(), f).points.tobytes() for f in range(5)}
+        crops = {crop_one(cloud, unit_box(), f).tobytes() for f in range(5)}
         assert len(crops) == 5
 
     def test_thinning_subset_of_interior(self):
@@ -90,8 +90,8 @@ class TestCropObject:
         pts = rng.uniform(-0.49, 0.49, size=(300, 3))
         out = crop_one(PointCloud(pts), unit_box())
         source = {tuple(p) for p in pts}
-        assert out.points.shape == (CROP_POINTS, 3)
-        for row in out.points:
+        assert out.shape == (CROP_POINTS, 3)
+        for row in out:
             assert tuple(row) in source
 
     def test_local_points_within_extents(self):
@@ -105,7 +105,7 @@ class TestCropObject:
                 box, rng.uniform(-0.5, 0.5, size=(200, 3)) * [l, w, h]
             )
             out = crop_one(PointCloud(world), box)
-            assert np.all(np.abs(out.points) <= box.half_extents + 1e-9)
+            assert np.all(np.abs(out) <= box.half_extents + 1e-9)
 
     def test_joint_translation_invariance(self):
         rng = np.random.default_rng(84)
@@ -115,8 +115,8 @@ class TestCropObject:
         box2 = OrientedBox3(shift, 2.0, 1.0, 1.5, 0.8)
         a = crop_one(PointCloud(world), box)
         b = crop_one(PointCloud(world + shift), box2)
-        assert a.points.shape == b.points.shape
-        assert np.allclose(a.points, b.points, atol=1e-9)
+        assert a.shape == b.shape
+        assert np.allclose(a, b, atol=1e-9)
 
 
 class TestCropFrame:
@@ -271,8 +271,8 @@ class TestCropFrame:
             assert len(crops) == len(frame.detections), name
             for slot, (det, crop) in enumerate(zip(frame.detections, crops)):
                 solo = crop_object(frame.cloud, det.box, frame.index, slot)
-                assert crop.points.shape == solo.points.shape, (name, slot)
-                assert crop.points.tobytes() == solo.points.tobytes(), (name, slot)
+                assert crop.shape == solo.shape, (name, slot)
+                assert crop.tobytes() == solo.tobytes(), (name, slot)
                 thinned += box_contains(det.box, frame.cloud.points).sum() > CROP_POINTS
         assert thinned >= 4
 
@@ -310,7 +310,7 @@ class TestCropFrame:
         assert np.all(masks, axis=0).any()
         for det, mask, crop in zip(frame.detections, masks, crops):
             expected = to_box_frame(det.box, points[mask])
-            assert crop.points.tobytes() == expected.tobytes()
+            assert crop.tobytes() == expected.tobytes()
 
     def test_bitwise_repeatable(self):
         # a rebuilt copy of the frame crops to the same bytes
@@ -319,15 +319,15 @@ class TestCropFrame:
         a, b = crop_frame(frame), crop_frame(copy)
         assert len(a) == len(b) == len(frame.detections)
         for x, y in zip(a, b):
-            assert x.points.shape == y.points.shape == (CROP_POINTS, 3)
-            assert x.points.tobytes() == y.points.tobytes()
+            assert x.shape == y.shape == (CROP_POINTS, 3)
+            assert x.tobytes() == y.tobytes()
 
     def test_thinning_differs_between_slots(self):
         # slots 0 and 2 hold the same box over the same cloud
         frame = self._thinned_frame(np.random.default_rng(95))
         crops = crop_frame(frame)
         assert frame.detections[0].box is frame.detections[2].box
-        assert crops[0].points.tobytes() != crops[2].points.tobytes()
+        assert crops[0].tobytes() != crops[2].tobytes()
 
     def test_slot_seeds_distinct(self):
         seen = {slot_seed(0, f, s) for f in range(20) for s in range(20)}
@@ -335,24 +335,49 @@ class TestCropFrame:
 
 
 class TestObjectPoints:
+    """A crop is a float64 (n, 3) array; the featurizer checks what it gets."""
+
+    def weights(self):
+        return PointNetWeights(init_layers((3, 4, 4), np.random.default_rng(87)))
+
     def test_rejects_non_n_by_3_shape(self):
+        w = self.weights()
         for bad in (np.zeros((4, 2)), np.zeros((2, 4)), np.zeros(3), np.zeros((2, 3, 1))):
             with pytest.raises(ValueError, match=r"\(n, 3\)"):
-                ObjectPoints(bad)
+                featurize_frame([np.ones((5, 3)), bad, np.empty((0, 3))], w)
+            with pytest.raises(ValueError, match=r"\(n, 3\)"):
+                pointnet_forward(bad, w)
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            pointnet_forward(np.empty((0, 2)), w)
 
     def test_rejects_non_finite_points(self):
+        w = self.weights()
         for value in (np.nan, np.inf, -np.inf):
             pts = np.zeros((3, 3))
             pts[1, 2] = value
-            with pytest.raises(ValueError, match="non-finite"):
-                ObjectPoints(pts)
+            with pytest.raises(ValueError, match="non-finite point"):
+                featurize_frame([np.ones((20, 3)), np.empty((0, 3)), pts], w)
+            with pytest.raises(ValueError, match="non-finite point"):
+                pointnet_forward(pts, w)
 
-    def test_valid_count_is_the_point_count(self):
-        assert ObjectPoints(np.empty((0, 3))).valid_count == 0
-        assert ObjectPoints(np.ones((5, 3))).valid_count == 5
+    def test_crops_are_float64_n_by_3_arrays(self):
+        rng = np.random.default_rng(88)
+        # a thinned crop, one of some dozens of points, and an empty one
+        centers = ((0, 0, 0), (1, 1, 1), (9, 9, 9))
+        frame = Frame(
+            0,
+            PointCloud(rng.uniform(-1, 1, size=(2000, 3))),
+            tuple(Detection(unit_box(center=c), 0.9) for c in centers),
+        )
+        crops = crop_frame(frame)
+        assert [len(crop) for crop in crops][::2] == [CROP_POINTS, 0]
+        assert 0 < len(crops[1]) < CROP_POINTS
+        for crop in crops:
+            assert type(crop) is np.ndarray and crop.dtype == np.float64
+            assert crop.ndim == 2 and crop.shape[1] == 3
 
     def test_crop_over_p_interior_points_has_p_rows(self):
         rng = np.random.default_rng(85)
         for n in (1, CROP_POINTS - 1, CROP_POINTS, CROP_POINTS + 1, 1000):
             out = crop_one(interior_cloud(rng, n), unit_box())
-            assert out.points.shape == (min(n, CROP_POINTS), 3)
+            assert out.shape == (min(n, CROP_POINTS), 3)

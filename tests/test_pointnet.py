@@ -6,12 +6,14 @@ import struct
 import numpy as np
 import pytest
 
+from cloudtrack import pointnet
 from cloudtrack.affinity import CompressionNet
-from cloudtrack.cropping import ObjectPoints, crop_frame
+from cloudtrack.cropping import crop_frame
 from cloudtrack.model import AffinityModel, load_model, save_model
 from cloudtrack.nets import init_layers, mlp_forward, write_layers
 from cloudtrack.pointnet import (
     _CHUNK_CROPS,
+    _PAD_MIN_POINTS,
     DEFAULT_POINTNET_WIDTHS,
     PointNetWeights,
     featurize_frame,
@@ -40,11 +42,18 @@ def canonical(pts):
     return pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
 
 
-def oracle_row(obj, w):
-    """One object's feature as a lone float32 MLP over its canonical points."""
-    if len(obj.points) == 0:
+def oracle_row(crop, w):
+    """One crop's feature as a lone float32 MLP over its canonical points.
+
+    A crop under _PAD_MIN_POINTS points is padded to that many with its
+    last canonical point, so BLAS multiplies it with the kernels of longer
+    products.
+    """
+    if len(crop) == 0:
         return np.zeros(w.feature_dim, dtype=np.float32)
-    pts = canonical(obj.points).astype(np.float32)
+    pts = canonical(crop).astype(np.float32)
+    pad = max(_PAD_MIN_POINTS - len(pts), 0)
+    pts = np.concatenate([pts, np.repeat(pts[-1:], pad, axis=0)])
     return mlp_forward(pts, w.layers).max(axis=0)
 
 
@@ -60,11 +69,11 @@ def real_crops(tmp_path, points_per_object):
     return crops
 
 
-def assert_rows_match_oracle(objs, w):
-    feats = featurize_frame(objs, w)
-    assert feats.shape == (len(objs), w.feature_dim)
-    for slot, obj in enumerate(objs):
-        assert feats[slot].tobytes() == oracle_row(obj, w).tobytes(), slot
+def assert_rows_match_oracle(crops, w):
+    feats = featurize_frame(crops, w)
+    assert feats.shape == (len(crops), w.feature_dim)
+    for slot, crop in enumerate(crops):
+        assert feats[slot].tobytes() == oracle_row(crop, w).tobytes(), slot
     return feats
 
 
@@ -72,23 +81,23 @@ class TestPointnetForward:
     def test_empty_object_gives_zero_feature(self):
         rng = np.random.default_rng(101)
         w = random_weights(rng)
-        out = pointnet_forward(ObjectPoints(np.empty((0, 3))), w)
+        out = pointnet_forward(np.empty((0, 3)), w)
         assert out.shape == (16,)
         assert not np.any(out)
 
     def test_identity_layer_max_pools(self):
         w = PointNetWeights(((np.eye(3), np.zeros(3)),))
-        obj = ObjectPoints([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-        assert np.array_equal(pointnet_forward(obj, w), [1.0, 2.0, 0.0])
+        crop = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        assert np.array_equal(pointnet_forward(crop, w), [1.0, 2.0, 0.0])
 
     def test_permutation_invariance_bitwise(self):
         rng = np.random.default_rng(102)
         w = random_weights(rng)
         pts = rng.uniform(-1.0, 1.0, size=(50, 3))
-        base = pointnet_forward(ObjectPoints(pts), w)
+        base = pointnet_forward(pts, w)
         for _ in range(10):
             shuffled = pts[rng.permutation(50)]
-            got = pointnet_forward(ObjectPoints(shuffled), w)
+            got = pointnet_forward(shuffled, w)
             assert got.tobytes() == base.tobytes()
 
     def test_pool_is_per_point_max(self):
@@ -99,7 +108,7 @@ class TestPointnetForward:
             [mlp_forward(p.reshape(1, 3).astype(np.float32), w.layers)[0] for p in pts]
         )
         oracle = per_point.max(axis=0)
-        got = pointnet_forward(ObjectPoints(pts), w)
+        got = pointnet_forward(pts, w)
         # a one-row product runs another BLAS kernel, which may round each
         # float32 output differently by an ulp or two
         tol = 4 * np.finfo(np.float32).eps * np.abs(oracle).max()
@@ -146,16 +155,82 @@ class TestFeaturizeFrame:
             [P, 3, *np.linspace(20, P, 2 * C - 1, dtype=int), 0, 16, P],
         )
         for counts in frames:
-            objs = [ObjectPoints(rng.uniform(-1, 1, size=(n, 3))) for n in counts]
-            if len(objs) >= 4:
-                objs[-1] = objs[0]
-            feats = assert_rows_match_oracle(objs, w)
-            for slot, obj in enumerate(objs):
-                assert feats[slot].tobytes() == pointnet_forward(obj, w).tobytes()
+            crops = [rng.uniform(-1, 1, size=(n, 3)) for n in counts]
+            if len(crops) >= 4:
+                crops[-1] = crops[0]
+            feats = assert_rows_match_oracle(crops, w)
+            for slot, crop in enumerate(crops):
+                assert feats[slot].tobytes() == pointnet_forward(crop, w).tobytes()
             for _ in range(5):
-                perm = rng.permutation(len(objs))
-                got = featurize_frame([objs[i] for i in perm], w)
+                perm = rng.permutation(len(crops))
+                got = featurize_frame([crops[i] for i in perm], w)
                 assert got.tobytes() == feats[perm].tobytes()
+
+    def test_short_crop_row_is_the_same_in_every_batch(self):
+        # a crop under _PAD_MIN_POINTS points is padded to that many, so
+        # BLAS never multiplies it with its small-matrix kernels: its row is
+        # the same alone, in a chunk of 128-point crops, in a chunk of short
+        # crops (padded only to _PAD_MIN_POINTS), and with copies of its own
+        # points appended up to _PAD_MIN_POINTS
+        rng = np.random.default_rng(116)
+        w = PointNetWeights(init_layers(DEFAULT_POINTNET_WIDTHS, rng))
+        long = [rng.uniform(-1, 1, size=(128, 3)) for _ in range(_CHUNK_CROPS)]
+        short = [rng.uniform(-1, 1, size=(n, 3)) for n in (3, 7, 11, 15, 2)]
+        for n in range(1, _PAD_MIN_POINTS):
+            crop = rng.uniform(-1, 1, size=(n, 3))
+            alone = pointnet_forward(crop, w)
+            assert alone.tobytes() == oracle_row(crop, w).tobytes(), n
+            copies = crop[rng.integers(0, n, size=_PAD_MIN_POINTS - n)]
+            rows = (
+                featurize_frame([*long, crop], w)[-1],
+                featurize_frame([*short, crop], w)[-1],
+                pointnet_forward(np.concatenate([crop, copies]), w),
+            )
+            for row in rows:
+                assert row.tobytes() == alone.tobytes(), n
+
+    def test_one_batch_in_length_then_bytes_order(self, monkeypatch):
+        # every non-empty crop of a call runs in one _pool_crops batch; its
+        # chunks hold the distinct crops in (length, bytes) order, each chunk
+        # padded with its crops' last points to its own longest crop and to
+        # at least _PAD_MIN_POINTS points
+        rng = np.random.default_rng(117)
+        w = random_weights(rng)
+        counts = (0, 128, 1, 5, 12, 15, 16, 17, 60, 0, 9, 128, 3, 100, 5, 40)
+        crops = [rng.uniform(-1, 1, size=(n, 3)) for n in counts]
+        crops.append(crops[3][::-1])  # a permuted duplicate runs once
+        calls, inputs = [], []
+        pool_crops = pointnet._pool_crops
+
+        def counting(batch, layers):
+            calls.append(len(batch))
+            return pool_crops(batch, layers)
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, x, W, out):
+                if x.shape[1] == 3:
+                    inputs.append(x.copy())
+                return np.matmul(x, W, out=out)
+
+        monkeypatch.setattr(pointnet, "_pool_crops", counting)
+        monkeypatch.setattr(pointnet, "np", RecordingNumpy())
+        featurize_frame(crops, w)
+        assert calls == [len(crops) - 2]
+
+        distinct = [canonical(c).astype(np.float32) for c in crops[:-1] if len(c)]
+        distinct.sort(key=lambda pts: (len(pts), pts.tobytes()))
+        assert len(inputs) == -(-len(distinct) // _CHUNK_CROPS)
+        for start, x in zip(range(0, len(distinct), _CHUNK_CROPS), inputs):
+            chunk = distinct[start : start + _CHUNK_CROPS]
+            width = max(len(chunk[-1]), _PAD_MIN_POINTS)
+            want = np.concatenate([
+                np.concatenate([pts, np.repeat(pts[-1:], width - len(pts), axis=0)])
+                for pts in chunk
+            ])
+            assert x.tobytes() == want.tobytes()
 
     def test_last_bias_added_after_max(self):
         # the last layer's bias is added after the max-pool; signed zeros in
@@ -172,11 +247,8 @@ class TestFeaturizeFrame:
         b[1::3] = -0.0
         w = PointNetWeights(tuple(layers))
         assert np.signbit(w.layers[-1][1][1::3]).all()
-        objs = [
-            ObjectPoints(rng.uniform(-1, 1, size=(n, 3)))
-            for n in (128, 70, 20, 16, 5, 1, 0)
-        ]
-        assert_rows_match_oracle(objs, w)
+        crops = [rng.uniform(-1, 1, size=(n, 3)) for n in (128, 70, 20, 16, 5, 1, 0)]
+        assert_rows_match_oracle(crops, w)
 
     @pytest.mark.parametrize("points_per_object", [200, 60])
     def test_real_crops_match_oracle(self, tmp_path, points_per_object):
@@ -193,8 +265,8 @@ class TestFeaturizeFrame:
         w = PointNetWeights(init_layers(DEFAULT_POINTNET_WIDTHS, rng))
         feats = featurize_frame(crops, w)
         exact = np.stack([
-            mlp_forward(canonical(obj.points), f64_layers(w)).max(axis=0)
-            for obj in crops
+            mlp_forward(canonical(crop), f64_layers(w)).max(axis=0)
+            for crop in crops
         ])
         assert np.abs(feats - exact).max() <= 1e-6 * np.abs(exact).max()
 
@@ -206,11 +278,11 @@ class TestFeaturizeFrame:
         scale = (1e30, 1.0, 1e10)
         w = PointNetWeights(tuple((W * k, b) for (W, b), k in zip(layers, scale)))
         for counts in ((40, 0, 20), (5,), (3, 60)):
-            objs = [ObjectPoints(rng.uniform(-1, 1, size=(n, 3))) for n in counts]
+            crops = [rng.uniform(-1, 1, size=(n, 3)) for n in counts]
             with pytest.raises(ValueError, match="non-finite feature"):
-                featurize_frame(objs, w)
+                featurize_frame(crops, w)
         with pytest.raises(ValueError, match="non-finite feature"):
-            pointnet_forward(objs[0], w)
+            pointnet_forward(crops[0], w)
 
 
 def model_with_pointnet(w):

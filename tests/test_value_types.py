@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from cloudtrack.cropping import ObjectPoints
 from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
 from cloudtrack.losses import GroundTruthAssignment, LossGradients, stack_gt
 from cloudtrack.model import init_model
@@ -22,7 +21,6 @@ MAKERS = {
     "OrientedBox3": box,
     "Detection": lambda: Detection(box(), 0.9),
     "Frame": lambda: Frame(0, PointCloud(np.ones((2, 3))), (Detection(box(), 0.9),)),
-    "ObjectPoints": lambda: ObjectPoints(np.ones((2, 3))),
     "GroundTruthAssignment": lambda: GroundTruthAssignment(np.eye(2)),
     "BatchTargets": lambda: stack_gt([GroundTruthAssignment(np.eye(2))]),
     "PairSample": lambda: PairSample(

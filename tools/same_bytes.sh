@@ -15,12 +15,11 @@
 #   - track, with that model, one paper5_noisy-recipe scene and one
 #     dense80-recipe scene (the bench's first scenes at run seed 1), and
 #     three of CI's recipes: short (12 points per object, so every crop
-#     runs alone through the featurizer), empty (admitted clutter whose
-#     boxes hold no points, next to batched crops) and mix (each window
-#     holds empty crops, crops under the batch minimum and batched ones).
+#     is padded to the featurizer's minimum of 16 points), empty (admitted
+#     clutter whose boxes hold no points, next to full crops) and mix (each
+#     window holds empty crops, crops padded to 16 points and longer ones).
 #     The tracker featurizes a window of frames per call, so these compare
-#     the featurizer's three kinds of crop within one call.  Compared: the
-#     tracks CSVs.
+#     crops of every kind within one call.  Compared: the tracks CSVs.
 #
 # Model files and loss logs depend on the BLAS summation order, so they
 # are compared between two trees on one machine, not pinned in tests.
