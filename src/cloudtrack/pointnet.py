@@ -4,9 +4,11 @@ Each object's crop, a float64 (n, 3) array of at most CROP_POINTS
 points, runs through the same small MLP (default widths 3-64-128-512,
 ReLU between layers) and the feature is the element-wise maximum over
 its points; an empty crop gives the zero row.  Points are canonically
-ordered before the matrix products, which makes the output bitwise
-identical under any permutation of the input points.  A frame's
-features are one row per object, in detection order.
+ordered (by x, then y, then z) before the matrix products, which makes
+the output bitwise identical under any permutation of the input points.
+One argsort of x orders every crop of a call at once; only a crop whose
+x values repeat is ordered again by its own lexsort.  A frame's features
+are one row per object, in detection order.
 
 The MLP runs in float32, and PointNetWeights holds its weights only
 as float32 (model files store float32, so loading is exact); frame
@@ -20,11 +22,15 @@ affinity head reads.
 The crops of one call, short or long, run as one batch in a canonical
 crop order, through the MLP in chunks of a few crops (see
 featurize_frame), so the rows permute bitwise with the objects by
-construction.  The tracker passes the crops of a window of frames in
-one call and the trainer one frame's; the chunks bound the scratch at
-any crop count.  That a row equals its own object's pointnet_forward is
-checked by the tests, not guaranteed by construction: it rests on BLAS
-rounding a row alike wherever it sits in a product.
+construction.  A chunk's rows are point-major (point p of every crop,
+then point p + 1), so the max-pool is one reduction over contiguous
+rows, and the hidden biases are tiled once per call to a chunk's rows,
+so each bias add is contiguous too.  The tracker passes the crops of a
+window of frames in one call and the trainer one frame's; the chunks
+bound the scratch at any crop count.  That a row equals its own
+object's pointnet_forward is checked by the tests, not guaranteed by
+construction: it rests on BLAS rounding a row alike wherever it sits in
+a product.
 """
 
 from __future__ import annotations
@@ -85,28 +91,57 @@ def _canonical_order(pts: np.ndarray) -> np.ndarray:
     return np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
 
 
+def _canonical_batch(crops, lengths: np.ndarray, width: int) -> np.ndarray:
+    """The crops in canonical order as one (k, width, 3) float32 batch.
+
+    One argsort orders every crop by x: the crops' x values are gathered
+    into one (k, width) key array, +inf in each crop's pad columns, so a
+    crop's own points sort before its pads.  A crop whose sorted x
+    repeats (exact ties, duplicate points, +0 and -0) is ordered again by
+    _canonical_order alone, which stays the one definition of the order.
+    Each pad column then repeats the crop's canonical last point, and one
+    gather from the float32 points builds the batch.  The points are
+    checked before the sort: a NaN x would sort after the +inf pad keys
+    and be padded over.
+    """
+    flat = np.concatenate(crops)
+    points = flat.astype(np.float32)
+    if not np.isfinite(points).all():
+        raise ValueError("non-finite point coordinate")
+    starts = np.cumsum(lengths) - lengths
+    cols = np.minimum(np.arange(width), lengths[:, None] - 1)
+    pad = np.arange(width) >= lengths[:, None]
+    keys = np.where(pad, np.inf, flat[:, 0][starts[:, None] + cols])
+    order = np.argsort(keys, axis=1)
+    ranked = np.take_along_axis(keys, order, axis=1)
+    tied = ((ranked[:, 1:] == ranked[:, :-1]) & ~pad[:, 1:]).any(axis=1)
+    for c in np.flatnonzero(tied):
+        order[c, : lengths[c]] = _canonical_order(crops[c])
+    source = starts[:, None] + np.take_along_axis(order, cols, axis=1)
+    return points[source]
+
+
 def _pool_crops(crops, layers: Layers) -> np.ndarray:
     """Max-pooled MLP output of each non-empty crop; one float32 row each.
 
-    Each crop's points are written in canonical order straight into one
-    float32 batch, padded to the longest crop, and to at least
+    The crops are put in canonical order by one sort (_canonical_batch)
+    into one float32 batch, padded to the longest crop, and to at least
     _PAD_MIN_POINTS points, by repeating the last point (a duplicate row
     leaves the max unchanged).  Equal crops run once, in the order of
     their lengths, then of their bytes, _CHUNK_CROPS at a time, each chunk
-    cut to its own longest crop.  Layer i writes into scratch buffer
-    i % 2 and reads the other, so the scratch is two buffers of one
-    chunk's rows at any layer count.  Runs in float32; layers are float32
+    cut to its own longest crop.  A chunk's rows are point-major: row
+    p * m + c holds point p of its crop c, so the max-pool reduces each
+    output over p = 0, 1, ... in one pass over contiguous rows.  Layer i
+    writes into scratch buffer i % 2 and reads the other, so the scratch
+    is two buffers of one chunk's rows at any layer count; the hidden
+    biases are tiled once per call to those rows, so each bias add is
+    contiguous.  Runs in float32; layers are float32
     (PointNetWeights.layers).  The last bias is added after the max:
     rounding is monotone, so max_p fl(y_p + b) == fl(max_p y_p + b).
     """
     lengths = np.array([len(pts) for pts in crops])
     width = max(lengths.max(), _PAD_MIN_POINTS)
-    padded = np.empty((len(crops), width, 3), dtype=np.float32)
-    for row, pts, n in zip(padded, crops, lengths):
-        row[:n] = pts[_canonical_order(pts)]
-        row[n:] = row[n - 1]
-    if not np.isfinite(padded).all():
-        raise ValueError("non-finite point coordinate")
+    padded = _canonical_batch(crops, lengths, width)
     first, inverse = distinct_rows(
         lengths.astype(">i8")[:, None], padded.reshape(len(crops), -1)
     )
@@ -117,19 +152,20 @@ def _pool_crops(crops, layers: Layers) -> np.ndarray:
         np.empty(rows * max(outs[i::2]), dtype=np.float32)
         for i in range(min(2, len(outs)))
     ]
+    biases = [np.tile(b, (rows, 1)) for _, b in layers[:-1]]
     pooled = np.empty((k, outs[-1]), dtype=np.float32)
     for start in range(0, k, _CHUNK_CROPS):
         stop = min(start + _CHUNK_CROPS, k)
         chunk_width = max(lengths[first[stop - 1]], _PAD_MIN_POINTS)
-        x = padded[first[start:stop], :chunk_width].reshape(-1, 3)
-        for i, (W, b) in enumerate(layers):
+        x = padded[first[start:stop], :chunk_width].transpose(1, 0, 2).reshape(-1, 3)
+        for i, (W, _) in enumerate(layers):
             h = scratch[i % 2][: len(x) * len(W)].reshape(len(x), len(W))
             np.matmul(x, W.T, out=h)
             if i < len(layers) - 1:
-                h += b
+                h += biases[i][: len(x)]
                 np.maximum(h, 0.0, out=h)
             x = h
-        x.reshape(stop - start, chunk_width, -1).max(axis=1, out=pooled[start:stop])
+        x.reshape(chunk_width, -1).max(axis=0, out=pooled[start:stop].reshape(-1))
     pooled += layers[-1][1]
     return pooled[inverse]
 

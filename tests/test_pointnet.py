@@ -193,7 +193,8 @@ class TestFeaturizeFrame:
         # every non-empty crop of a call runs in one _pool_crops batch; its
         # chunks hold the distinct crops in (length, bytes) order, each chunk
         # padded with its crops' last points to its own longest crop and to
-        # at least _PAD_MIN_POINTS points
+        # at least _PAD_MIN_POINTS points, in point-major rows: row p * m + c
+        # of an m-crop chunk is point p of its crop c
         rng = np.random.default_rng(117)
         w = random_weights(rng)
         counts = (0, 128, 1, 5, 12, 15, 16, 17, 60, 0, 9, 128, 3, 100, 5, 40)
@@ -226,11 +227,65 @@ class TestFeaturizeFrame:
         for start, x in zip(range(0, len(distinct), _CHUNK_CROPS), inputs):
             chunk = distinct[start : start + _CHUNK_CROPS]
             width = max(len(chunk[-1]), _PAD_MIN_POINTS)
-            want = np.concatenate([
+            want = np.stack([
                 np.concatenate([pts, np.repeat(pts[-1:], width - len(pts), axis=0)])
                 for pts in chunk
             ])
-            assert x.tobytes() == want.tobytes()
+            assert x.tobytes() == want.transpose(1, 0, 2).tobytes()
+
+    def test_one_sort_order_matches_oracle(self, monkeypatch):
+        # one argsort of x orders every crop of a call; a crop whose x
+        # repeats is ordered again by _canonical_order alone.  Tied crops:
+        # rounded coordinates, duplicate points, x of +0 and -0 mixed, and a
+        # permuted copy of a tied crop (which runs its own fallback before
+        # the copies merge); untied ones: single points, lengths 1-200 and a
+        # permuted copy
+        rng = np.random.default_rng(118)
+        w = PointNetWeights(init_layers(DEFAULT_POINTNET_WIDTHS, rng))
+        signed_zero = rng.uniform(-1, 1, size=(40, 3))
+        signed_zero[::2, 0] = 0.0
+        signed_zero[1::4, 0] = -0.0
+        lengths = (1, 1, 2, 9, 15, 16, 77, 128, 200)
+        untied = [rng.uniform(-1, 1, size=(n, 3)) for n in lengths]
+        dup = rng.uniform(-1, 1, size=(30, 3))
+        tied = [
+            np.round(rng.uniform(-1, 1, size=(60, 3)), 1),
+            np.round(rng.uniform(-1, 1, size=(7, 3)), 0),
+            dup[rng.integers(0, 30, size=50)],
+            np.concatenate([dup[:12], dup[:12]]),
+            signed_zero,
+            np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0]]),
+        ]
+        copies = [untied[7][rng.permutation(128)], tied[0][rng.permutation(60)]]
+        crops = [*untied, *tied, np.empty((0, 3)), *copies]
+        crops = [crops[i] for i in rng.permutation(len(crops))]
+        calls = []
+
+        def counting(pts):
+            calls.append(len(pts))
+            return canonical_order(pts)
+
+        canonical_order = pointnet._canonical_order
+        monkeypatch.setattr(pointnet, "_canonical_order", counting)
+        assert_rows_match_oracle(crops, w)
+        # one fallback per tied crop, the permuted copy's included
+        assert sorted(calls) == sorted([len(c) for c in tied] + [60])
+
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_non_finite_coordinate_raises(self, n):
+        # checked before the sort: a NaN in x must not sort past the +inf
+        # pad keys and vanish under the padding
+        rng = np.random.default_rng(119)
+        w = random_weights(rng)
+        for axis in range(3):
+            for value in (np.nan, np.inf, -np.inf, 1e39):
+                pts = rng.uniform(-1, 1, size=(n, 3))
+                pts[int(rng.integers(0, n)), axis] = value
+                crops = [rng.uniform(-1, 1, size=(40, 3)), pts, np.ones((2, 3))]
+                with pytest.raises(ValueError, match="non-finite point"):
+                    featurize_frame(crops, w)
+                with pytest.raises(ValueError, match="non-finite point"):
+                    pointnet_forward(pts, w)
 
     def test_last_bias_added_after_max(self):
         # the last layer's bias is added after the max-pool; signed zeros in
