@@ -30,7 +30,7 @@ print(f"wrote {src.frame_count} frames to {src.root}")
 for index in range(src.frame_count):
     frame = load_frame(src, index)
     ids = [det.gt_id for det in frame.detections]
-    print(f"frame {index:2d}: {len(frame.cloud):5d} points, objects {ids}")
+    print(f"frame {index:2d}: {len(frame.points):5d} points, objects {ids}")
 
 # Every detection carries its true box and a confidence of 1.0.  The
 # sizes differ object to object so the learned features can tell them

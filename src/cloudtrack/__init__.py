@@ -27,7 +27,6 @@ from .geometry import (
     Detection,
     Frame,
     OrientedBox3,
-    PointCloud,
     box_contains,
     from_box_frame,
     to_box_frame,
@@ -63,7 +62,6 @@ from .pointnet import (
     pointnet_forward,
 )
 from .sequence_io import (
-    IngestConfig,
     SequenceSource,
     admit_detections,
     load_admitted_frame,
@@ -88,14 +86,12 @@ __all__ = [
     "Detection",
     "Frame",
     "GroundTruthAssignment",
-    "IngestConfig",
     "LiveTracks",
     "LossBreakdown",
     "LossGradients",
     "LosscheckReport",
     "MotReport",
     "OrientedBox3",
-    "PointCloud",
     "PointNetWeights",
     "SequenceSource",
     "SynthConfig",

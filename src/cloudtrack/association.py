@@ -46,7 +46,7 @@ import numpy as np
 
 from .affinity import affinity_from_projected, project
 from .cropping import crop_frame
-from .geometry import Detection, Frame, PointCloud
+from .geometry import Detection, Frame
 from .matching import match
 from .model import AffinityModel
 from .pointnet import featurize_frame
@@ -215,11 +215,11 @@ def update_tracks(
 WINDOW_DETECTIONS = 64
 
 
-_NO_POINTS = PointCloud(np.empty((0, 3)))
+_NO_POINTS = np.empty((0, 3))
 
 
 class _Pending(NamedTuple):
-    """A cropped frame waiting for its window: its cloud is dropped."""
+    """A cropped frame waiting for its window: its points are dropped."""
 
     frame: Frame
     xy: np.ndarray

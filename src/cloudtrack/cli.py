@@ -27,7 +27,7 @@ from .association import (
 )
 from .metrics import evaluate, read_center_tracks, report_json, report_table
 from .model import load_model
-from .sequence_io import DEFAULT_CONFIDENCE_THRESHOLD, IngestConfig, open_sequence
+from .sequence_io import DEFAULT_CONFIDENCE_THRESHOLD, open_sequence
 from .synth import DEFAULT_ARENA, DEFAULT_SPEED_RANGE, SynthConfig, generate, perturb
 from .training import TrainConfig, train
 from .verification import run_losscheck
@@ -222,9 +222,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_track(args) -> int:
-    src = open_sequence(
-        args.seq, IngestConfig(confidence_threshold=args.conf_threshold)
-    )
+    src = open_sequence(args.seq, args.conf_threshold)
     model = load_model(args.weights)
     cfg = TrackerConfig(birth_threshold=args.birth_threshold)
     started = time.perf_counter()

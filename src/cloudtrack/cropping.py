@@ -81,7 +81,7 @@ def crop_frame(frame: Frame) -> tuple[np.ndarray, ...]:
     boxes = [det.box for det in frame.detections]
     if not boxes:
         return ()
-    points = frame.cloud.points
+    points = frame.points
     n = len(points)
     order = np.argsort(points[:, 0])
     xs = points[order, 0]

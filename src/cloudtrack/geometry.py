@@ -1,4 +1,4 @@
-"""Value types for points, oriented boxes, detections, and frames.
+"""Value types for oriented boxes, detections, and frames.
 
 All types are immutable values built on numpy arrays; every operation here
 is pure.
@@ -41,23 +41,6 @@ def _as_finite_points(points) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PointCloud:
-    """One sensor sweep: an (n, 3) array of xyz points.
-
-    Point order carries no meaning; consumers must be permutation invariant.
-    The sweep's time step is its Frame's index.
-    """
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _as_finite_points(self.points))
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class OrientedBox3:
     """Gravity-aligned 3D box: center, extents, and yaw about the z axis."""
 
@@ -69,7 +52,7 @@ class OrientedBox3:
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=np.float64).reshape(3)
-        if not np.isfinite(center).all():
+        if not all(map(math.isfinite, center.tolist())):
             raise ValueError("box center must be finite")
         object.__setattr__(self, "center", center)
         for name in ("length", "width", "height"):
@@ -172,13 +155,18 @@ class Detection:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Point cloud plus detections for one time step."""
+    """One time step: a sensor sweep's points plus its detections.
+
+    points is a finite float64 (n, 3) array of xyz points.  Point order
+    carries no meaning; consumers must be permutation invariant.
+    """
 
     index: int
-    cloud: PointCloud
+    points: np.ndarray
     detections: tuple[Detection, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        object.__setattr__(self, "points", _as_finite_points(self.points))
         if self.index < 0:
             raise ValueError("frame index must be non-negative")
         object.__setattr__(self, "detections", tuple(self.detections))

@@ -18,12 +18,13 @@ formatting, so a load/write cycle of canonical files is byte identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import Detection, Frame, OrientedBox3, PointCloud
+from .geometry import Detection, Frame, OrientedBox3
 
 DETECTION_HEADER = "frame,conf,cx,cy,cz,l,w,h,yaw"
 TRACKS_HEADER = "frame,track_id,cx,cy,cz,l,w,h,yaw,conf"
@@ -31,23 +32,20 @@ DEFAULT_CONFIDENCE_THRESHOLD = 0.4
 
 
 @dataclass(frozen=True)
-class IngestConfig:
-    """Admission policy: a strict confidence cut."""
+class SequenceSource:
+    """Read-only handle to an on-disk sequence.
 
+    Its admission policy is a strict confidence cut: load_admitted_frame
+    keeps the detections whose confidence is above confidence_threshold.
+    """
+
+    root: Path
+    frame_count: int
     confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD
 
     def __post_init__(self):
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ValueError("confidence_threshold must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class SequenceSource:
-    """Read-only handle to an on-disk sequence."""
-
-    root: Path
-    frame_count: int
-    config: IngestConfig = field(default_factory=IngestConfig)
 
     def point_path(self, index: int) -> Path:
         return self.root / "frames" / f"{index}.xyz"
@@ -56,8 +54,25 @@ class SequenceSource:
         return self.root / "detections" / f"{index}.csv"
 
 
-def open_sequence(root, config: IngestConfig | None = None) -> SequenceSource:
-    """Open a sequence directory, validating the meta file and frame files."""
+def _file_names(directory: Path) -> set[str]:
+    """Names of the regular files in directory; none if it is absent or not
+    a directory."""
+    try:
+        with os.scandir(directory) as entries:
+            return {entry.name for entry in entries if entry.is_file()}
+    except (FileNotFoundError, NotADirectoryError):
+        return set()
+
+
+def open_sequence(
+    root, confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD
+) -> SequenceSource:
+    """Open a sequence directory, validating the meta file and frame files.
+
+    Each of frames/ and detections/ is listed once; the first file missing
+    in frame order, a frame's point file before its detection file, is the
+    one the error names.
+    """
     root = Path(root)
     meta = root / "sequence.meta"
     if not meta.is_file():
@@ -79,11 +94,14 @@ def open_sequence(root, config: IngestConfig | None = None) -> SequenceSource:
                 raise ValueError(f"{meta}:{lineno}: bad frame_count {value!r}")
     if frame_count is None:
         raise ValueError(f"{meta}: missing frame_count")
-    src = SequenceSource(root, frame_count, config or IngestConfig())
+    src = SequenceSource(root, frame_count, confidence_threshold)
+    point_names = _file_names(root / "frames")
+    detection_names = _file_names(root / "detections")
     for i in range(frame_count):
-        for path in (src.point_path(i), src.detection_path(i)):
-            if not path.is_file():
-                raise FileNotFoundError(f"missing frame file: {path}")
+        if f"{i}.xyz" not in point_names:
+            raise FileNotFoundError(f"missing frame file: {src.point_path(i)}")
+        if f"{i}.csv" not in detection_names:
+            raise FileNotFoundError(f"missing frame file: {src.detection_path(i)}")
     return src
 
 
@@ -152,28 +170,28 @@ def _parse_detections(path: Path, frame_index: int) -> tuple[Detection, ...]:
 
 
 def load_frame(src: SequenceSource, index: int) -> Frame:
-    """Load one frame, unfiltered, in file order."""
+    """Load one frame, unfiltered, in file order.
+
+    open_sequence has checked that the frame's files exist; one removed
+    since then raises FileNotFoundError naming it when it is read.
+    """
     if not 0 <= index < src.frame_count:
         raise IndexError(f"frame index {index} outside 0..{src.frame_count - 1}")
-    ppath, dpath = src.point_path(index), src.detection_path(index)
-    for path in (ppath, dpath):
-        if not path.is_file():
-            raise FileNotFoundError(f"missing frame file: {path}")
-    cloud = PointCloud(_parse_points(ppath))
-    return Frame(index, cloud, _parse_detections(dpath, index))
+    points = _parse_points(src.point_path(index))
+    return Frame(index, points, _parse_detections(src.detection_path(index), index))
 
 
-def admit_detections(frame: Frame, cfg: IngestConfig) -> Frame:
+def admit_detections(frame: Frame, threshold: float) -> Frame:
     """Apply the admission filter: strictly-above-threshold confidence, in
     descending confidence order, ties kept in file order.  Slot order sets
     crop seeds and birth ids, so it must not depend on anything else."""
-    kept = [d for d in frame.detections if d.confidence > cfg.confidence_threshold]
+    kept = [d for d in frame.detections if d.confidence > threshold]
     admitted = tuple(sorted(kept, key=lambda d: -d.confidence))
-    return Frame(frame.index, frame.cloud, admitted)
+    return Frame(frame.index, frame.points, admitted)
 
 
 def load_admitted_frame(src: SequenceSource, index: int) -> Frame:
-    return admit_detections(load_frame(src, index), src.config)
+    return admit_detections(load_frame(src, index), src.confidence_threshold)
 
 
 def format_float(x: float) -> str:
@@ -183,9 +201,9 @@ def format_float(x: float) -> str:
 
 def _detection_row(frame_index: int, det: Detection, has_gt: bool) -> str:
     b = det.box
-    vals = [det.confidence, b.center[0], b.center[1], b.center[2],
-            b.length, b.width, b.height, b.yaw]
-    row = f"{frame_index}," + ",".join(format_float(v) for v in vals)
+    # Python floats throughout, so repr is format_float's form
+    vals = (det.confidence, *b.center.tolist(), b.length, b.width, b.height, b.yaw)
+    row = f"{frame_index}," + ",".join(map(repr, vals))
     if has_gt:
         row += "," + ("" if det.gt_id is None else str(det.gt_id))
     return row
@@ -206,7 +224,7 @@ def write_frame(root, frame: Frame) -> None:
     """Write one frame's point and detection files, gt_id column included."""
     root = Path(root)
     (root / "frames").mkdir(parents=True, exist_ok=True)
-    pts = frame.cloud.points.astype("<f4")
+    pts = frame.points.astype("<f4")
     (root / "frames" / f"{frame.index}.xyz").write_bytes(pts.tobytes())
     write_detections(root, frame.index, frame.detections)
 
@@ -219,11 +237,9 @@ def write_tracks_file(path, rows) -> None:
     """
     lines = [TRACKS_HEADER]
     for frame_index, track_id, b, conf in sorted(rows, key=lambda r: (r[0], r[1])):
-        vals = [b.center[0], b.center[1], b.center[2],
-                b.length, b.width, b.height, b.yaw, conf]
-        lines.append(
-            f"{frame_index},{track_id}," + ",".join(format_float(v) for v in vals)
-        )
+        # Python floats throughout, so repr is format_float's form
+        vals = (*b.center.tolist(), b.length, b.width, b.height, b.yaw, float(conf))
+        lines.append(f"{frame_index},{track_id}," + ",".join(map(repr, vals)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

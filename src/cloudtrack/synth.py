@@ -20,13 +20,13 @@ byte-for-byte unchanged.
 from __future__ import annotations
 
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cropping import slot_seed
-from .geometry import Detection, Frame, OrientedBox3, PointCloud, from_box_frame
+from .geometry import Detection, Frame, OrientedBox3, from_box_frame
 from .sequence_io import (
     SequenceSource,
     load_frame,
@@ -253,9 +253,7 @@ def generate(cfg: SynthConfig, out_dir) -> SequenceSource:
             gt_rows.append((frame_index, obj.gt_id, box, 1.0))
         pts = np.vstack(clouds) if clouds else np.empty((0, 3))
         frame = Frame(
-            frame_index,
-            PointCloud(pts.astype(np.float32).astype(np.float64)),
-            tuple(detections),
+            frame_index, pts.astype(np.float32).astype(np.float64), tuple(detections)
         )
         write_frame(root, frame)
     write_sequence_meta(root, cfg.n_frames, name=f"synth-{cfg.seed}")
@@ -302,7 +300,7 @@ def perturb(
         frame = load_frame(src, frame_index)
         centers = [det.box.center[:2] for det in frame.detections]
         half_x, half_y = np.abs(
-            np.vstack([frame.cloud.points[:, :2], *centers])
+            np.vstack([frame.points[:, :2], *centers])
         ).max(axis=0, initial=0.0)
         # keep the source's gt column so a zero-rate pass is a no-op
         with open(src.detection_path(frame_index)) as fh:
@@ -338,4 +336,4 @@ def perturb(
                 conf = lo + (hi - lo) * fp_draw[7]
                 rows.append(Detection(fp_box, conf, None))
         write_detections(root, frame_index, rows, with_gt=has_gt)
-    return open_sequence(root, src.config)
+    return open_sequence(root, src.confidence_threshold)

@@ -32,7 +32,7 @@ from cloudtrack.association import (
     motion_gate,
 )
 from cloudtrack.cropping import crop_frame
-from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
+from cloudtrack.geometry import Detection, Frame, OrientedBox3
 from cloudtrack.pointnet import PointNetWeights, featurize_frame
 from cloudtrack.sequence_io import load_admitted_frame
 from cloudtrack.synth import SynthConfig, generate, perturb
@@ -198,7 +198,7 @@ def frame_with(index, n):
     dets = tuple(
         Detection(box_at(10.0 * index + k, 0.0), 0.5 + 0.05 * k) for k in range(n)
     )
-    return Frame(index, PointCloud(np.empty((0, 3))), dets)
+    return Frame(index, np.empty((0, 3)), dets)
 
 
 def links(rows):
@@ -449,7 +449,7 @@ def write_toy_sequence(root, positions, rng, points=None):
         )
         frame = Frame(
             index=f,
-            cloud=PointCloud(pts.astype(np.float32).astype(np.float64)),
+            points=pts.astype(np.float32).astype(np.float64),
             detections=tuple(Detection(b, 1.0) for b in boxes),
         )
         write_frame(root, frame)
@@ -646,7 +646,7 @@ def write_grid_sequence(root, positions):
         pts = np.vstack([GRID + b.center for b in boxes])
         write_frame(root, Frame(
             index=f,
-            cloud=PointCloud(pts),
+            points=pts,
             detections=tuple(Detection(b, 1.0) for b in boxes),
         ))
     write_sequence_meta(root, len(positions), "grid")

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,7 +16,7 @@ from cloudtrack.losses import LossGradients, loss_gradients
 from cloudtrack.model import init_model, save_model
 from cloudtrack.pointnet import PointNetWeights
 from cloudtrack.sequence_io import (
-    IngestConfig,
+    SequenceSource,
     load_frame,
     open_sequence,
     write_detections,
@@ -358,6 +359,34 @@ class TestTrackCommand:
             err = capsys.readouterr().err
             assert f"{seq / 'sequence.meta'}:1: bad frame_count {value!r}" in err
 
+    @pytest.mark.parametrize("when", ["before_open", "after_open"])
+    def test_missing_frame_file_is_runtime_error(
+        self, tiny_pipeline, tmp_path, capsys, monkeypatch, when
+    ):
+        # a frame file missing when the sequence is opened, or removed
+        # after open_sequence checked it: exit 1, the file named, no CSV
+        seq, weights, _ = tiny_pipeline
+        copy = tmp_path / "seq"
+        shutil.copytree(seq, copy)
+        gone = copy / "frames" / "6.xyz"
+        if when == "before_open":
+            gone.unlink()
+        else:
+            def open_then_remove(*args):
+                src = open_sequence(*args)
+                gone.unlink()
+                return src
+
+            monkeypatch.setattr(cli, "open_sequence", open_then_remove)
+        out = tmp_path / "tracks.csv"
+        code = run([
+            "track", "--seq", str(copy), "--weights", str(weights), "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(gone) in err
+        assert not out.exists()
+
     def test_missing_weights_is_runtime_error(self, tiny_pipeline, tmp_path, capsys):
         seq, _, _ = tiny_pipeline
         code = run([
@@ -516,7 +545,7 @@ class TestEntryPoints:
             ["track", "--seq", "s", "--weights", "w.bin", "--out", "t.csv"]
         )
         assert args.birth_threshold == TrackerConfig().birth_threshold
-        assert args.conf_threshold == IngestConfig().confidence_threshold
+        assert args.conf_threshold == SequenceSource("s", 0).confidence_threshold
 
     def test_threads_default_is_one(self, monkeypatch):
         # the environment no longer selects a thread count

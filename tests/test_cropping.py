@@ -12,7 +12,6 @@ from cloudtrack.geometry import (
     Detection,
     Frame,
     OrientedBox3,
-    PointCloud,
     box_contains,
     from_box_frame,
     local_inside,
@@ -22,9 +21,9 @@ from cloudtrack.nets import init_layers
 from cloudtrack.pointnet import PointNetWeights, featurize_frame, pointnet_forward
 
 
-def crop_object(cloud, box, frame_index, slot):
-    """Oracle: test the whole cloud against one box, then thin with its slot's seed."""
-    local = to_box_frame(box, cloud.points)
+def crop_object(points, box, frame_index, slot):
+    """Oracle: test every point against one box, then thin with its slot's seed."""
+    local = to_box_frame(box, points)
     local = local[local_inside(box, local)]
     if len(local) > CROP_POINTS:
         rng = np.random.default_rng(slot_seed(0, frame_index, slot))
@@ -32,14 +31,14 @@ def crop_object(cloud, box, frame_index, slot):
     return local
 
 
-def crop_one(cloud, box, frame_index=0):
+def crop_one(points, box, frame_index=0):
     """crop_frame on a one-box frame: the box's crop, thinned as slot 0."""
-    return crop_frame(Frame(frame_index, cloud, (Detection(box, 0.9),)))[0]
+    return crop_frame(Frame(frame_index, points, (Detection(box, 0.9),)))[0]
 
 
-def interior_cloud(rng, n):
+def interior_points(rng, n):
     """n points strictly inside unit_box()."""
-    return PointCloud(rng.uniform(-0.49, 0.49, size=(n, 3)))
+    return rng.uniform(-0.49, 0.49, size=(n, 3))
 
 
 def unit_box(center=(0.0, 0.0, 0.0), yaw=0.0):
@@ -55,40 +54,40 @@ def ulps_from(value, steps):
 
 class TestCropObject:
     def test_empty_cloud(self):
-        out = crop_one(PointCloud(np.empty((0, 3))), unit_box())
+        out = crop_one(np.empty((0, 3)), unit_box())
         assert out.shape == (0, 3)
 
     def test_identity_frame_keeps_points(self):
         # fewer than CROP_POINTS interior points: the crop is exactly those points
         pts = np.array([[0.1, 0.2, 0.3], [-0.4, 0.0, 0.1], [0.0, -0.3, -0.2]])
-        out = crop_one(PointCloud(pts), unit_box())
+        out = crop_one(pts, unit_box())
         assert np.array_equal(out, pts)
 
     def test_outside_points_dropped(self):
         pts = np.array([[0.1, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        out = crop_one(PointCloud(pts), unit_box())
+        out = crop_one(pts, unit_box())
         assert np.array_equal(out, pts[:1])
 
     def test_seeded_thinning(self):
         # the draw is the oracle's: slot_seed(0, frame, slot), whatever the frame
-        cloud = interior_cloud(np.random.default_rng(81), 1000)
+        points = interior_points(np.random.default_rng(81), 1000)
         for frame_index in (0, 1, 57):
-            out = crop_one(cloud, unit_box(), frame_index)
+            out = crop_one(points, unit_box(), frame_index)
             assert out.shape == (CROP_POINTS, 3)
             # all selections are distinct source points
             assert len(np.unique(out, axis=0)) == CROP_POINTS
-            solo = crop_object(cloud, unit_box(), frame_index, 0)
+            solo = crop_object(points, unit_box(), frame_index, 0)
             assert out.tobytes() == solo.tobytes()
 
     def test_thinning_differs_between_frames(self):
-        cloud = interior_cloud(np.random.default_rng(86), 1000)
-        crops = {crop_one(cloud, unit_box(), f).tobytes() for f in range(5)}
+        points = interior_points(np.random.default_rng(86), 1000)
+        crops = {crop_one(points, unit_box(), f).tobytes() for f in range(5)}
         assert len(crops) == 5
 
     def test_thinning_subset_of_interior(self):
         rng = np.random.default_rng(82)
         pts = rng.uniform(-0.49, 0.49, size=(300, 3))
-        out = crop_one(PointCloud(pts), unit_box())
+        out = crop_one(pts, unit_box())
         source = {tuple(p) for p in pts}
         assert out.shape == (CROP_POINTS, 3)
         for row in out:
@@ -104,7 +103,7 @@ class TestCropObject:
             world = from_box_frame(
                 box, rng.uniform(-0.5, 0.5, size=(200, 3)) * [l, w, h]
             )
-            out = crop_one(PointCloud(world), box)
+            out = crop_one(world, box)
             assert np.all(np.abs(out) <= box.half_extents + 1e-9)
 
     def test_joint_translation_invariance(self):
@@ -113,8 +112,8 @@ class TestCropObject:
         world = from_box_frame(box, rng.uniform(-0.45, 0.45, size=(50, 3)) * [2, 1, 1.5])
         shift = np.array([10.0, -3.0, 2.0])
         box2 = OrientedBox3(shift, 2.0, 1.0, 1.5, 0.8)
-        a = crop_one(PointCloud(world), box)
-        b = crop_one(PointCloud(world + shift), box2)
+        a = crop_one(world, box)
+        b = crop_one(world + shift, box2)
         assert a.shape == b.shape
         assert np.allclose(a, b, atol=1e-9)
 
@@ -126,10 +125,10 @@ class TestCropFrame:
             Detection(unit_box(center=rng.uniform(-5, 5, size=3)), 0.9)
             for _ in range(n_dets)
         )
-        return Frame(0, PointCloud(pts), dets)
+        return Frame(0, pts, dets)
 
     def test_empty_frame(self):
-        frame = Frame(0, PointCloud(np.empty((0, 3))), ())
+        frame = Frame(0, np.empty((0, 3)), ())
         assert crop_frame(frame) == ()
 
     def _equivalence_frames(self):
@@ -245,7 +244,7 @@ class TestCropFrame:
             box,
             OrientedBox3([0.0, 0.0, 0.0], 4.0, 3.0, 2.0, 2.9),
         ]
-        return Frame(7, PointCloud(pts), tuple(Detection(b, 0.9) for b in boxes))
+        return Frame(7, pts, tuple(Detection(b, 0.9) for b in boxes))
 
     def _shared_points_frame(self, rng):
         """Identical, nested and overlapping boxes over one dense cloud."""
@@ -262,7 +261,7 @@ class TestCropFrame:
         return self._frame_of(pts, boxes)
 
     def _frame_of(self, pts, boxes):
-        return Frame(0, PointCloud(pts), tuple(Detection(b, 0.9) for b in boxes))
+        return Frame(0, pts, tuple(Detection(b, 0.9) for b in boxes))
 
     def test_slot_order_matches_detections(self):
         thinned = 0
@@ -270,10 +269,10 @@ class TestCropFrame:
             crops = crop_frame(frame)
             assert len(crops) == len(frame.detections), name
             for slot, (det, crop) in enumerate(zip(frame.detections, crops)):
-                solo = crop_object(frame.cloud, det.box, frame.index, slot)
+                solo = crop_object(frame.points, det.box, frame.index, slot)
                 assert crop.shape == solo.shape, (name, slot)
                 assert crop.tobytes() == solo.tobytes(), (name, slot)
-                thinned += box_contains(det.box, frame.cloud.points).sum() > CROP_POINTS
+                thinned += box_contains(det.box, frame.points).sum() > CROP_POINTS
         assert thinned >= 4
 
     def test_maps_only_the_points_near_each_box(self, monkeypatch):
@@ -289,7 +288,7 @@ class TestCropFrame:
 
         monkeypatch.setattr(cropping, "_box_frame_columns", counting)
         crop_frame(frame)
-        points = frame.cloud.points
+        points = frame.points
         in_strips = in_windows = 0
         for det in frame.detections:
             reach = 1.001 * math.hypot(det.box.length, det.box.width) / 2.0
@@ -301,7 +300,7 @@ class TestCropFrame:
 
     def test_shared_point_in_every_containing_box(self):
         frame = self._shared_points_frame(np.random.default_rng(93))
-        points = frame.cloud.points
+        points = frame.points
         crops = crop_frame(frame)
         masks = [box_contains(det.box, points) for det in frame.detections]
         assert max(mask.sum() for mask in masks) <= CROP_POINTS
@@ -315,7 +314,7 @@ class TestCropFrame:
     def test_bitwise_repeatable(self):
         # a rebuilt copy of the frame crops to the same bytes
         frame = self._thinned_frame(np.random.default_rng(92))
-        copy = Frame(frame.index, PointCloud(frame.cloud.points.copy()), frame.detections)
+        copy = Frame(frame.index, frame.points.copy(), frame.detections)
         a, b = crop_frame(frame), crop_frame(copy)
         assert len(a) == len(b) == len(frame.detections)
         for x, y in zip(a, b):
@@ -366,7 +365,7 @@ class TestObjectPoints:
         centers = ((0, 0, 0), (1, 1, 1), (9, 9, 9))
         frame = Frame(
             0,
-            PointCloud(rng.uniform(-1, 1, size=(2000, 3))),
+            rng.uniform(-1, 1, size=(2000, 3)),
             tuple(Detection(unit_box(center=c), 0.9) for c in centers),
         )
         crops = crop_frame(frame)
@@ -379,5 +378,5 @@ class TestObjectPoints:
     def test_crop_over_p_interior_points_has_p_rows(self):
         rng = np.random.default_rng(85)
         for n in (1, CROP_POINTS - 1, CROP_POINTS, CROP_POINTS + 1, 1000):
-            out = crop_one(interior_cloud(rng, n), unit_box())
+            out = crop_one(interior_points(rng, n), unit_box())
             assert out.shape == (min(n, CROP_POINTS), 3)

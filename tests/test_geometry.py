@@ -1,14 +1,15 @@
 """Geometry value types: containment, yaw wrapping, frame transforms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cloudtrack.geometry import (
     Detection,
+    Frame,
     OrientedBox3,
-    PointCloud,
     box_contains,
     from_box_frame,
     to_box_frame,
@@ -145,6 +146,22 @@ class TestInvariants:
         with pytest.raises(ValueError):
             OrientedBox3(np.zeros(3), 1.0, -2.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_box_rejects_non_finite_center(self, bad):
+        for axis in range(3):
+            center = np.zeros(3)
+            center[axis] = bad
+            with pytest.raises(ValueError, match="^box center must be finite$"):
+                OrientedBox3(center, 1.0, 1.0, 1.0, 0.0)
+        # a center that is not three values fails before the finite check
+        with pytest.raises(ValueError, match="reshape"):
+            OrientedBox3(np.zeros(4), 1.0, 1.0, 1.0, 0.0)
+
+    def test_box_center_is_a_float64_array(self):
+        box = OrientedBox3([1, 2, 3], 1.0, 1.0, 1.0, 0.0)
+        assert box.center.dtype == np.float64 and box.center.shape == (3,)
+        assert box.center.tolist() == [1.0, 2.0, 3.0]
+
     def test_box_normalizes_yaw(self):
         box = OrientedBox3(np.zeros(3), 1.0, 1.0, 1.0, 3.0 * math.pi)
         assert box.yaw == -math.pi
@@ -165,9 +182,37 @@ class TestInvariants:
             Detection(box, 0.5, gt_id=-1)
 
     def test_cloud_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            PointCloud(np.array([[0.0, np.nan, 0.0]]))
+        # a frame's points, at any position and of any sign
+        for bad in (np.nan, np.inf, -np.inf):
+            for axis in range(3):
+                pts = np.zeros((4, 3))
+                pts[2, axis] = bad
+                with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+                    Frame(0, pts)
+
+    def test_cloud_rejects_a_shape_other_than_n_by_3(self):
+        for shape in ((4, 2), (2, 4), (2, 2, 3)):
+            message = f"expected (n, 3) point array, got shape {shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Frame(0, np.zeros(shape))
 
     def test_cloud_may_be_empty(self):
-        cloud = PointCloud(np.empty((0, 3)))
-        assert len(cloud) == 0
+        for empty in (np.empty((0, 3)), [], np.empty(0)):
+            frame = Frame(0, empty)
+            assert frame.points.shape == (0, 3)
+            assert frame.points.dtype == np.float64
+
+    def test_frame_holds_its_points_as_float64(self):
+        pts = np.arange(6, dtype=np.float32).reshape(2, 3)
+        frame = Frame(3, pts)
+        assert frame.points.dtype == np.float64
+        assert np.array_equal(frame.points, pts)
+        # one xyz triple is a one-point frame
+        assert Frame(0, [1.0, 2.0, 3.0]).points.shape == (1, 3)
+        # a float64 (n, 3) array is held as it is, not copied
+        pts64 = pts.astype(np.float64)
+        assert Frame(0, pts64).points is pts64
+
+    def test_frame_rejects_a_negative_index(self):
+        with pytest.raises(ValueError, match="^frame index must be non-negative$"):
+            Frame(-1, np.empty((0, 3)))

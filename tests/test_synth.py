@@ -42,7 +42,7 @@ class TestGenerate:
         for f in range(src.frame_count):
             frame = load_frame(src, f)
             for det in frame.detections:
-                inside = box_contains(det.box, frame.cloud.points)
+                inside = box_contains(det.box, frame.points)
                 assert inside.sum() == cfg.points_per_object
 
     def test_separation_at_least_twice_the_diagonal(self, small_scene):
@@ -193,7 +193,7 @@ class TestPerturb:
         reach = 0.0
         for f in range(noisy.frame_count):
             frame = load_frame(noisy, f)
-            half = np.abs(frame.cloud.points[:, :2]).max(axis=0)
+            half = np.abs(frame.points[:, :2]).max(axis=0)
             for det in frame.detections:
                 if det.gt_id is None:
                     xy = np.abs(det.box.center[:2])

@@ -552,7 +552,7 @@ class TestTrainingPairs:
         )
         frames = [load_admitted_frame(src, i) for i in range(src.frame_count)]
         assert any(
-            box_contains(det.box, frame.cloud.points).sum() > CROP_POINTS
+            box_contains(det.box, frame.points).sum() > CROP_POINTS
             for frame in frames
             for det in frame.detections
         )

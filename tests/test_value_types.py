@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cloudtrack.geometry import Detection, Frame, OrientedBox3, PointCloud
+from cloudtrack.geometry import Detection, Frame, OrientedBox3
 from cloudtrack.losses import GroundTruthAssignment, LossGradients, stack_gt
 from cloudtrack.model import init_model
 from cloudtrack.training import PairSample
@@ -17,10 +17,9 @@ def box():
 
 
 MAKERS = {
-    "PointCloud": lambda: PointCloud(np.ones((2, 3))),
     "OrientedBox3": box,
     "Detection": lambda: Detection(box(), 0.9),
-    "Frame": lambda: Frame(0, PointCloud(np.ones((2, 3))), (Detection(box(), 0.9),)),
+    "Frame": lambda: Frame(0, np.ones((2, 3)), (Detection(box(), 0.9),)),
     "GroundTruthAssignment": lambda: GroundTruthAssignment(np.eye(2)),
     "BatchTargets": lambda: stack_gt([GroundTruthAssignment(np.eye(2))]),
     "PairSample": lambda: PairSample(
