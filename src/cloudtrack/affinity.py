@@ -271,18 +271,3 @@ def augment_and_softmax(
     m2[..., :cp, :] = m
     m2[..., cp, :] = dummy_score
     return normalize_pair(m1, m2)
-
-
-def affinity_from_projected(
-    prev: np.ndarray,
-    cur: np.ndarray,
-    net: CompressionNet,
-    dummy_score: float,
-    eligible: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The head after its first layer: (A1, A2) from projected rows.
-
-    prev and cur are as score_projected takes them.
-    """
-    return augment_and_softmax(score_projected(prev, cur, net, eligible), dummy_score)
-

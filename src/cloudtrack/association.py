@@ -22,19 +22,21 @@ slots end theirs; against the empty table of frame 0 every object is a
 birth.  Each frame's TrackRows are its output: writing them reads no
 frame.
 
-Frames are loaded and cropped one at a time, ahead of the association,
-in windows of up to WINDOW_DETECTIONS detections; a window keeps each
-frame's detections and crops, not its cloud.  Each window's crops are
-featurized in one call (pointnet.featurize_frame), its features are
-projected through both halves of the head's first layer in one call
-(affinity.project), and its frames are then linked in order, so each
-detection is featurized and projected once, as a current object, and
-its previous half waits in the table.  A feature row does not depend on
-its window: the featurizer computes each crop alike in any batch (see
-pointnet).  A projection's last bits depend on the other rows of its
-window, as BLAS rounds a row differently in products of other sizes;
-the decisions do not, unless a score sits within float32 rounding of a
-bar.
+Frames reach the tracker as featurized windows (featurized_windows):
+frames are loaded, admitted and cropped one at a time, and each window
+of up to WINDOW_DETECTIONS detections is featurized in one call
+(pointnet.featurize_frame).  A window keeps each frame's index and
+detections, never its points.  The trainer reads the same windows.  The
+tracker projects each window's features through both halves of the
+head's first layer in one call (affinity.project), then gates, scores,
+assigns and updates its frames in order, so each detection is
+featurized and projected once, as a current object, and its previous
+half waits in the table.  update_tracks takes a frame's index and
+detections, not a Frame.  A feature row does not depend on its window:
+the featurizer computes each crop alike in any batch (see pointnet).  A
+projection's last bits depend on the other rows of its window, as BLAS
+rounds a row differently in products of other sizes; the decisions do
+not, unless a score sits within float32 rounding of a bar.
 """
 
 from __future__ import annotations
@@ -44,12 +46,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .affinity import affinity_from_projected, project
+from .affinity import augment_and_softmax, project, score_projected
 from .cropping import crop_frame
-from .geometry import Detection, Frame
+from .geometry import Detection
 from .matching import match
 from .model import AffinityModel
-from .pointnet import featurize_frame
+from .pointnet import PointNetWeights, featurize_frame
 from .sequence_io import SequenceSource, load_admitted_frame, write_tracks_file
 
 DEFAULT_BIRTH_THRESHOLD = 0.3
@@ -165,25 +167,26 @@ def centers_xy(detections) -> np.ndarray:
 
 
 def update_tracks(
-    live: LiveTracks, frame: Frame, rows, cols, projected, xy
+    live: LiveTracks, frame_index: int, detections, rows, cols, projected, xy
 ) -> tuple[LiveTracks, tuple]:
     """Extend matched tracks, open tracks for births; deaths just stop.
 
     rows and cols are a matching, as solve_assignment returns it: current
     slot cols[k] continues the track of previous slot rows[k].  Unmatched
     current slots are births and take fresh ids from live.next_id in slot
-    order; unmatched previous slots end.  projected and xy hold frame's
+    order; unmatched previous slots end.  detections are frame
+    frame_index's admitted detections, and projected and xy hold their
     previous half projections and centers_xy rows.  Returns (the new
-    table, frame's TrackRows in slot order); live is left unchanged.
+    table, the frame's TrackRows in slot order); live is left unchanged.
     """
-    cp, cc = len(live.ids), len(frame.detections)
+    cp, cc = len(live.ids), len(detections)
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
     prev, cur = set(rows.tolist()), set(cols.tolist())
     if not (len(rows) == len(cols) == len(prev) == len(cur)
             and prev <= set(range(cp)) and cur <= set(range(cc))):
         raise ValueError(
             f"rows {rows.tolist()} and cols {cols.tolist()} are not a matching "
-            f"of the {cp} previous and {cc} current slots of frame {frame.index}"
+            f"of the {cp} previous and {cc} current slots of frame {frame_index}"
         )
     if len(projected) != cc:
         raise ValueError(f"{len(projected)} projected rows for {cc} detections")
@@ -194,59 +197,52 @@ def update_tracks(
     births = cc - len(cols)
     ids[born] = live.next_id + np.arange(births)
     out = tuple(
-        TrackRow(frame.index, track_id, d)
-        for track_id, d in zip(ids.tolist(), frame.detections)
+        TrackRow(frame_index, track_id, d)
+        for track_id, d in zip(ids.tolist(), detections)
     )
-    frames = np.full(cc, frame.index, dtype=np.int64)
+    frames = np.full(cc, frame_index, dtype=np.int64)
     return LiveTracks(projected, ids, live.next_id + births, xy, frames), out
 
 
 # Admitted detections per window.  Frames are loaded and cropped one at a
-# time until the next one would take the pending frames past this many
-# detections; then the pending frames' crops are featurized in one call,
-# their features go through the head's first layer as one product pair
-# (affinity.project), and the frames are associated in order.  A frame of
-# at least this many detections shares its window with empty frames only.
-# A product costs about the same from a few rows to a few dozen: project
-# at the default widths took a median 490 us for 5 rows, 560 for 16, 870
-# for 64 and 2480 for 128 (2-core box, threaded OpenBLAS 0.3.31), so 64
-# rows cost the least per row.  The featurizer's chunks of a few crops
-# bound its scratch at any window size.
+# time until the next one would take the window past this many
+# detections; then the window's crops are featurized in one call and, in
+# the tracker, their features go through the head's first layer as one
+# product pair (affinity.project).  A frame of at least this many
+# detections shares its window with empty frames only.  A product costs
+# about the same from a few rows to a few dozen: project at the default
+# widths took a median 490 us for 5 rows, 560 for 16, 870 for 64 and 2480
+# for 128 (2-core box, threaded OpenBLAS 0.3.31), so 64 rows cost the
+# least per row.  The featurizer's chunks of a few crops bound its
+# scratch at any window size.
 WINDOW_DETECTIONS = 64
 
 
-_NO_POINTS = np.empty((0, 3))
+def featurized_windows(src: SequenceSource, pointnet: PointNetWeights):
+    """Yield the sequence's windows of frames as (frames, features).
 
-
-class _Pending(NamedTuple):
-    """A cropped frame waiting for its window: its points are dropped."""
-
-    frame: Frame
-    xy: np.ndarray
-    crops: tuple
-
-
-def _associate(live, window, model, cfg, out) -> LiveTracks:
-    """Featurize and project the window's crops once; link its frames in order."""
-    features = featurize_frame(
-        [crop for pending in window for crop in pending.crops], model.pointnet
-    )
-    as_prev, as_cur = project(features, model.compression)
-    start = 0
-    for frame, xy, crops in window:
-        stop = start + len(crops)
-        eligible = motion_gate(live.xy, xy, frame.index - live.frames)
-        a1, a2 = affinity_from_projected(
-            live.projected, as_cur[start:stop], model.compression,
-            model.dummy_score, eligible=eligible,
-        )
-        rows, cols = solve_assignment(score_matrix(a1, a2), cfg.birth_threshold)
-        live, frame_rows = update_tracks(
-            live, frame, rows, cols, as_prev[start:stop], xy
-        )
-        out.extend(frame_rows)
-        start = stop
-    return live
+    Frames are loaded, admitted and cropped one at a time.  When the next
+    frame would take the window past WINDOW_DETECTIONS detections, the
+    window's crops are featurized in one featurize_frame call and the
+    window is yielded.  frames holds each of its frames' (index,
+    detections), in order, and never their points; features holds one
+    float32 row per detection, in frame then slot order.
+    """
+    frames, crops = [], []
+    for index in range(src.frame_count):
+        frame = load_admitted_frame(src, index)
+        frame_crops, detections = crop_frame(frame), frame.detections
+        del frame  # a window keeps no frame's points
+        # after this frame's crop, not before it: between its load and its
+        # crop, the association ran dense80 about 5% slower (16 of 20
+        # in-process rounds)
+        if frames and len(crops) + len(frame_crops) > WINDOW_DETECTIONS:
+            yield tuple(frames), featurize_frame(crops, pointnet)
+            frames, crops = [], []
+        frames.append((index, detections))
+        crops.extend(frame_crops)
+    if frames:
+        yield tuple(frames), featurize_frame(crops, pointnet)
 
 
 def track_sequence(
@@ -256,29 +252,29 @@ def track_sequence(
 
     Returns every TrackRow, frame by frame.  The previous side starts as
     an empty table, so frame 0 takes the same path as every later frame
-    and all its objects are births.  Frames are cropped ahead of the
-    association in windows of up to WINDOW_DETECTIONS detections, and
-    each window is featurized in one call.
+    and all its objects are births.  Each window of featurized_windows
+    is projected in one call; then its frames are gated, scored,
+    assigned and updated in order.
     """
-    hidden_dim = model.compression.widths[1]
-    live = LiveTracks(np.zeros((0, hidden_dim), dtype=np.float32))
-    rows, window, pending = [], [], 0
-    for index in range(src.frame_count):
-        frame = load_admitted_frame(src, index)
-        crops = crop_frame(frame)
-        frame = Frame(frame.index, _NO_POINTS, frame.detections)
-        count = len(frame.detections)
-        # after this frame's crop, not before it: between its load and its
-        # crop, the association ran dense80 about 5% slower (16 of 20
-        # in-process rounds)
-        if window and pending + count > WINDOW_DETECTIONS:
-            live = _associate(live, window, model, cfg, rows)
-            window, pending = [], 0
-        window.append(_Pending(frame, centers_xy(frame.detections), crops))
-        pending += count
-    if window:
-        _associate(live, window, model, cfg, rows)
-    return tuple(rows)
+    net = model.compression
+    live = LiveTracks(np.zeros((0, net.widths[1]), dtype=np.float32))
+    out = []
+    for frames, features in featurized_windows(src, model.pointnet):
+        as_prev, as_cur = project(features, net)
+        start = 0
+        for index, detections in frames:
+            stop = start + len(detections)
+            xy = centers_xy(detections)
+            eligible = motion_gate(live.xy, xy, index - live.frames)
+            m = score_projected(live.projected, as_cur[start:stop], net, eligible)
+            a1, a2 = augment_and_softmax(m, model.dummy_score)
+            rows, cols = solve_assignment(score_matrix(a1, a2), cfg.birth_threshold)
+            live, frame_rows = update_tracks(
+                live, index, detections, rows, cols, as_prev[start:stop], xy
+            )
+            out.extend(frame_rows)
+            start = stop
+    return tuple(out)
 
 
 def write_tracks_csv(path, rows) -> None:

@@ -28,10 +28,15 @@ def yaw_normalize(theta: float) -> float:
 
 
 def _as_finite_points(points) -> np.ndarray:
+    """points as a finite float64 (n, 3) array.
+
+    An empty 1-D array is no points and a single (3,) triple one point;
+    every other shape but (n, 3) is refused.
+    """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
+    if pts.shape == (0,):
         return pts.reshape(0, 3)
-    if pts.ndim == 1:
+    if pts.shape == (3,):
         pts = pts.reshape(1, 3)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (n, 3) point array, got shape {pts.shape}")

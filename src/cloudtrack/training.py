@@ -1,11 +1,12 @@
 """Plain gradient descent on the affinity head.
 
 The point featurizer stays frozen; only the compression stack and the
-dummy score learn.  training_pairs loads, crops and featurizes the
-sequence one frame at a time, keeping only each frame's gt ids and
-features, and pairs every frame with the frames FRAME_GAPS before it.
-Its crops are the tracker's: they depend on the frame alone, and the
-run seed draws only the initial weights and the batches.
+dummy score learn.  training_pairs reads the tracker's windows
+(association.featurized_windows), keeping only each frame's gt ids and
+its slice of its window's features, and pairs every frame with the
+frames FRAME_GAPS before it.  So training sees the tracker's own
+feature rows, and the run seed draws only the initial weights and the
+batches.
 
 Because the featurizer is frozen, every feature row a step sees is one
 of the pool's R rows, and a first-layer update, a sum of outer products
@@ -53,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .affinity import CompressionNet, augment_and_softmax, first_layer_halves
-from .cropping import crop_frame
+from .association import featurized_windows
 from .losses import (
     GroundTruthAssignment,
     LossBreakdown,
@@ -64,8 +65,7 @@ from .losses import (
 )
 from .model import AffinityModel, init_model, save_model
 from .nets import mlp_backward, mlp_forward_cached
-from .pointnet import featurize_frame
-from .sequence_io import SequenceSource, format_float, load_admitted_frame
+from .sequence_io import SequenceSource, format_float
 
 LOG_HEADER = "step,l_f,l_b,l_c,l_a,total"
 
@@ -277,17 +277,19 @@ def train_step(state: TrainState, batch, learning_rate: float) -> LossBreakdown:
 def training_pairs(src: SequenceSource, model: AffinityModel) -> tuple:
     """All PairSamples whose frames lie FRAME_GAPS apart.
 
-    Frames are loaded, cropped and featurized one at a time, with the
-    frozen featurizer and the same crop call as the tracker; only each
-    frame's gt ids and features are kept.  A crop depends on its frame
-    alone, so training sees exactly the features the tracker will see,
-    whatever the run seed is.
+    Each frame's gt ids and feature rows come from the tracker's windows
+    (association.featurized_windows), so training sees exactly the
+    features the tracker sees, whatever the run seed is.  A frame's rows
+    are one slice of its window's features, shared by every sample that
+    uses the frame.
     """
     ids, feats = [], []
-    for i in range(src.frame_count):
-        frame = load_admitted_frame(src, i)
-        ids.append([det.gt_id for det in frame.detections])
-        feats.append(featurize_frame(crop_frame(frame), model.pointnet))
+    for frames, features in featurized_windows(src, model.pointnet):
+        start = 0
+        for _, detections in frames:
+            ids.append([det.gt_id for det in detections])
+            feats.append(features[start:start + len(detections)])
+            start += len(detections)
     if all(gid is None for frame_ids in ids for gid in frame_ids):
         raise ValueError(
             "no admitted detection in any frame has a gt_id; "

@@ -5,7 +5,6 @@ import pytest
 
 from cloudtrack.affinity import (
     CompressionNet,
-    affinity_from_projected,
     augment_and_softmax,
     compression_forward,
     normalize_pair,
@@ -239,8 +238,8 @@ class TestSplitHead:
                     split = score_projected(as_prev[:cp], as_cur[cp:], net, eligible)
                     assert split.tobytes() == m.tobytes()
                     a = augment_and_softmax(m, 0.3)
-                    b = affinity_from_projected(
-                        as_prev[:cp], as_cur[cp:], net, 0.3, eligible
+                    b = augment_and_softmax(
+                        score_projected(as_prev[:cp], as_cur[cp:], net, eligible), 0.3
                     )
                     assert a[0].tobytes() == b[0].tobytes()
                     assert a[1].tobytes() == b[1].tobytes()
@@ -276,7 +275,9 @@ class TestSplitHead:
                 compression_forward(prev, cur, net, mask)
         as_prev, as_cur = project(np.concatenate([prev, cur]), net)
         with pytest.raises(ValueError, match="non-finite affinity score"):
-            affinity_from_projected(as_prev[:4], as_cur[4:], net, 0.0, eligible)
+            augment_and_softmax(
+                score_projected(as_prev[:4], as_cur[4:], net, eligible), 0.0
+            )
 
     @pytest.mark.parametrize("half", [slice(None, 512), slice(512, None)])
     def test_overflowing_projection_raises(self, half):

@@ -229,8 +229,8 @@ def ids(live):
 
 def step(live, matched, frame):
     return update_tracks(
-        live, frame, *matching(*matched), proj(len(frame.detections)),
-        centers_xy(frame.detections),
+        live, frame.index, frame.detections, *matching(*matched),
+        proj(len(frame.detections)), centers_xy(frame.detections),
     )
 
 
@@ -247,7 +247,7 @@ class TestUpdateTracks:
     def test_initial_births(self):
         frame = frame_with(0, 2)
         p, xy = proj(2), centers_xy(frame.detections)
-        live, rows = update_tracks(EMPTY, frame, [], [], p, xy)
+        live, rows = update_tracks(EMPTY, frame.index, frame.detections, [], [], p, xy)
         assert links(rows) == {0: ((0, 0),), 1: ((0, 1),)}
         assert live.next_id == 2
         assert rows[1].detection is frame.detections[1]
@@ -299,7 +299,8 @@ class TestUpdateTracks:
         assert ids(live) == (0, 1, 2)
         frame, p = frame_with(1, 4), proj(4)
         live, rows = update_tracks(
-            live, frame, *matching((0, 2), (2, 0)), p, centers_xy(frame.detections)
+            live, frame.index, frame.detections, *matching((0, 2), (2, 0)), p,
+            centers_xy(frame.detections),
         )
         assert ids(live) == (2, 3, 0, 4)
         assert tuple(row.track_id for row in rows) == ids(live)
@@ -350,7 +351,10 @@ class TestUpdateTracks:
     def test_feature_rows_must_match_detections(self):
         frame = frame_with(0, 2)
         with pytest.raises(ValueError, match="projected rows"):
-            update_tracks(EMPTY, frame, [], [], proj(1), centers_xy(frame.detections))
+            update_tracks(
+                EMPTY, frame.index, frame.detections, [], [], proj(1),
+                centers_xy(frame.detections),
+            )
 
     def test_ten_frame_lineage(self):
         # one object tracked 0..4, replaced by a newcomer from frame 5 on
@@ -388,7 +392,8 @@ class TestUpdateTracks:
             step(live, [(0, 0), (1, 0)], frame)
         with pytest.raises(ValueError, match="not a matching"):
             update_tracks(
-                live, frame, [0, 1], [0], proj(2), centers_xy(frame.detections)
+                live, frame.index, frame.detections, [0, 1], [0], proj(2),
+                centers_xy(frame.detections),
             )
 
     def test_random_matchings_keep_ids_consistent(self):
@@ -402,7 +407,8 @@ class TestUpdateTracks:
             rows, cols = solve_assignment(s, 0.3)
             frame = frame_with(f, cc)
             new, out = update_tracks(
-                live, frame, rows, cols, proj(cc), centers_xy(frame.detections)
+                live, frame.index, frame.detections, rows, cols, proj(cc),
+                centers_xy(frame.detections),
             )
             got = [row.track_id for row in out]
             assert all(type(track_id) is int for track_id in got)

@@ -191,7 +191,10 @@ class TestInvariants:
                     Frame(0, pts)
 
     def test_cloud_rejects_a_shape_other_than_n_by_3(self):
-        for shape in ((4, 2), (2, 4), (2, 2, 3)):
+        # empty arrays of another shape too, and a 1-D array that is not
+        # one xyz triple
+        shapes = ((4, 2), (2, 4), (2, 2, 3), (5, 0), (0, 7), (0, 0), (6,), (2,))
+        for shape in shapes:
             message = f"expected (n, 3) point array, got shape {shape}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Frame(0, np.zeros(shape))

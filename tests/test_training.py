@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cloudtrack import training
+from cloudtrack import association, training
 from cloudtrack.losses import LossGradients, build_gt, loss_breakdown, loss_gradients
 from cloudtrack.model import init_model, load_model, save_model
 from cloudtrack.affinity import augment_and_softmax, first_layer_halves
+from cloudtrack.association import WINDOW_DETECTIONS
 from cloudtrack.cropping import CROP_POINTS, crop_frame
 from cloudtrack.geometry import box_contains
 from cloudtrack.pointnet import featurize_frame
@@ -32,6 +33,8 @@ from cloudtrack.training import (
     write_loss_log,
 )
 from cloudtrack.verification import DEFAULT_STEP
+
+from test_association import windows
 
 
 EPS32 = float(np.finfo(np.float32).eps)
@@ -124,6 +127,21 @@ def batch_from(src, model, size=4, seed=0):
 def scene(tmp_path_factory):
     cfg = SynthConfig(n_objects=3, n_frames=20, seed=101, points_per_object=150)
     return generate(cfg, tmp_path_factory.mktemp("train-scene"))
+
+
+@pytest.fixture(scope="module")
+def ragged(tmp_path_factory):
+    """CI's ragged recipe: frames of 3 to 9 admitted detections, 173 in all.
+
+    An object leaves and one enters, misses drop some detections, and
+    admitted clutter adds unlabeled ones.
+    """
+    cfg = SynthConfig(
+        n_objects=5, n_frames=30, seed=31, points_per_object=60,
+        events=(("leave", 12, 1), ("enter", 20)),
+    )
+    src = generate(cfg, tmp_path_factory.mktemp("ragged-scene"))
+    return perturb(src, fn_rate=0.2, fp_rate=0.5, conf_model=(0.3, 0.9), seed=31)
 
 
 def pair_cells(sample):
@@ -570,9 +588,50 @@ class TestTrainingPairs:
             assert sample.prev.tobytes() == want[prev].tobytes()
             assert sample.cur.tobytes() == want[cur].tobytes()
 
+    def test_reads_the_trackers_windows(self, ragged, monkeypatch):
+        # the tracker's windows split this scene mid-sequence and admit
+        # clutter: one featurizer call per window, and each frame's rows
+        # are one array, a slice of its window's, and its own bit for bit
+        model = init_model(seed=7)
+        featurized = []
+
+        def recording_featurize(crops, w):
+            featurized.append(featurize_frame(crops, w))
+            return featurized[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(association, "featurize_frame", recording_featurize)
+            pool = training_pairs(ragged, model)
+        frames = [load_admitted_frame(ragged, f) for f in range(ragged.frame_count)]
+        counts = [len(frame.detections) for frame in frames]
+        assert sum(counts) == 173
+        assert any(d.gt_id is None for frame in frames for d in frame.detections)
+        assert [len(x) for x in featurized] == windows(counts, WINDOW_DETECTIONS)
+        assert len(featurized) == 3
+        pairs = [
+            (cur - gap, cur)
+            for cur in range(ragged.frame_count)
+            for gap in training.FRAME_GAPS
+            if cur >= gap
+        ]
+        assert len(pool) == len(pairs)
+        arrays = {}
+        for (prev, cur), sample in zip(pairs, pool):
+            arrays.setdefault(prev, set()).add(id(sample.prev))
+            arrays.setdefault(cur, set()).add(id(sample.cur))
+        assert all(len(found) == 1 for found in arrays.values())
+        by_id = {id(x): x for sample in pool for x in (sample.prev, sample.cur)}
+        for index, frame in enumerate(frames):
+            [key] = arrays[index]
+            x = by_id[key]
+            assert any(x.base is window for window in featurized)
+            want = featurize_frame(crop_frame(frame), model.pointnet)
+            assert x.dtype == want.dtype and x.tobytes() == want.tobytes()
+
     def test_loads_one_frame_at_a_time(self, scene, monkeypatch):
-        # each frame is featurized before the next one loads: when it does,
-        # at most the frame just featurized may still be alive
+        # each frame is cropped before the next one loads, and a window
+        # keeps no frame: when a frame loads, at most the frame just
+        # cropped may still be alive
         refs, alive = [], []
 
         def load(src, index):
@@ -581,7 +640,7 @@ class TestTrainingPairs:
             refs.append(weakref.ref(frame))
             return frame
 
-        monkeypatch.setattr(training, "load_admitted_frame", load)
+        monkeypatch.setattr(association, "load_admitted_frame", load)
         training_pairs(scene, init_model(seed=7))
         assert len(refs) == scene.frame_count
         assert max(alive) <= 1

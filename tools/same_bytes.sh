@@ -12,6 +12,12 @@
 #   - synth the c6 scene (4 objects, 40 frames, seed 800, object 1 leaves
 #     at frame 15, one enters at 25) and train on it: 500 steps, batch 4,
 #     trainer seed 0.  Compared: the model file and the loss log.
+#   - synth CI's ragged recipe (5 objects, 30 frames, seed 31, an object
+#     leaves and one enters, misses and admitted clutter: frames of 3 to 9
+#     detections, 173 in all) and train on it: 500 steps, trainer seed 1.
+#     The trainer reads the tracker's windows of up to 64 detections, so
+#     this scene's features come from three windows split mid-sequence,
+#     unlabeled rows among them.  Compared: its model file and loss log.
 #   - track, with that model, one paper5_noisy-recipe scene and one
 #     dense80-recipe scene (the bench's first scenes at run seed 1), and
 #     three of CI's recipes: short (12 points per object, so every crop
@@ -31,8 +37,8 @@ root=$(git rev-parse --show-toplevel)
 work=$root/.same_bytes
 python=${PYTHON:-python3}
 scenes=(paper5 dense80 short empty mix)
-outputs=(model.bin loss.csv tracks-paper5.csv tracks-dense80.csv tracks-short.csv
-    tracks-empty.csv tracks-mix.csv)
+outputs=(model.bin loss.csv model-ragged.bin loss-ragged.csv tracks-paper5.csv
+    tracks-dense80.csv tracks-short.csv tracks-empty.csv tracks-mix.csv)
 
 rm -rf "$work"
 mkdir -p "$work/rev"
@@ -48,6 +54,11 @@ run_recipes() {
         --leave 15:1 --enter 25
     cloudtrack train --seq "$out/c6" --out "$out/model.bin" --log "$out/loss.csv" \
         --steps 500 --batch-pairs 4 --seed 0
+    cloudtrack synth --out "$out/ragged" --objects 5 --frames 30 --seed 31 \
+        --points-per-object 60 --leave 12:1 --enter 20 --fn-rate 0.2 --fp-rate 0.5 \
+        --conf-lo 0.3 --conf-hi 0.9
+    cloudtrack train --seq "$out/ragged" --out "$out/model-ragged.bin" \
+        --log "$out/loss-ragged.csv" --steps 500 --seed 1
     cloudtrack synth --out "$out/paper5" --objects 5 --frames 30 --seed 1189033389 \
         --leave 10:2 --enter 18 --det-noise-sigma 0.05 --fn-rate 0.1 --fp-rate 0.3 \
         --conf-lo 0.0 --conf-hi 0.4
